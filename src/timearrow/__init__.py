@@ -15,7 +15,6 @@ from .evolution import (
     kernel_witness,
     lattice_index,
     toeplitz_adjoint,
-    toeplitz_shift_oracle,
     toeplitz_step,
     unitary_evolve,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "kernel_witness",
     "lattice_index",
     "toeplitz_adjoint",
-    "toeplitz_shift_oracle",
     "toeplitz_step",
     "unitary_evolve",
     # forward map and Lyapunov operator

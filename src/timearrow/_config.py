@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 __all__ = ["ConfigError", "DEFAULT_CONFIG", "load_config", "validate_config"]
 
@@ -38,7 +39,8 @@ class ConfigError(ValueError):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # finite only: JSON's Infinity and NaN parse to floats
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < math.inf
 
 
 def _is_int(x) -> bool:

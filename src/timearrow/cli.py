@@ -34,22 +34,16 @@ from .evolution import (
     OffLatticeTimeError,
     OffLatticeWarning,
     kernel_witness,
+    lattice_index,
     toeplitz_step,
 )
 from .hardy import hardy_embed, hardy_part, hardy_project, rational_hardy
-from .lambda_transform import build_model, z_evolve, z_matrix
+from .lambda_transform import build_model, z_evolve
 from .lyapunov import apply_omega, lyapunov_curve
-from .ordering import (
-    assemble_T,
-    irreversible_matrix_element,
-    projection_rank,
-    spectral_measure,
-)
+from .ordering import assemble_T, irreversible_matrix_element, spectral_measure
 from .selftest import run_all
 from .spaces import GridSpec, LinOp, Space, make_grid, norm, restrict
 from .states import random_guarded_state
-
-_LATTICE_RTOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -140,15 +134,16 @@ def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
     ks = np.empty(requested.size, dtype=np.int64)
-    for i, ti in enumerate(requested):
-        ratio = ti / grid.delta_tau
-        k = int(round(ratio))
-        if abs(ratio - k) > _LATTICE_RTOL * max(1.0, abs(ratio)) and not t["snap_times"]:
-            raise OffLatticeTimeError(
-                f"times[{i}] = {ti} is off the dual lattice (delta_tau = "
-                f"{grid.delta_tau}) and times.snap_times is false"
-            )
-        ks[i] = k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OffLatticeWarning)
+        for i, ti in enumerate(requested):
+            try:
+                ks[i] = lattice_index(grid, ti, snap=t["snap_times"])
+            except OffLatticeTimeError:
+                raise OffLatticeTimeError(
+                    f"times[{i}] = {ti} is off the dual lattice (delta_tau = "
+                    f"{grid.delta_tau}) and times.snap_times is false"
+                ) from None
     return ks
 
 
@@ -355,31 +350,10 @@ def projection_family_cmd(cfg, out_dir, threads):
     family = spectral_measure(model, times)
     ordering = assemble_T(family)
     spectrum = np.linalg.eigvalsh(ordering.matrix.matrix)
-    eye = np.eye(dense.dim(Space.HALF_LINE_POS), dtype=np.complex128)
-
-    def one(i):
-        p = family.projections[i].matrix
-        z = z_matrix(model, float(times[i]))
-        future = z.conj().T @ z
-        idem = float(np.linalg.norm(p @ p - p))
-        comp = float(np.linalg.norm(p + future - eye))
-        if i == 0:
-            nest = 0.0
-        else:
-            q = family.projections[i - 1].matrix
-            nest = float(np.linalg.norm(q @ p - q))
-        return (
-            times[i],
-            projection_rank(family.projections[i]),
-            idem,
-            nest,
-            comp,
-        )
-
-    data = _pmap(one, range(len(family.projections)), threads)
+    data = family.residuals()
     rows = [
         (_fmt(t), str(rank), _fmt(idem), _fmt(nest), _fmt(comp), "algebraic")
-        for t, rank, idem, nest, comp in data
+        for t, (rank, idem, nest, comp) in zip(times, data)
     ]
     path = _write_outputs(
         out_dir,
@@ -403,8 +377,8 @@ def projection_family_cmd(cfg, out_dir, threads):
     )
     click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
-    ranks = [d[1] for d in data]
-    worst = max(max(d[2], d[3], d[4]) for d in data)
+    ranks = [d[0] for d in data]
+    worst = max(max(d[1:]) for d in data)
     if worst > tol:
         _violation(f"projection-family residual {worst:.3e} exceeds {tol:g}")
     if any(np.diff(ranks) < 0):

@@ -4,7 +4,8 @@
 the time domain this is a lattice shift, so a state's profile moves left by
 ``t``.  Compressing the group to the positive Hardy subspace gives the
 truncated-left-shift semigroup ``toeplitz_step`` and its isometric-on-
-guard-banded-states adjoint ``toeplitz_adjoint``.
+guard-banded-states adjoint ``toeplitz_adjoint``.  On the lattice both are
+zero-padded slices of the stored time samples, and are computed as such.
 
 Shift identities are exact only at lattice times ``t = k * delta_tau``;
 everything here therefore takes a ``snap`` flag: off-lattice times raise
@@ -14,12 +15,13 @@ lattice point with an :class:`OffLatticeWarning` when ``snap=True``.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .hardy import hardy_embed, hardy_part
-from .spaces import GridSpec, Space, SpaceMismatchError, StateVector, zero_state
+from .spaces import GridSpec, Space, SpaceMismatchError, StateVector
 
 __all__ = [
     "OffLatticeTimeError",
@@ -28,7 +30,6 @@ __all__ = [
     "unitary_evolve",
     "toeplitz_step",
     "toeplitz_adjoint",
-    "toeplitz_shift_oracle",
     "kernel_witness",
 ]
 
@@ -49,9 +50,14 @@ def lattice_index(grid: GridSpec, t: float, snap: bool = False) -> int:
 
     Raises :class:`OffLatticeTimeError` for off-lattice times unless
     ``snap=True``, in which case the nearest index is used and an
-    :class:`OffLatticeWarning` is emitted.
+    :class:`OffLatticeWarning` is emitted.  A non-finite time has no index
+    and raises :class:`OffLatticeTimeError` whatever ``snap`` says.
     """
     ratio = t / grid.delta_tau
+    if not math.isfinite(ratio):
+        raise OffLatticeTimeError(
+            f"t = {t} has no dual-lattice index (delta_tau = {grid.delta_tau})"
+        )
     k = int(round(ratio))
     if abs(ratio - k) > _LATTICE_RTOL * max(1.0, abs(ratio)):
         if not snap:
@@ -85,52 +91,47 @@ def unitary_evolve(f: StateVector, t: float) -> StateVector:
     return StateVector(f.grid, f.space, out.reshape(-1))
 
 
-def _hardy_lattice_step(f: StateVector, t: float, snap: bool, sign: int) -> int:
+def _semigroup_index(grid: GridSpec, t: float, snap: bool) -> int:
+    k = lattice_index(grid, t, snap=snap)
+    if k < 0:
+        raise ValueError(f"semigroup times must be >= 0, got t = {t}")
+    return k
+
+
+def _hardy_lattice_step(f: StateVector, t: float, snap: bool) -> int:
     if f.space is not Space.HARDY_PLUS:
         raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
-    k = lattice_index(f.grid, t, snap=snap)
-    if k < 0:
-        raise ValueError(f"Toeplitz semigroup times must be >= 0, got t = {t}")
-    return sign * k
+    return _semigroup_index(f.grid, t, snap)
 
 
 def toeplitz_step(f: StateVector, t: float, snap: bool = False) -> StateVector:
     """Compression of forward evolution to the positive Hardy subspace.
 
-    Computed by the spectral route: embed, multiply by the evolution phase at
-    the snapped lattice time, and project back.  On lattice times this equals
-    the truncated left shift of the stored time samples
-    (:func:`toeplitz_shift_oracle`) to machine precision.  Contractive, with
-    the exact semigroup law; annihilates every state once ``t`` reaches half
-    the time window.
+    On the lattice ``t = k * delta_tau`` this is the truncated left shift of
+    the stored time samples: ``out[j] = f[j + k]``, zero-padded at the far
+    edge.  It equals the spectral route (embed, multiply by the evolution
+    phase, project back) to machine precision.  Contractive, with the exact
+    semigroup law; annihilates every state once ``t`` reaches half the time
+    window.
     """
-    k = _hardy_lattice_step(f, t, snap, +1)
-    if k >= f.grid.n_sigma // 2:
-        return zero_state(f.grid, Space.HARDY_PLUS)
-    return hardy_part(unitary_evolve(f, k * f.grid.delta_tau))
+    k = _hardy_lattice_step(f, t, snap)
+    b = f.fibered()
+    out = np.zeros_like(b)
+    out[: max(b.shape[0] - k, 0)] = b[k:]
+    return StateVector(f.grid, Space.HARDY_PLUS, out.reshape(-1))
 
 
 def toeplitz_adjoint(f: StateVector, t: float, snap: bool = False) -> StateVector:
     """Adjoint of :func:`toeplitz_step`: backward evolution restricted back.
 
-    Equals multiplication by ``exp(+i sigma t)`` followed by the Hardy
-    projection.  On the lattice this is the right shift of the time samples
-    that drops whatever crosses the far window edge, so it is isometric
+    The zero-padded right shift of the time samples, ``out[j + k] = f[j]``,
+    which drops whatever crosses the far window edge.  So it is isometric
     exactly on states with no power near that edge (guard-banded states).
     """
-    k = _hardy_lattice_step(f, t, snap, +1)
-    if k >= f.grid.n_sigma // 2:
-        return zero_state(f.grid, Space.HARDY_PLUS)
-    return hardy_part(unitary_evolve(f, -k * f.grid.delta_tau))
-
-
-def toeplitz_shift_oracle(f: StateVector, t: float, snap: bool = False) -> StateVector:
-    """Time-domain oracle for :func:`toeplitz_step`: literal truncated shift."""
-    k = _hardy_lattice_step(f, t, snap, +1)
+    k = _hardy_lattice_step(f, t, snap)
     b = f.fibered()
     out = np.zeros_like(b)
-    if k < b.shape[0]:
-        out[: b.shape[0] - k, :] = b[k:, :]
+    out[k:] = b[: max(b.shape[0] - k, 0)]
     return StateVector(f.grid, Space.HARDY_PLUS, out.reshape(-1))
 
 

@@ -7,6 +7,13 @@ dynamics only runs forward.  The bridge is the unitary polar factor ``R`` of
 the forward map: ``omega = R lam``, and ``Z(t) = R* T_u(t) R`` is the
 unitary transport of the truncated-shift semigroup.
 
+At ``t = k * delta_tau`` the shift ``T_u(t)`` moves time sample ``j + k``
+into sample ``j``.  Fibres are interleaved (bin ``j`` owns rows
+``j*k_dim ... (j+1)*k_dim - 1`` of ``R``), so with ``e = k * k_dim`` and
+``N`` rows, ``Z(t) = R[:N-e]^H R[e:]``; :func:`z_evolve` and
+:func:`z_adjoint` apply the slices of :mod:`timearrow.evolution` between
+the two legs of ``R``.
+
 Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
 here ever inverts ``lam`` or forms an explicit ``M^(-1/2)``.  ``R`` comes
@@ -20,13 +27,13 @@ squaring the map loses half the digits of its smallest singular values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import lattice_index, unitary_evolve
+from .evolution import _semigroup_index, toeplitz_adjoint, toeplitz_step, unitary_evolve
 from .lyapunov import build_m_f, build_omega
-from .spaces import GridSpec, LinOp, Space, StateVector, norm
+from .spaces import GridSpec, LinOp, Space, StateVector, _require_hermitian, norm
 
 __all__ = [
     "IrreversibleModel",
@@ -45,14 +52,6 @@ _CLIP_EPS = 1e-12
 _NEGATIVE_EPS = 1e-10
 
 
-def _require_hermitian(op: LinOp, what: str) -> np.ndarray:
-    m = op.matrix
-    dev = np.linalg.norm(m - m.conj().T)
-    if dev > 1e-12 * max(np.linalg.norm(m), 1.0):
-        raise ValueError(f"{what} must be Hermitian (deviation {dev:.3e})")
-    return m
-
-
 def build_lambda(m_f: LinOp) -> LinOp:
     """Unique positive square root of a nonnegative Hermitian operator.
 
@@ -62,7 +61,8 @@ def build_lambda(m_f: LinOp) -> LinOp:
     whenever the input is, and injective up to the clip threshold (smallest
     retained eigenvalue is reported by the spectrum itself).
     """
-    m = _require_hermitian(m_f, "the Lyapunov operator")
+    m = m_f.matrix
+    _require_hermitian(m, "the Lyapunov operator")
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     if vals.min() < -_NEGATIVE_EPS:
         raise ValueError(
@@ -108,7 +108,6 @@ class IrreversibleModel:
     lam: LinOp
     isometry: LinOp
     singular_values: np.ndarray
-    _z_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.singular_values, dtype=np.float64)
@@ -134,43 +133,30 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     )
 
 
-def _shift_indices(model: IrreversibleModel, t: float, snap: bool) -> int:
-    k = lattice_index(model.grid, t, snap=snap)
-    if k < 0:
-        raise ValueError(f"the contraction semigroup needs t >= 0, got t = {t}")
-    return k
-
-
-def _left_shift(b: np.ndarray, k: int) -> np.ndarray:
-    # truncated left shift on (n_bins, k_dim) stored time samples
-    out = np.zeros_like(b)
-    if k < b.shape[0]:
-        out[: b.shape[0] - k, :] = b[k:, :]
-    return out
-
-
-def _right_shift(b: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(b)
-    if k < b.shape[0]:
-        out[k:, :] = b[: b.shape[0] - k, :]
-    return out
+def _shift_rows(model: IrreversibleModel, t: float, snap: bool) -> int:
+    """Row count ``e = k * k_dim`` of the shift at ``t = k * delta_tau``."""
+    return _semigroup_index(model.grid, t, snap) * model.grid.k_dim
 
 
 def z_matrix(model: IrreversibleModel, t: float, snap: bool = False) -> np.ndarray:
-    """Dense matrix of ``Z(t)``, cached per lattice index."""
-    k = _shift_indices(model, t, snap)
-    cached = model._z_cache.get(k)
-    if cached is not None:
-        return cached
-    nh = model.grid.n_half()
-    shift = np.eye(nh, k=k, dtype=np.complex128)
-    if model.grid.k_dim > 1:
-        shift = np.kron(shift, np.eye(model.grid.k_dim))
+    """Dense matrix of ``Z(t) = R[:N-e]^H R[e:]`` (see the module note).
+
+    One product of two row slices of ``R``; the zero matrix once the shift
+    reaches half the window.
+    """
+    e = _shift_rows(model, t, snap)
     r = model.isometry.matrix
-    z = r.conj().T @ shift @ r
-    z.setflags(write=False)
-    model._z_cache[k] = z
-    return z
+    return r[: max(r.shape[0] - e, 0)].conj().T @ r[e:]
+
+
+def _transported(
+    model: IrreversibleModel, psi: StateVector, t: float, snap: bool, shift
+) -> StateVector:
+    if psi.space is not Space.HALF_LINE_POS:
+        raise ValueError("the transported semigroup acts on HALF_LINE_POS states")
+    r = model.isometry.matrix
+    h = shift(StateVector(model.grid, Space.HARDY_PLUS, r @ psi.amplitudes), t, snap)
+    return StateVector(model.grid, Space.HALF_LINE_POS, r.conj().T @ h.amplitudes)
 
 
 def z_evolve(
@@ -183,26 +169,14 @@ def z_evolve(
     every state in the square root's range is annihilated by the time the
     shift crosses half the window.
     """
-    if psi.space is not Space.HALF_LINE_POS:
-        raise ValueError("z_evolve expects a HALF_LINE_POS state")
-    k = _shift_indices(model, t, snap)
-    r = model.isometry.matrix
-    y = (r @ psi.amplitudes).reshape(-1, model.grid.k_dim)
-    out = r.conj().T @ _left_shift(y, k).reshape(-1)
-    return StateVector(model.grid, Space.HALF_LINE_POS, out)
+    return _transported(model, psi, t, snap, toeplitz_step)
 
 
 def z_adjoint(
     model: IrreversibleModel, psi: StateVector, t: float, snap: bool = False
 ) -> StateVector:
     """Apply ``Z*(t) = R* (T_u(t))* R``, the co-isometric adjoint."""
-    if psi.space is not Space.HALF_LINE_POS:
-        raise ValueError("z_adjoint expects a HALF_LINE_POS state")
-    k = _shift_indices(model, t, snap)
-    r = model.isometry.matrix
-    y = (r @ psi.amplitudes).reshape(-1, model.grid.k_dim)
-    out = r.conj().T @ _right_shift(y, k).reshape(-1)
-    return StateVector(model.grid, Space.HALF_LINE_POS, out)
+    return _transported(model, psi, t, snap, toeplitz_adjoint)
 
 
 def intertwining_residual(

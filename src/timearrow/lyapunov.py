@@ -3,9 +3,11 @@
 The map ``omega`` sends a half-line state to the positive-Hardy component of
 its zero-padded extension; the Lyapunov operator is ``M = omega* omega``.
 Expectation values ``(psi_t, M psi_t)`` along a unitary trajectory equal
-``|T_u(t) omega psi|^2``, so curves are computed matrix-free through the FFT
-transform pair — the dense matrices built here are only needed for spectra
-and for the polar decomposition downstream.
+``|T_u(t) omega psi|^2``.  ``T_u(t)`` is a truncated slice of the time
+samples, so at lattice time ``k * delta_tau`` this is the power of
+``omega psi`` in the time bins ``j >= k``: a whole curve is one forward FFT
+and one reverse cumulative sum.  The dense matrices built here are only
+needed for spectra and for the polar decomposition downstream.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .hardy import (
     hardy_part,
 )
 from .spaces import GridSpec, LinOp, Space, StateVector, embed, norm, restrict
-from .evolution import toeplitz_step, unitary_evolve
+from .evolution import _semigroup_index, toeplitz_step
 
 __all__ = [
     "TrajectoryReport",
@@ -136,8 +138,11 @@ def lyapunov_curve(
 ) -> TrajectoryReport:
     """Evaluate the expectation curve on a lattice time grid.
 
-    The forward image ``omega psi`` is computed once and shifted per time
-    point, so a curve over many times costs two FFTs per point.
+    The forward image ``b = omega psi`` is computed once; the expectation at
+    lattice index ``k`` is its tail power ``sum_{j >= k} |b_j|^2 delta_sigma``
+    (zero once ``k`` reaches the half window), read off one reverse
+    cumulative sum.  ``norms`` is ``|psi|`` at every time: the evolution
+    group is unitary.
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("lyapunov_curve expects a HALF_LINE_POS state")
@@ -145,11 +150,11 @@ def lyapunov_curve(
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     b = apply_omega(psi)
-    expectations = np.empty(times.size, dtype=np.float64)
-    norms = np.empty(times.size, dtype=np.float64)
-    for i, t in enumerate(times):
-        expectations[i] = norm(toeplitz_step(b, float(t), snap=snap)) ** 2
-        norms[i] = norm(unitary_evolve(psi, float(t)))
+    ks = np.array([_semigroup_index(psi.grid, float(t), snap) for t in times])
+    power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
+    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+    expectations = tail[np.minimum(ks, power.size)]
+    norms = np.full(times.size, norm(psi))
     diffs = np.diff(expectations)
     violation = float(diffs.max(initial=0.0).clip(min=0.0))
     return TrajectoryReport(

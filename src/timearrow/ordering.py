@@ -2,21 +2,22 @@
 
 At each lattice time the contraction semigroup splits the half-line space
 into a past subspace (states already annihilated, ``Ker Z(t)``) and its
-orthogonal complement, the future subspace.  Two equivalent formulas are
-exposed for the past projection:
+orthogonal complement, the future subspace.  Because ``Z(t) = R* S_k R``
+with ``S_k`` a slice of rows (see :mod:`timearrow.lambda_transform`), every
+operator here is ``R^H diag(w) R``, built from the rows of ``R`` where the
+weight ``w`` is nonzero.  With ``e = k * k_dim`` rows behind the shift at
+``t = k * delta_tau``:
 
-* :func:`past_projection` evaluates the literal commutator ``[Z(t), Z*(t)]``.
-  In the finite window this expression carries a defect of rank ``k * k_dim``
-  supported at the far edge of the time window (``T_u(t) T_u(t)*`` is the
-  identity only up to that edge), so it is an exact projection on — and only
-  on — states whose transport stays clear of the edge (guard-banded states).
-* :func:`spectral_measure` builds the family from the complement form
-  ``I - Z*(t) Z(t)``, which is an exact orthogonal projection of the discrete
-  model for every lattice time; this is the form used for the measure, its
-  increments, and the assembled ordering operator.
-
-The two agree wherever states keep the guard band empty, and coincide in the
-continuum model where both window edges recede to infinity.
+* the past projection ``I - Z*(t) Z(t)`` is ``R[:e]^H R[:e]`` and the
+  future projection ``Z*(t) Z(t)`` is ``R[e:]^H R[e:]``: exact orthogonal
+  projections of the discrete model, of rank ``e`` and ``N - e``;
+* the increment over ``(t_i, t_{i+1}]`` is the row block ``R[e_i:e_{i+1}]``,
+  and the ordering operator ``T`` weights each block with its midpoint;
+* :func:`past_projection` is the literal commutator ``[Z(t), Z*(t)]``, with
+  weight ``+1`` on the first and ``-1`` on the last ``e`` rows: the finite
+  window clips the far edge, so it is an exact projection only on states
+  whose transport stays clear of that edge (guard-banded states).  There
+  it agrees with the complement form, as it does in the continuum model.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import unitary_evolve
-from .lambda_transform import IrreversibleModel, z_adjoint, z_evolve, z_matrix
-from .spaces import LinOp, Space, StateVector, inner, norm
+from .lambda_transform import IrreversibleModel, _shift_rows, z_adjoint, z_evolve
+from .spaces import LinOp, Space, StateVector, _require_hermitian, inner, norm
 
 __all__ = [
     "ProjectionFamily",
@@ -46,11 +47,31 @@ __all__ = [
 _CLUSTER_GAP = 1e-4
 
 
-def _hermitized(model: IrreversibleModel, m: np.ndarray) -> LinOp:
+def _row_weighted(isometry: LinOp, w: np.ndarray) -> LinOp:
+    """``R^H diag(w) R``, summed over the rows of ``R`` where ``w`` is nonzero."""
+    rows = np.flatnonzero(w)
+    a = isometry.matrix[rows]
+    m = (a.conj().T * w[rows]) @ a
     m = 0.5 * (m + m.conj().T)
-    return LinOp(
-        model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, m, hermitian=True
-    )
+    half = Space.HALF_LINE_POS
+    return LinOp(isometry.grid, half, half, m, hermitian=True)
+
+
+def _row_block(isometry: LinOp, lo: int, hi: int | None = None) -> LinOp:
+    """``R[lo:hi]^H R[lo:hi]``."""
+    w = np.zeros(isometry.matrix.shape[0])
+    w[lo:hi] = 1.0
+    return _row_weighted(isometry, w)
+
+
+def _cluster_rank(vals: np.ndarray) -> int:
+    dist = np.minimum(np.abs(vals), np.abs(vals - 1.0))
+    worst = float(dist.max(initial=0.0))
+    if worst > _CLUSTER_GAP:
+        raise ValueError(
+            f"spectrum not clustered at {{0,1}}: worst deviation {worst:.3e}"
+        )
+    return int(np.count_nonzero(vals > 0.5))
 
 
 def past_projection(
@@ -58,54 +79,105 @@ def past_projection(
 ) -> LinOp:
     """Projection onto states the semigroup has killed by time ``t``.
 
-    Evaluated literally as the commutator ``Z(t)Z*(t) - Z*(t)Z(t)``; see the
+    The literal commutator ``Z Z* - Z* Z = R^H (S S^H - S^H S) R``; see the
     module note for its finite-window domain of validity.  At ``t = 0`` it
     vanishes identically.
     """
-    z = z_matrix(model, t, snap=snap)
-    zh = z.conj().T
-    return _hermitized(model, z @ zh - zh @ z)
+    e = _shift_rows(model, t, snap)
+    rows = np.arange(model.grid.dim(Space.HALF_LINE_POS))
+    d = (rows < rows.size - e).astype(np.float64) - (rows >= e)
+    return _row_weighted(model.isometry, d)
 
 
 def future_projection(
     model: IrreversibleModel, t: float, snap: bool = False
 ) -> LinOp:
-    """Projection onto the forward-relevant subspace, ``Z*(t) Z(t)``.
+    """Projection onto the forward-relevant subspace, ``Z*(t) Z(t) = R[e:]^H R[e:]``.
 
     An exact orthogonal projection of the discrete model (the shift's
     isometric leg has no edge defect), equal to ``I`` at ``t = 0``.
     """
-    z = z_matrix(model, t, snap=snap)
-    return _hermitized(model, z.conj().T @ z)
+    return _row_block(model.isometry, _shift_rows(model, t, snap))
 
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """Increasing family of past projections and its interval increments.
+    """Increasing family of past projections, held as row ends of ``R``.
 
-    ``projections[i]`` is the past projection at ``times[i]`` (complement
-    form); ``increments[i]`` is the measure of the half-open interval
-    ``(times[i], times[i+1]]``, i.e. the difference of consecutive
-    projections.  The family starts at ``times[0] = 0`` with the zero
-    projection and is nested: earlier projections absorb into later ones.
+    ``row_ends[i] = k_i * k_dim`` for ``times[i] = k_i * delta_tau``.
+    :meth:`projection` ``(i)`` is the past projection ``R[:e_i]^H R[:e_i]``
+    at ``times[i]``; :meth:`increment` ``(i)`` is the measure of the
+    half-open interval ``(times[i], times[i+1]]``, the row block
+    ``R[e_i:e_{i+1}]``.  Matrices are built only when asked for.  The family
+    starts at ``times[0] = 0`` with the zero projection and is nested:
+    earlier projections absorb into later ones.
     """
 
+    isometry: LinOp
     times: np.ndarray
-    projections: tuple
-    increments: tuple
+    row_ends: np.ndarray
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.times, dtype=np.float64)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
+        ends = np.ascontiguousarray(self.row_ends, dtype=np.int64)
+        ends.setflags(write=False)
+        object.__setattr__(self, "row_ends", ends)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a projection family needs at least two times")
         if abs(t[0]) > 1e-12:
             raise ValueError(f"family must start at t = 0, got {t[0]}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("family times must be strictly increasing")
-        if len(self.projections) != t.size or len(self.increments) != t.size - 1:
-            raise ValueError("array lengths inconsistent with the time grid")
+        if ends.shape != t.shape or np.any(np.diff(ends) < 0):
+            raise ValueError("row ends inconsistent with the time grid")
+
+    def projection(self, i: int) -> LinOp:
+        return _row_block(self.isometry, 0, self.row_ends[i])
+
+    def increment(self, i: int) -> LinOp:
+        return _row_block(self.isometry, self.row_ends[i], self.row_ends[i + 1])
+
+    @property
+    def projections(self) -> tuple:
+        """Every projection, built afresh on each access."""
+        return tuple(self.projection(i) for i in range(self.times.size))
+
+    @property
+    def increments(self) -> tuple:
+        return tuple(self.increment(i) for i in range(self.times.size - 1))
+
+    def residuals(self) -> list[tuple[int, float, float, float]]:
+        """``(rank, idempotency, nesting, complement)`` of each projection.
+
+        The Frobenius residuals ``|P^2 - P|``, ``|Q P - Q|`` (``Q`` the
+        previous projection) and ``|P + P_future - I|`` of the dense
+        matrices, from ``G = R R^H`` without forming any of them.  For
+        ``P = A^H A`` with ``A = R[:e]``, ``A A^H`` is the leading block
+        ``G_e``; with ``D = G_e - I`` and ``F = D[:q]`` (``q`` the previous
+        row end), ``|P^2 - P|^2 = tr(D G_e D G_e)``, a sum over the
+        eigenvalues of ``G_e`` that also give the rank (the cluster test of
+        :func:`projection_rank`), and ``|Q P - Q|^2 = tr(F^H G_q F G_e)``.
+        Past and future rows partition ``R``, so ``P + P_future = R^H R``
+        at every time and the complement residual is ``|G - I|``.
+        """
+        r = self.isometry.matrix
+        gram = r @ r.conj().T
+        eye = np.eye(gram.shape[0])
+        complement = float(np.linalg.norm(gram - eye))
+        out = []
+        q = 0
+        for e in self.row_ends:
+            g = gram[:e, :e]
+            vals = np.linalg.eigvalsh(g)
+            idem = float(np.sqrt(np.sum(vals**2 * (vals - 1.0) ** 2)))
+            f = g[:q] - eye[:q, :e]
+            nest_sq = np.einsum("ij,ji->", f.conj().T @ g[:q, :q] @ f, g).real
+            nest = float(np.sqrt(max(nest_sq, 0.0)))
+            out.append((_cluster_rank(vals), idem, nest, complement))
+            q = e
+        return out
 
 
 @dataclass(frozen=True)
@@ -132,53 +204,31 @@ def spectral_measure(
 ) -> ProjectionFamily:
     """Past-projection family and interval increments on a lattice time grid.
 
-    The grid must increase strictly from 0.  Each projection is the exact
-    complement form ``I - Z*(t)Z(t)``; increments are their consecutive
-    differences, Hermitian with spectra in ``[0, 1]`` and summing
-    telescopically to the final projection.
+    The grid must increase strictly from 0.  Only the row end of each time
+    is computed here, capped at the row count once the shift has crossed
+    the half window, where the past projection is the identity.
     """
     times = np.asarray(time_grid, dtype=np.float64)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("time grid must be 1-d with at least two points")
-    if abs(times[0]) > 1e-12:
-        raise ValueError(f"time grid must start at 0, got {times[0]}")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    eye = np.eye(model.grid.dim(Space.HALF_LINE_POS), dtype=np.complex128)
-    projections = []
-    for t in times:
-        q = future_projection(model, float(t), snap=snap)
-        projections.append(_hermitized(model, eye - q.matrix))
-    increments = tuple(
-        _hermitized(model, projections[i + 1].matrix - projections[i].matrix)
-        for i in range(times.size - 1)
-    )
-    return ProjectionFamily(
-        times=times, projections=tuple(projections), increments=increments
-    )
+    n = model.grid.dim(Space.HALF_LINE_POS)
+    ends = [min(_shift_rows(model, float(t), snap), n) for t in times.reshape(-1)]
+    return ProjectionFamily(model.isometry, times, np.reshape(ends, times.shape))
 
 
 def assemble_T(family: ProjectionFamily) -> OrderingOperator:
-    """Assemble the ordering operator from a projection family.
+    """Assemble the ordering operator ``T = R^H diag(m) R`` from a family.
 
-    ``T = sum over intervals of midpoint * increment``.  Because all
-    increments are simultaneously diagonalizable (they are transported
-    sub-blocks of one diagonal family), T commutes with every projection in
-    the family and its eigenvalues are exactly the interval midpoints, each
-    with multiplicity equal to its increment's rank.
+    ``m`` is the midpoint of interval ``i`` on the rows of increment ``i``
+    and 0 on the rows at or past the last time, so ``T`` is the sum of
+    midpoint times increment.  It commutes with every projection in the
+    family and its eigenvalues are exactly the interval midpoints, each with
+    multiplicity equal to its increment's rank.
     """
-    if len(family.increments) == 0:
-        raise ValueError("cannot assemble an ordering operator from an empty family")
-    grid = family.projections[0].grid
-    dim = grid.dim(Space.HALF_LINE_POS)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
+    ends = family.row_ends
     mids = 0.5 * (family.times[1:] + family.times[:-1])
-    for mid, inc in zip(mids, family.increments):
-        acc += mid * inc.matrix
-    acc = 0.5 * (acc + acc.conj().T)
-    op = LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, acc, hermitian=True)
+    m = np.zeros(family.isometry.matrix.shape[0])
+    m[: ends[-1]] = np.repeat(mids, np.diff(ends))
     return OrderingOperator(
-        matrix=op,
+        matrix=_row_weighted(family.isometry, m),
         time_grid=family.times,
         truncation_time=float(family.times[-1]),
     )
@@ -191,21 +241,7 @@ def projection_rank(p: LinOp) -> int:
     otherwise — the input was not numerically a projection) and counts the
     cluster at 1 using the midpoint threshold.
     """
-    vals = np.linalg.eigvalsh(p.matrix)
-    dist = np.minimum(np.abs(vals), np.abs(vals - 1.0))
-    worst = float(dist.max(initial=0.0))
-    if worst > _CLUSTER_GAP:
-        raise ValueError(
-            f"spectrum not clustered at {{0,1}}: worst deviation {worst:.3e}"
-        )
-    return int(np.count_nonzero(vals > 0.5))
-
-
-def _require_hermitian_op(x: LinOp) -> None:
-    m = x.matrix
-    dev = np.linalg.norm(m - m.conj().T)
-    if dev > 1e-12 * max(np.linalg.norm(m), 1.0):
-        raise ValueError(f"observable must be Hermitian (deviation {dev:.3e})")
+    return _cluster_rank(np.linalg.eigvalsh(p.matrix))
 
 
 def irreversible_matrix_element(
@@ -237,7 +273,7 @@ def irreversible_matrix_element(
         x_lambda.codomain is not Space.HALF_LINE_POS
     ):
         raise ValueError("x_lambda must act on the half-line space")
-    _require_hermitian_op(x_lambda)
+    _require_hermitian(x_lambda.matrix, "observable")
     lam = model.lam
     # reversible picture
     phi_t = unitary_evolve(phi, t)

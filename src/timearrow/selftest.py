@@ -297,18 +297,20 @@ def check_projection_family(
     ks = np.arange(0, nh + 1, step)
     times = ks * grid.delta_tau
     family = spectral_measure(model, times)
+    projections = family.projections
     eye = np.eye(grid.dim(Space.HALF_LINE_POS), dtype=np.complex128)
     idem = comp = nest = 0.0
-    for p, t in zip(family.projections, family.times):
+    for p, t in zip(projections, family.times):
         m = p.matrix
         idem = max(idem, _frob(m @ m - m))
-        q = z_matrix(model, float(t)).conj().T @ z_matrix(model, float(t))
+        z = z_matrix(model, float(t))
+        q = z.conj().T @ z
         comp = max(comp, _frob(m + q - eye))
-    for i in range(len(family.projections)):
-        for j in range(i + 1, len(family.projections)):
-            pi, pj = family.projections[i].matrix, family.projections[j].matrix
+    for i in range(len(projections)):
+        for j in range(i + 1, len(projections)):
+            pi, pj = projections[i].matrix, projections[j].matrix
             nest = max(nest, _frob(pi @ pj - pi))
-    ranks = [projection_rank(p) for p in family.projections]
+    ranks = [projection_rank(p) for p in projections]
     inc_eig_lo, inc_eig_hi = 0.0, 0.0
     for inc in family.increments:
         vals = np.linalg.eigvalsh(inc.matrix)

@@ -40,7 +40,7 @@ __all__ = [
     "identity_op",
 ]
 
-# Relative Frobenius tolerance for the declared-Hermitian check on LinOp.
+# Relative Frobenius tolerance of the Hermitian check.
 _HERMITIAN_RTOL = 1e-12
 
 
@@ -267,6 +267,17 @@ def restrict(f: StateVector) -> StateVector:
     )
 
 
+def _require_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``|m - m^H| <= 1e-12 max(|m|, 1)`` (Frobenius)."""
+    scale = np.linalg.norm(m)
+    dev = np.linalg.norm(m - m.conj().T)
+    if dev > _HERMITIAN_RTOL * max(scale, 1.0):
+        raise ValueError(
+            f"{what} must be Hermitian: deviation {dev:.3e} "
+            f"(relative to norm {scale:.3e})"
+        )
+
+
 @dataclass(frozen=True)
 class LinOp:
     """Dense linear operator between tagged spaces on one grid.
@@ -291,13 +302,7 @@ class LinOp:
         if self.hermitian:
             if self.domain is not self.codomain:
                 raise ValueError("hermitian operator needs matching legs")
-            scale = np.linalg.norm(m)
-            dev = np.linalg.norm(m - m.conj().T)
-            if dev > _HERMITIAN_RTOL * max(scale, 1.0):
-                raise ValueError(
-                    f"matrix declared hermitian deviates by {dev:.3e} "
-                    f"(relative to norm {scale:.3e})"
-                )
+            _require_hermitian(m, "a matrix declared hermitian")
 
     def apply(self, f: StateVector) -> StateVector:
         if f.grid != self.grid or f.space is not self.domain:

@@ -75,6 +75,25 @@ class TestConfigHandling:
         res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("times", "t_max", float("inf")),
+        ("times", "t_max", -float("inf")),
+        ("grid", "sigma_max", float("inf")),
+        ("grid", "sigma_max", float("nan")),
+        ("tolerances", "algebraic", float("inf")),
+        ("tolerances", "continuum", float("nan")),
+    ])
+    def test_non_finite_number_exits_2_and_names_it(self, tmp_path, section,
+                                                    field, value):
+        # JSON's Infinity/NaN parse to floats; none of them is a valid value
+        cfg = copy.deepcopy(SMALL)
+        cfg[section][field] = value
+        path = _write_cfg(tmp_path, cfg)
+        res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert f"config error: {section}.{field}:" in _stderr(res)
+        assert not (tmp_path / "lyapunov_curve.csv").exists()
+
     def test_defaults_used_without_config_flag(self, tmp_path):
         # no --config: the built-in default config drives the run
         res = _run(["lyapunov-curve", "--out", str(tmp_path)])

@@ -18,10 +18,18 @@ from timearrow import (
     make_state,
     norm,
     toeplitz_adjoint,
-    toeplitz_shift_oracle,
     toeplitz_step,
     unitary_evolve,
 )
+
+
+def _spectral_step(f, t):
+    # spectral route of the compressed semigroup: embed, evolve, project back
+    return hardy_part(unitary_evolve(f, t))
+
+
+def _spectral_adjoint(f, t):
+    return hardy_part(unitary_evolve(f, -t))
 
 
 def _rand_state(grid, space, rng):
@@ -75,15 +83,32 @@ class TestLatticeIndex:
     def test_negative_times_are_lattice_points_too(self, small_grid):
         assert lattice_index(small_grid, -2 * small_grid.delta_tau) == -2
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308])
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_non_finite_index_rejected(self, small_grid, t, snap):
+        with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
+            lattice_index(small_grid, t, snap=snap)
+
 
 class TestToeplitzSemigroup:
-    def test_matches_shift_oracle(self, small_grid, rng):
-        # spectral route and literal truncated shift agree on any state
+    def test_matches_spectral_oracle(self, small_grid, rng):
+        # the slices agree with embed -> phase -> project on any state
         h = _rand_state(small_grid, Space.HARDY_PLUS, rng)
         for k in (0, 1, 7, 20, 31):
             t = k * small_grid.delta_tau
-            gap = norm(toeplitz_step(h, t) - toeplitz_shift_oracle(h, t))
+            gap = norm(toeplitz_step(h, t) - _spectral_step(h, t))
             assert gap <= 1e-12 * norm(h)
+            gap = norm(toeplitz_adjoint(h, t) - _spectral_adjoint(h, t))
+            assert gap <= 1e-12 * norm(h)
+
+    def test_fibres_shift_together(self, rng):
+        g = make_grid(32, 10.0, 3)
+        h = _rand_state(g, Space.HARDY_PLUS, rng)
+        for k in (0, 1, 5, 15):
+            t = k * g.delta_tau
+            assert norm(toeplitz_step(h, t) - _spectral_step(h, t)) <= 1e-12 * norm(h)
+            assert norm(toeplitz_adjoint(h, t) - _spectral_adjoint(h, t)) \
+                <= 1e-12 * norm(h)
 
     def test_identity_at_zero(self, small_grid, rng):
         h = _rand_state(small_grid, Space.HARDY_PLUS, rng)

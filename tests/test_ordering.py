@@ -8,6 +8,7 @@ from timearrow import (
     OffLatticeWarning,
     Space,
     assemble_T,
+    build_model,
     compact_profile_state,
     correspondence_check,
     future_projection,
@@ -16,6 +17,7 @@ from timearrow import (
     irreversible_matrix_element,
     kernel_witness,
     lyapunov_expectation,
+    make_grid,
     make_state,
     norm,
     past_projection,
@@ -149,6 +151,28 @@ class TestSpectralMeasure:
         fam = spectral_measure(model, np.array([0, nh // 2, nh]) * dt)
         assert np.linalg.norm(fam.projections[-1].matrix - np.eye(nh)) <= 1e-10
 
+    def test_residuals_match_dense_route(self, small_grid):
+        # a slightly non-unitary R gives residuals well above rounding, so
+        # the Gram-block formulas are checked against the dense products
+        rng = np.random.default_rng(31)
+        m = build_model(small_grid)
+        r = m.isometry.matrix + 1e-6 * (rng.normal(size=m.isometry.matrix.shape)
+                                        + 1j * rng.normal(size=m.isometry.matrix.shape))
+        iso = LinOp(small_grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r)
+        ks = np.array([0, 4, 9, 20, 32])
+        fam = type(spectral_measure(m, ks * small_grid.delta_tau))(
+            isometry=iso, times=ks * small_grid.delta_tau, row_ends=ks)
+        eye = np.eye(small_grid.n_half())
+        for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
+            p = fam.projection(i).matrix
+            future = r[ks[i]:].conj().T @ r[ks[i]:]
+            q = fam.projection(i - 1).matrix if i else np.zeros_like(p)
+            assert rank == projection_rank(fam.projection(i)) == ks[i]
+            assert idem == pytest.approx(np.linalg.norm(p @ p - p), rel=1e-6, abs=1e-14)
+            assert nest == pytest.approx(np.linalg.norm(q @ p - q), rel=1e-6, abs=1e-14)
+            assert comp == pytest.approx(np.linalg.norm(p + future - eye), rel=1e-6)
+        assert max(row[1] for row in fam.residuals()) > 1e-7
+
     def test_grid_validation(self, model):
         dt = model.grid.delta_tau
         with pytest.raises(ValueError):
@@ -165,6 +189,65 @@ class TestSpectralMeasure:
             projection_rank(half)
         assert projection_rank(identity_op(model.grid, Space.HALF_LINE_POS)) \
             == model.grid.n_half()
+
+
+class TestFibredDenseOracle:
+    """Row-slice forms against the literal shift-matrix route at k_dim = 2.
+
+    Fibres are interleaved, so lattice bin j owns rows 2j and 2j + 1 of R;
+    the oracle is R^H kron(S_k, I_2) R with S_k the dense truncated shift.
+    """
+
+    @pytest.fixture(scope="class")
+    def fibred(self):
+        return build_model(make_grid(64, 20.0, 2))
+
+    @staticmethod
+    def _z_oracle(model, k):
+        nh, kd = model.grid.n_half(), model.grid.k_dim
+        shift = np.kron(np.eye(nh, k=k, dtype=np.complex128), np.eye(kd))
+        r = model.isometry.matrix
+        return r.conj().T @ shift @ r
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 16, 31, 32, 40])
+    def test_semigroup_and_projection_pair(self, fibred, k):
+        t = k * fibred.grid.delta_tau
+        z = self._z_oracle(fibred, k)
+        zh = z.conj().T
+        assert np.linalg.norm(z_matrix(fibred, t) - z) <= 1e-12
+        assert np.linalg.norm(future_projection(fibred, t).matrix - zh @ z) <= 1e-12
+        assert np.linalg.norm(past_projection(fibred, t).matrix
+                              - (z @ zh - zh @ z)) <= 1e-12
+        rng = np.random.default_rng(k)
+        psi = _rand_half(fibred.grid, rng)
+        scale = norm(psi)
+        assert norm(z_evolve(fibred, psi, t)
+                    - make_state(fibred.grid, Space.HALF_LINE_POS,
+                                 z @ psi.amplitudes)) <= 1e-12 * scale
+        assert norm(z_adjoint(fibred, psi, t)
+                    - make_state(fibred.grid, Space.HALF_LINE_POS,
+                                 zh @ psi.amplitudes)) <= 1e-12 * scale
+
+    def test_family_increments_ranks_and_T(self, fibred):
+        ks = np.array([0, 3, 8, 20, 32])
+        dt = fibred.grid.delta_tau
+        fam = spectral_measure(fibred, ks * dt)
+        eye = np.eye(fibred.grid.dim(Space.HALF_LINE_POS))
+        past = []
+        for k in ks:
+            z = self._z_oracle(fibred, k)
+            past.append(eye - z.conj().T @ z)
+        for i, k in enumerate(ks):
+            assert np.linalg.norm(fam.projection(i).matrix - past[i]) <= 1e-12
+            assert projection_rank(fam.projection(i)) == 2 * k
+        t_oracle = np.zeros_like(past[0])
+        for i in range(ks.size - 1):
+            inc = past[i + 1] - past[i]
+            assert np.linalg.norm(fam.increment(i).matrix - inc) <= 1e-12
+            t_oracle += 0.5 * (ks[i] + ks[i + 1]) * dt * inc
+        assert np.linalg.norm(assemble_T(fam).matrix.matrix - t_oracle) <= 1e-12
+        assert [row[0] for row in fam.residuals()] == list(2 * ks)
+        assert max(max(row[1:]) for row in fam.residuals()) <= 1e-12
 
 
 class TestOrderingOperator:
@@ -234,8 +317,8 @@ class TestOrderingOperator:
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.array([0.0, 16 * dt]))
         with pytest.raises(ValueError):
-            type(fam)(times=fam.times, projections=fam.projections,
-                      increments=())
+            type(fam)(isometry=fam.isometry, times=fam.times,
+                      row_ends=fam.row_ends[:1])
 
 
 class TestMatrixElements:
