@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -37,11 +36,11 @@ from .evolution import (
     lattice_index,
     toeplitz_step,
 )
-from .hardy import hardy_embed, hardy_part, hardy_project, rational_hardy
+from .hardy import hardy_embed, hardy_part, rational_hardy
 from .lambda_transform import build_model, z_evolve
 from .lyapunov import apply_omega, lyapunov_curve
 from .ordering import assemble_T, irreversible_matrix_element, spectral_measure
-from .selftest import run_all
+from .selftest import refinement_series, run_all
 from .spaces import GridSpec, LinOp, Space, make_grid, norm, restrict
 from .states import random_guarded_state
 
@@ -82,16 +81,6 @@ def _write_outputs(out_dir, stem, header, rows, cfg, command, diagnostics=None):
         json.dumps(meta, sort_keys=True, indent=2) + "\n",
     )
     return out / f"{stem}.csv"
-
-
-def _pmap(fn, items, threads: int) -> list:
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load(config_path, seed):
@@ -164,7 +153,7 @@ def _common_options(fn):
         type=click.IntRange(0),
         default=0,
         show_default=True,
-        help="Worker threads; 0 picks the machine's CPU count.",
+        help="Accepted for compatibility; has no effect (per-time work is serial).",
     )(fn)
     fn = click.option(
         "--out",
@@ -190,7 +179,7 @@ def _scenario(fn):
     def wrapper(config_path, out_dir, threads, seed, **kwargs):
         try:
             cfg = _load(config_path, seed)
-            fn(cfg, out_dir, threads, **kwargs)
+            fn(cfg, out_dir, **kwargs)
         except ConfigError as exc:
             for problem in exc.problems:
                 click.echo(f"config error: {problem}", err=True)
@@ -213,7 +202,7 @@ def main():
 @main.command("selftest")
 @_common_options
 @_scenario
-def selftest_cmd(cfg, out_dir, threads):
+def selftest_cmd(cfg, out_dir):
     """Run the full acceptance-check battery and write selftest.json."""
     n_dense = cfg["dense"]["n_dense"]
     if n_dense < 512:
@@ -255,7 +244,7 @@ def selftest_cmd(cfg, out_dir, threads):
 @main.command("lyapunov-curve")
 @_common_options
 @_scenario
-def lyapunov_curve_cmd(cfg, out_dir, threads):
+def lyapunov_curve_cmd(cfg, out_dir):
     """Expectation curve of the configured state along its trajectory."""
     grid = _scenario_grid(cfg)
     psi = _build_state(grid, cfg)
@@ -289,28 +278,20 @@ def lyapunov_curve_cmd(cfg, out_dir, threads):
 @main.command("semigroup-norms")
 @_common_options
 @_scenario
-def semigroup_norms_cmd(cfg, out_dir, threads):
+def semigroup_norms_cmd(cfg, out_dir):
     """Norm decay under the compressed semigroup and its transported form."""
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
     h = apply_omega(_build_state(grid, cfg))
     model = build_model(dense)
     psi = model.lam.apply(_build_state(dense, cfg))
-    ks_big = _lattice_times(grid, cfg)
-    ks_dense = _lattice_times(dense, cfg)
-
-    def one(pair):
-        kb, kd = pair
-        tb = kb * grid.delta_tau
-        td = kd * dense.delta_tau
-        return (
-            tb,
-            norm(toeplitz_step(h, tb)),
-            td,
-            norm(z_evolve(model, psi, td)),
+    data = [
+        (tb, norm(toeplitz_step(h, tb)), td, norm(z_evolve(model, psi, td)))
+        for tb, td in zip(
+            _lattice_times(grid, cfg) * grid.delta_tau,
+            _lattice_times(dense, cfg) * dense.delta_tau,
         )
-
-    data = _pmap(one, zip(ks_big, ks_dense), threads)
+    ]
     rows = [
         (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")
         for tb, tn, td, zn in data
@@ -336,7 +317,7 @@ def semigroup_norms_cmd(cfg, out_dir, threads):
 @main.command("projection-family")
 @_common_options
 @_scenario
-def projection_family_cmd(cfg, out_dir, threads):
+def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
     model = build_model(dense)
@@ -388,7 +369,7 @@ def projection_family_cmd(cfg, out_dir, threads):
 @main.command("matrix-element")
 @_common_options
 @_scenario
-def matrix_element_cmd(cfg, out_dir, threads):
+def matrix_element_cmd(cfg, out_dir):
     """Observable matrix elements in the reversible and irreversible pictures."""
     dense = _dense_grid(cfg)
     model = build_model(dense)
@@ -411,17 +392,11 @@ def matrix_element_cmd(cfg, out_dir, threads):
             hermitian=True,
         ),
     }
-
-    def one(item):
-        name, k = item
-        t = k * dense.delta_tau
-        lhs, rhs, diff = irreversible_matrix_element(
-            model, psi, psi, observables[name], t
-        )
-        return name, t, lhs, rhs, diff
-
-    work = [(name, k) for name in observables for k in ks]
-    data = _pmap(one, work, threads)
+    data = [
+        (name, t, *irreversible_matrix_element(model, psi, psi, x, t))
+        for name, x in observables.items()
+        for t in ks * dense.delta_tau
+    ]
     rows = [
         (
             name,
@@ -467,36 +442,13 @@ def matrix_element_cmd(cfg, out_dir, threads):
 @main.command("convergence")
 @_common_options
 @_scenario
-def convergence_cmd(cfg, out_dir, threads):
+def convergence_cmd(cfg, out_dir):
     """Continuum-tier residuals across the standard refinement ladder."""
-    ladder = [(1024, 25.0), (2048, 50.0), (4096, 100.0)]
-    rows = []
-    simple_series = []
-    double_series = []
-    witness_series = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OffLatticeWarning)
-        for n, ell in ladder:
-            grid = make_grid(n, ell, 1)
-            f1 = rational_hardy(grid, [(-1j, 1)])
-            f2 = rational_hardy(grid, [(-1j, 2)])
-            simple = norm(_hardy_defect(f1)) / norm(f1)
-            double = norm(_hardy_defect(f2)) / norm(f2)
-            w = kernel_witness(grid, -1j, 1.0)
-            ratio = norm(toeplitz_step(w, 1.0, snap=True)) / norm(w)
-            simple_series.append(simple)
-            double_series.append(double)
-            witness_series.append(ratio)
-            rows.append(
-                (
-                    str(n),
-                    _fmt(ell),
-                    _fmt(simple),
-                    _fmt(double),
-                    _fmt(ratio),
-                    "continuum",
-                )
-            )
+    series = refinement_series()
+    rows = [
+        (str(n), _fmt(ell), _fmt(simple), _fmt(double), _fmt(ratio), "continuum")
+        for n, ell, simple, double, ratio in series
+    ]
     path = _write_outputs(
         out_dir,
         "convergence",
@@ -514,19 +466,12 @@ def convergence_cmd(cfg, out_dir, threads):
     )
     click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["continuum"]
-    for label, series in (
-        ("simple-pole", simple_series),
-        ("double-pole", double_series),
-        ("witness-ratio", witness_series),
-    ):
-        if any(np.diff(series) >= 0):
+    for label, column in (("simple-pole", 2), ("double-pole", 3), ("witness-ratio", 4)):
+        values = [row[column] for row in series]
+        if any(np.diff(values) >= 0):
             _violation(f"{label} residuals do not decrease under refinement")
-        if series[-1] > tol:
+        if values[-1] > tol:
             _violation(
-                f"{label} residual {series[-1]:.3e} exceeds {tol:g} on the "
+                f"{label} residual {values[-1]:.3e} exceeds {tol:g} on the "
                 "finest grid"
             )
-
-
-def _hardy_defect(f):
-    return hardy_project(f, "plus") - f

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import _semigroup_index, toeplitz_adjoint, toeplitz_step, unitary_evolve
-from .lyapunov import build_m_f, build_omega
-from .spaces import GridSpec, LinOp, Space, StateVector, _require_hermitian, norm
+from .lyapunov import build_omega
+from .spaces import GridSpec, LinOp, Space, StateVector, norm
 
 __all__ = [
     "IrreversibleModel",
@@ -55,14 +55,18 @@ _NEGATIVE_EPS = 1e-10
 def build_lambda(m_f: LinOp) -> LinOp:
     """Unique positive square root of a nonnegative Hermitian operator.
 
-    Computed through the Hermitian eigendecomposition; eigenvalues within
-    ``1e-12`` of zero are clipped to zero before the square root, and
-    anything below ``-1e-10`` raises.  The result is Hermitian, contractive
-    whenever the input is, and injective up to the clip threshold (smallest
-    retained eigenvalue is reported by the spectrum itself).
+    ``m_f`` must be declared ``hermitian=True`` (checked when the
+    :class:`LinOp` was built); an undeclared operator raises ``ValueError``
+    whatever its matrix.  Computed through the Hermitian eigendecomposition;
+    eigenvalues within ``1e-12`` of zero are clipped to zero before the
+    square root, and anything below ``-1e-10`` raises.  The result is
+    Hermitian, contractive whenever the input is, and injective up to the
+    clip threshold (smallest retained eigenvalue is reported by the spectrum
+    itself).
     """
+    if not m_f.hermitian:
+        raise ValueError("the Lyapunov operator must be a LinOp declared hermitian")
     m = m_f.matrix
-    _require_hermitian(m, "the Lyapunov operator")
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     if vals.min() < -_NEGATIVE_EPS:
         raise ValueError(
@@ -93,18 +97,20 @@ def build_isometry(omega: LinOp, lam: LinOp) -> LinOp:
 
 @dataclass(frozen=True)
 class IrreversibleModel:
-    """Matched factorization of the forward map on one grid.
+    """Matched factorization of the forward map on one grid: ``omega`` and
+    its SVD.
 
     All pieces come from a single SVD of ``omega``, so the polar identity
     ``isometry @ lam = omega`` and the intertwining relations hold at
     machine precision.  ``singular_values`` are those of ``omega`` (equal to
     the eigenvalues of ``lam``), sorted descending; the smallest one is the
-    injectivity margin of the discrete model.
+    injectivity margin of the discrete model.  The Lyapunov operator is not
+    stored: ``lam @ lam`` is its square-root form, ``|omega psi|^2`` its
+    expectation, and :func:`~timearrow.lyapunov.build_m_f` its dense matrix.
     """
 
     grid: GridSpec
     omega: LinOp
-    m_f: LinOp
     lam: LinOp
     isometry: LinOp
     singular_values: np.ndarray
@@ -118,7 +124,6 @@ class IrreversibleModel:
 def build_model(grid: GridSpec) -> IrreversibleModel:
     """Factor the forward map once and package the dense-tier operators."""
     omega = build_omega(grid)
-    m_f = build_m_f(grid)
     u, s, vh = np.linalg.svd(omega.matrix)
     r = u @ vh
     lam = (vh.conj().T * s) @ vh
@@ -126,7 +131,6 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     return IrreversibleModel(
         grid=grid,
         omega=omega,
-        m_f=m_f,
         lam=LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, lam, hermitian=True),
         isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r),
         singular_values=s,
@@ -156,7 +160,9 @@ def _transported(
         raise ValueError("the transported semigroup acts on HALF_LINE_POS states")
     r = model.isometry.matrix
     h = shift(StateVector(model.grid, Space.HARDY_PLUS, r @ psi.amplitudes), t, snap)
-    return StateVector(model.grid, Space.HALF_LINE_POS, r.conj().T @ h.amplitudes)
+    # R^H h without copying the conjugate of R
+    rh = (h.amplitudes.conj() @ r).conj()
+    return StateVector(model.grid, Space.HALF_LINE_POS, rh)
 
 
 def z_evolve(
@@ -199,10 +205,12 @@ def intertwining_residual(
     states guard-banded *after* transport — e.g. ``lam``-images of
     guard-banded states, for which the transported profile is the forward
     image itself.  Outside those domains the finite window's edge defect
-    enters at order one.
+    enters at order one.  Both relations are evaluated at the same lattice
+    time: with ``snap=True`` an off-lattice ``t`` is rounded once, on entry.
     """
     if not psi_set:
         raise ValueError("psi_set must contain at least one state")
+    t = _semigroup_index(model.grid, t, snap) * model.grid.delta_tau
     forward = 0.0
     adjoint = 0.0
     for psi in psi_set:
@@ -210,9 +218,9 @@ def intertwining_residual(
         if scale == 0.0:
             continue
         lhs = model.lam.apply(unitary_evolve(psi, t))
-        rhs = z_evolve(model, model.lam.apply(psi), t, snap=snap)
+        rhs = z_evolve(model, model.lam.apply(psi), t)
         forward = max(forward, norm(lhs - rhs) / scale)
         lhs_a = unitary_evolve(model.lam.apply(psi), -t)
-        rhs_a = model.lam.apply(z_adjoint(model, psi, t, snap=snap))
+        rhs_a = model.lam.apply(z_adjoint(model, psi, t))
         adjoint = max(adjoint, norm(lhs_a - rhs_a) / scale)
     return forward, adjoint

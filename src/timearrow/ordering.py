@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import unitary_evolve
+from .evolution import _semigroup_index, unitary_evolve
 from .lambda_transform import IrreversibleModel, _shift_rows, z_adjoint, z_evolve
-from .spaces import LinOp, Space, StateVector, _require_hermitian, inner, norm
+from .lyapunov import apply_omega
+from .spaces import LinOp, Space, StateVector, inner, norm
 
 __all__ = [
     "ProjectionFamily",
@@ -254,9 +255,13 @@ def irreversible_matrix_element(
 ) -> tuple[complex, complex, float]:
     """Matrix element of an observable in both dynamical pictures.
 
-    The observable enters in its irreversible form ``x_lambda``; the
-    reversible-picture operator is ``X = lam x_lambda lam`` (defined this
-    way around — never by inverting ``lam``).  Returns
+    The observable enters in its irreversible form ``x_lambda``, a
+    :class:`LinOp` declared ``hermitian=True`` (the flag is checked when the
+    operator is built, not here; an undeclared one raises ``ValueError``).
+    The reversible-picture operator is ``X = lam x_lambda lam`` (defined this
+    way around — never by inverting ``lam``).  Both pictures are evaluated
+    at the lattice time ``k * delta_tau`` of ``t``, rounded once on entry
+    when ``snap=True``.  Returns
 
     * the reversible element ``(u(t)phi, X u(t)psi)``,
     * the irreversible element computed from the future-projected
@@ -273,17 +278,19 @@ def irreversible_matrix_element(
         x_lambda.codomain is not Space.HALF_LINE_POS
     ):
         raise ValueError("x_lambda must act on the half-line space")
-    _require_hermitian(x_lambda.matrix, "observable")
+    if not x_lambda.hermitian:
+        raise ValueError("the observable must be a LinOp declared hermitian")
+    t = _semigroup_index(model.grid, t, snap) * model.grid.delta_tau
     lam = model.lam
     # reversible picture
     phi_t = unitary_evolve(phi, t)
     psi_t = unitary_evolve(psi, t)
     lhs = inner(phi_t, lam.apply(x_lambda.apply(lam.apply(psi_t))))
     # irreversible picture, through the future-projected transported states
-    phi_plus = z_adjoint(model, z_evolve(model, lam.apply(phi), t, snap=snap), t)
-    psi_plus = z_adjoint(model, z_evolve(model, lam.apply(psi), t, snap=snap), t)
-    a = z_evolve(model, phi_plus, t, snap=snap)
-    b = x_lambda.apply(z_evolve(model, psi_plus, t, snap=snap))
+    phi_plus = z_adjoint(model, z_evolve(model, lam.apply(phi), t), t)
+    psi_plus = z_adjoint(model, z_evolve(model, lam.apply(psi), t), t)
+    a = z_evolve(model, phi_plus, t)
+    b = x_lambda.apply(z_evolve(model, psi_plus, t))
     rhs = inner(a, b)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -293,10 +300,13 @@ def correspondence_check(
 ) -> tuple[float, float, float]:
     """Both sides of the expectation correspondence, with their gap.
 
-    Returns ``(psi_t, M psi_t)`` from the reversible picture, the
-    irreversible-picture value ``(psi_lam, P_future(t) psi_lam) =
-    |Z(t) psi_lam|^2``, and their difference relative to the trajectory's
-    initial expectation ``|lam psi|^2``.  Both sides decay monotonically
+    Returns ``(psi_t, M psi_t)`` from the reversible picture, taken
+    matrix-free as ``|omega psi_t|^2``, the irreversible-picture value
+    ``(psi_lam, P_future(t) psi_lam) = |Z(t) psi_lam|^2``, and their
+    difference relative to the trajectory's initial expectation
+    ``|lam psi|^2``.  Both pictures are evaluated at the lattice time
+    ``k * delta_tau`` of ``t``, rounded once on entry when ``snap=True``.
+    Both sides decay monotonically
     from that common initial value and the rounding error of the comparison
     scales with it, so it is the meaningful yardstick even at late times
     when both sides have decayed to the roundoff floor (where a pointwise
@@ -304,10 +314,10 @@ def correspondence_check(
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("correspondence_check expects a HALF_LINE_POS state")
-    psi_t = unitary_evolve(psi, t)
-    lhs = float(inner(psi_t, model.m_f.apply(psi_t)).real)
+    t = _semigroup_index(model.grid, t, snap) * model.grid.delta_tau
+    lhs = float(norm(apply_omega(unitary_evolve(psi, t))) ** 2)
     transported = model.lam.apply(psi)
-    moved = z_evolve(model, transported, t, snap=snap)
+    moved = z_evolve(model, transported, t)
     rhs = float(norm(moved) ** 2)
     denom = max(norm(transported) ** 2, np.finfo(float).tiny)
     return lhs, rhs, abs(lhs - rhs) / denom

@@ -15,11 +15,18 @@ them would not make the identities any more true.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import kernel_witness, toeplitz_adjoint, toeplitz_step, unitary_evolve
+from .evolution import (
+    OffLatticeWarning,
+    kernel_witness,
+    toeplitz_adjoint,
+    toeplitz_step,
+    unitary_evolve,
+)
 from .hardy import (
     _sigma_to_tau,
     _tau_to_sigma,
@@ -35,12 +42,12 @@ from .lambda_transform import (
     z_evolve,
     z_matrix,
 )
-from .lyapunov import apply_omega, lyapunov_curve, lyapunov_expectation
+from .lyapunov import apply_omega, build_m_f, lyapunov_curve, lyapunov_expectation
 from .ordering import correspondence_check, projection_rank, spectral_measure
 from .spaces import Space, make_grid, norm
 from .states import compact_profile_state, random_guarded_state, smooth_oracle_state
 
-__all__ = ["CheckResult", "run_all", "CHECKS"]
+__all__ = ["CheckResult", "run_all", "refinement_series", "CHECKS"]
 
 # Pinned sweep shape for the exact-algebra criteria: lattice shifts up to 64
 # bins (transport keeps guard-banded states clear of the window edges there),
@@ -140,7 +147,7 @@ def check_lyapunov_operator(
     start = time.perf_counter()
     if model is None:
         model = build_model(make_grid(2 * n_dense, 100.0, 1))
-    m = model.m_f.matrix
+    m = build_m_f(model.grid).matrix
     om = model.omega.matrix
     vals = np.linalg.eigvalsh(m)
     s = model.singular_values
@@ -181,7 +188,7 @@ def check_polar_factorization(
     om = model.omega.matrix
     eye = np.eye(lam.shape[0], dtype=np.complex128)
     details = {
-        "sqrt_residual": _frob(lam @ lam - model.m_f.matrix),
+        "sqrt_residual": _frob(lam @ lam - build_m_f(model.grid).matrix),
         "isometry_left": _frob(r.conj().T @ r - eye),
         "isometry_right": _frob(r @ r.conj().T - eye),
         "polar_residual": _frob(r @ lam - om),
@@ -402,19 +409,38 @@ def check_lyapunov_monotonicity() -> CheckResult:
 _REFINEMENT = [(1024, 25.0), (2048, 50.0), (4096, 100.0)]
 
 
+def refinement_series() -> list[tuple[int, float, float, float, float]]:
+    """Continuum-tier residuals on each rung of the refinement ladder.
+
+    One row ``(n_sigma, sigma_max, simple_pole, double_pole, witness_ratio)``
+    per rung: the relative Hardy defects ``|P_+ f - f| / |f|`` of
+    ``rational_hardy`` with a simple and a double pole at ``-i``, and
+    ``|T(1) w| / |w|`` for the kernel witness designed to die at ``t = 1``
+    (snapped to the lattice without a warning).
+    """
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OffLatticeWarning)
+        for n, ell in _REFINEMENT:
+            grid = make_grid(n, ell, 1)
+            defects = []
+            for order in (1, 2):
+                f = rational_hardy(grid, [(-1j, order)])
+                defects.append(norm(hardy_project(f, "plus") - f) / norm(f))
+            w = kernel_witness(grid, -1j, 1.0)
+            ratio = norm(toeplitz_step(w, 1.0, snap=True)) / norm(w)
+            rows.append((n, ell, defects[0], defects[1], ratio))
+    return rows
+
+
 def check_rational_membership() -> CheckResult:
     """Criterion 9: rational functions with lower-half-plane poles stay in
     the positive Hardy subspace up to a truncation error that shrinks with
     the energy cutoff."""
     start = time.perf_counter()
-    simple = []
-    double = []
-    for n, ell in _REFINEMENT:
-        grid = make_grid(n, ell, 1)
-        f1 = rational_hardy(grid, [(-1j, 1)])
-        f2 = rational_hardy(grid, [(-1j, 2)])
-        simple.append(norm(hardy_project(f1, "plus") - f1) / norm(f1))
-        double.append(norm(hardy_project(f2, "plus") - f2) / norm(f2))
+    series = refinement_series()
+    simple = [row[2] for row in series]
+    double = [row[3] for row in series]
     details = {
         "simple_pole_final": simple[-1],
         "double_pole_final": double[-1],
@@ -437,11 +463,7 @@ def check_kernel_witness() -> CheckResult:
     """Criterion 10: the explicit semigroup-kernel witness dies at its design
     time and carries the analytically known norm and half-time ratio."""
     start = time.perf_counter()
-    ratios = []
-    for n, ell in _REFINEMENT:
-        grid = make_grid(n, ell, 1)
-        f = kernel_witness(grid, -1j, 1.0)
-        ratios.append(norm(toeplitz_step(f, 1.0, snap=True)) / norm(f))
+    ratios = [row[4] for row in refinement_series()]
     grid = make_grid(4096, 100.0, 1)
     f = kernel_witness(grid, -1j, 1.0)
     half_ratio = norm(toeplitz_step(f, 0.5, snap=True)) / norm(f)

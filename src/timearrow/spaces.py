@@ -267,23 +267,15 @@ def restrict(f: StateVector) -> StateVector:
     )
 
 
-def _require_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` unless ``|m - m^H| <= 1e-12 max(|m|, 1)`` (Frobenius)."""
-    scale = np.linalg.norm(m)
-    dev = np.linalg.norm(m - m.conj().T)
-    if dev > _HERMITIAN_RTOL * max(scale, 1.0):
-        raise ValueError(
-            f"{what} must be Hermitian: deviation {dev:.3e} "
-            f"(relative to norm {scale:.3e})"
-        )
-
-
 @dataclass(frozen=True)
 class LinOp:
     """Dense linear operator between tagged spaces on one grid.
 
     Because every space tag uses the same quadrature weight, the adjoint with
     respect to the weighted inner products is the plain conjugate transpose.
+    ``hermitian=True`` is checked once, here (``|m - m^H| <= 1e-12 max(|m|,
+    1)``, Frobenius; ``ValueError`` otherwise); functions that need a
+    Hermitian operator require the flag instead of rechecking the matrix.
     """
 
     grid: GridSpec
@@ -302,7 +294,13 @@ class LinOp:
         if self.hermitian:
             if self.domain is not self.codomain:
                 raise ValueError("hermitian operator needs matching legs")
-            _require_hermitian(m, "a matrix declared hermitian")
+            scale = np.linalg.norm(m)
+            dev = np.linalg.norm(m - m.conj().T)
+            if dev > _HERMITIAN_RTOL * max(scale, 1.0):
+                raise ValueError(
+                    f"a matrix declared hermitian must be Hermitian: deviation "
+                    f"{dev:.3e} (relative to norm {scale:.3e})"
+                )
 
     def apply(self, f: StateVector) -> StateVector:
         if f.grid != self.grid or f.space is not self.domain:

@@ -156,23 +156,45 @@ class TestLyapunovCurveCommand:
 
 
 class TestSemigroupNormsCommand:
-    def test_norms_monotone_and_threads_invariant(self, tmp_path):
+    # command: (output stem, header, row filter, non-increasing columns)
+    CASES = {
+        "semigroup-norms": (
+            "semigroup_norms",
+            ["t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"],
+            lambda r: True,
+            (1, 3),
+        ),
+        # the identity observable's element is the Lyapunov expectation in
+        # both pictures
+        "matrix-element": (
+            "matrix_element",
+            ["observable", "t", "reversible_re", "reversible_im",
+             "irreversible_re", "irreversible_im", "abs_difference",
+             "tolerance_class"],
+            lambda r: r[0] == "identity",
+            (2, 4),
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_norms_monotone_and_threads_invariant(self, tmp_path, command):
+        stem, head, keep, columns = self.CASES[command]
         cfg = _write_cfg(tmp_path, SMALL)
         a, b = tmp_path / "a", tmp_path / "b"
-        res1 = _run(["semigroup-norms", "--config", cfg, "--out", str(a),
+        res1 = _run([command, "--config", cfg, "--out", str(a),
                      "--threads", "1"])
-        res2 = _run(["semigroup-norms", "--config", cfg, "--out", str(b),
+        res2 = _run([command, "--config", cfg, "--out", str(b),
                      "--threads", "4"])
         assert res1.exit_code == 0 and res2.exit_code == 0
-        assert (a / "semigroup_norms.csv").read_bytes() \
-            == (b / "semigroup_norms.csv").read_bytes()
-        header, rows = _read_csv(a / "semigroup_norms.csv")
-        assert header == ["t_toeplitz", "toeplitz_norm", "t_z", "z_norm",
-                          "tolerance_class"]
-        tn = np.array([float(r[1]) for r in rows])
-        zn = np.array([float(r[3]) for r in rows])
-        assert np.all(np.diff(tn) <= 1e-10)
-        assert np.all(np.diff(zn) <= 1e-10)
+        assert (a / f"{stem}.csv").read_bytes() \
+            == (b / f"{stem}.csv").read_bytes()
+        header, rows = _read_csv(a / f"{stem}.csv")
+        assert header == head
+        rows = [r for r in rows if keep(r)]
+        assert len(rows) == SMALL["times"]["n_steps"]
+        for col in columns:
+            values = np.array([float(r[col]) for r in rows])
+            assert np.all(np.diff(values) <= 1e-10)
 
 
 class TestProjectionFamilyCommand:

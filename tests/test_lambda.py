@@ -33,7 +33,7 @@ def _rand_half(grid, rng):
 class TestSquareRoot:
     def test_squares_back(self, model):
         lam = model.lam.matrix
-        assert np.linalg.norm(lam @ lam - model.m_f.matrix) <= 1e-10
+        assert np.linalg.norm(lam @ lam - build_m_f(model.grid).matrix) <= 1e-10
         assert np.linalg.norm(lam - lam.conj().T) <= 1e-12
 
     def test_spectral_calculus(self, small_grid):
@@ -63,6 +63,11 @@ class TestSquareRoot:
                          np.triu(np.ones((n, n))))
         with pytest.raises(ValueError):
             build_lambda(lopsided)
+        # Hermitian and nonnegative, but not declared hermitian
+        undeclared = LinOp(small_grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
+                           build_m_f(small_grid).matrix)
+        with pytest.raises(ValueError, match="declared hermitian"):
+            build_lambda(undeclared)
 
 
 class TestPolarIsometry:

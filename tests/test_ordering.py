@@ -1,19 +1,24 @@
 """Past/future projections, the spectral measure, and the ordering operator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from timearrow import (
     LinOp,
+    OffLatticeTimeError,
     OffLatticeWarning,
     Space,
     assemble_T,
+    build_m_f,
     build_model,
     compact_profile_state,
     correspondence_check,
     future_projection,
     identity_op,
     inner,
+    intertwining_residual,
     irreversible_matrix_element,
     kernel_witness,
     lyapunov_expectation,
@@ -24,6 +29,7 @@ from timearrow import (
     projection_rank,
     random_guarded_state,
     spectral_measure,
+    unitary_evolve,
     z_adjoint,
     z_evolve,
     z_matrix,
@@ -373,6 +379,11 @@ class TestMatrixElements:
         psi = _rand_half(model.grid, rng)
         with pytest.raises(ValueError):
             irreversible_matrix_element(model, psi, psi, x, 0.0)
+        # a Hermitian matrix counts only when its LinOp is declared hermitian
+        undeclared = LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
+                           0.5 * (a + a.conj().T))
+        with pytest.raises(ValueError, match="declared hermitian"):
+            irreversible_matrix_element(model, psi, psi, undeclared, 0.0)
 
 
 class TestCorrespondence:
@@ -383,6 +394,17 @@ class TestCorrespondence:
         assert lhs == pytest.approx(expected, rel=1e-12)
         assert rhs == pytest.approx(expected, rel=1e-12)
         assert rel <= 1e-12
+
+    def test_reversible_side_matches_dense_oracle(self, model):
+        m = build_m_f(model.grid)
+        psi = random_guarded_state(model.grid, np.random.default_rng(407))
+        scale = norm(psi) ** 2
+        for k in (0, 16, 64, 256):
+            t = k * model.grid.delta_tau
+            lhs, _, _ = correspondence_check(model, psi, t)
+            psi_t = unitary_evolve(psi, t)
+            oracle = inner(psi_t, m.apply(psi_t)).real
+            assert abs(lhs - oracle) <= 1e-12 * scale
 
     def test_guarded_sweep(self, model):
         rng = np.random.default_rng(406)
@@ -407,3 +429,38 @@ class TestCorrespondence:
         f = make_state(model.grid, Space.FULL_LINE, np.ones(n))
         with pytest.raises(ValueError):
             correspondence_check(model, f, 0.0)
+
+
+class TestSnappedTime:
+    """With ``snap=True`` both pictures use the one rounded lattice time."""
+
+    @pytest.fixture(scope="class")
+    def calls(self, model):
+        rng = np.random.default_rng(409)
+        psi = random_guarded_state(model.grid, rng)
+        x = _hermitian_op(model.grid, rng)
+        return {
+            "correspondence_check": lambda t, snap: correspondence_check(
+                model, psi, t, snap=snap),
+            "intertwining_residual": lambda t, snap: intertwining_residual(
+                model, t, [psi], snap=snap),
+            "irreversible_matrix_element": lambda t, snap: (
+                irreversible_matrix_element(model, psi, psi, x, t, snap=snap)),
+        }
+
+    NAMES = ["correspondence_check", "intertwining_residual",
+             "irreversible_matrix_element"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_off_lattice_time_snaps_once(self, model, calls, name):
+        dt = model.grid.delta_tau
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            snapped = calls[name](10.3 * dt, True)
+        assert [w.category for w in caught] == [OffLatticeWarning]
+        assert snapped == calls[name](10 * dt, False)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_off_lattice_time_rejected_without_snap(self, model, calls, name):
+        with pytest.raises(OffLatticeTimeError):
+            calls[name](10.3 * model.grid.delta_tau, False)
