@@ -5,7 +5,9 @@ A config has five required sections — ``grid``, ``dense``, ``times``,
 :data:`DEFAULT_CONFIG`.  Validation is strict and total: every problem in
 the file is collected and reported with its field path (missing fields,
 unknown keys, wrong types, out-of-range values), so a bad config never
-half-runs an experiment.
+half-runs an experiment.  A run whose estimated peak memory exceeds the
+machine's physical memory is rejected the same way, naming the field that
+drives the estimate.
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 
-__all__ = ["ConfigError", "DEFAULT_CONFIG", "load_config", "validate_config"]
+__all__ = [
+    "ConfigError",
+    "DEFAULT_CONFIG",
+    "load_config",
+    "peak_memory_estimate",
+    "validate_config",
+]
 
 
 DEFAULT_CONFIG = {
@@ -28,6 +37,19 @@ DEFAULT_CONFIG = {
     },
     "tolerances": {"algebraic": 1.0e-8, "continuum": 0.05},
 }
+
+
+# Peak-memory model of the scenario commands, fitted with headroom to peak
+# RSS measured with one BLAS thread (x86-64 Linux, Python 3.11, numpy 2.4.6,
+# OpenBLAS): matrix-element at n_dense 1024 168 MB, projection-family at
+# n_dense 512 69 MB (80 MB at 128 bins x k_dim 4), lyapunov-curve at n_sigma
+# 2^20 179 MB, matrix-element at 200000 times 484 MB.  Matrices are N x N
+# complex with N = n_dense * k_dim half-line rows.
+_BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
+_DENSE_MATRICES = 12
+_FFT_VECTORS = 12
+_BYTES_PER_STEP = 3072  # per-time rows and formatted CSV cells
+_COMPLEX_BYTES = 16
 
 
 class ConfigError(ValueError):
@@ -191,10 +213,41 @@ def validate_config(cfg) -> list[str]:
     return out
 
 
+def peak_memory_estimate(cfg: dict) -> tuple[int, str]:
+    """Estimated peak bytes of a scenario run on a valid config.
+
+    Returns the bytes and the field whose term dominates them: the FFT tier
+    (``grid.n_sigma``), the dense tier (``dense.n_dense``) or the per-time
+    rows (``times.n_steps``).  The estimate bounds the measured peaks of the
+    scenario commands.
+    """
+    k_dim = cfg["grid"]["k_dim"]
+    rows = cfg["dense"]["n_dense"] * k_dim
+    terms = {
+        "grid.n_sigma": _FFT_VECTORS * _COMPLEX_BYTES * cfg["grid"]["n_sigma"] * k_dim,
+        "dense.n_dense": _DENSE_MATRICES * _COMPLEX_BYTES * rows**2,
+        "times.n_steps": _BYTES_PER_STEP * cfg["times"]["n_steps"],
+    }
+    return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)
+
+
+def _memory_problems(cfg: dict) -> list[str]:
+    need, field = peak_memory_estimate(cfg)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need <= have:
+        return []
+    return [
+        f"{field}: the run needs about {need / 2**20:.4g} MB at peak "
+        f"(estimated), more than the {have / 2**20:.4g} MB of physical memory"
+    ]
+
+
 def load_config(path: str | None) -> dict:
     """Load and validate a config file; ``None`` returns the default config.
 
-    Raises :class:`ConfigError` with the full problem list on any failure.
+    Raises :class:`ConfigError` with the full problem list on any failure,
+    including a valid config whose :func:`peak_memory_estimate` exceeds
+    physical memory.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -205,7 +258,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError([f"config: file not found: {path}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from None
-    problems = validate_config(cfg)
+    problems = validate_config(cfg) or _memory_problems(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg

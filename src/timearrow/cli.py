@@ -37,11 +37,11 @@ from .evolution import (
     toeplitz_step,
 )
 from .hardy import hardy_embed, hardy_part, rational_hardy
-from .lambda_transform import build_model, z_evolve
+from .lambda_transform import _from_hardy, _to_hardy, build_model
 from .lyapunov import apply_omega, lyapunov_curve
 from .ordering import assemble_T, irreversible_matrix_element, spectral_measure
 from .selftest import refinement_series, run_all
-from .spaces import GridSpec, LinOp, Space, make_grid, norm, restrict
+from .spaces import GridSpec, LinOp, Space, identity_op, make_grid, norm, restrict
 from .states import random_guarded_state
 
 
@@ -284,9 +284,14 @@ def semigroup_norms_cmd(cfg, out_dir):
     dense = _dense_grid(cfg)
     h = apply_omega(_build_state(grid, cfg))
     model = build_model(dense)
-    psi = model.lam.apply(_build_state(dense, cfg))
+    h_psi = _to_hardy(model, model.lam.apply(_build_state(dense, cfg)))
     data = [
-        (tb, norm(toeplitz_step(h, tb)), td, norm(z_evolve(model, psi, td)))
+        (
+            tb,
+            norm(toeplitz_step(h, tb)),
+            td,
+            norm(_from_hardy(model, toeplitz_step(h_psi, td))),
+        )
         for tb, td in zip(
             _lattice_times(grid, cfg) * grid.delta_tau,
             _lattice_times(dense, cfg) * dense.delta_tau,
@@ -374,28 +379,18 @@ def matrix_element_cmd(cfg, out_dir):
     dense = _dense_grid(cfg)
     model = build_model(dense)
     psi = _build_state(dense, cfg)
-    ks = _lattice_times(dense, cfg)
+    half = Space.HALF_LINE_POS
     diag = np.repeat(dense.sigma_pos() / dense.sigma_max, dense.k_dim)
+    energy = np.diag(diag.astype(np.complex128))
     observables = {
-        "identity": LinOp(
-            dense,
-            Space.HALF_LINE_POS,
-            Space.HALF_LINE_POS,
-            np.eye(diag.size, dtype=np.complex128),
-            hermitian=True,
-        ),
-        "energy": LinOp(
-            dense,
-            Space.HALF_LINE_POS,
-            Space.HALF_LINE_POS,
-            np.diag(diag.astype(np.complex128)),
-            hermitian=True,
-        ),
+        "identity": identity_op(dense, half),
+        "energy": LinOp(dense, half, half, energy, hermitian=True),
     }
+    times = _lattice_times(dense, cfg) * dense.delta_tau
     data = [
-        (name, t, *irreversible_matrix_element(model, psi, psi, x, t))
+        (name, *row)
         for name, x in observables.items()
-        for t in ks * dense.delta_tau
+        for row in zip(times, *irreversible_matrix_element(model, psi, psi, x, times))
     ]
     rows = [
         (

@@ -153,15 +153,17 @@ def z_matrix(model: IrreversibleModel, t: float, snap: bool = False) -> np.ndarr
     return r[: max(r.shape[0] - e, 0)].conj().T @ r[e:]
 
 
-def _transported(
-    model: IrreversibleModel, psi: StateVector, t: float, snap: bool, shift
-) -> StateVector:
+def _to_hardy(model: IrreversibleModel, psi: StateVector) -> StateVector:
+    """``R psi``: a half-line state carried into the Hardy picture."""
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("the transported semigroup acts on HALF_LINE_POS states")
     r = model.isometry.matrix
-    h = shift(StateVector(model.grid, Space.HARDY_PLUS, r @ psi.amplitudes), t, snap)
-    # R^H h without copying the conjugate of R
-    rh = (h.amplitudes.conj() @ r).conj()
+    return StateVector(model.grid, Space.HARDY_PLUS, r @ psi.amplitudes)
+
+
+def _from_hardy(model: IrreversibleModel, h: StateVector) -> StateVector:
+    """``R^H h``, without copying the conjugate of ``R``."""
+    rh = (h.amplitudes.conj() @ model.isometry.matrix).conj()
     return StateVector(model.grid, Space.HALF_LINE_POS, rh)
 
 
@@ -175,14 +177,14 @@ def z_evolve(
     every state in the square root's range is annihilated by the time the
     shift crosses half the window.
     """
-    return _transported(model, psi, t, snap, toeplitz_step)
+    return _from_hardy(model, toeplitz_step(_to_hardy(model, psi), t, snap))
 
 
 def z_adjoint(
     model: IrreversibleModel, psi: StateVector, t: float, snap: bool = False
 ) -> StateVector:
     """Apply ``Z*(t) = R* (T_u(t))* R``, the co-isometric adjoint."""
-    return _transported(model, psi, t, snap, toeplitz_adjoint)
+    return _from_hardy(model, toeplitz_adjoint(_to_hardy(model, psi), t, snap))
 
 
 def intertwining_residual(

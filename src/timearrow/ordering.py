@@ -26,8 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _semigroup_index, unitary_evolve
-from .lambda_transform import IrreversibleModel, _shift_rows, z_adjoint, z_evolve
+from .evolution import _semigroup_index, toeplitz_step, unitary_evolve
+from .lambda_transform import (
+    IrreversibleModel,
+    _from_hardy,
+    _shift_rows,
+    _to_hardy,
+    z_evolve,
+)
 from .lyapunov import apply_omega
 from .spaces import LinOp, Space, StateVector, inner, norm
 
@@ -140,15 +146,6 @@ class ProjectionFamily:
     def increment(self, i: int) -> LinOp:
         return _row_block(self.isometry, self.row_ends[i], self.row_ends[i + 1])
 
-    @property
-    def projections(self) -> tuple:
-        """Every projection, built afresh on each access."""
-        return tuple(self.projection(i) for i in range(self.times.size))
-
-    @property
-    def increments(self) -> tuple:
-        return tuple(self.increment(i) for i in range(self.times.size - 1))
-
     def residuals(self) -> list[tuple[int, float, float, float]]:
         """``(rank, idempotency, nesting, complement)`` of each projection.
 
@@ -250,27 +247,25 @@ def irreversible_matrix_element(
     phi: StateVector,
     psi: StateVector,
     x_lambda: LinOp,
-    t: float,
+    time_grid,
     snap: bool = False,
-) -> tuple[complex, complex, float]:
-    """Matrix element of an observable in both dynamical pictures.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrix elements of an observable in both pictures along a time grid.
 
-    The observable enters in its irreversible form ``x_lambda``, a
-    :class:`LinOp` declared ``hermitian=True`` (the flag is checked when the
-    operator is built, not here; an undeclared one raises ``ValueError``).
-    The reversible-picture operator is ``X = lam x_lambda lam`` (defined this
-    way around — never by inverting ``lam``).  Both pictures are evaluated
-    at the lattice time ``k * delta_tau`` of ``t``, rounded once on entry
-    when ``snap=True``.  Returns
+    ``x_lambda`` is the observable's irreversible form, a :class:`LinOp`
+    declared ``hermitian=True`` (checked when it was built; an undeclared one
+    raises ``ValueError``); the reversible form is ``X = lam x_lambda lam``,
+    never an inverse of ``lam``.  Each time is rounded once to its lattice
+    time (one warning per off-lattice time under ``snap=True``) and both
+    pictures are evaluated there.  Returns one array per quantity:
 
-    * the reversible element ``(u(t)phi, X u(t)psi)``,
-    * the irreversible element computed from the future-projected
-      transported states, ``(P phi_lam, Z*(t) x_lambda Z(t) P psi_lam)``
-      with ``P`` the future projection at ``t``,
-    * the absolute difference.
+    * reversible ``(u(t)phi, X u(t)psi)``;
+    * irreversible ``(Z(t) lam phi, x_lambda Z(t) lam psi)``, with the Hardy
+      images ``R lam phi`` and ``R lam psi`` formed once per call;
+    * the absolute differences.
 
-    The two agree because inserting the future projection next to ``Z(t)``
-    is exact: the past subspace is annihilated by the forward semigroup.
+    Inserting the future projection ``P(t)`` would change nothing, since
+    ``Z(t) P(t) = Z(t)`` exactly, so it is not formed.
     """
     if phi.space is not Space.HALF_LINE_POS or psi.space is not Space.HALF_LINE_POS:
         raise ValueError("matrix elements take HALF_LINE_POS states")
@@ -280,19 +275,23 @@ def irreversible_matrix_element(
         raise ValueError("x_lambda must act on the half-line space")
     if not x_lambda.hermitian:
         raise ValueError("the observable must be a LinOp declared hermitian")
-    t = _semigroup_index(model.grid, t, snap) * model.grid.delta_tau
+    times = np.asarray(time_grid, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("time grid must be a nonempty 1-d array")
+    ks = [_semigroup_index(model.grid, float(t), snap) for t in times]
     lam = model.lam
-    # reversible picture
-    phi_t = unitary_evolve(phi, t)
-    psi_t = unitary_evolve(psi, t)
-    lhs = inner(phi_t, lam.apply(x_lambda.apply(lam.apply(psi_t))))
-    # irreversible picture, through the future-projected transported states
-    phi_plus = z_adjoint(model, z_evolve(model, lam.apply(phi), t), t)
-    psi_plus = z_adjoint(model, z_evolve(model, lam.apply(psi), t), t)
-    a = z_evolve(model, phi_plus, t)
-    b = x_lambda.apply(z_evolve(model, psi_plus, t))
-    rhs = inner(a, b)
-    return lhs, rhs, abs(lhs - rhs)
+    h_phi = _to_hardy(model, lam.apply(phi))
+    h_psi = _to_hardy(model, lam.apply(psi))
+    rev = np.empty(times.size, dtype=np.complex128)
+    irr = np.empty_like(rev)
+    for i, k in enumerate(ks):
+        t = k * model.grid.delta_tau
+        phi_t, psi_t = unitary_evolve(phi, t), unitary_evolve(psi, t)
+        rev[i] = inner(phi_t, lam.apply(x_lambda.apply(lam.apply(psi_t))))
+        a = _from_hardy(model, toeplitz_step(h_phi, t))
+        b = _from_hardy(model, toeplitz_step(h_psi, t))
+        irr[i] = inner(a, x_lambda.apply(b))
+    return rev, irr, np.abs(rev - irr)
 
 
 def correspondence_check(

@@ -304,7 +304,7 @@ def check_projection_family(
     ks = np.arange(0, nh + 1, step)
     times = ks * grid.delta_tau
     family = spectral_measure(model, times)
-    projections = family.projections
+    projections = [family.projection(i) for i in range(family.times.size)]
     eye = np.eye(grid.dim(Space.HALF_LINE_POS), dtype=np.complex128)
     idem = comp = nest = 0.0
     for p, t in zip(projections, family.times):
@@ -319,8 +319,8 @@ def check_projection_family(
             nest = max(nest, _frob(pi @ pj - pi))
     ranks = [projection_rank(p) for p in projections]
     inc_eig_lo, inc_eig_hi = 0.0, 0.0
-    for inc in family.increments:
-        vals = np.linalg.eigvalsh(inc.matrix)
+    for i in range(family.times.size - 1):
+        vals = np.linalg.eigvalsh(family.increment(i).matrix)
         inc_eig_lo = min(inc_eig_lo, float(vals.min()))
         inc_eig_hi = max(inc_eig_hi, float(vals.max()))
     details = {

@@ -49,6 +49,12 @@ def _hermitian_op(grid, rng):
                  0.5 * (a + a.conj().T), hermitian=True)
 
 
+@pytest.fixture(scope="module")
+def fibred():
+    # k_dim = 2: lattice bin j owns rows 2j and 2j + 1 of R
+    return build_model(make_grid(64, 20.0, 2))
+
+
 class TestProjectionPair:
     def test_boundary_values_at_zero(self, model):
         nh = model.grid.n_half()
@@ -96,7 +102,7 @@ class TestProjectionPair:
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.array([0.0, 16 * dt, 48 * dt]))
         q = future_projection(model, 48 * dt)
-        total = fam.projections[-1].matrix + q.matrix
+        total = fam.projection(2).matrix + q.matrix
         assert np.linalg.norm(total - np.eye(model.grid.n_half())) <= 1e-10
 
     def test_range_of_z_adjoint_is_forward_subspace(self, model):
@@ -130,32 +136,35 @@ class TestSpectralMeasure:
         ks = np.array([0, 8, 16, 32, 64])
         fam = spectral_measure(model, ks * dt)
         nh = model.grid.n_half()
-        for k, p in zip(ks, fam.projections):
+        for i, k in enumerate(ks):
+            p = fam.projection(i)
             assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= 1e-10
             assert projection_rank(p) == k
             assert np.trace(p.matrix).real == pytest.approx(k, abs=1e-8)
-        for later, earlier in zip(fam.projections[1:], fam.projections[:-1]):
+        for i in range(1, ks.size):
+            later, earlier = fam.projection(i), fam.projection(i - 1)
             prod = earlier.matrix @ later.matrix
             assert np.linalg.norm(prod - earlier.matrix) <= 1e-10
-        for inc in fam.increments:
+        increments = [fam.increment(i) for i in range(ks.size - 1)]
+        for inc in increments:
             vals = np.linalg.eigvalsh(inc.matrix)
             assert vals.min() >= -1e-10
             assert vals.max() <= 1 + 1e-10
-        telescoped = sum(i.matrix for i in fam.increments)
-        assert np.linalg.norm(telescoped - fam.projections[-1].matrix) <= 1e-10
+        telescoped = sum(i.matrix for i in increments)
+        assert np.linalg.norm(telescoped - fam.projection(ks.size - 1).matrix) <= 1e-10
 
     def test_additivity_under_refinement(self, model):
         dt = model.grid.delta_tau
         fine = spectral_measure(model, np.arange(0, 33, 4) * dt)
         coarse = spectral_measure(model, np.array([0, 16, 32]) * dt)
-        merged = sum(i.matrix for i in fine.increments[:4])
-        assert np.linalg.norm(merged - coarse.increments[0].matrix) <= 1e-10
+        merged = sum(fine.increment(i).matrix for i in range(4))
+        assert np.linalg.norm(merged - coarse.increment(0).matrix) <= 1e-10
 
     def test_exhausts_for_full_window(self, model):
         dt = model.grid.delta_tau
         nh = model.grid.n_half()
         fam = spectral_measure(model, np.array([0, nh // 2, nh]) * dt)
-        assert np.linalg.norm(fam.projections[-1].matrix - np.eye(nh)) <= 1e-10
+        assert np.linalg.norm(fam.projection(2).matrix - np.eye(nh)) <= 1e-10
 
     def test_residuals_match_dense_route(self, small_grid):
         # a slightly non-unitary R gives residuals well above rounding, so
@@ -203,10 +212,6 @@ class TestFibredDenseOracle:
     Fibres are interleaved, so lattice bin j owns rows 2j and 2j + 1 of R;
     the oracle is R^H kron(S_k, I_2) R with S_k the dense truncated shift.
     """
-
-    @pytest.fixture(scope="class")
-    def fibred(self):
-        return build_model(make_grid(64, 20.0, 2))
 
     @staticmethod
     def _z_oracle(model, k):
@@ -274,7 +279,8 @@ class TestOrderingOperator:
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.arange(0, 49, 16) * dt)
         op = assemble_T(fam).matrix.matrix
-        for p in fam.projections[1:]:
+        for i in range(1, fam.times.size):
+            p = fam.projection(i)
             comm = op @ p.matrix - p.matrix @ op
             assert np.linalg.norm(comm) <= 1e-10
 
@@ -288,7 +294,7 @@ class TestOrderingOperator:
         for j in (1, 2, 3):
             sel = (vals > 1e-10) & (vals <= mids[j - 1] + 1e-10)
             rebuilt = vecs[:, sel] @ vecs[:, sel].conj().T
-            assert np.linalg.norm(rebuilt - fam.projections[j].matrix) <= 1e-6
+            assert np.linalg.norm(rebuilt - fam.projection(j).matrix) <= 1e-6
 
     def test_single_interval_is_scaled_projection(self, small_grid):
         from timearrow import build_model
@@ -332,9 +338,9 @@ class TestMatrixElements:
         rng = np.random.default_rng(403)
         psi = random_guarded_state(model.grid, rng)
         ident = identity_op(model.grid, Space.HALF_LINE_POS)
-        for k in (0, 8, 32):
-            t = k * model.grid.delta_tau
-            rev, irr, diff = irreversible_matrix_element(model, psi, psi, ident, t)
+        times = np.array([0, 8, 32]) * model.grid.delta_tau
+        elements = irreversible_matrix_element(model, psi, psi, ident, times)
+        for t, rev, irr, diff in zip(times, *elements):
             expectation = lyapunov_expectation(psi, t)
             assert rev.real == pytest.approx(expectation, rel=1e-9, abs=1e-12)
             assert diff <= 1e-8 * norm(psi) ** 2
@@ -344,7 +350,7 @@ class TestMatrixElements:
         phi = random_guarded_state(model.grid, rng)
         psi = random_guarded_state(model.grid, rng)
         x = _hermitian_op(model.grid, rng)
-        rev, irr, diff = irreversible_matrix_element(model, phi, psi, x, 0.0)
+        (rev,), (irr,), _ = irreversible_matrix_element(model, phi, psi, x, [0.0])
         direct = inner(model.lam.apply(phi), x.apply(model.lam.apply(psi)))
         assert rev == pytest.approx(direct, abs=1e-10)
         assert irr == pytest.approx(direct, abs=1e-10)
@@ -355,10 +361,9 @@ class TestMatrixElements:
         psi = random_guarded_state(model.grid, rng)
         x = _hermitian_op(model.grid, rng)
         scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
-        for k in (1, 16, 64):
-            _, _, diff = irreversible_matrix_element(
-                model, phi, psi, x, k * model.grid.delta_tau
-            )
+        times = np.array([1, 16, 64]) * model.grid.delta_tau
+        _, _, diffs = irreversible_matrix_element(model, phi, psi, x, times)
+        for diff in diffs:
             assert diff <= 1e-8 * scale
 
     def test_past_component_is_irrelevant(self, model, rng):
@@ -378,12 +383,48 @@ class TestMatrixElements:
         x = LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, a)
         psi = _rand_half(model.grid, rng)
         with pytest.raises(ValueError):
-            irreversible_matrix_element(model, psi, psi, x, 0.0)
+            irreversible_matrix_element(model, psi, psi, x, [0.0])
         # a Hermitian matrix counts only when its LinOp is declared hermitian
         undeclared = LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
                            0.5 * (a + a.conj().T))
         with pytest.raises(ValueError, match="declared hermitian"):
-            irreversible_matrix_element(model, psi, psi, undeclared, 0.0)
+            irreversible_matrix_element(model, psi, psi, undeclared, [0.0])
+
+
+class TestMatrixElementOracle:
+    """The trajectory against the projected dense form ``(P phi_lam, Z* x Z P psi_lam)``.
+
+    ``P`` is the future projection and ``Z`` the dense ``z_matrix``; the
+    states are arbitrary (not guarded), since ``Z P = Z`` holds on every
+    state.
+    """
+
+    @pytest.mark.parametrize("which", ["model", "fibred"])
+    def test_matches_projected_dense_form(self, request, which):
+        m = request.getfixturevalue(which)
+        rng = np.random.default_rng(411)
+        phi, psi = _rand_half(m.grid, rng), _rand_half(m.grid, rng)
+        x = _hermitian_op(m.grid, rng)
+        scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
+        nh = m.grid.n_half()
+        times = np.array([0, 1, 7, nh // 4, nh - 1, nh]) * m.grid.delta_tau
+        _, irr, _ = irreversible_matrix_element(m, phi, psi, x, times)
+        lam = m.lam.matrix
+        for t, got in zip(times, irr):
+            p = future_projection(m, t).matrix
+            z = z_matrix(m, t)
+            a = make_state(m.grid, Space.HALF_LINE_POS, p @ lam @ phi.amplitudes)
+            b = make_state(m.grid, Space.HALF_LINE_POS,
+                           z.conj().T @ x.matrix @ z @ p @ lam @ psi.amplitudes)
+            assert abs(got - inner(a, b)) <= 1e-12 * scale
+
+    def test_time_grid_validation(self, model, rng):
+        psi = _rand_half(model.grid, rng)
+        x = identity_op(model.grid, Space.HALF_LINE_POS)
+        with pytest.raises(ValueError):
+            irreversible_matrix_element(model, psi, psi, x, [])
+        with pytest.raises(ValueError):
+            irreversible_matrix_element(model, psi, psi, x, [-model.grid.delta_tau])
 
 
 class TestCorrespondence:
@@ -439,13 +480,16 @@ class TestSnappedTime:
         rng = np.random.default_rng(409)
         psi = random_guarded_state(model.grid, rng)
         x = _hermitian_op(model.grid, rng)
+        dt = model.grid.delta_tau
         return {
             "correspondence_check": lambda t, snap: correspondence_check(
                 model, psi, t, snap=snap),
             "intertwining_residual": lambda t, snap: intertwining_residual(
                 model, t, [psi], snap=snap),
-            "irreversible_matrix_element": lambda t, snap: (
-                irreversible_matrix_element(model, psi, psi, x, t, snap=snap)),
+            # the off-lattice time sits between two lattice times of a grid
+            "irreversible_matrix_element": lambda t, snap: tuple(
+                v[1] for v in irreversible_matrix_element(
+                    model, psi, psi, x, [0.0, t, 12 * dt], snap=snap)),
         }
 
     NAMES = ["correspondence_check", "intertwining_residual",
