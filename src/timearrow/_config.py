@@ -7,7 +7,8 @@ the file is collected and reported with its field path (missing fields,
 unknown keys, wrong types, out-of-range values), so a bad config never
 half-runs an experiment.  A run whose estimated peak memory exceeds the
 machine's physical memory is rejected the same way, naming the field that
-drives the estimate.
+drives the estimate; ``selftest`` has its own estimate
+(:func:`selftest_memory_estimate`), checked by :func:`check_selftest_memory`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import os
 __all__ = [
     "ConfigError",
     "DEFAULT_CONFIG",
+    "check_selftest_memory",
     "load_config",
     "peak_memory_estimate",
+    "selftest_memory_estimate",
     "validate_config",
 ]
 
@@ -50,6 +53,11 @@ _DENSE_MATRICES = 12
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 3072  # per-time rows and formatted CSV cells
 _COMPLEX_BYTES = 16
+# selftest criterion 1 holds about eight complex full-line matrices of
+# (2 n_dense)^2 entries (tracemalloc peak 128 MB at n_dense 512) next to the
+# dense model: peak RSS 175 MB at n_dense 512 and 79 MB at 256, measured
+# as above.
+_FULL_LINE_MATRICES = 10
 
 
 class ConfigError(ValueError):
@@ -231,15 +239,39 @@ def peak_memory_estimate(cfg: dict) -> tuple[int, str]:
     return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)
 
 
-def _memory_problems(cfg: dict) -> list[str]:
-    need, field = peak_memory_estimate(cfg)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _memory_problem(need: int, field: str, what: str) -> list[str]:
+    have = _physical_memory()
     if need <= have:
         return []
     return [
-        f"{field}: the run needs about {need / 2**20:.4g} MB at peak "
+        f"{field}: {what} needs about {need / 2**20:.4g} MB at peak "
         f"(estimated), more than the {have / 2**20:.4g} MB of physical memory"
     ]
+
+
+def selftest_memory_estimate(cfg: dict) -> int:
+    """Estimated peak bytes of ``selftest`` on a valid config.
+
+    ``selftest`` ignores the grid and time sections and works at
+    ``k_dim = 1``: the dense model's matrices plus criterion 1's full-line
+    projection matrices, both set by ``dense.n_dense``.
+    """
+    rows = cfg["dense"]["n_dense"]
+    matrices = _DENSE_MATRICES * rows**2 + _FULL_LINE_MATRICES * (2 * rows) ** 2
+    return _BASE_BYTES + _COMPLEX_BYTES * matrices
+
+
+def check_selftest_memory(cfg: dict) -> None:
+    """Raise :class:`ConfigError` naming ``dense.n_dense`` when
+    :func:`selftest_memory_estimate` exceeds physical memory."""
+    need = selftest_memory_estimate(cfg)
+    problems = _memory_problem(need, "dense.n_dense", "selftest")
+    if problems:
+        raise ConfigError(problems)
 
 
 def load_config(path: str | None) -> dict:
@@ -258,7 +290,9 @@ def load_config(path: str | None) -> dict:
         raise ConfigError([f"config: file not found: {path}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from None
-    problems = validate_config(cfg) or _memory_problems(cfg)
+    problems = validate_config(cfg) or _memory_problem(
+        *peak_memory_estimate(cfg), "the run"
+    )
     if problems:
         raise ConfigError(problems)
     return cfg

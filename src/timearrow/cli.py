@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._config import ConfigError, load_config
+from ._config import ConfigError, check_selftest_memory, load_config
 from .evolution import (
     OffLatticeTimeError,
     OffLatticeWarning,
@@ -204,6 +204,7 @@ def main():
 @_scenario
 def selftest_cmd(cfg, out_dir):
     """Run the full acceptance-check battery and write selftest.json."""
+    check_selftest_memory(cfg)
     n_dense = cfg["dense"]["n_dense"]
     if n_dense < 512:
         click.echo(

@@ -16,13 +16,19 @@ the two legs of ``R``.
 
 Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
-here ever inverts ``lam`` or forms an explicit ``M^(-1/2)``.  ``R`` comes
-from the SVD of the forward map, and :func:`build_model` derives the square
-root from the *same* SVD, which keeps the polar identity ``R lam = omega``
-at machine precision.  The standalone :func:`build_lambda` route through the
-eigendecomposition of the Lyapunov operator agrees with it only to roughly
-the square root of machine epsilon near the bottom of the spectrum —
-squaring the map loses half the digits of its smallest singular values.
+here inverts ``lam``, forms ``M^(-1/2)`` or takes an SVD.  The scalar map is
+``gamma D E D``, with ``D`` a diagonal of unit phases and ``E`` a centred
+DFT block; ``E`` commutes with a real tridiagonal ``T`` (the discrete
+prolate structure of Slepian and Grünbaum) whose eigenvectors ``q_k``, in
+descending order, alternate in parity and satisfy ``E q_k = (-i)^k sigma_k
+q_k``.  So ``R = gamma D Q diag((-i)^k) Q^T D`` takes its phases from the
+parity rule, not from ``omega q_k / sigma_k``: it is unitary and symmetric
+(as ``omega`` is) even where ``sigma_k`` is rounding noise, and ``lam =
+conj(D) Q diag(sigma) Q^T D`` keeps ``R lam = omega`` at machine precision.
+The standalone :func:`build_lambda` route through the eigendecomposition of
+the Lyapunov operator agrees with it only to roughly the square root of
+machine epsilon near the bottom of the spectrum — squaring the map loses
+half the digits of its smallest singular values.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import _semigroup_index, toeplitz_adjoint, toeplitz_step, unitary_evolve
-from .lyapunov import build_omega
+from .lyapunov import _dft_block, _fiberize, build_omega
 from .spaces import GridSpec, LinOp, Space, StateVector, norm
 
 __all__ = [
@@ -97,16 +103,17 @@ def build_isometry(omega: LinOp, lam: LinOp) -> LinOp:
 
 @dataclass(frozen=True)
 class IrreversibleModel:
-    """Matched factorization of the forward map on one grid: ``omega`` and
-    its SVD.
+    """Matched factorization of the forward map on one grid: ``omega``, its
+    polar factors and its singular values.
 
-    All pieces come from a single SVD of ``omega``, so the polar identity
-    ``isometry @ lam = omega`` and the intertwining relations hold at
-    machine precision.  ``singular_values`` are those of ``omega`` (equal to
-    the eigenvalues of ``lam``), sorted descending; the smallest one is the
-    injectivity margin of the discrete model.  The Lyapunov operator is not
-    stored: ``lam @ lam`` is its square-root form, ``|omega psi|^2`` its
-    expectation, and :func:`~timearrow.lyapunov.build_m_f` its dense matrix.
+    ``lam`` and ``isometry`` share one eigenbasis of the commuting
+    tridiagonal (see the module note), so the polar identity ``isometry @
+    lam = omega`` and the intertwining relations hold at machine precision.
+    ``singular_values`` are those of ``omega`` (equal to the eigenvalues of
+    ``lam``), sorted descending; the smallest one is the injectivity margin
+    of the discrete model.  The Lyapunov operator is not stored: ``lam @
+    lam`` is its square-root form, ``|omega psi|^2`` its expectation, and
+    :func:`~timearrow.lyapunov.build_m_f` its dense matrix.
     """
 
     grid: GridSpec
@@ -121,19 +128,75 @@ class IrreversibleModel:
         object.__setattr__(self, "singular_values", s)
 
 
+def _prolate_halves(n_sigma: int):
+    """Eigenvector halves of the tridiagonal that commutes with ``E``.
+
+    ``T`` has zero diagonal and off-diagonal ``sin(pi j / n) sin(pi (N - j)
+    / n)``, ``j = 1 .. N-1``.  It is persymmetric, so its eigenvectors are
+    ``[y; J y] / sqrt(2)`` (even) and ``[y; -J y] / sqrt(2)`` (odd), with
+    ``y`` an eigenvector of the leading ``N/2`` block plus or minus the
+    coupling entry in its last diagonal place.  Yields the even and then the
+    odd ``y``, as columns in descending order of eigenvalue.
+    """
+    nh = n_sigma // 2
+    j = np.arange(1, nh // 2 + 1)
+    off = np.sin(np.pi * j / n_sigma) * np.sin(np.pi * (nh - j) / n_sigma)
+    a = np.diag(off[:-1], 1)
+    a += a.T
+    for sign in (1.0, -1.0):
+        a[-1, -1] = sign * off[-1]
+        yield np.linalg.eigh(a)[1][:, ::-1]
+
+
+def _persymmetric(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The matrix ``[[B, C J], [J C, J B J]]`` from its two leading blocks."""
+    h = b.shape[0]
+    out = np.empty((2 * h, 2 * h), dtype=np.complex128)
+    out[:h, :h] = b
+    out[:h, h:] = c[:, ::-1]
+    out[h:, :h] = c[::-1]
+    out[h:, h:] = b[::-1, ::-1]
+    return out
+
+
 def build_model(grid: GridSpec) -> IrreversibleModel:
-    """Factor the forward map once and package the dense-tier operators."""
+    """Factor the forward map once and package the dense-tier operators.
+
+    Polar factors from the commuting tridiagonal (see the module note): two
+    half-size real symmetric eigenproblems and a few half-size real
+    products, no SVD.  Fibres repeat every singular value ``k_dim`` times.
+    """
     omega = build_omega(grid)
-    u, s, vh = np.linalg.svd(omega.matrix)
-    r = u @ vh
-    lam = (vh.conj().T * s) @ vh
-    lam = 0.5 * (lam + lam.conj().T)
+    n = grid.n_sigma
+    nh = grid.n_half()
+    h = nh // 2
+    # leading quarter of E; C = Re and S = -Im of it act on even / odd halves
+    e = _dft_block(n, 2 * np.arange(h) + 1 - nh)
+    y_even, y_odd = _prolate_halves(n)
+    s_even = 2.0 * np.linalg.norm(e.real @ y_even, axis=0)
+    s_odd = 2.0 * np.linalg.norm(e.imag @ y_odd, axis=0)
+    del e
+    # (-i)^k on q_k: +-1 alternating on the even and -i times that on the odd
+    alt = (-1.0) ** np.arange(h)
+    w = 0.5 * ((y_even * alt) @ y_even.T - 1j * ((y_odd * alt) @ y_odd.T))
+    l_even = (y_even * s_even) @ y_even.T
+    l_odd = (y_odd * s_odd) @ y_odd.T
+    r = _persymmetric(w, w.conj())
+    lam = _persymmetric(0.5 * (l_even + l_odd), 0.5 * (l_even - l_odd))
+    d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
+    r *= (np.exp(-0.25j * np.pi * nh) * d)[:, None]
+    r *= d
+    lam *= d.conj()[:, None]
+    lam *= d
+    s = np.sort(np.concatenate([s_even, s_odd]))[::-1]
+    k = grid.k_dim
     return IrreversibleModel(
         grid=grid,
         omega=omega,
-        lam=LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, lam, hermitian=True),
-        isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r),
-        singular_values=s,
+        lam=LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
+                  _fiberize(lam, k), hermitian=True),
+        isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, _fiberize(r, k)),
+        singular_values=np.repeat(s, k),
     )
 
 

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import (
-    _hardy_scale,
-    _phase_factors,
-    guard_band_leakage,
-    hardy_embed,
-    hardy_part,
-)
+from .hardy import guard_band_leakage, hardy_embed, hardy_part
 from .spaces import GridSpec, LinOp, Space, StateVector, embed, norm, restrict
 from .evolution import _semigroup_index, toeplitz_step
 
@@ -50,17 +44,14 @@ def apply_omega_adjoint(h: StateVector) -> StateVector:
     return restrict(hardy_embed(h))
 
 
-def _transform_block(grid: GridSpec) -> np.ndarray:
-    # Scalar (k_dim = 1) matrix of apply_omega: the block of the unitary
-    # sigma->tau transform with positive-tau rows and positive-sigma columns,
-    # carrying the sqrt(delta_tau/delta_sigma) sample scaling of HARDY_PLUS.
-    n = grid.n_sigma
-    nh = n // 2
-    cols = np.zeros((n, nh), dtype=np.complex128)
-    cols[nh:, :] = np.eye(nh)
-    w, s, c = _phase_factors(grid)
-    g = (c * s) * (w[:, None] * np.fft.fft(w[:, None] * cols, axis=0))
-    return _hardy_scale(grid) * g[nh:, :]
+def _dft_block(n_sigma: int, a: np.ndarray) -> np.ndarray:
+    # exp(-2 pi i a_j a_m / (4 n_sigma)) / sqrt(n_sigma) for odd integers a.
+    # The phase is reduced exactly in integers before one lookup into a
+    # table of the 4 n_sigma roots of unity, so no large angle is rounded.
+    phase = np.multiply.outer(a, a)
+    phase %= 4 * n_sigma
+    roots = np.exp(-0.5j * np.pi / n_sigma * np.arange(4 * n_sigma))
+    return (roots / np.sqrt(n_sigma))[phase]
 
 
 def _fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
@@ -75,8 +66,13 @@ def build_omega(grid: GridSpec) -> LinOp:
     Contractive (largest singular value <= 1) and injective in the discrete
     model; the smallest singular value shrinks toward zero as the grid
     refines, which is why downstream factorizations never invert it.
+
+    In closed form, with ``n = n_sigma`` and ``j, m < n/2`` indexing the
+    positive energy and time bins, the scalar block is the offset DFT block
+    ``exp(-2 pi i (j + 1/2)(m + 1/2) / n) / sqrt(n)``, whatever
+    ``sigma_max``; fibres multiply it by the identity.
     """
-    block = _transform_block(grid)
+    block = _dft_block(grid.n_sigma, 2 * np.arange(grid.n_half()) + 1)
     return LinOp(
         grid,
         Space.HALF_LINE_POS,

@@ -259,13 +259,15 @@ def irreversible_matrix_element(
     time (one warning per off-lattice time under ``snap=True``) and both
     pictures are evaluated there.  Returns one array per quantity:
 
-    * reversible ``(u(t)phi, X u(t)psi)``;
+    * reversible ``(u(t)phi, X u(t)psi)``, taken as ``(lam u(t)phi,
+      x_lambda lam u(t)psi)`` since ``lam`` is Hermitian;
     * irreversible ``(Z(t) lam phi, x_lambda Z(t) lam psi)``, with the Hardy
       images ``R lam phi`` and ``R lam psi`` formed once per call;
     * the absolute differences.
 
     Inserting the future projection ``P(t)`` would change nothing, since
-    ``Z(t) P(t) = Z(t)`` exactly, so it is not formed.
+    ``Z(t) P(t) = Z(t)`` exactly, so it is not formed.  When ``phi is psi``
+    the phi side reuses the psi side's vectors at every time.
     """
     if phi.space is not Space.HALF_LINE_POS or psi.space is not Space.HALF_LINE_POS:
         raise ValueError("matrix elements take HALF_LINE_POS states")
@@ -280,16 +282,18 @@ def irreversible_matrix_element(
         raise ValueError("time grid must be a nonempty 1-d array")
     ks = [_semigroup_index(model.grid, float(t), snap) for t in times]
     lam = model.lam
-    h_phi = _to_hardy(model, lam.apply(phi))
+    same = phi is psi
     h_psi = _to_hardy(model, lam.apply(psi))
+    h_phi = h_psi if same else _to_hardy(model, lam.apply(phi))
     rev = np.empty(times.size, dtype=np.complex128)
     irr = np.empty_like(rev)
     for i, k in enumerate(ks):
         t = k * model.grid.delta_tau
-        phi_t, psi_t = unitary_evolve(phi, t), unitary_evolve(psi, t)
-        rev[i] = inner(phi_t, lam.apply(x_lambda.apply(lam.apply(psi_t))))
-        a = _from_hardy(model, toeplitz_step(h_phi, t))
+        b = lam.apply(unitary_evolve(psi, t))
+        a = b if same else lam.apply(unitary_evolve(phi, t))
+        rev[i] = inner(a, x_lambda.apply(b))
         b = _from_hardy(model, toeplitz_step(h_psi, t))
+        a = b if same else _from_hardy(model, toeplitz_step(h_phi, t))
         irr[i] = inner(a, x_lambda.apply(b))
     return rev, irr, np.abs(rev - irr)
 

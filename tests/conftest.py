@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The dense model factorization is the expensive piece (SVD + eigh of the
-half-line operators), so one instance is built per session and shared by
-every test module that needs matrices.
+The dense model factorization (two half-size eigenproblems of the commuting
+tridiagonal, then N x N products) is shared: one instance is built per
+session for every test module that needs matrices, and tests that run a
+dense SVD as an oracle reuse it too.
 """
 
 import numpy as np

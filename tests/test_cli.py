@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +279,18 @@ class TestSelftestCommand:
         res2 = _run(["selftest", "--out", str(b)])
         assert res2.exit_code == 0
         assert (a / "selftest.json").read_bytes() == (b / "selftest.json").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is not a dependency; importing it would also add ~0.3 s to
+    # every command's start-up
+    import timearrow
+
+    src = str(Path(timearrow.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, timearrow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -13,11 +13,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import timearrow.cli
+from timearrow import _config
 from timearrow._config import (
     DEFAULT_CONFIG,
     ConfigError,
     load_config,
     peak_memory_estimate,
+    selftest_memory_estimate,
 )
 from timearrow.cli import main
 
@@ -85,3 +88,29 @@ def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
         for j in range(scenarios.POOL_SIZE):
             cfg = workload.config(j)
             assert load_config(_write(tmp_path, cfg)) == cfg, (name, j)
+
+
+@pytest.mark.parametrize("n_dense, measured_mb", [(256, 79.0), (512, 175.0)])
+def test_selftest_estimate_bounds_measured_peaks(n_dense, measured_mb):
+    # peak RSS of selftest, one BLAS thread; criterion 1 dominates
+    need = selftest_memory_estimate(_with("dense", "n_dense", n_dense))
+    assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+
+
+def test_oversized_selftest_exits_2(tmp_path, monkeypatch):
+    # with 1 GiB of memory, n_dense 2048 passes the scenario estimate but
+    # not the selftest one; run_all is stubbed so a missed rejection fails
+    # the test instead of allocating
+    monkeypatch.setattr(_config, "_physical_memory", lambda: 2**30)
+
+    def must_not_run(**kwargs):
+        raise AssertionError("selftest ran past the memory check")
+
+    monkeypatch.setattr(timearrow.cli, "run_all", must_not_run)
+    path = _write(tmp_path, _with("dense", "n_dense", 2048))
+    assert load_config(path)["dense"]["n_dense"] == 2048
+    res = CliRunner().invoke(main, ["selftest", "--config", path,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "config error: dense.n_dense: selftest needs about " in res.output
+    assert not (tmp_path / "selftest.json").exists()

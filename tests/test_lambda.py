@@ -14,6 +14,7 @@ from timearrow import (
     compact_profile_state,
     inner,
     intertwining_residual,
+    make_grid,
     make_state,
     norm,
     random_guarded_state,
@@ -78,8 +79,8 @@ class TestPolarIsometry:
         assert np.linalg.norm(r @ r.conj().T - np.eye(n)) <= 1e-10
 
     def test_polar_identity_matched_pair(self, model):
-        # R and Lambda from one SVD reproduce the forward map at working
-        # precision
+        # R and Lambda share one eigenbasis of the commuting tridiagonal, so
+        # they reproduce the forward map at working precision
         gap = np.linalg.norm(model.isometry.matrix @ model.lam.matrix
                              - model.omega.matrix)
         assert gap <= 1e-8
@@ -110,6 +111,80 @@ class TestPolarIsometry:
         lam = build_lambda(build_m_f(dense_grid))
         with pytest.raises(ValueError):
             build_isometry(om, lam)
+
+
+def _svd_oracle(model):
+    u, s, vh = np.linalg.svd(model.omega.matrix)
+    return u @ vh, (vh.conj().T * s) @ vh, s, vh
+
+
+def _centred_dft(grid):
+    # E = exp(-2 pi i j_c m_c / n) / sqrt(n), j_c = j + 1/2 - N/2
+    n, nh = grid.n_sigma, grid.n_half()
+    jc = np.arange(nh) + 0.5 - nh / 2
+    return np.exp(-2j * np.pi * np.outer(jc, jc) / n) / np.sqrt(n)
+
+
+def _commuting_tridiagonal(grid):
+    n, nh = grid.n_sigma, grid.n_half()
+    j = np.arange(1, nh)
+    off = np.sin(np.pi * j / n) * np.sin(np.pi * (nh - j) / n)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestStructuredFactorization:
+    """``build_model`` against a dense SVD of the same forward map."""
+
+    @pytest.fixture(params=["n_dense=4", "n_dense=8", "n_dense=64", "n_dense=512",
+                            "fibred"])
+    def case(self, request, model):
+        if request.param == "n_dense=512":
+            return model
+        if request.param == "fibred":
+            return build_model(make_grid(64, 20.0, 2))
+        return build_model(make_grid(2 * int(request.param.split("=")[1]), 20.0, 1))
+
+    def test_matches_svd_oracle(self, case):
+        r_svd, lam_svd, s, vh = _svd_oracle(case)
+        assert np.abs(case.singular_values - s).max() <= 1e-13
+        assert np.linalg.norm(case.lam.matrix - lam_svd) <= 1e-12
+        # the SVD's R is rounding noise where sigma is; compare where it is not
+        keep = vh.conj().T[:, s > 1e-6]
+        gap = np.linalg.norm((case.isometry.matrix - r_svd) @ keep)
+        assert gap <= 1e-8 * np.sqrt(keep.shape[1])
+
+    def test_polar_factor_is_symmetric_and_unitary(self, case):
+        # omega = omega^T, so its polar factor is symmetric too, also on the
+        # directions whose singular values are rounding noise
+        r = case.isometry.matrix
+        assert np.linalg.norm(case.omega.matrix - case.omega.matrix.T) <= 1e-13
+        assert np.linalg.norm(r - r.T) <= 1e-12
+        assert np.linalg.norm(r.conj().T @ r - np.eye(r.shape[0])) <= 1e-12
+
+    @pytest.mark.parametrize("n_dense", [8, 64, 512])
+    def test_tridiagonal_commutes_and_parity_alternates(self, n_dense):
+        grid = make_grid(2 * n_dense, 20.0, 1)
+        e, t = _centred_dft(grid), _commuting_tridiagonal(grid)
+        assert np.linalg.norm(t @ e - e @ t) <= 1e-12
+        _, q = np.linalg.eigh(t)
+        q = q[:, ::-1]
+        k = np.arange(n_dense)
+        # q_k is even for even k and odd for odd k ...
+        assert np.abs(q[::-1] - q * (-1.0) ** k).max() <= 1e-12
+        # ... and E q_k = (-i)^k sigma_k q_k with sigma_k descending
+        mu = np.einsum("jk,jk->k", q, e @ q)
+        sigma = mu * 1j ** k
+        assert np.abs(sigma.imag).max() <= 1e-13
+        assert np.abs(sigma.real - build_model(grid).singular_values).max() <= 1e-13
+        assert np.linalg.norm(e @ q - q * mu) <= 1e-12
+
+    def test_closed_form_pieces(self, small_grid):
+        # omega = gamma D E D with D = diag(exp(-i pi j_c / 2))
+        nh = small_grid.n_half()
+        d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
+        gamma = np.exp(-0.25j * np.pi * nh)
+        rebuilt = gamma * d[:, None] * _centred_dft(small_grid) * d
+        assert np.abs(build_omega(small_grid).matrix - rebuilt).max() <= 1e-14
 
 
 class TestContractionSemigroup:

@@ -37,7 +37,33 @@ def _rand_half(grid, rng):
                       rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def _fft_omega_block(grid):
+    # oracle: the sigma->tau transform applied to the identity on the
+    # positive-energy bins, keeping the positive-time rows
+    from timearrow.hardy import _hardy_scale, _sigma_to_tau
+
+    n, nh = grid.n_sigma, grid.n_half()
+    cols = np.zeros((n, nh), dtype=np.complex128)
+    cols[nh:] = np.eye(nh)
+    return _hardy_scale(grid) * _sigma_to_tau(grid, cols)[nh:]
+
+
 class TestForwardMap:
+    @pytest.mark.parametrize("n_dense, sigma_max", [(4, 20.0), (64, 20.0),
+                                                    (1024, 100.0)])
+    def test_closed_form_matches_fft_oracle(self, n_dense, sigma_max):
+        grid = make_grid(2 * n_dense, sigma_max, 1)
+        got = build_omega(grid).matrix
+        assert np.abs(got - _fft_omega_block(grid)).max() <= 1e-13
+        j = np.arange(n_dense) + 0.5
+        closed = np.exp(-2j * np.pi * np.outer(j, j) / grid.n_sigma)
+        assert np.abs(got - closed / np.sqrt(grid.n_sigma)).max() <= 1e-12
+
+    def test_fibres_repeat_the_scalar_block(self):
+        grid = make_grid(64, 20.0, 3)
+        expected = np.kron(_fft_omega_block(grid), np.eye(3))
+        assert np.abs(build_omega(grid).matrix - expected).max() <= 1e-13
+
     def test_matrix_free_route_matches_dense(self, small_grid, rng):
         om = build_omega(small_grid)
         psi = _rand_half(small_grid, rng)

@@ -418,6 +418,34 @@ class TestMatrixElementOracle:
                            z.conj().T @ x.matrix @ z @ p @ lam @ psi.amplitudes)
             assert abs(got - inner(a, b)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("which", ["model", "fibred"])
+    def test_reversible_side_matches_dense_form(self, request, which):
+        # (u(t) phi, lam x lam u(t) psi) with dense matrices
+        m = request.getfixturevalue(which)
+        rng = np.random.default_rng(412)
+        phi, psi = _rand_half(m.grid, rng), _rand_half(m.grid, rng)
+        x = _hermitian_op(m.grid, rng)
+        scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
+        times = np.array([0, 3, m.grid.n_half() // 2]) * m.grid.delta_tau
+        rev, _, _ = irreversible_matrix_element(m, phi, psi, x, times)
+        dressed = m.lam.matrix @ x.matrix @ m.lam.matrix
+        for t, got in zip(times, rev):
+            b = make_state(m.grid, Space.HALF_LINE_POS,
+                           dressed @ unitary_evolve(psi, t).amplitudes)
+            assert abs(got - inner(unitary_evolve(phi, t), b)) <= 1e-12 * scale
+
+    def test_shared_state_matches_separate_copy(self, model, rng):
+        # phi is psi reuses the psi side; an equal copy recomputes it
+        psi = _rand_half(model.grid, rng)
+        twin = make_state(model.grid, Space.HALF_LINE_POS, psi.amplitudes.copy())
+        x = _hermitian_op(model.grid, rng)
+        scale = norm(psi) ** 2 * np.linalg.norm(x.matrix, 2)
+        times = np.array([0, 5, 40]) * model.grid.delta_tau
+        shared = irreversible_matrix_element(model, psi, psi, x, times)
+        separate = irreversible_matrix_element(model, twin, psi, x, times)
+        for got, expected in zip(shared, separate):
+            assert np.abs(got - expected).max() <= 1e-14 * scale
+
     def test_time_grid_validation(self, model, rng):
         psi = _rand_half(model.grid, rng)
         x = identity_op(model.grid, Space.HALF_LINE_POS)
