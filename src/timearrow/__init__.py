@@ -31,8 +31,6 @@ from .hardy import (
 )
 from .lambda_transform import (
     IrreversibleModel,
-    build_isometry,
-    build_lambda,
     build_model,
     intertwining_residual,
     z_adjoint,
@@ -132,8 +130,6 @@ __all__ = [
     "lyapunov_expectation",
     # square-root transform and contraction semigroup
     "IrreversibleModel",
-    "build_isometry",
-    "build_lambda",
     "build_model",
     "intertwining_residual",
     "z_adjoint",

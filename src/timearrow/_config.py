@@ -46,12 +46,14 @@ DEFAULT_CONFIG = {
 # RSS measured with one BLAS thread (x86-64 Linux, Python 3.11, numpy 2.4.6,
 # OpenBLAS): matrix-element at n_dense 1024 168 MB, projection-family at
 # n_dense 512 69 MB (80 MB at 128 bins x k_dim 4), lyapunov-curve at n_sigma
-# 2^20 179 MB, matrix-element at 200000 times 484 MB.  Matrices are N x N
-# complex with N = n_dense * k_dim half-line rows.
+# 2^20 179 MB; per time step (CSV rows streamed to disk) matrix-element 120 B,
+# semigroup-norms 52 B, lyapunov-curve 48 B (61 MB at 200000 steps and
+# n_dense 64, 49 MB, 82 MB at 10^6 steps).  Matrices are N x N complex, N =
+# n_dense * k_dim.
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
 _DENSE_MATRICES = 12
 _FFT_VECTORS = 12
-_BYTES_PER_STEP = 3072  # per-time rows and formatted CSV cells
+_BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16
 # selftest criterion 1 holds about eight complex full-line matrices of
 # (2 n_dense)^2 entries (tracemalloc peak 128 MB at n_dense 512) next to the

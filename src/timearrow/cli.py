@@ -16,7 +16,6 @@ field by field) or an off-lattice time under the reject policy.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 import sys
@@ -32,6 +31,8 @@ from ._config import ConfigError, check_selftest_memory, load_config
 from .evolution import (
     OffLatticeTimeError,
     OffLatticeWarning,
+    _column_chunks,
+    _toeplitz_block,
     kernel_witness,
     lattice_index,
     toeplitz_step,
@@ -49,11 +50,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Stream ``chunks`` (strings) into a temp file, then rename it to ``path``;
+    on any failure the temp file is removed and ``path`` is left untouched."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -61,24 +64,23 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
+def _csv_lines(header, rows):
+    yield ",".join(header) + "\n"
     for row in rows:
-        buf.write(",".join(str(cell) for cell in row) + "\n")
-    return buf.getvalue()
+        yield ",".join(str(cell) for cell in row) + "\n"
 
 
 def _write_outputs(out_dir, stem, header, rows, cfg, command, diagnostics=None):
+    """Write ``rows`` (any iterable, consumed once) as the CSV, then the meta."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / f"{stem}.csv", _csv_text(header, rows))
+    _atomic_write(out / f"{stem}.csv", _csv_lines(header, rows))
     meta = {"command": command, "config": cfg, "version": __version__}
     if diagnostics is not None:
         meta["diagnostics"] = diagnostics
     _atomic_write(
         out / f"{stem}.meta.json",
-        json.dumps(meta, sort_keys=True, indent=2) + "\n",
+        [json.dumps(meta, sort_keys=True, indent=2) + "\n"],
     )
     return out / f"{stem}.csv"
 
@@ -235,7 +237,7 @@ def selftest_cmd(cfg, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(
-        out / "selftest.json", json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out / "selftest.json", [json.dumps(report, sort_keys=True, indent=2) + "\n"]
     )
     click.echo(f"report: {out / 'selftest.json'}")
     if not report["all_passed"]:
@@ -252,10 +254,10 @@ def lyapunov_curve_cmd(cfg, out_dir):
     ks = _lattice_times(grid, cfg)
     times = ks * grid.delta_tau
     report = lyapunov_curve(psi, times)
-    rows = [
+    rows = (
         (_fmt(t), _fmt(e), _fmt(nv), "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
-    ]
+    )
     path = _write_outputs(
         out_dir,
         "lyapunov_curve",
@@ -284,24 +286,19 @@ def semigroup_norms_cmd(cfg, out_dir):
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
     h = apply_omega(_build_state(grid, cfg))
+    t_b = _lattice_times(grid, cfg) * grid.delta_tau
+    tnorms = np.array([norm(toeplitz_step(h, t)) for t in t_b])
     model = build_model(dense)
     h_psi = _to_hardy(model, model.lam.apply(_build_state(dense, cfg)))
-    data = [
-        (
-            tb,
-            norm(toeplitz_step(h, tb)),
-            td,
-            norm(_from_hardy(model, toeplitz_step(h_psi, td))),
-        )
-        for tb, td in zip(
-            _lattice_times(grid, cfg) * grid.delta_tau,
-            _lattice_times(dense, cfg) * dense.delta_tau,
-        )
-    ]
-    rows = [
+    ks = _lattice_times(dense, cfg)
+    znorms = np.empty(ks.size)
+    for cols in _column_chunks(ks.size):
+        z = _from_hardy(model, _toeplitz_block(h_psi, ks[cols]))
+        znorms[cols] = np.sqrt(np.sum(np.abs(z) ** 2, axis=0) * dense.delta_sigma)
+    rows = (
         (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")
-        for tb, tn, td, zn in data
-    ]
+        for tb, tn, td, zn in zip(t_b, tnorms, ks * dense.delta_tau, znorms)
+    )
     path = _write_outputs(
         out_dir,
         "semigroup_norms",
@@ -312,8 +309,6 @@ def semigroup_norms_cmd(cfg, out_dir):
     )
     click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
-    tnorms = np.array([d[1] for d in data])
-    znorms = np.array([d[3] for d in data])
     if np.any(np.diff(tnorms) > tol):
         _violation("compressed-semigroup norms increase along the time grid")
     if np.any(np.diff(znorms) > tol):
@@ -338,10 +333,10 @@ def projection_family_cmd(cfg, out_dir):
     ordering = assemble_T(family)
     spectrum = np.linalg.eigvalsh(ordering.matrix.matrix)
     data = family.residuals()
-    rows = [
+    rows = (
         (_fmt(t), str(rank), _fmt(idem), _fmt(nest), _fmt(comp), "algebraic")
         for t, (rank, idem, nest, comp) in zip(times, data)
-    ]
+    )
     path = _write_outputs(
         out_dir,
         "projection_family",
@@ -381,31 +376,21 @@ def matrix_element_cmd(cfg, out_dir):
     model = build_model(dense)
     psi = _build_state(dense, cfg)
     half = Space.HALF_LINE_POS
-    diag = np.repeat(dense.sigma_pos() / dense.sigma_max, dense.k_dim)
-    energy = np.diag(diag.astype(np.complex128))
+    energy = np.repeat(dense.sigma_pos() / dense.sigma_max, dense.k_dim)
     observables = {
         "identity": identity_op(dense, half),
         "energy": LinOp(dense, half, half, energy, hermitian=True),
     }
     times = _lattice_times(dense, cfg) * dense.delta_tau
-    data = [
-        (name, *row)
+    data = {
+        name: irreversible_matrix_element(model, psi, psi, x, times)
         for name, x in observables.items()
-        for row in zip(times, *irreversible_matrix_element(model, psi, psi, x, times))
-    ]
-    rows = [
-        (
-            name,
-            _fmt(t),
-            _fmt(lhs.real),
-            _fmt(lhs.imag),
-            _fmt(rhs.real),
-            _fmt(rhs.imag),
-            _fmt(diff),
-            "algebraic",
-        )
-        for name, t, lhs, rhs, diff in data
-    ]
+    }
+    rows = (
+        (name, *map(_fmt, (t, r.real, r.imag, z.real, z.imag, d)), "algebraic")
+        for name, columns in data.items()
+        for t, r, z, d in zip(times, *columns)
+    )
     path = _write_outputs(
         out_dir,
         "matrix_element",
@@ -426,7 +411,7 @@ def matrix_element_cmd(cfg, out_dir):
     click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm
-    worst = max(d[4] for d in data)
+    worst = max(float(diffs.max()) for _, _, diffs in data.values())
     if worst > tol * scale:
         _violation(
             f"picture mismatch {worst:.3e} exceeds {tol:g} x state scale "

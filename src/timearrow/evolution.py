@@ -6,6 +6,8 @@ the time domain this is a lattice shift, so a state's profile moves left by
 truncated-left-shift semigroup ``toeplitz_step`` and its isometric-on-
 guard-banded-states adjoint ``toeplitz_adjoint``.  On the lattice both are
 zero-padded slices of the stored time samples, and are computed as such.
+On a time grid the same rules give blocks with one column per time, which
+consumers take in chunks of ``_BLOCK_COLUMNS`` columns to bound memory.
 
 Shift identities are exact only at lattice times ``t = k * delta_tau``;
 everything here therefore takes a ``snap`` flag: off-lattice times raise
@@ -35,6 +37,8 @@ __all__ = [
 
 # Relative slack when deciding whether a time sits on the dual lattice.
 _LATTICE_RTOL = 1e-9
+# Columns per block of lattice times (see _column_chunks).
+_BLOCK_COLUMNS = 256
 
 
 class OffLatticeTimeError(ValueError):
@@ -85,10 +89,31 @@ def unitary_evolve(f: StateVector, t: float) -> StateVector:
     """
     if f.space is Space.HARDY_PLUS:
         f = hardy_embed(f)
+    return StateVector(f.grid, f.space, _unitary_block(f, t))
+
+
+def _unitary_block(f: StateVector, t) -> np.ndarray:
+    """Amplitudes of ``u(t) f`` (FULL_LINE or HALF_LINE_POS), one column per
+    time when ``t`` is an array; fibres share their bin's phase."""
     sigma = f.grid.sigma() if f.space is Space.FULL_LINE else f.grid.sigma_pos()
-    phase = np.exp(-1j * sigma * t)
-    out = phase[:, None] * f.fibered()
-    return StateVector(f.grid, f.space, out.reshape(-1))
+    phase = np.repeat(np.exp(-1j * np.multiply.outer(sigma, t)), f.grid.k_dim, axis=0)
+    return (phase.T * f.amplitudes).T
+
+
+def _column_chunks(n: int) -> list[slice]:
+    """Consecutive column ranges of at most ``_BLOCK_COLUMNS`` covering ``n``."""
+    return [slice(lo, lo + _BLOCK_COLUMNS) for lo in range(0, n, _BLOCK_COLUMNS)]
+
+
+def _toeplitz_block(h: StateVector, ks) -> np.ndarray:
+    """Amplitudes of ``T(k delta_tau) h`` (HARDY_PLUS ``h``), one column per
+    lattice index ``k``: ``h[j + k * k_dim]`` in row ``j``, zero outside the
+    window, so ``-k`` gives ``T*(k delta_tau) h``.  One slice copy a column."""
+    a, n = h.amplitudes, h.amplitudes.size
+    out = np.zeros((len(ks), n), dtype=a.dtype)
+    for row, e in zip(out, np.asarray(ks) * h.grid.k_dim):
+        row[max(-e, 0) : max(n - e, 0)] = a[max(e, 0) : max(n + e, 0)]
+    return out.T
 
 
 def _semigroup_index(grid: GridSpec, t: float, snap: bool) -> int:
@@ -115,10 +140,7 @@ def toeplitz_step(f: StateVector, t: float, snap: bool = False) -> StateVector:
     window.
     """
     k = _hardy_lattice_step(f, t, snap)
-    b = f.fibered()
-    out = np.zeros_like(b)
-    out[: max(b.shape[0] - k, 0)] = b[k:]
-    return StateVector(f.grid, Space.HARDY_PLUS, out.reshape(-1))
+    return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [k])[:, 0])
 
 
 def toeplitz_adjoint(f: StateVector, t: float, snap: bool = False) -> StateVector:
@@ -129,10 +151,7 @@ def toeplitz_adjoint(f: StateVector, t: float, snap: bool = False) -> StateVecto
     exactly on states with no power near that edge (guard-banded states).
     """
     k = _hardy_lattice_step(f, t, snap)
-    b = f.fibered()
-    out = np.zeros_like(b)
-    out[k:] = b[: max(b.shape[0] - k, 0)]
-    return StateVector(f.grid, Space.HARDY_PLUS, out.reshape(-1))
+    return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [-k])[:, 0])
 
 
 def kernel_witness(

@@ -24,11 +24,9 @@ descending order, alternate in parity and satisfy ``E q_k = (-i)^k sigma_k
 q_k``.  So ``R = gamma D Q diag((-i)^k) Q^T D`` takes its phases from the
 parity rule, not from ``omega q_k / sigma_k``: it is unitary and symmetric
 (as ``omega`` is) even where ``sigma_k`` is rounding noise, and ``lam =
-conj(D) Q diag(sigma) Q^T D`` keeps ``R lam = omega`` at machine precision.
-The standalone :func:`build_lambda` route through the eigendecomposition of
-the Lyapunov operator agrees with it only to roughly the square root of
-machine epsilon near the bottom of the spectrum — squaring the map loses
-half the digits of its smallest singular values.
+conj(D) Q diag(sigma) Q^T D`` keeps ``R lam = omega`` at machine precision
+(a square root taken from the Lyapunov operator itself would lose half the
+digits of the smallest singular values, since squaring the map squares them).
 """
 
 from __future__ import annotations
@@ -43,63 +41,12 @@ from .spaces import GridSpec, LinOp, Space, StateVector, norm
 
 __all__ = [
     "IrreversibleModel",
-    "build_lambda",
-    "build_isometry",
     "build_model",
     "z_matrix",
     "z_evolve",
     "z_adjoint",
     "intertwining_residual",
 ]
-
-# Eigenvalues this far below zero are treated as rounding noise and clipped;
-# anything below -1e-10 means the input was not a nonnegative operator.
-_CLIP_EPS = 1e-12
-_NEGATIVE_EPS = 1e-10
-
-
-def build_lambda(m_f: LinOp) -> LinOp:
-    """Unique positive square root of a nonnegative Hermitian operator.
-
-    ``m_f`` must be declared ``hermitian=True`` (checked when the
-    :class:`LinOp` was built); an undeclared operator raises ``ValueError``
-    whatever its matrix.  Computed through the Hermitian eigendecomposition;
-    eigenvalues within ``1e-12`` of zero are clipped to zero before the
-    square root, and anything below ``-1e-10`` raises.  The result is
-    Hermitian, contractive whenever the input is, and injective up to the
-    clip threshold (smallest retained eigenvalue is reported by the spectrum
-    itself).
-    """
-    if not m_f.hermitian:
-        raise ValueError("the Lyapunov operator must be a LinOp declared hermitian")
-    m = m_f.matrix
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if vals.min() < -_NEGATIVE_EPS:
-        raise ValueError(
-            f"operator has eigenvalue {vals.min():.3e} below -{_NEGATIVE_EPS:g}; "
-            "not a nonnegative operator"
-        )
-    vals = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    root = 0.5 * (root + root.conj().T)
-    return LinOp(m_f.grid, m_f.domain, m_f.codomain, root, hermitian=True)
-
-
-def build_isometry(omega: LinOp, lam: LinOp) -> LinOp:
-    """Unitary polar factor ``R`` with ``omega = R lam``.
-
-    ``R = U V*`` from the SVD ``omega = U S V*`` — never by inversion of
-    ``lam``, whose smallest eigenvalues are at rounding-noise scale.  ``R``
-    is square unitary in the discrete model; the residual of ``R lam -
-    omega`` is limited by how ``lam`` was obtained (see the module note).
-    """
-    if omega.grid != lam.grid or omega.domain is not lam.domain:
-        raise ValueError("omega and lam must share a grid and domain")
-    if lam.domain is not lam.codomain:
-        raise ValueError("lam must be an endomorphism of the forward map's domain")
-    u, _, vh = np.linalg.svd(omega.matrix)
-    return LinOp(omega.grid, omega.domain, omega.codomain, u @ vh)
-
 
 @dataclass(frozen=True)
 class IrreversibleModel:
@@ -181,20 +128,26 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     w = 0.5 * ((y_even * alt) @ y_even.T - 1j * ((y_odd * alt) @ y_odd.T))
     l_even = (y_even * s_even) @ y_even.T
     l_odd = (y_odd * s_odd) @ y_odd.T
+    l_even = 0.5 * (l_even + l_even.T)
+    l_odd = 0.5 * (l_odd + l_odd.T)
     r = _persymmetric(w, w.conj())
     lam = _persymmetric(0.5 * (l_even + l_odd), 0.5 * (l_even - l_odd))
     d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
     r *= (np.exp(-0.25j * np.pi * nh) * d)[:, None]
     r *= d
-    lam *= d.conj()[:, None]
-    lam *= d
+    # conj(d_i) d_j = i^(i - j) exactly: with the real blocks symmetric, lam
+    # is Hermitian by construction, bit for bit
+    for a in range(4):
+        for b in range(4):
+            lam[a::4, b::4] *= 1j ** ((a - b) % 4)
     s = np.sort(np.concatenate([s_even, s_odd]))[::-1]
     k = grid.k_dim
     return IrreversibleModel(
         grid=grid,
         omega=omega,
-        lam=LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
-                  _fiberize(lam, k), hermitian=True),
+        lam=LinOp._hermitian_by_construction(
+            grid, Space.HALF_LINE_POS, _fiberize(lam, k)
+        ),
         isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, _fiberize(r, k)),
         singular_values=np.repeat(s, k),
     )
@@ -224,10 +177,10 @@ def _to_hardy(model: IrreversibleModel, psi: StateVector) -> StateVector:
     return StateVector(model.grid, Space.HARDY_PLUS, r @ psi.amplitudes)
 
 
-def _from_hardy(model: IrreversibleModel, h: StateVector) -> StateVector:
-    """``R^H h``, without copying the conjugate of ``R``."""
-    rh = (h.amplitudes.conj() @ model.isometry.matrix).conj()
-    return StateVector(model.grid, Space.HALF_LINE_POS, rh)
+def _from_hardy(model: IrreversibleModel, h: np.ndarray) -> np.ndarray:
+    """``R^H h`` for Hardy amplitudes ``h``, a vector or an ``N x m`` block,
+    as ``(h^H R)^H``: no conjugate of ``R`` is copied."""
+    return (h.conj().T @ model.isometry.matrix).conj().T
 
 
 def z_evolve(
@@ -240,14 +193,16 @@ def z_evolve(
     every state in the square root's range is annihilated by the time the
     shift crosses half the window.
     """
-    return _from_hardy(model, toeplitz_step(_to_hardy(model, psi), t, snap))
+    h = toeplitz_step(_to_hardy(model, psi), t, snap)
+    return StateVector(h.grid, Space.HALF_LINE_POS, _from_hardy(model, h.amplitudes))
 
 
 def z_adjoint(
     model: IrreversibleModel, psi: StateVector, t: float, snap: bool = False
 ) -> StateVector:
     """Apply ``Z*(t) = R* (T_u(t))* R``, the co-isometric adjoint."""
-    return _from_hardy(model, toeplitz_adjoint(_to_hardy(model, psi), t, snap))
+    h = toeplitz_adjoint(_to_hardy(model, psi), t, snap)
+    return StateVector(h.grid, Space.HALF_LINE_POS, _from_hardy(model, h.amplitudes))
 
 
 def intertwining_residual(

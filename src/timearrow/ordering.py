@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _semigroup_index, toeplitz_step, unitary_evolve
+from .evolution import (
+    _column_chunks,
+    _semigroup_index,
+    _toeplitz_block,
+    _unitary_block,
+    unitary_evolve,
+)
 from .lambda_transform import (
     IrreversibleModel,
     _from_hardy,
@@ -35,7 +41,7 @@ from .lambda_transform import (
     z_evolve,
 )
 from .lyapunov import apply_omega
-from .spaces import LinOp, Space, StateVector, inner, norm
+from .spaces import LinOp, Space, StateVector, norm
 
 __all__ = [
     "ProjectionFamily",
@@ -59,9 +65,9 @@ def _row_weighted(isometry: LinOp, w: np.ndarray) -> LinOp:
     rows = np.flatnonzero(w)
     a = isometry.matrix[rows]
     m = (a.conj().T * w[rows]) @ a
-    m = 0.5 * (m + m.conj().T)
-    half = Space.HALF_LINE_POS
-    return LinOp(isometry.grid, half, half, m, hermitian=True)
+    return LinOp._hermitian_by_construction(
+        isometry.grid, Space.HALF_LINE_POS, 0.5 * (m + m.conj().T)
+    )
 
 
 def _row_block(isometry: LinOp, lo: int, hi: int | None = None) -> LinOp:
@@ -254,47 +260,55 @@ def irreversible_matrix_element(
 
     ``x_lambda`` is the observable's irreversible form, a :class:`LinOp`
     declared ``hermitian=True`` (checked when it was built; an undeclared one
-    raises ``ValueError``); the reversible form is ``X = lam x_lambda lam``,
-    never an inverse of ``lam``.  Each time is rounded once to its lattice
-    time (one warning per off-lattice time under ``snap=True``) and both
-    pictures are evaluated there.  Returns one array per quantity:
+    raises ``ValueError``), dense or diagonal; the reversible form is ``X =
+    lam x_lambda lam``, never an inverse of ``lam``.  Each time is rounded
+    once to its lattice time (one warning per off-lattice time under
+    ``snap=True``) and both pictures are evaluated there.  Returns one array
+    per quantity:
 
     * reversible ``(u(t)phi, X u(t)psi)``, taken as ``(lam u(t)phi,
       x_lambda lam u(t)psi)`` since ``lam`` is Hermitian;
-    * irreversible ``(Z(t) lam phi, x_lambda Z(t) lam psi)``, with the Hardy
-      images ``R lam phi`` and ``R lam psi`` formed once per call;
+    * irreversible ``(Z(t) lam phi, x_lambda Z(t) lam psi)``, with
+      ``Z(t) lam psi = R^H T(t) R lam psi``;
     * the absolute differences.
 
-    Inserting the future projection ``P(t)`` would change nothing, since
-    ``Z(t) P(t) = Z(t)`` exactly, so it is not formed.  When ``phi is psi``
-    the phi side reuses the psi side's vectors at every time.
+    Each picture is one block per chunk of times (one column per time): one
+    product of ``lam`` with the evolved states ``[u(t_k) psi]_k``, and one of
+    ``R^H`` with the slices ``[T(t_k) R lam psi]_k``.  ``x_lambda`` acts on
+    each block (O(N) a column if diagonal) and the elements are column-wise
+    inner products.  ``Z(t) P(t) = Z(t)`` exactly, so the future projection
+    ``P(t)`` is not formed.  When ``phi is psi`` the phi side reuses the psi
+    side's blocks.
     """
     if phi.space is not Space.HALF_LINE_POS or psi.space is not Space.HALF_LINE_POS:
         raise ValueError("matrix elements take HALF_LINE_POS states")
-    if x_lambda.domain is not Space.HALF_LINE_POS or (
-        x_lambda.codomain is not Space.HALF_LINE_POS
-    ):
+    if x_lambda.domain is not Space.HALF_LINE_POS:  # hermitian: codomain too
         raise ValueError("x_lambda must act on the half-line space")
     if not x_lambda.hermitian:
         raise ValueError("the observable must be a LinOp declared hermitian")
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    ks = [_semigroup_index(model.grid, float(t), snap) for t in times]
+    ks = np.array([_semigroup_index(model.grid, float(t), snap) for t in times])
     lam = model.lam
     same = phi is psi
     h_psi = _to_hardy(model, lam.apply(psi))
     h_phi = h_psi if same else _to_hardy(model, lam.apply(phi))
+
+    def element(a, b):
+        return np.einsum("ij,ij->j", a.conj(), x_lambda._act(b)) * psi.grid.delta_sigma
+
     rev = np.empty(times.size, dtype=np.complex128)
     irr = np.empty_like(rev)
-    for i, k in enumerate(ks):
+    for cols in _column_chunks(ks.size):
+        k = ks[cols]
         t = k * model.grid.delta_tau
-        b = lam.apply(unitary_evolve(psi, t))
-        a = b if same else lam.apply(unitary_evolve(phi, t))
-        rev[i] = inner(a, x_lambda.apply(b))
-        b = _from_hardy(model, toeplitz_step(h_psi, t))
-        a = b if same else _from_hardy(model, toeplitz_step(h_phi, t))
-        irr[i] = inner(a, x_lambda.apply(b))
+        b = lam._act(_unitary_block(psi, t))
+        a = b if same else lam._act(_unitary_block(phi, t))
+        rev[cols] = element(a, b)
+        b = _from_hardy(model, _toeplitz_block(h_psi, k))
+        a = b if same else _from_hardy(model, _toeplitz_block(h_phi, k))
+        irr[cols] = element(a, b)
     return rev, irr, np.abs(rev - irr)
 
 

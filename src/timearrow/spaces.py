@@ -267,28 +267,43 @@ def restrict(f: StateVector) -> StateVector:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinOp:
-    """Dense linear operator between tagged spaces on one grid.
+    """Linear operator between tagged spaces on one grid: dense or diagonal.
 
-    Because every space tag uses the same quadrature weight, the adjoint with
-    respect to the weighted inner products is the plain conjugate transpose.
-    ``hermitian=True`` is checked once, here (``|m - m^H| <= 1e-12 max(|m|,
-    1)``, Frobenius; ``ValueError`` otherwise); functions that need a
-    Hermitian operator require the flag instead of rechecking the matrix.
+    ``matrix`` is the dense ``(dim(codomain), dim(domain))`` array or, with
+    matching legs, a 1-d array: a diagonal, stored as a vector (the dense
+    ``matrix`` property is then built on request).  Because every space tag
+    uses the same quadrature weight, the adjoint with respect to the weighted
+    inner products is the plain conjugate transpose.  ``hermitian=True`` is
+    checked once, here (``|m - m^H| <= 1e-12 max(|m|, 1)``, Frobenius, so
+    O(N) real entries for a diagonal; ``ValueError`` otherwise); functions
+    that need a Hermitian operator require the flag instead of rechecking.
+    Internally the operator also acts on an ``N x m`` block of amplitudes,
+    one state per column, once the caller has checked the space tags.
     """
 
     grid: GridSpec
     domain: Space
     codomain: Space
-    matrix: np.ndarray
+    _entries: np.ndarray
     hermitian: bool = False
 
+    def __init__(self, grid, domain, codomain, matrix, hermitian=False):
+        values = (grid, domain, codomain, matrix, hermitian)
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        m = np.ascontiguousarray(self._entries, dtype=np.complex128)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_entries", m)
         expected = (self.grid.dim(self.codomain), self.grid.dim(self.domain))
+        if m.ndim == 1:
+            if self.domain is not self.codomain:
+                raise ValueError("a diagonal operator needs matching legs")
+            expected = expected[:1]
         if m.shape != expected:
             raise ValueError(f"matrix shape {m.shape}, expected {expected}")
         if self.hermitian:
@@ -302,20 +317,28 @@ class LinOp:
                     f"{dev:.3e} (relative to norm {scale:.3e})"
                 )
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix; built on each request for a diagonal operator."""
+        m = self._entries
+        return m if m.ndim == 2 else np.diag(m)
+
+    def _act(self, a: np.ndarray) -> np.ndarray:
+        """Amplitudes of the image of a vector, or of each column of a block."""
+        m = self._entries
+        return m @ a if m.ndim == 2 else (m * a.T).T
+
     def apply(self, f: StateVector) -> StateVector:
         if f.grid != self.grid or f.space is not self.domain:
             raise SpaceMismatchError(
                 f"operator domain {self.domain.value} does not accept a "
                 f"{f.space.value} state (or grids differ)"
             )
-        return StateVector(self.grid, self.codomain, self.matrix @ f.amplitudes)
+        return StateVector(self.grid, self.codomain, self._act(f.amplitudes))
 
     def adjoint(self) -> "LinOp":
         return LinOp(
-            grid=self.grid,
-            domain=self.codomain,
-            codomain=self.domain,
-            matrix=self.matrix.conj().T,
+            self.grid, self.codomain, self.domain, self._entries.conj().T,
             hermitian=self.hermitian,
         )
 
@@ -326,14 +349,20 @@ class LinOp:
             raise SpaceMismatchError(
                 f"cannot compose {self.domain.value} <- {other.codomain.value}"
             )
-        return LinOp(
-            grid=self.grid,
-            domain=other.domain,
-            codomain=self.codomain,
-            matrix=self.matrix @ other.matrix,
-        )
+        b = other._entries
+        # a diagonal on the right scales the columns of the left factor
+        m = self._entries * b if b.ndim == 1 else self._act(b)
+        return LinOp(self.grid, other.domain, self.codomain, m)
+
+    @classmethod
+    def _hermitian_by_construction(cls, grid: GridSpec, space: Space, matrix):
+        """Declared hermitian without the check: only for functions whose
+        output is exactly Hermitian, such as ``0.5 * (m + m^H)``."""
+        op = cls(grid, space, space, matrix)
+        object.__setattr__(op, "hermitian", True)
+        return op
 
 
 def identity_op(grid: GridSpec, space: Space) -> LinOp:
-    n = grid.dim(space)
-    return LinOp(grid, space, space, np.eye(n, dtype=np.complex128), hermitian=True)
+    """The identity on ``space``, stored as a diagonal of ones."""
+    return LinOp._hermitian_by_construction(grid, space, np.ones(grid.dim(space)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timearrow.cli import main
+from timearrow.cli import _atomic_write, main
 
 SMALL = {
     "grid": {"n_sigma": 256, "sigma_max": 50.0, "k_dim": 1},
@@ -199,6 +199,37 @@ class TestSemigroupNormsCommand:
         for col in columns:
             values = np.array([float(r[col]) for r in rows])
             assert np.all(np.diff(values) <= 1e-10)
+
+
+@pytest.mark.parametrize("stem, command", [("matrix_element", "matrix-element"),
+                                           ("semigroup_norms", "semigroup-norms")])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
+    # block products must give the same bytes on one and on two BLAS threads
+    import timearrow
+
+    cfg = _write_cfg(tmp_path, SMALL)
+    src = str(Path(timearrow.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-c", "from timearrow.cli import main; main()",
+                        command, "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append((out / f"{stem}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_atomic_write_failing_mid_stream_leaves_nothing(tmp_path):
+    def lines():
+        yield "t,value\n"
+        yield "0,1\n"
+        raise RuntimeError("row generator failed")
+
+    with pytest.raises(RuntimeError, match="row generator failed"):
+        _atomic_write(tmp_path / "out.csv", lines())
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestProjectionFamilyCommand:

@@ -21,6 +21,7 @@ from timearrow import (
     toeplitz_step,
     unitary_evolve,
 )
+from timearrow.evolution import _toeplitz_block, _unitary_block
 
 
 def _spectral_step(f, t):
@@ -247,3 +248,21 @@ class TestKernelWitness:
         w = kernel_witness(small_grid, -1j, 8 * small_grid.delta_tau)
         assert w.space is Space.HARDY_PLUS
         assert norm(w) > 0
+
+
+class TestBlocks:
+    """Blocks along a time grid: column ``i`` is the single-state result at ``t_i``."""
+
+    @pytest.mark.parametrize("k_dim", [1, 2])
+    def test_columns_match_single_states(self, rng, k_dim):
+        grid = make_grid(64, 20.0, k_dim)
+        ks = np.array([0, 1, 5, 31, 32, 40])
+        f = _rand_state(grid, Space.HALF_LINE_POS, rng)
+        h = _rand_state(grid, Space.HARDY_PLUS, rng)
+        evolved = _unitary_block(f, ks * grid.delta_tau)
+        forward, backward = _toeplitz_block(h, ks), _toeplitz_block(h, -ks)
+        for i, k in enumerate(ks):
+            t = k * grid.delta_tau
+            assert np.array_equal(evolved[:, i], unitary_evolve(f, t).amplitudes)
+            assert np.array_equal(forward[:, i], toeplitz_step(h, t).amplitudes)
+            assert np.array_equal(backward[:, i], toeplitz_adjoint(h, t).amplitudes)

@@ -6,8 +6,6 @@ import pytest
 from timearrow import (
     LinOp,
     Space,
-    build_isometry,
-    build_lambda,
     build_m_f,
     build_model,
     build_omega,
@@ -23,6 +21,31 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
+
+
+# Oracles of build_model: the square root from the eigendecomposition of the
+# Lyapunov operator, and the polar factor from a generic SVD.
+
+def build_lambda(m_f):
+    """Positive square root of a LinOp declared hermitian (clip at 1e-12,
+    reject eigenvalues below -1e-10)."""
+    if not m_f.hermitian:
+        raise ValueError("the Lyapunov operator must be a LinOp declared hermitian")
+    m = m_f.matrix
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if vals.min() < -1e-10:
+        raise ValueError(f"operator has eigenvalue {vals.min():.3e} below -1e-10")
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    return LinOp(m_f.grid, m_f.domain, m_f.codomain,
+                 0.5 * (root + root.conj().T), hermitian=True)
+
+
+def build_isometry(omega, lam):
+    """Unitary polar factor ``R = U V*`` of ``omega = U S V*``."""
+    if omega.grid != lam.grid or omega.domain is not lam.domain:
+        raise ValueError("omega and lam must share a grid and domain")
+    u, _, vh = np.linalg.svd(omega.matrix)
+    return LinOp(omega.grid, omega.domain, omega.codomain, u @ vh)
 
 
 def _rand_half(grid, rng):
@@ -152,6 +175,13 @@ class TestStructuredFactorization:
         keep = vh.conj().T[:, s > 1e-6]
         gap = np.linalg.norm((case.isometry.matrix - r_svd) @ keep)
         assert gap <= 1e-8 * np.sqrt(keep.shape[1])
+
+    def test_lambda_is_hermitian(self, case):
+        # built Hermitian (exact phases, symmetric real blocks), so the
+        # LinOp skips its runtime check; this is that check
+        lam = case.lam.matrix
+        assert case.lam.hermitian
+        assert np.linalg.norm(lam - lam.conj().T) <= 1e-12 * np.linalg.norm(lam)
 
     def test_polar_factor_is_symmetric_and_unitary(self, case):
         # omega = omega^T, so its polar factor is symmetric too, also on the

@@ -34,6 +34,8 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
+from timearrow import evolution
+from timearrow.ordering import _row_weighted
 
 
 def _rand_half(grid, rng):
@@ -445,6 +447,35 @@ class TestMatrixElementOracle:
         separate = irreversible_matrix_element(model, twin, psi, x, times)
         for got, expected in zip(shared, separate):
             assert np.abs(got - expected).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("which", ["model", "fibred"])
+    def test_chunks_match_one_block(self, request, monkeypatch, which):
+        # 10 times in chunks of 3 columns against one 10-column block, for a
+        # dense and a diagonal observable and for phi distinct from psi
+        m = request.getfixturevalue(which)
+        rng = np.random.default_rng(413)
+        phi, psi = _rand_half(m.grid, rng), _rand_half(m.grid, rng)
+        n = m.grid.dim(Space.HALF_LINE_POS)
+        half = Space.HALF_LINE_POS
+        observables = [_hermitian_op(m.grid, rng),
+                       LinOp(m.grid, half, half, rng.normal(size=n), hermitian=True)]
+        times = np.array([0, 1, 2, 3, 5, 8, 13, 21, 34, 55]) * m.grid.delta_tau
+        for x in observables:
+            scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
+            whole = irreversible_matrix_element(m, phi, psi, x, times)
+            with monkeypatch.context() as patch:
+                patch.setattr(evolution, "_BLOCK_COLUMNS", 3)
+                assert len(evolution._column_chunks(times.size)) == 4
+                chunked = irreversible_matrix_element(m, phi, psi, x, times)
+            for got, expected in zip(chunked, whole):
+                assert np.abs(got - expected).max() <= 1e-14 * scale
+
+    def test_row_weighted_is_exactly_hermitian(self, model):
+        # built as 0.5 (m + m^H), so it skips the runtime check
+        w = np.linspace(-1.0, 2.0, model.grid.dim(Space.HALF_LINE_POS))
+        op = _row_weighted(model.isometry, w)
+        assert op.hermitian
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
 
     def test_time_grid_validation(self, model, rng):
         psi = _rand_half(model.grid, rng)

@@ -213,3 +213,52 @@ class TestLinOp:
         with pytest.raises(SpaceMismatchError):
             ident_half @ ident_full
         assert np.array_equal((ident_half @ ident_half).matrix, ident_half.matrix)
+
+
+class TestDiagonalLinOp:
+    """A 1-d ``matrix`` is a diagonal stored as a vector; it must act as ``np.diag``."""
+
+    @pytest.fixture()
+    def pair(self, small_grid, rng):
+        n = small_grid.dim(Space.HALF_LINE_POS)
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        half = Space.HALF_LINE_POS
+        return LinOp(small_grid, half, half, d), d
+
+    def test_acts_as_dense_diagonal(self, small_grid, rng, pair):
+        op, d = pair
+        psi = _rand_state(small_grid, Space.HALF_LINE_POS, rng)
+        assert np.array_equal(op.matrix, np.diag(d))
+        assert np.allclose(op.apply(psi).amplitudes, np.diag(d) @ psi.amplitudes,
+                           rtol=0, atol=1e-14)
+        block = rng.normal(size=(d.size, 5)) + 1j * rng.normal(size=(d.size, 5))
+        assert np.allclose(op._act(block), np.diag(d) @ block, rtol=0, atol=1e-14)
+        assert np.allclose(op.adjoint().matrix, np.diag(d).conj().T, rtol=0, atol=0)
+
+    def test_composition_with_dense_and_diagonal(self, small_grid, rng, pair):
+        op, d = pair
+        n = d.size
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        half = Space.HALF_LINE_POS
+        dense = LinOp(small_grid, half, half, a)
+        for got, expected in (((op @ dense).matrix, np.diag(d) @ a),
+                              ((dense @ op).matrix, a @ np.diag(d)),
+                              ((op @ op).matrix, np.diag(d * d))):
+            assert np.allclose(got, expected, rtol=0, atol=1e-13)
+        assert (op @ op)._entries.ndim == 1  # stays a vector
+
+    def test_hermitian_check_asks_for_real_entries(self, small_grid, pair):
+        op, d = pair
+        half = Space.HALF_LINE_POS
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            LinOp(small_grid, half, half, d, hermitian=True)
+        LinOp(small_grid, half, half, d.real, hermitian=True)
+        with pytest.raises(ValueError, match="matching legs"):
+            LinOp(small_grid, half, Space.HARDY_PLUS, d.real)
+        with pytest.raises(ValueError, match="shape"):
+            LinOp(small_grid, half, half, d[:-1])
+
+    def test_identity_is_a_diagonal(self, small_grid):
+        ident = identity_op(small_grid, Space.FULL_LINE)
+        assert ident.hermitian and ident._entries.ndim == 1
+        assert np.array_equal(ident.matrix, np.eye(small_grid.dim(Space.FULL_LINE)))
