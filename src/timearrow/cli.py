@@ -35,11 +35,10 @@ from .evolution import (
     _toeplitz_block,
     kernel_witness,
     lattice_index,
-    toeplitz_step,
 )
 from .hardy import hardy_embed, hardy_part, rational_hardy
 from .lambda_transform import _from_hardy, _to_hardy, build_model
-from .lyapunov import apply_omega, lyapunov_curve
+from .lyapunov import lyapunov_curve
 from .ordering import assemble_T, irreversible_matrix_element, spectral_measure
 from .selftest import refinement_series, run_all
 from .spaces import GridSpec, LinOp, Space, identity_op, make_grid, norm, restrict
@@ -124,18 +123,17 @@ def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
     """Config time grid as lattice indices, snapped or strictly validated."""
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
-    ks = np.empty(requested.size, dtype=np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OffLatticeWarning)
-        for i, ti in enumerate(requested):
-            try:
-                ks[i] = lattice_index(grid, ti, snap=t["snap_times"])
-            except OffLatticeTimeError:
-                raise OffLatticeTimeError(
-                    f"times[{i}] = {ti} is off the dual lattice (delta_tau = "
-                    f"{grid.delta_tau}) and times.snap_times is false"
-                ) from None
-    return ks
+        try:
+            return lattice_index(grid, requested, snap=t["snap_times"])
+        except OffLatticeTimeError as exc:
+            if t["snap_times"]:
+                raise
+            raise OffLatticeTimeError(
+                f"times[{exc.index}] = {requested[exc.index]} is off the dual "
+                f"lattice (delta_tau = {grid.delta_tau}) and times.snap_times is false"
+            ) from None
 
 
 def _violation(message: str):
@@ -251,9 +249,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
     """Expectation curve of the configured state along its trajectory."""
     grid = _scenario_grid(cfg)
     psi = _build_state(grid, cfg)
-    ks = _lattice_times(grid, cfg)
-    times = ks * grid.delta_tau
-    report = lyapunov_curve(psi, times)
+    report = lyapunov_curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
     rows = (
         (_fmt(t), _fmt(e), _fmt(nv), "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
@@ -285,9 +281,8 @@ def semigroup_norms_cmd(cfg, out_dir):
     """Norm decay under the compressed semigroup and its transported form."""
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
-    h = apply_omega(_build_state(grid, cfg))
     t_b = _lattice_times(grid, cfg) * grid.delta_tau
-    tnorms = np.array([norm(toeplitz_step(h, t)) for t in t_b])
+    tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
     model = build_model(dense)
     h_psi = _to_hardy(model, model.lam.apply(_build_state(dense, cfg)))
     ks = _lattice_times(dense, cfg)

@@ -12,15 +12,15 @@ consumers take in chunks of ``_BLOCK_COLUMNS`` columns to bound memory.
 Shift identities are exact only at lattice times ``t = k * delta_tau``;
 everything here therefore takes a ``snap`` flag: off-lattice times raise
 :class:`OffLatticeTimeError` by default, or are rounded to the nearest
-lattice point with an :class:`OffLatticeWarning` when ``snap=True``.
+lattice point with one :class:`OffLatticeWarning` per call when ``snap=True``.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hardy import hardy_embed, hardy_part
 from .spaces import GridSpec, Space, SpaceMismatchError, StateVector
@@ -42,39 +42,55 @@ _BLOCK_COLUMNS = 256
 
 
 class OffLatticeTimeError(ValueError):
-    """A time was not a multiple of delta_tau and snapping was not allowed."""
+    """A time was not a multiple of delta_tau and snapping was not allowed;
+    ``index`` is the offending entry's flat position in an array of times."""
+
+    index: int | None = None
 
 
 class OffLatticeWarning(UserWarning):
     """A time was silently rounded to the nearest dual-lattice point."""
 
 
-def lattice_index(grid: GridSpec, t: float, snap: bool = False) -> int:
-    """Convert a time to its dual-lattice index ``k`` with ``t = k*delta_tau``.
+def _first(t: np.ndarray, mask: np.ndarray) -> tuple[int, str]:
+    """Flat position and label of the first entry of ``t`` where ``mask`` holds."""
+    i = int(np.flatnonzero(mask)[0])
+    return i, f"{f't[{i}]' if t.ndim else 't'} = {float(t.flat[i])}"
 
-    Raises :class:`OffLatticeTimeError` for off-lattice times unless
-    ``snap=True``, in which case the nearest index is used and an
-    :class:`OffLatticeWarning` is emitted.  A non-finite time has no index
-    and raises :class:`OffLatticeTimeError` whatever ``snap`` says.
+
+def lattice_index(grid: GridSpec, t, snap: bool = False):
+    """Convert times to their dual-lattice indices ``k`` with ``t = k*delta_tau``.
+
+    A scalar ``t`` gives an ``int``; an array gives an int64 array of the
+    same shape.  Rounding is half to even, as Python's ``round``.  Raises
+    :class:`OffLatticeTimeError` naming the first off-lattice time unless
+    ``snap=True``, in which case the nearest indices are used and one
+    :class:`OffLatticeWarning` per call names how many times moved and the
+    first one's requested and used value.  A time whose index is not finite
+    or does not fit in int64 raises :class:`OffLatticeTimeError` whatever
+    ``snap`` says.
     """
-    ratio = t / grid.delta_tau
-    if not math.isfinite(ratio):
-        raise OffLatticeTimeError(
-            f"t = {t} has no dual-lattice index (delta_tau = {grid.delta_tau})"
-        )
-    k = int(round(ratio))
-    if abs(ratio - k) > _LATTICE_RTOL * max(1.0, abs(ratio)):
-        if not snap:
-            raise OffLatticeTimeError(
-                f"t = {t} is not on the dual lattice (delta_tau = "
-                f"{grid.delta_tau}); pass snap=True to round"
-            )
-        warnings.warn(
-            f"t = {t} snapped to lattice point {k * grid.delta_tau}",
-            OffLatticeWarning,
-            stacklevel=3,
-        )
-    return k
+    t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
+    with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
+        ratio = t / dt
+        k = np.rint(ratio)
+        moved = np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
+    for bad, what in (
+        (~(np.abs(k) < 2.0**63), f"has no dual-lattice index (delta_tau = {dt})"),
+        (moved & (not snap), f"is not on the dual lattice (delta_tau = {dt}); "
+         "pass snap=True to round"),
+    ):
+        if bad.any():
+            i, label = _first(t, bad)
+            exc = OffLatticeTimeError(f"{label} {what}")
+            exc.index = i if t.ndim else None
+            raise exc
+    if moved.any():
+        i, label = _first(t, moved)
+        count = f" ({np.count_nonzero(moved)} of {t.size} moved)" if t.ndim else ""
+        message = f"{label} snapped to lattice point {float(k.flat[i]) * dt}{count}"
+        warnings.warn(message, OffLatticeWarning, stacklevel=3)
+    return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
 def unitary_evolve(f: StateVector, t: float) -> StateVector:
@@ -108,25 +124,28 @@ def _column_chunks(n: int) -> list[slice]:
 def _toeplitz_block(h: StateVector, ks) -> np.ndarray:
     """Amplitudes of ``T(k delta_tau) h`` (HARDY_PLUS ``h``), one column per
     lattice index ``k``: ``h[j + k * k_dim]`` in row ``j``, zero outside the
-    window, so ``-k`` gives ``T*(k delta_tau) h``.  One slice copy a column."""
+    window, so ``-k`` gives ``T*(k delta_tau) h``.  One gather from the windows
+    of the zero-padded samples, ``|k|`` capped at the bin count (all zeros)."""
     a, n = h.amplitudes, h.amplitudes.size
-    out = np.zeros((len(ks), n), dtype=a.dtype)
-    for row, e in zip(out, np.asarray(ks) * h.grid.k_dim):
-        row[max(-e, 0) : max(n - e, 0)] = a[max(e, 0) : max(n + e, 0)]
-    return out.T
+    bins = n // h.grid.k_dim
+    e = np.clip(np.asarray(ks), -bins, bins) * h.grid.k_dim
+    return sliding_window_view(np.pad(a, n), n)[n + e].T
 
 
-def _semigroup_index(grid: GridSpec, t: float, snap: bool) -> int:
+def _semigroup_index(grid: GridSpec, t, snap: bool):
     k = lattice_index(grid, t, snap=snap)
-    if k < 0:
-        raise ValueError(f"semigroup times must be >= 0, got t = {t}")
+    negative = np.asarray(k) < 0
+    if negative.any():
+        _, label = _first(np.asarray(t, dtype=np.float64), negative)
+        raise ValueError(f"semigroup times must be >= 0, got {label}")
     return k
 
 
-def _hardy_lattice_step(f: StateVector, t: float, snap: bool) -> int:
+def _hardy_shift(f: StateVector, t: float, snap: bool, sign: int) -> StateVector:
     if f.space is not Space.HARDY_PLUS:
         raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
-    return _semigroup_index(f.grid, t, snap)
+    k = sign * _semigroup_index(f.grid, t, snap)
+    return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [k])[:, 0])
 
 
 def toeplitz_step(f: StateVector, t: float, snap: bool = False) -> StateVector:
@@ -139,8 +158,7 @@ def toeplitz_step(f: StateVector, t: float, snap: bool = False) -> StateVector:
     semigroup law; annihilates every state once ``t`` reaches half the time
     window.
     """
-    k = _hardy_lattice_step(f, t, snap)
-    return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [k])[:, 0])
+    return _hardy_shift(f, t, snap, 1)
 
 
 def toeplitz_adjoint(f: StateVector, t: float, snap: bool = False) -> StateVector:
@@ -150,8 +168,7 @@ def toeplitz_adjoint(f: StateVector, t: float, snap: bool = False) -> StateVecto
     which drops whatever crosses the far window edge.  So it is isometric
     exactly on states with no power near that edge (guard-banded states).
     """
-    k = _hardy_lattice_step(f, t, snap)
-    return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [-k])[:, 0])
+    return _hardy_shift(f, t, snap, -1)
 
 
 def kernel_witness(

@@ -24,7 +24,6 @@ and the pair is exactly unitary (Parseval holds to machine precision).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     StateVector,
+    _freeze,
 )
 
 __all__ = [
@@ -84,9 +84,7 @@ class TimeProfile:
     samples: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.samples, dtype=np.complex128)
-        a.setflags(write=False)
-        object.__setattr__(self, "samples", a)
+        a = _freeze(self, "samples")
         expected = self.grid.n_sigma * self.grid.k_dim
         if a.shape != (expected,):
             raise ValueError(

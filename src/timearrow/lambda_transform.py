@@ -37,7 +37,7 @@ import numpy as np
 
 from .evolution import _semigroup_index, toeplitz_adjoint, toeplitz_step, unitary_evolve
 from .lyapunov import _dft_block, _fiberize, build_omega
-from .spaces import GridSpec, LinOp, Space, StateVector, norm
+from .spaces import GridSpec, LinOp, Space, StateVector, _freeze, norm
 
 __all__ = [
     "IrreversibleModel",
@@ -70,9 +70,7 @@ class IrreversibleModel:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        s = np.ascontiguousarray(self.singular_values, dtype=np.float64)
-        s.setflags(write=False)
-        object.__setattr__(self, "singular_values", s)
+        _freeze(self, "singular_values", np.float64)
 
 
 def _prolate_halves(n_sigma: int):

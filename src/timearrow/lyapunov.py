@@ -18,7 +18,7 @@ import numpy as np
 
 from .hardy import guard_band_leakage, hardy_embed, hardy_part
 from .spaces import GridSpec, LinOp, Space, StateVector, embed, norm, restrict
-from .evolution import _semigroup_index, toeplitz_step
+from .evolution import _semigroup_index
 
 __all__ = [
     "TrajectoryReport",
@@ -98,12 +98,10 @@ def lyapunov_expectation(psi: StateVector, t: float, snap: bool = False) -> floa
     """Expectation ``(psi_t, M psi_t)`` at lattice time ``t``, matrix-free.
 
     Equal to ``|T_u(t) omega psi|^2`` by the intertwining of the forward map
-    with evolution, hence non-increasing in ``t`` and bounded by ``|psi|^2``.
+    with evolution, hence non-increasing in ``t`` and bounded by ``|psi|^2``:
+    the tail power of ``omega psi``, the one-time case of :func:`lyapunov_curve`.
     """
-    if psi.space is not Space.HALF_LINE_POS:
-        raise ValueError("lyapunov_expectation expects a HALF_LINE_POS state")
-    moved = toeplitz_step(apply_omega(psi), t, snap=snap)
-    return float(norm(moved) ** 2)
+    return float(lyapunov_curve(psi, [t], snap=snap).expectations[0])
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def lyapunov_curve(
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     b = apply_omega(psi)
-    ks = np.array([_semigroup_index(psi.grid, float(t), snap) for t in times])
+    ks = _semigroup_index(psi.grid, times, snap)
     power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
     expectations = tail[np.minimum(ks, power.size)]

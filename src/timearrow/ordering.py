@@ -41,7 +41,7 @@ from .lambda_transform import (
     z_evolve,
 )
 from .lyapunov import apply_omega
-from .spaces import LinOp, Space, StateVector, norm
+from .spaces import LinOp, Space, StateVector, _freeze, norm
 
 __all__ = [
     "ProjectionFamily",
@@ -131,12 +131,8 @@ class ProjectionFamily:
     row_ends: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=np.float64)
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        ends = np.ascontiguousarray(self.row_ends, dtype=np.int64)
-        ends.setflags(write=False)
-        object.__setattr__(self, "row_ends", ends)
+        t = _freeze(self, "times", np.float64)
+        ends = _freeze(self, "row_ends", np.int64)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a projection family needs at least two times")
         if abs(t[0]) > 1e-12:
@@ -198,9 +194,7 @@ class OrderingOperator:
     truncation_time: float
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.time_grid, dtype=np.float64)
-        t.setflags(write=False)
-        object.__setattr__(self, "time_grid", t)
+        _freeze(self, "time_grid", np.float64)
 
 
 def spectral_measure(
@@ -213,9 +207,8 @@ def spectral_measure(
     the half window, where the past projection is the identity.
     """
     times = np.asarray(time_grid, dtype=np.float64)
-    n = model.grid.dim(Space.HALF_LINE_POS)
-    ends = [min(_shift_rows(model, float(t), snap), n) for t in times.reshape(-1)]
-    return ProjectionFamily(model.isometry, times, np.reshape(ends, times.shape))
+    ks = np.minimum(_semigroup_index(model.grid, times, snap), model.grid.n_half())
+    return ProjectionFamily(model.isometry, times, ks * model.grid.k_dim)
 
 
 def assemble_T(family: ProjectionFamily) -> OrderingOperator:
@@ -261,9 +254,9 @@ def irreversible_matrix_element(
     ``x_lambda`` is the observable's irreversible form, a :class:`LinOp`
     declared ``hermitian=True`` (checked when it was built; an undeclared one
     raises ``ValueError``), dense or diagonal; the reversible form is ``X =
-    lam x_lambda lam``, never an inverse of ``lam``.  Each time is rounded
-    once to its lattice time (one warning per off-lattice time under
-    ``snap=True``) and both pictures are evaluated there.  Returns one array
+    lam x_lambda lam``, never an inverse of ``lam``.  The grid is rounded
+    once to lattice times (one warning per call under ``snap=True`` if any
+    time moves) and both pictures are evaluated there.  Returns one array
     per quantity:
 
     * reversible ``(u(t)phi, X u(t)psi)``, taken as ``(lam u(t)phi,
@@ -289,7 +282,7 @@ def irreversible_matrix_element(
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    ks = np.array([_semigroup_index(model.grid, float(t), snap) for t in times])
+    ks = _semigroup_index(model.grid, times, snap)
     lam = model.lam
     same = phi is psi
     h_psi = _to_hardy(model, lam.apply(psi))

@@ -148,9 +148,11 @@ def make_grid(n_sigma: int, sigma_max: float, k_dim: int = 1) -> GridSpec:
     )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+def _freeze(obj, field: str, dtype=np.complex128) -> np.ndarray:
+    """Store ``obj.field`` (a frozen dataclass) as a read-only contiguous array."""
+    a = np.ascontiguousarray(getattr(obj, field), dtype=dtype)
     a.setflags(write=False)
+    object.__setattr__(obj, field, a)
     return a
 
 
@@ -167,7 +169,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _readonly(self.amplitudes))
+        _freeze(self, "amplitudes")
         expected = self.grid.dim(self.space)
         if self.amplitudes.shape != (expected,):
             raise ValueError(
@@ -296,9 +298,7 @@ class LinOp:
         self.__post_init__()
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self._entries, dtype=np.complex128)
-        m.setflags(write=False)
-        object.__setattr__(self, "_entries", m)
+        m = _freeze(self, "_entries")
         expected = (self.grid.dim(self.codomain), self.grid.dim(self.domain))
         if m.ndim == 1:
             if self.domain is not self.codomain:

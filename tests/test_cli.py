@@ -78,6 +78,19 @@ class TestConfigHandling:
         path = _write_cfg(tmp_path, cfg)
         res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 2
+        # t_max = 2.0 over 5 steps: times[1] = 0.5 is the first off-lattice time
+        assert "times[1] = 0.5 is off the dual lattice" in _stderr(res)
+        assert "times.snap_times is false" in _stderr(res)
+
+    def test_time_past_the_index_range_exits_2(self, tmp_path):
+        # finite, but t / delta_tau does not fit in int64
+        cfg = copy.deepcopy(SMALL)
+        cfg["times"]["t_max"] = 1e300
+        path = _write_cfg(tmp_path, cfg)
+        res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "t[1] = 2.5e+299 has no dual-lattice index" in _stderr(res)
+        assert not (tmp_path / "lyapunov_curve.csv").exists()
 
     @pytest.mark.parametrize("section, field, value", [
         ("times", "t_max", float("inf")),
@@ -199,6 +212,20 @@ class TestSemigroupNormsCommand:
         for col in columns:
             values = np.array([float(r[col]) for r in rows])
             assert np.all(np.diff(values) <= 1e-10)
+
+    def test_toeplitz_norm_matches_slice_oracle(self, tmp_path):
+        # the tail-power column against one slice and one norm per time
+        from timearrow import apply_omega, norm, toeplitz_step
+        from timearrow.cli import _build_state, _scenario_grid
+
+        res = _run(["semigroup-norms", "--config", _write_cfg(tmp_path, SMALL),
+                    "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        _, rows = _read_csv(tmp_path / "semigroup_norms.csv")
+        h = apply_omega(_build_state(_scenario_grid(SMALL), SMALL))
+        for row in rows:
+            want = norm(toeplitz_step(h, float(row[0])))
+            assert abs(float(row[1]) - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("stem, command", [("matrix_element", "matrix-element"),

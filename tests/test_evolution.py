@@ -1,5 +1,8 @@
 """Evolution group, Toeplitz semigroup, and the kernel witness family."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from timearrow import (
     toeplitz_step,
     unitary_evolve,
 )
-from timearrow.evolution import _toeplitz_block, _unitary_block
+from timearrow.evolution import _semigroup_index, _toeplitz_block, _unitary_block
 
 
 def _spectral_step(f, t):
@@ -31,6 +34,26 @@ def _spectral_step(f, t):
 
 def _spectral_adjoint(f, t):
     return hardy_part(unitary_evolve(f, -t))
+
+
+def _scalar_lattice_index(grid, t, snap):
+    # the one-time-at-a-time rounding rule, kept as the oracle of the array one
+    ratio = t / grid.delta_tau
+    if not math.isfinite(ratio):
+        raise OffLatticeTimeError("no dual-lattice index")
+    k = int(round(ratio))
+    if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)) and not snap:
+        raise OffLatticeTimeError("not on the dual lattice")
+    return k
+
+
+def _slice_loop_block(h, ks):
+    # one slice copy per column, kept as the oracle of the windowed gather
+    a, n = h.amplitudes, h.amplitudes.size
+    out = np.zeros((len(ks), n), dtype=a.dtype)
+    for row, e in zip(out, np.asarray(ks) * h.grid.k_dim):
+        row[max(-e, 0) : max(n - e, 0)] = a[max(e, 0) : max(n + e, 0)]
+    return out.T
 
 
 def _rand_state(grid, space, rng):
@@ -89,6 +112,76 @@ class TestLatticeIndex:
     def test_non_finite_index_rejected(self, small_grid, t, snap):
         with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
             lattice_index(small_grid, t, snap=snap)
+
+    @staticmethod
+    def _mixed_times(grid):
+        # on-lattice, off-lattice, negative and exact half-step ratios
+        dt = grid.delta_tau
+        ratios = [0, 1, 31, -2, 3.49, 3.51, -7.2, 0.5, 1.5, 2.5, -0.5, -1.5,
+                  -2.5, 1e6 + 0.5, 4.0 + 1e-12]
+        t = np.array(ratios) * dt
+        halves = [r for r in ratios if r % 1 == 0.5]
+        assert all(((r * dt) / dt) == r for r in halves)  # ties really are ties
+        return t
+
+    def test_array_matches_scalar_oracle(self, small_grid):
+        t = self._mixed_times(small_grid)
+        expected = [_scalar_lattice_index(small_grid, ti, True) for ti in t]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OffLatticeWarning)
+            ks = lattice_index(small_grid, t, snap=True)
+            scalars = [lattice_index(small_grid, ti, snap=True) for ti in t]
+        assert ks.dtype == np.int64 and ks.shape == t.shape
+        assert ks.tolist() == expected
+        assert all(type(k) is int for k in scalars) and scalars == expected
+        # ties round to even, as Python's round
+        assert ks[7:13].tolist() == [0, 2, 2, 0, -2, -2]
+
+    def test_one_warning_per_snapping_call(self, small_grid):
+        t = self._mixed_times(small_grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lattice_index(small_grid, t, snap=True)
+        assert [w.category for w in caught] == [OffLatticeWarning]
+        message = str(caught[0].message)
+        assert f"t[4] = {t[4]} snapped to lattice point {3 * small_grid.delta_tau}" \
+            in message
+        assert f"(10 of {t.size} moved)" in message
+        on_lattice = np.arange(-3, 40) * small_grid.delta_tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ks = lattice_index(small_grid, on_lattice, snap=True)
+        assert ks.tolist() == list(range(-3, 40))
+
+    def test_array_without_snap_names_first_bad_entry(self, small_grid):
+        t = self._mixed_times(small_grid)
+        with pytest.raises(OffLatticeTimeError, match=r"t\[4\] = .* not on") as err:
+            lattice_index(small_grid, t)
+        assert err.value.index == 4
+        with pytest.raises(OffLatticeTimeError, match=r"^t = .* not on") as err:
+            lattice_index(small_grid, t[4])
+        assert err.value.index is None
+
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_index_past_int64_rejected(self, small_grid, snap):
+        # finite time, but no int64 index; the division must not warn either
+        big = 1e300 * small_grid.delta_tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
+                lattice_index(small_grid, big, snap=snap)
+            t = np.array([0.0, small_grid.delta_tau, big, 1e308])
+            with pytest.raises(OffLatticeTimeError,
+                               match=r"t\[2\] = .* no dual-lattice index") as err:
+                lattice_index(small_grid, t, snap=snap)
+        assert err.value.index == 2
+
+    def test_negative_semigroup_time_named(self, small_grid):
+        dt = small_grid.delta_tau
+        assert _semigroup_index(small_grid, np.array([0.0, dt]), False).tolist() \
+            == [0, 1]
+        with pytest.raises(ValueError, match=r"got t\[2\] = -"):
+            _semigroup_index(small_grid, np.array([0.0, dt, -dt, -2 * dt]), False)
 
 
 class TestToeplitzSemigroup:
@@ -266,3 +359,13 @@ class TestBlocks:
             assert np.array_equal(evolved[:, i], unitary_evolve(f, t).amplitudes)
             assert np.array_equal(forward[:, i], toeplitz_step(h, t).amplitudes)
             assert np.array_equal(backward[:, i], toeplitz_adjoint(h, t).amplitudes)
+
+    @pytest.mark.parametrize("k_dim", [1, 2])
+    def test_gather_matches_slice_loop(self, rng, k_dim):
+        grid = make_grid(64, 20.0, k_dim)
+        n = grid.n_half()
+        ks = np.array([-n - 3, -n, -5, 0, 5, n, n + 3])
+        h = _rand_state(grid, Space.HARDY_PLUS, rng)
+        got, want = _toeplitz_block(h, ks), _slice_loop_block(h, ks)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
