@@ -16,6 +16,7 @@ field by field) or an off-lattice time under the reject policy.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -222,13 +223,7 @@ def selftest_cmd(cfg, out_dir):
         "all_passed": all(r.passed for r in results),
         # no timings in the written report: reruns must be byte-identical
         "results": [
-            {
-                "criterion": r.criterion,
-                "name": r.name,
-                "tier": r.tier,
-                "passed": r.passed,
-                "details": r.details,
-            }
+            {k: v for k, v in dataclasses.asdict(r).items() if k != "elapsed"}
             for r in results
         ],
     }

@@ -35,9 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _semigroup_index, toeplitz_adjoint, toeplitz_step, unitary_evolve
-from .lyapunov import _dft_block, _fiberize, build_omega
-from .spaces import GridSpec, LinOp, Space, StateVector, _freeze, norm
+from .evolution import (
+    _column_chunks,
+    _semigroup_index,
+    _toeplitz_block,
+    _unitary_block,
+    toeplitz_adjoint,
+    toeplitz_step,
+)
+from .lyapunov import _dft_block, _fiberize
+from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, _freeze, norm
 
 __all__ = [
     "IrreversibleModel",
@@ -50,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IrreversibleModel:
-    """Matched factorization of the forward map on one grid: ``omega``, its
+    """Matched factorization of the forward map ``omega`` on one grid: its
     polar factors and its singular values.
 
     ``lam`` and ``isometry`` share one eigenbasis of the commuting
@@ -58,13 +65,13 @@ class IrreversibleModel:
     lam = omega`` and the intertwining relations hold at machine precision.
     ``singular_values`` are those of ``omega`` (equal to the eigenvalues of
     ``lam``), sorted descending; the smallest one is the injectivity margin
-    of the discrete model.  The Lyapunov operator is not stored: ``lam @
-    lam`` is its square-root form, ``|omega psi|^2`` its expectation, and
-    :func:`~timearrow.lyapunov.build_m_f` its dense matrix.
+    of the discrete model.  Neither ``omega`` (applied by FFT in
+    :func:`~timearrow.lyapunov.apply_omega`) nor the Lyapunov operator is
+    stored: ``lam @ lam`` is the latter's square-root form, ``|omega psi|^2``
+    its expectation, and :mod:`~timearrow.lyapunov` builds both dense matrices.
     """
 
     grid: GridSpec
-    omega: LinOp
     lam: LinOp
     isometry: LinOp
     singular_values: np.ndarray
@@ -111,7 +118,6 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     half-size real symmetric eigenproblems and a few half-size real
     products, no SVD.  Fibres repeat every singular value ``k_dim`` times.
     """
-    omega = build_omega(grid)
     n = grid.n_sigma
     nh = grid.n_half()
     h = nh // 2
@@ -142,7 +148,6 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     k = grid.k_dim
     return IrreversibleModel(
         grid=grid,
-        omega=omega,
         lam=LinOp._hermitian_by_construction(
             grid, Space.HALF_LINE_POS, _fiberize(lam, k)
         ),
@@ -205,13 +210,14 @@ def z_adjoint(
 
 def intertwining_residual(
     model: IrreversibleModel,
-    t: float,
+    t,
     psi_set: list[StateVector],
     snap: bool = False,
 ) -> tuple[float, float]:
     """Residuals of the forward and adjoint intertwining relations.
 
-    Returns the pair of maxima over the given states of
+    Returns the pair of maxima over the given states and over the lattice
+    time ``t``, or every time of an array ``t``, of
 
     * ``|lam u(t) psi - Z(t) lam psi| / |psi|``  (forward relation),
     * ``|u(-t) lam psi - lam Z*(t) psi| / |psi|``  (adjoint relation).
@@ -224,21 +230,28 @@ def intertwining_residual(
     guard-banded states, for which the transported profile is the forward
     image itself.  Outside those domains the finite window's edge defect
     enters at order one.  Both relations are evaluated at the same lattice
-    time: with ``snap=True`` an off-lattice ``t`` is rounded once, on entry.
+    times: with ``snap=True`` off-lattice times are rounded once, on entry.
+    Each state is one block per chunk of times, one column per time: ``lam``
+    and ``R^H`` act on the evolved and on the shifted columns at once.
     """
     if not psi_set:
         raise ValueError("psi_set must contain at least one state")
-    t = _semigroup_index(model.grid, t, snap) * model.grid.delta_tau
-    forward = 0.0
-    adjoint = 0.0
+    ks = np.atleast_1d(_semigroup_index(model.grid, t, snap))
+    lam = model.lam
+    forward = adjoint = 0.0
     for psi in psi_set:
         scale = norm(psi)
         if scale == 0.0:
             continue
-        lhs = model.lam.apply(unitary_evolve(psi, t))
-        rhs = z_evolve(model, model.lam.apply(psi), t)
-        forward = max(forward, norm(lhs - rhs) / scale)
-        lhs_a = unitary_evolve(model.lam.apply(psi), -t)
-        rhs_a = model.lam.apply(z_adjoint(model, psi, t))
-        adjoint = max(adjoint, norm(lhs_a - rhs_a) / scale)
-    return forward, adjoint
+        moved = lam.apply(psi)
+        h_moved, h_psi = _to_hardy(model, moved), _to_hardy(model, psi)
+        for cols in _column_chunks(ks.size):
+            k = ks[cols]
+            t_k = k * model.grid.delta_tau
+            lhs = lam._act(_unitary_block(psi, t_k))
+            rhs = _from_hardy(model, _toeplitz_block(h_moved, k))
+            lhs_a = _unitary_block(moved, -t_k)
+            rhs_a = lam._act(_from_hardy(model, _toeplitz_block(h_psi, -k)))
+            forward = max(forward, _column_norms(psi.grid, lhs - rhs).max() / scale)
+            adjoint = max(adjoint, _column_norms(psi.grid, lhs_a - rhs_a).max() / scale)
+    return float(forward), float(adjoint)

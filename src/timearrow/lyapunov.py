@@ -16,8 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import guard_band_leakage, hardy_embed, hardy_part
-from .spaces import GridSpec, LinOp, Space, StateVector, embed, norm, restrict
+from .hardy import _hardy_scale, _sigma_to_tau, guard_band_leakage, hardy_embed
+from .spaces import (
+    GridSpec,
+    LinOp,
+    Space,
+    SpaceMismatchError,
+    StateVector,
+    norm,
+    restrict,
+)
 from .evolution import _semigroup_index
 
 __all__ = [
@@ -35,7 +43,20 @@ __all__ = [
 def apply_omega(psi: StateVector) -> StateVector:
     """Matrix-free forward map: zero-pad to the full line, keep the positive-
     Hardy part.  Contractive; HALF_LINE_POS -> HARDY_PLUS."""
-    return hardy_part(embed(psi))
+    if psi.space is not Space.HALF_LINE_POS:
+        raise SpaceMismatchError("the forward map acts on HALF_LINE_POS states")
+    b = _omega_block(psi.grid, psi.amplitudes[:, None])[:, 0]
+    return StateVector(psi.grid, Space.HARDY_PLUS, b)
+
+
+def _omega_block(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """Hardy amplitudes of ``omega`` applied to each column of an ``N x m``
+    block of half-line amplitudes: one FFT of the zero-padded block, whose
+    time samples at ``tau >= 0`` are kept (fibres and columns share it)."""
+    nh, m = grid.n_half(), a.shape[1]
+    full = np.zeros((grid.n_sigma, grid.k_dim * m), dtype=np.complex128)
+    full[nh:] = a.reshape(nh, -1)
+    return (_sigma_to_tau(grid, full)[nh:] * _hardy_scale(grid)).reshape(-1, m)
 
 
 def apply_omega_adjoint(h: StateVector) -> StateVector:
@@ -99,9 +120,20 @@ def lyapunov_expectation(psi: StateVector, t: float, snap: bool = False) -> floa
 
     Equal to ``|T_u(t) omega psi|^2`` by the intertwining of the forward map
     with evolution, hence non-increasing in ``t`` and bounded by ``|psi|^2``:
-    the tail power of ``omega psi``, the one-time case of :func:`lyapunov_curve`.
+    the tail power of ``omega psi``, the one-time case of :func:`lyapunov_curve`
+    (without the curve's guard-band diagnostic).
     """
-    return float(lyapunov_curve(psi, [t], snap=snap).expectations[0])
+    return float(_tail_power(psi, t, snap)[1])
+
+
+def _tail_power(psi: StateVector, t, snap: bool) -> tuple[StateVector, np.ndarray]:
+    """``b = omega psi`` and its tail power ``sum_{j >= k} |b_j|^2 delta_sigma``
+    at the lattice index ``k`` of each time (zero from the half window on)."""
+    b = apply_omega(psi)
+    ks = _semigroup_index(psi.grid, t, snap)
+    power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
+    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+    return b, tail[np.minimum(ks, power.size)]
 
 
 @dataclass(frozen=True)
@@ -138,16 +170,10 @@ def lyapunov_curve(
     cumulative sum.  ``norms`` is ``|psi|`` at every time: the evolution
     group is unitary.
     """
-    if psi.space is not Space.HALF_LINE_POS:
-        raise ValueError("lyapunov_curve expects a HALF_LINE_POS state")
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    b = apply_omega(psi)
-    ks = _semigroup_index(psi.grid, times, snap)
-    power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
-    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
-    expectations = tail[np.minimum(ks, power.size)]
+    b, expectations = _tail_power(psi, times, snap)
     norms = np.full(times.size, norm(psi))
     diffs = np.diff(expectations)
     violation = float(diffs.max(initial=0.0).clip(min=0.0))

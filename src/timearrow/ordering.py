@@ -31,17 +31,10 @@ from .evolution import (
     _semigroup_index,
     _toeplitz_block,
     _unitary_block,
-    unitary_evolve,
 )
-from .lambda_transform import (
-    IrreversibleModel,
-    _from_hardy,
-    _shift_rows,
-    _to_hardy,
-    z_evolve,
-)
-from .lyapunov import apply_omega
-from .spaces import LinOp, Space, StateVector, _freeze, norm
+from .lambda_transform import IrreversibleModel, _from_hardy, _shift_rows, _to_hardy
+from .lyapunov import _omega_block
+from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
 
 __all__ = [
     "ProjectionFamily",
@@ -306,17 +299,19 @@ def irreversible_matrix_element(
 
 
 def correspondence_check(
-    model: IrreversibleModel, psi: StateVector, t: float, snap: bool = False
-) -> tuple[float, float, float]:
+    model: IrreversibleModel, psi: StateVector, t, snap: bool = False
+):
     """Both sides of the expectation correspondence, with their gap.
 
     Returns ``(psi_t, M psi_t)`` from the reversible picture, taken
     matrix-free as ``|omega psi_t|^2``, the irreversible-picture value
     ``(psi_lam, P_future(t) psi_lam) = |Z(t) psi_lam|^2``, and their
     difference relative to the trajectory's initial expectation
-    ``|lam psi|^2``.  Both pictures are evaluated at the lattice time
-    ``k * delta_tau`` of ``t``, rounded once on entry when ``snap=True``.
-    Both sides decay monotonically
+    ``|lam psi|^2``: three floats for a scalar ``t``, three arrays for an
+    array of times.  Both pictures are evaluated at the lattice times of
+    ``t``, rounded once on entry when ``snap=True``: per chunk of times one
+    block of evolved states goes through ``omega`` (one FFT) and one block
+    of shifted Hardy images through ``R^H``.  Both sides decay monotonically
     from that common initial value and the rounding error of the comparison
     scales with it, so it is the meaningful yardstick even at late times
     when both sides have decayed to the roundoff floor (where a pointwise
@@ -324,10 +319,19 @@ def correspondence_check(
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("correspondence_check expects a HALF_LINE_POS state")
-    t = _semigroup_index(model.grid, t, snap) * model.grid.delta_tau
-    lhs = float(norm(apply_omega(unitary_evolve(psi, t))) ** 2)
+    k_t = _semigroup_index(model.grid, t, snap)
+    ks = np.atleast_1d(k_t)
     transported = model.lam.apply(psi)
-    moved = z_evolve(model, transported, t)
-    rhs = float(norm(moved) ** 2)
+    h = _to_hardy(model, transported)
+    lhs, rhs = np.empty((2, ks.size))
+    for cols in _column_chunks(ks.size):
+        k = ks[cols]
+        evolved = _omega_block(psi.grid, _unitary_block(psi, k * model.grid.delta_tau))
+        lhs[cols] = _column_norms(psi.grid, evolved) ** 2
+        moved = _from_hardy(model, _toeplitz_block(h, k))
+        rhs[cols] = _column_norms(psi.grid, moved) ** 2
     denom = max(norm(transported) ** 2, np.finfo(float).tiny)
-    return lhs, rhs, abs(lhs - rhs) / denom
+    rel = np.abs(lhs - rhs) / denom
+    if np.ndim(k_t) == 0:
+        return float(lhs[0]), float(rhs[0]), float(rel[0])
+    return lhs, rhs, rel

@@ -3,10 +3,13 @@
 Twelve checks, split into an exact-algebra tier (machine-precision identities
 of the discrete model, dense tier at ``n_dense`` half-line bins) and a
 continuum tier (truncation-limited statements with convergence under grid
-refinement, at pinned grids).  Each check runs standalone and returns a
-:class:`CheckResult` carrying the measured residuals, so failures are
-diagnosable from the report alone.  The CLI ``selftest`` command and the
-acceptance test suite both drive exactly these functions.
+refinement, at pinned grids).  :data:`CHECKS` is their table, one
+``(criterion, name, tier, check)`` row each.  A check takes the one shared
+dense-tier model (the continuum checks ignore it) and returns ``(passed,
+details)``, the measured residuals, so failures are diagnosable from the
+report alone; :func:`run_all` times each one and wraps it in a
+:class:`CheckResult`.  The CLI ``selftest`` command and the acceptance test
+suite both drive exactly this table.
 
 Thresholds are fixed contracts of the model, not configuration: loosening
 them would not make the identities any more true.
@@ -15,17 +18,16 @@ them would not make the identities any more true.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import (
-    OffLatticeWarning,
+    _toeplitz_block,
+    _unitary_block,
     kernel_witness,
     toeplitz_adjoint,
     toeplitz_step,
-    unitary_evolve,
 )
 from .hardy import (
     _sigma_to_tau,
@@ -42,9 +44,16 @@ from .lambda_transform import (
     z_evolve,
     z_matrix,
 )
-from .lyapunov import apply_omega, build_m_f, lyapunov_curve, lyapunov_expectation
+from .lyapunov import (
+    _omega_block,
+    apply_omega,
+    build_m_f,
+    build_omega,
+    lyapunov_curve,
+    lyapunov_expectation,
+)
 from .ordering import correspondence_check, projection_rank, spectral_measure
-from .spaces import Space, make_grid, norm
+from .spaces import Space, _column_norms, make_grid, norm
 from .states import compact_profile_state, random_guarded_state, smooth_oracle_state
 
 __all__ = ["CheckResult", "run_all", "refinement_series", "CHECKS"]
@@ -59,7 +68,8 @@ _SWEEP_STATES = 20
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one acceptance check."""
+    """Outcome of one acceptance check, in plain built-in types (a bool, a
+    dict of floats) so that it serializes to JSON as-is."""
 
     criterion: int
     name: str
@@ -68,20 +78,9 @@ class CheckResult:
     details: dict
     elapsed: float
 
-    def __post_init__(self) -> None:
-        # plain built-in types so results serialize to JSON as-is
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "elapsed", float(self.elapsed))
-        object.__setattr__(
-            self, "details", {k: float(v) for k, v in self.details.items()}
-        )
-
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        worst = ", ".join(
-            f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in sorted(self.details.items())
-        )
+        worst = ", ".join(f"{k}={v:.3e}" for k, v in sorted(self.details.items()))
         return (
             f"criterion {self.criterion:2d} [{self.tier}] {status} "
             f"{self.name} ({worst}) [{self.elapsed:.2f}s]"
@@ -94,6 +93,11 @@ def _sweep_shifts() -> np.ndarray:
     )
 
 
+def _lattice_time(grid, t: float) -> float:
+    """The lattice time that ``snap=True`` rounds ``t`` to, without its warning."""
+    return round(t / grid.delta_tau) * grid.delta_tau
+
+
 def _guarded_set(grid, seed: int, count: int):
     rng = np.random.default_rng(seed)
     return [random_guarded_state(grid, rng) for _ in range(count)]
@@ -103,10 +107,9 @@ def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def check_projection_algebra(n_dense: int = 512) -> CheckResult:
+def check_projection_algebra(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 1: Hardy and half-line projections form exact complements."""
-    start = time.perf_counter()
-    grid = make_grid(2 * n_dense, 100.0, 1)
+    grid = model.grid
     n = grid.n_sigma
     eye = np.eye(n, dtype=np.complex128)
     mask = (grid.tau() >= 0.0)[:, None]
@@ -132,23 +135,14 @@ def check_projection_algebra(n_dense: int = 512) -> CheckResult:
         ),
         "halfline_complementarity": _frob(d_pos + d_neg - eye),
     }
-    passed = all(v <= 1e-12 for v in details.values())
-    return CheckResult(
-        1, "projection-algebra", "algebraic", passed, details,
-        time.perf_counter() - start,
-    )
+    return all(v <= 1e-12 for v in details.values()), details
 
 
-def check_lyapunov_operator(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_lyapunov_operator(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 2: the Lyapunov operator is a Hermitian contraction with
     trivial kernel, equal to the forward map's normal product."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     m = build_m_f(model.grid).matrix
-    om = model.omega.matrix
+    om = build_omega(model.grid).matrix
     vals = np.linalg.eigvalsh(m)
     s = model.singular_values
     details = {
@@ -169,23 +163,15 @@ def check_lyapunov_operator(
         and details["singular_max"] <= 1.0 + 1e-10
         and details["rank_deficiency"] == 0.0
     )
-    return CheckResult(
-        2, "lyapunov-operator", "algebraic", passed, details,
-        time.perf_counter() - start,
-    )
+    return passed, details
 
 
-def check_polar_factorization(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_polar_factorization(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 3: square root squares back, the polar factor is unitary,
     and the factorization reassembles the forward map."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     lam = model.lam.matrix
     r = model.isometry.matrix
-    om = model.omega.matrix
+    om = build_omega(model.grid).matrix
     eye = np.eye(lam.shape[0], dtype=np.complex128)
     details = {
         "sqrt_residual": _frob(lam @ lam - build_m_f(model.grid).matrix),
@@ -199,57 +185,39 @@ def check_polar_factorization(
         and details["isometry_right"] <= 1e-10
         and details["polar_residual"] <= 1e-8
     )
-    return CheckResult(
-        3, "polar-factorization", "algebraic", passed, details,
-        time.perf_counter() - start,
-    )
+    return passed, details
 
 
-def check_intertwining(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_intertwining(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 4: the square root and the forward map both intertwine
     unitary evolution with their semigroups, across a lattice-time sweep."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     grid = model.grid
     psi_set = _guarded_set(grid, seed=401, count=_SWEEP_STATES)
+    ks = _sweep_shifts()
+    times = ks * grid.delta_tau
     # The adjoint relation u(-t) lam = lam Z*(t) moves mass backward through
     # the transported representation, so its natural domain is the range of
     # lam: states guard-banded *after* transport.
     transported = [model.lam.apply(psi) for psi in psi_set]
-    worst_fwd = worst_adj = worst_omega = 0.0
-    for k in _sweep_shifts():
-        t = k * grid.delta_tau
-        fwd, _ = intertwining_residual(model, t, psi_set)
-        _, adj = intertwining_residual(model, t, transported)
-        worst_fwd = max(worst_fwd, fwd)
-        worst_adj = max(worst_adj, adj)
-        for psi in psi_set:
-            lhs = apply_omega(unitary_evolve(psi, t))
-            rhs = toeplitz_step(apply_omega(psi), t)
-            worst_omega = max(worst_omega, norm(lhs - rhs) / norm(psi))
+    worst_fwd, _ = intertwining_residual(model, times, psi_set)
+    _, worst_adj = intertwining_residual(model, times, transported)
+    # omega u(t) = T(t) omega, one column per sweep time
+    worst_omega = 0.0
+    for psi in psi_set:
+        lhs = _omega_block(grid, _unitary_block(psi, times))
+        rhs = _toeplitz_block(apply_omega(psi), ks)
+        worst_omega = max(worst_omega, _column_norms(grid, lhs - rhs).max() / norm(psi))
     details = {
         "lambda_forward": worst_fwd,
         "lambda_adjoint": worst_adj,
         "omega_route": worst_omega,
     }
-    passed = all(v <= 1e-8 for v in details.values())
-    return CheckResult(
-        4, "intertwining", "algebraic", passed, details,
-        time.perf_counter() - start,
-    )
+    return all(v <= 1e-8 for v in details.values()), details
 
 
-def check_semigroup_laws(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 5: semigroup identity/composition laws, and the isometric
     adjoint legs, on guard-banded states."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     grid = model.grid
     dt = grid.delta_tau
     dim = grid.dim(Space.HALF_LINE_POS)
@@ -283,21 +251,12 @@ def check_semigroup_laws(
         "z_coisometry": zz,
         "toeplitz_coisometry": tt,
     }
-    passed = all(v <= 1e-8 for v in details.values())
-    return CheckResult(
-        5, "semigroup-laws", "algebraic", passed, details,
-        time.perf_counter() - start,
-    )
+    return all(v <= 1e-8 for v in details.values()), details
 
 
-def check_projection_family(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_projection_family(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 6: the past-projection family is an exact nested resolution
     with the right ranks."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     grid = model.grid
     nh = grid.n_half()
     step = max(nh // 8, 1)
@@ -341,37 +300,22 @@ def check_projection_family(
         and inc_eig_lo >= -1e-8
         and inc_eig_hi <= 1.0 + 1e-8
     )
-    return CheckResult(
-        6, "projection-family", "algebraic", passed, details,
-        time.perf_counter() - start,
-    )
+    return passed, details
 
 
-def check_correspondence(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_correspondence(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 7: reversible expectations equal future-projection weights
     in the transported picture, across the sweep."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     grid = model.grid
-    psi_set = _guarded_set(grid, seed=403, count=_SWEEP_STATES)
-    worst = 0.0
-    for k in _sweep_shifts():
-        t = k * grid.delta_tau
-        for psi in psi_set:
-            _, _, rel = correspondence_check(model, psi, t)
-            worst = max(worst, rel)
-    details = {"relative_difference": worst}
-    passed = worst <= 1e-8
-    return CheckResult(
-        7, "correspondence", "algebraic", passed, details,
-        time.perf_counter() - start,
+    times = _sweep_shifts() * grid.delta_tau
+    worst = max(
+        float(correspondence_check(model, psi, times)[2].max())
+        for psi in _guarded_set(grid, seed=403, count=_SWEEP_STATES)
     )
+    return worst <= 1e-8, {"relative_difference": worst}
 
 
-def check_lyapunov_monotonicity() -> CheckResult:
+def check_lyapunov_monotonicity(_model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 8: expectation curves never increase and have decayed by a
     quarter window, at production grid size, within the time budget."""
     start = time.perf_counter()
@@ -391,17 +335,14 @@ def check_lyapunov_monotonicity() -> CheckResult:
         ratio = max(ratio, report.expectations[quarter_idx] / report.expectations[0])
         leakage = max(leakage, report.guard_band_leakage)
     elapsed = time.perf_counter() - start
-    # timing is part of the contract here but lives in `elapsed`, not in
-    # `details`, so written reports stay byte-identical across reruns
+    # timing is part of the contract here but stays out of `details`, so
+    # written reports stay byte-identical across reruns
     details = {
         "max_violation": violation,
         "quarter_window_ratio": ratio,
         "guard_band_leakage": leakage,
     }
-    passed = violation <= 1e-10 and ratio <= 0.05 and elapsed <= 5.0
-    return CheckResult(
-        8, "lyapunov-monotonicity", "algebraic", passed, details, elapsed
-    )
+    return violation <= 1e-10 and ratio <= 0.05 and elapsed <= 5.0, details
 
 
 # Refinement ladder for the continuum tier: L doubles at fixed N/L, so the
@@ -419,25 +360,23 @@ def refinement_series() -> list[tuple[int, float, float, float, float]]:
     (snapped to the lattice without a warning).
     """
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OffLatticeWarning)
-        for n, ell in _REFINEMENT:
-            grid = make_grid(n, ell, 1)
-            defects = []
-            for order in (1, 2):
-                f = rational_hardy(grid, [(-1j, order)])
-                defects.append(norm(hardy_project(f, "plus") - f) / norm(f))
-            w = kernel_witness(grid, -1j, 1.0)
-            ratio = norm(toeplitz_step(w, 1.0, snap=True)) / norm(w)
-            rows.append((n, ell, defects[0], defects[1], ratio))
+    for n, ell in _REFINEMENT:
+        grid = make_grid(n, ell, 1)
+        defects = []
+        for order in (1, 2):
+            f = rational_hardy(grid, [(-1j, order)])
+            defects.append(norm(hardy_project(f, "plus") - f) / norm(f))
+        t0 = _lattice_time(grid, 1.0)
+        w = kernel_witness(grid, -1j, t0)
+        ratio = norm(toeplitz_step(w, t0)) / norm(w)
+        rows.append((n, ell, defects[0], defects[1], ratio))
     return rows
 
 
-def check_rational_membership() -> CheckResult:
+def check_rational_membership(_model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 9: rational functions with lower-half-plane poles stay in
     the positive Hardy subspace up to a truncation error that shrinks with
     the energy cutoff."""
-    start = time.perf_counter()
     series = refinement_series()
     simple = [row[2] for row in series]
     double = [row[3] for row in series]
@@ -453,20 +392,16 @@ def check_rational_membership() -> CheckResult:
         and all(np.diff(simple) < 0)
         and all(np.diff(double) < 0)
     )
-    return CheckResult(
-        9, "rational-hardy-membership", "continuum", passed, details,
-        time.perf_counter() - start,
-    )
+    return passed, details
 
 
-def check_kernel_witness() -> CheckResult:
+def check_kernel_witness(_model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 10: the explicit semigroup-kernel witness dies at its design
     time and carries the analytically known norm and half-time ratio."""
-    start = time.perf_counter()
     ratios = [row[4] for row in refinement_series()]
     grid = make_grid(4096, 100.0, 1)
-    f = kernel_witness(grid, -1j, 1.0)
-    half_ratio = norm(toeplitz_step(f, 0.5, snap=True)) / norm(f)
+    f = kernel_witness(grid, -1j, _lattice_time(grid, 1.0))
+    half_ratio = norm(toeplitz_step(f, _lattice_time(grid, 0.5))) / norm(f)
     norm_sq = norm(f) ** 2
     # time-domain oracles: profile is -i e^{-tau} on [0, 1)
     oracle_norm_sq = (1.0 - np.exp(-2.0)) / 2.0
@@ -486,16 +421,12 @@ def check_kernel_witness() -> CheckResult:
         and abs(half_ratio - oracle_half) <= 0.01
         and abs(norm_sq - oracle_norm_sq) <= 0.02 * oracle_norm_sq
     )
-    return CheckResult(
-        10, "kernel-witness", "continuum", passed, details,
-        time.perf_counter() - start,
-    )
+    return passed, details
 
 
-def check_oracle_agreement() -> CheckResult:
+def check_oracle_agreement(_model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 11: FFT projection and principal-value quadrature agree on
     smooth cut-clearing states."""
-    start = time.perf_counter()
     grid = make_grid(1024, 50.0, 1)
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -504,23 +435,13 @@ def check_oracle_agreement() -> CheckResult:
         fft_route = hardy_project(f, "plus")
         pv_route = hardy_project_oracle(f)
         worst = max(worst, norm(fft_route - pv_route) / norm(f))
-    details = {"worst_relative_difference": worst}
-    passed = worst <= 1e-3
-    return CheckResult(
-        11, "hilbert-oracle-agreement", "continuum", passed, details,
-        time.perf_counter() - start,
-    )
+    return worst <= 1e-3, {"worst_relative_difference": worst}
 
 
-def check_decay_surrogates(
-    n_dense: int = 512, model: IrreversibleModel | None = None
-) -> CheckResult:
+def check_decay_surrogates(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 12: all three decay statements (expectation curve, Toeplitz
     norm, contraction-semigroup norm) reach 1e-6 of initial by half the
     window on compact-profile states."""
-    start = time.perf_counter()
-    if model is None:
-        model = build_model(make_grid(2 * n_dense, 100.0, 1))
     grid = model.grid
     nh = grid.n_half()
     rng = np.random.default_rng(412)
@@ -543,54 +464,40 @@ def check_decay_surrogates(
         "toeplitz_norm_ratio": toep,
         "z_norm_ratio": zdec,
     }
-    passed = all(v <= 1e-6 for v in details.values())
-    return CheckResult(
-        12, "decay-surrogates", "continuum", passed, details,
-        time.perf_counter() - start,
-    )
+    return all(v <= 1e-6 for v in details.values()), details
 
 
 CHECKS = (
-    (1, check_projection_algebra),
-    (2, check_lyapunov_operator),
-    (3, check_polar_factorization),
-    (4, check_intertwining),
-    (5, check_semigroup_laws),
-    (6, check_projection_family),
-    (7, check_correspondence),
-    (8, check_lyapunov_monotonicity),
-    (9, check_rational_membership),
-    (10, check_kernel_witness),
-    (11, check_oracle_agreement),
-    (12, check_decay_surrogates),
+    (1, "projection-algebra", "algebraic", check_projection_algebra),
+    (2, "lyapunov-operator", "algebraic", check_lyapunov_operator),
+    (3, "polar-factorization", "algebraic", check_polar_factorization),
+    (4, "intertwining", "algebraic", check_intertwining),
+    (5, "semigroup-laws", "algebraic", check_semigroup_laws),
+    (6, "projection-family", "algebraic", check_projection_family),
+    (7, "correspondence", "algebraic", check_correspondence),
+    (8, "lyapunov-monotonicity", "algebraic", check_lyapunov_monotonicity),
+    (9, "rational-hardy-membership", "continuum", check_rational_membership),
+    (10, "kernel-witness", "continuum", check_kernel_witness),
+    (11, "hilbert-oracle-agreement", "continuum", check_oracle_agreement),
+    (12, "decay-surrogates", "continuum", check_decay_surrogates),
 )
 
 
 def run_all(n_dense: int = 512, progress=None) -> list[CheckResult]:
-    """Run every acceptance check, sharing one dense-tier factorization.
+    """Run every acceptance check in :data:`CHECKS` on one dense-tier model.
 
-    ``progress``, if given, is called with each :class:`CheckResult` as it
-    completes.
+    The model is built once, at ``2 * n_dense`` bins.  ``progress``, if
+    given, is called with each :class:`CheckResult` as it completes.
     """
     model = build_model(make_grid(2 * n_dense, 100.0, 1))
-    shared = {
-        check_lyapunov_operator,
-        check_polar_factorization,
-        check_intertwining,
-        check_semigroup_laws,
-        check_projection_family,
-        check_correspondence,
-        check_decay_surrogates,
-    }
     results = []
-    for _criterion, fn in CHECKS:
-        if fn in shared:
-            res = fn(n_dense=n_dense, model=model)
-        elif fn is check_projection_algebra:
-            res = fn(n_dense=n_dense)
-        else:
-            res = fn()
-        results.append(res)
+    for criterion, name, tier, check in CHECKS:
+        start = time.perf_counter()
+        passed, details = check(model)
+        details = {k: float(v) for k, v in details.items()}
+        elapsed = time.perf_counter() - start
+        result = CheckResult(criterion, name, tier, bool(passed), details, elapsed)
+        results.append(result)
         if progress is not None:
-            progress(res)
+            progress(result)
     return results

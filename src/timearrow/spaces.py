@@ -226,6 +226,11 @@ def norm(f: StateVector) -> float:
     return f.norm()
 
 
+def _column_norms(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """The norm of each column of a block of amplitudes."""
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=0) * grid.delta_sigma)
+
+
 def project_halfline(f: StateVector, side: str) -> StateVector:
     """Sharp spectral cut: zero all bins on the opposite energy half-line.
 

@@ -105,7 +105,7 @@ class TestPolarIsometry:
         # R and Lambda share one eigenbasis of the commuting tridiagonal, so
         # they reproduce the forward map at working precision
         gap = np.linalg.norm(model.isometry.matrix @ model.lam.matrix
-                             - model.omega.matrix)
+                             - build_omega(model.grid).matrix)
         assert gap <= 1e-8
 
     def test_polar_identity_mixed_routes(self, small_grid, dense_grid):
@@ -121,7 +121,7 @@ class TestPolarIsometry:
     def test_regularized_inverse_oracle(self, model):
         # on the well-conditioned subspace R acts as omega composed with the
         # explicit inverse of the singular values
-        om = model.omega.matrix
+        om = build_omega(model.grid).matrix
         u, s, vh = np.linalg.svd(om)
         keep = s > 1e-6
         cols = vh.conj().T[:, keep]
@@ -137,7 +137,7 @@ class TestPolarIsometry:
 
 
 def _svd_oracle(model):
-    u, s, vh = np.linalg.svd(model.omega.matrix)
+    u, s, vh = np.linalg.svd(build_omega(model.grid).matrix)
     return u @ vh, (vh.conj().T * s) @ vh, s, vh
 
 
@@ -187,7 +187,8 @@ class TestStructuredFactorization:
         # omega = omega^T, so its polar factor is symmetric too, also on the
         # directions whose singular values are rounding noise
         r = case.isometry.matrix
-        assert np.linalg.norm(case.omega.matrix - case.omega.matrix.T) <= 1e-13
+        om = build_omega(case.grid).matrix
+        assert np.linalg.norm(om - om.T) <= 1e-13
         assert np.linalg.norm(r - r.T) <= 1e-12
         assert np.linalg.norm(r.conj().T @ r - np.eye(r.shape[0])) <= 1e-12
 
@@ -295,6 +296,42 @@ class TestIntertwining:
             _, adj = intertwining_residual(model, k * model.grid.delta_tau,
                                            transported)
             assert adj <= 1e-8
+
+    def test_grid_form_matches_per_time_oracle(self, model, monkeypatch):
+        # the per-time formulas, one matrix-vector product per state and
+        # time, against the block over the grid (whole, and in chunks)
+        from timearrow import evolution
+
+        rng = np.random.default_rng(403)
+        lam, dt = model.lam, model.grid.delta_tau
+        times = np.array([0, 1, 7, 16, 64, 300]) * dt
+        for _ in range(3):
+            psi = random_guarded_state(model.grid, rng)
+            chi = lam.apply(psi)
+            fwd_oracle = max(
+                norm(lam.apply(unitary_evolve(psi, t)) - z_evolve(model, chi, t))
+                for t in times) / norm(psi)
+            adj_oracle = max(
+                norm(unitary_evolve(lam.apply(chi), -t)
+                     - lam.apply(z_adjoint(model, chi, t)))
+                for t in times) / norm(chi)
+            fwd, _ = intertwining_residual(model, times, [psi])
+            _, adj = intertwining_residual(model, times, [chi])
+            assert type(fwd) is float and type(adj) is float
+            assert abs(fwd - fwd_oracle) <= 1e-15
+            assert abs(adj - adj_oracle) <= 1e-15
+            with monkeypatch.context() as patch:
+                patch.setattr(evolution, "_BLOCK_COLUMNS", 4)
+                assert len(evolution._column_chunks(times.size)) == 2
+                assert abs(intertwining_residual(model, times, [psi])[0] - fwd) <= 1e-15
+                assert abs(intertwining_residual(model, times, [chi])[1] - adj) <= 1e-15
+
+    def test_scalar_time_is_the_one_column_grid(self, model, rng):
+        states = [random_guarded_state(model.grid, rng) for _ in range(2)]
+        t = 16 * model.grid.delta_tau
+        scalar = intertwining_residual(model, t, states)
+        assert all(type(v) is float for v in scalar)
+        assert scalar == intertwining_residual(model, np.array([t]), states)
 
     def test_forward_equals_omega_route(self, model, rng):
         # composing the polar identity with the Toeplitz intertwining gives

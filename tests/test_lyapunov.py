@@ -14,6 +14,7 @@ from timearrow import (
     compact_profile_state,
     f_m_membership,
     hardy_embed,
+    hardy_part,
     hardy_project,
     inner,
     kernel_witness,
@@ -29,6 +30,8 @@ from timearrow import (
     unitary_evolve,
     zero_state,
 )
+from timearrow import lyapunov
+from timearrow.lyapunov import _omega_block
 
 
 def _rand_half(grid, rng):
@@ -71,6 +74,19 @@ class TestForwardMap:
         h = make_state(small_grid, Space.HARDY_PLUS,
                        rng.normal(size=small_grid.n_half()))
         assert norm(apply_omega_adjoint(h) - om.adjoint().apply(h)) <= 1e-13 * norm(h)
+
+    @pytest.mark.parametrize("k_dim", [1, 2])
+    def test_block_columns_match_the_embed_route(self, rng, k_dim):
+        # hardy_part(embed(psi)) is the route apply_omega took before it
+        # became the block's one-column case: bit for bit there, and within
+        # rounding for every column of a wider block
+        grid = make_grid(64, 20.0, k_dim)
+        states = [_rand_half(grid, rng) for _ in range(3)]
+        block = _omega_block(grid, np.stack([s.amplitudes for s in states], axis=1))
+        for j, psi in enumerate(states):
+            oracle = hardy_part(embed(psi)).amplitudes
+            assert np.array_equal(apply_omega(psi).amplitudes, oracle)
+            assert np.abs(block[:, j] - oracle).max() <= 1e-14 * norm(psi)
 
     def test_contractive_both_ways(self, small_grid, rng):
         psi = _rand_half(small_grid, rng)
@@ -147,6 +163,22 @@ class TestExpectationCurve:
         assert np.all(rep.expectations >= 0)
         assert np.all(rep.expectations <= norm(psi) ** 2 * (1 + 1e-12))
         assert np.allclose(rep.norms, norm(psi), rtol=1e-12)
+
+    def test_expectation_is_the_curve_without_its_leakage(self, dense_grid, rng,
+                                                          monkeypatch):
+        # one tail-power rule: the same numbers, bit for bit, and no
+        # guard-band diagnostic (two more FFTs) for a single time
+        psi = random_guarded_state(dense_grid, rng)
+        ks = np.array([0, 3, 37, 200, dense_grid.n_half(), dense_grid.n_half() + 5])
+        curve = lyapunov_curve(psi, ks * dense_grid.delta_tau)
+
+        def refuse(_):
+            raise AssertionError("guard_band_leakage called")
+
+        monkeypatch.setattr(lyapunov, "guard_band_leakage", refuse)
+        for k, expected in zip(ks, curve.expectations):
+            got = lyapunov_expectation(psi, k * dense_grid.delta_tau)
+            assert type(got) is float and got == expected
 
     def test_compact_profile_exhausts(self, dense_grid, rng):
         # once the shifted window clears the support, nothing remains

@@ -515,6 +515,41 @@ class TestCorrespondence:
                                                  k * model.grid.delta_tau)
                 assert rel <= 1e-8
 
+    @pytest.mark.parametrize("which", ["model", "fibred"])
+    def test_grid_form_matches_per_time_oracle(self, request, monkeypatch, which):
+        # |omega u(t) psi|^2 and |Z(t) lam psi|^2 one time at a time, against
+        # the blocks over the grid (whole, and in chunks of 3 columns)
+        from timearrow import apply_omega
+
+        m = request.getfixturevalue(which)
+        psi = _rand_half(m.grid, np.random.default_rng(410))
+        ks = np.array([0, 1, 5, 16, 64, 256, m.grid.n_half(), m.grid.n_half() + 3])
+        times = ks * m.grid.delta_tau
+        transported = m.lam.apply(psi)
+        scale = norm(transported) ** 2
+        lhs, rhs, rel = correspondence_check(m, psi, times)
+        assert all(isinstance(v, np.ndarray) and v.shape == times.shape
+                   for v in (lhs, rhs, rel))
+        for i, t in enumerate(times):
+            lhs_oracle = norm(apply_omega(unitary_evolve(psi, t))) ** 2
+            rhs_oracle = norm(z_evolve(m, transported, t)) ** 2
+            assert abs(lhs[i] - lhs_oracle) <= 1e-14 * scale
+            assert abs(rhs[i] - rhs_oracle) <= 1e-14 * scale
+        assert np.array_equal(rel, np.abs(lhs - rhs) / scale)
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "_BLOCK_COLUMNS", 3)
+            chunked = correspondence_check(m, psi, times)
+        for got, expected in zip(chunked, (lhs, rhs, rel)):
+            assert np.abs(got - expected).max() <= 1e-14 * scale
+
+    def test_scalar_time_is_the_one_column_grid(self, model, rng):
+        psi = random_guarded_state(model.grid, rng)
+        t = 16 * model.grid.delta_tau
+        scalar = correspondence_check(model, psi, t)
+        assert all(type(v) is float for v in scalar)
+        assert scalar == tuple(float(v[0]) for v in
+                               correspondence_check(model, psi, np.array([t])))
+
     def test_compact_profile_collapses(self, model, rng):
         psi = compact_profile_state(model.grid, rng)
         t = 3 * model.grid.n_half() // 4 * model.grid.delta_tau
