@@ -18,11 +18,19 @@ weight ``w`` is nonzero.  With ``e = k * k_dim`` rows behind the shift at
   window clips the far edge, so it is an exact projection only on states
   whose transport stays clear of that edge (guard-banded states).  There
   it agrees with the complement form, as it does in the continuum model.
+
+The family's numbers need no dense projection or ``T``, only ``G = R R^H``:
+:meth:`ProjectionFamily.residuals` takes them from ``G - I``, with ranks
+certified by Weyl's inequality, and since ``spec(XY) = spec(YX)``, ``T = (R^H
+M^(1/2)) (M^(1/2) R)`` (``M`` the midpoint weights) has the spectrum of
+``M^(1/2) G M^(1/2)``: that of its first ``E`` rows and columns (``E`` the
+last row end), plus ``N - E`` zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,36 +149,58 @@ class ProjectionFamily:
     def increment(self, i: int) -> LinOp:
         return _row_block(self.isometry, self.row_ends[i], self.row_ends[i + 1])
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``G = R R^H``, formed once per family (read-only)."""
+        g = self.isometry.matrix @ self.isometry.matrix.conj().T
+        g.setflags(write=False)
+        return g
+
     def residuals(self) -> list[tuple[int, float, float, float]]:
         """``(rank, idempotency, nesting, complement)`` of each projection.
 
         The Frobenius residuals ``|P^2 - P|``, ``|Q P - Q|`` (``Q`` the
         previous projection) and ``|P + P_future - I|`` of the dense
-        matrices, from ``G = R R^H`` without forming any of them.  For
-        ``P = A^H A`` with ``A = R[:e]``, ``A A^H`` is the leading block
-        ``G_e``; with ``D = G_e - I`` and ``F = D[:q]`` (``q`` the previous
-        row end), ``|P^2 - P|^2 = tr(D G_e D G_e)``, a sum over the
-        eigenvalues of ``G_e`` that also give the rank (the cluster test of
-        :func:`projection_rank`), and ``|Q P - Q|^2 = tr(F^H G_q F G_e)``.
-        Past and future rows partition ``R``, so ``P + P_future = R^H R``
-        at every time and the complement residual is ``|G - I|``.
+        matrices, without forming any of them.  ``P = A^H A`` with ``A =
+        R[:e]``, and ``A A^H = G_e`` is the leading block of ``G``.  Let ``D =
+        G - I``, ``F = D[:q, :e]`` (``q`` the previous row end) and ``C_j = D
+        + D[:, :e_j] D[:e_j, :]``, accumulated on the first ``E`` rows and
+        columns by one panel product ``D[:, q:e] D[q:e, :]`` per time.  Then
+        ``|P^2 - P| = |D_e G_e| = |C_j[:e, :e]|``, and ``|Q P - Q|^2 =
+        tr(F^H G_q F G_e)`` is the inner product of ``C_{j-1}[:q, :e] = G_q
+        F`` and ``C_j[:q, :e] = F G_e``.  ``P + P_future = R^H R`` at every
+        time, so the complement residual is ``|D|``.  Weyl's inequality puts
+        every eigenvalue of ``G_e`` within ``|D|`` of 1, so if ``|D| <=
+        1e-4`` the rank is ``e``, as :func:`projection_rank`'s cluster test
+        would find; otherwise that test runs on ``G_e`` (``ValueError`` if
+        its spectrum does not cluster at ``{0, 1}``).
         """
-        r = self.isometry.matrix
-        gram = r @ r.conj().T
-        eye = np.eye(gram.shape[0])
-        complement = float(np.linalg.norm(gram - eye))
+        complement = float(np.linalg.norm(self.gram - np.eye(self.gram.shape[0])))
+        big_e = self.row_ends[-1]
+        d = self.gram[:big_e, :big_e] - np.eye(big_e)
+        acc = np.zeros_like(d)
         out = []
         q = 0
         for e in self.row_ends:
-            g = gram[:e, :e]
-            vals = np.linalg.eigvalsh(g)
-            idem = float(np.sqrt(np.sum(vals**2 * (vals - 1.0) ** 2)))
-            f = g[:q] - eye[:q, :e]
-            nest_sq = np.einsum("ij,ji->", f.conj().T @ g[:q, :q] @ f, g).real
-            nest = float(np.sqrt(max(nest_sq, 0.0)))
-            out.append((_cluster_rank(vals), idem, nest, complement))
+            before = d[:q, :e] + acc[:q, :e]
+            acc += d[:, q:e] @ d[q:e, :]
+            c = d[:e, :e] + acc[:e, :e]
+            nest = float(np.sqrt(max(np.vdot(before, c[:q]).real, 0.0)))
+            if complement <= _CLUSTER_GAP:
+                rank = int(e)
+            else:
+                rank = _cluster_rank(np.linalg.eigvalsh(self.gram[:e, :e]))
+            out.append((rank, float(np.linalg.norm(c)), nest, complement))
             q = e
         return out
+
+    def ordering_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of :func:`assemble_T`'s ``T``, without ``T``."""
+        e = self.row_ends[-1]
+        mids = 0.5 * (self.times[1:] + self.times[:-1])
+        s = np.sqrt(np.repeat(mids, np.diff(self.row_ends)))
+        vals = np.linalg.eigvalsh(s[:, None] * self.gram[:e, :e] * s)
+        return np.sort(np.concatenate([vals, np.zeros(self.gram.shape[0] - e)]))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from timearrow import make_grid
 from timearrow.cli import _atomic_write, main
 
 SMALL = {
@@ -272,10 +273,17 @@ class TestProjectionFamilyCommand:
         for r in rows:
             assert float(r[2]) <= 1e-8  # idempotency
             assert float(r[4]) <= 1e-8  # complement vs independent route
+        g = SMALL["grid"]
+        dense = make_grid(2 * SMALL["dense"]["n_dense"], g["sigma_max"], g["k_dim"])
+        times = np.array([float(r[0]) for r in rows])
+        ks = np.rint(times / dense.delta_tau).astype(int)
+        assert ranks == list(ks * g["k_dim"])
         meta = json.loads((tmp_path / "projection_family.meta.json").read_text())
         d = meta["diagnostics"]
         assert d["ordering_spectrum_min"] >= -1e-8
         assert d["ordering_spectrum_max"] <= d["truncation_time"] + 1e-8
+        last_mid = 0.5 * (times[-1] + times[-2])
+        assert abs(d["ordering_spectrum_max"] - last_mid) <= 1e-10 * d["truncation_time"]
 
 
 class TestMatrixElementCommand:

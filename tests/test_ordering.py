@@ -9,6 +9,7 @@ from timearrow import (
     LinOp,
     OffLatticeTimeError,
     OffLatticeWarning,
+    ProjectionFamily,
     Space,
     assemble_T,
     build_m_f,
@@ -35,7 +36,7 @@ from timearrow import (
     z_matrix,
 )
 from timearrow import evolution
-from timearrow.ordering import _row_weighted
+from timearrow.ordering import _CLUSTER_GAP, _row_weighted
 
 
 def _rand_half(grid, rng):
@@ -49,6 +50,15 @@ def _hermitian_op(grid, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
                  0.5 * (a + a.conj().T), hermitian=True)
+
+
+def _perturbed_family(grid, eps, ks):
+    """Family at lattice indices ``ks`` whose R is moved off unitarity by ``eps``."""
+    rng = np.random.default_rng(31)
+    r = build_model(grid).isometry.matrix
+    r = r + eps * (rng.normal(size=r.shape) + 1j * rng.normal(size=r.shape))
+    iso = LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r)
+    return ProjectionFamily(iso, ks * grid.delta_tau, ks)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +200,27 @@ class TestSpectralMeasure:
             assert comp == pytest.approx(np.linalg.norm(p + future - eye), rel=1e-6)
         assert max(row[1] for row in fam.residuals()) > 1e-7
 
+    def test_residuals_fall_back_to_the_cluster_test(self, small_grid):
+        # at 3e-6 |G - I| = 1.9e-4 is above the Weyl certificate's bound,
+        # yet every eigenvalue of each G_e is within 6.1e-5 of 1: the ranks
+        # come from the cluster test and agree with projection_rank
+        ks = np.array([0, 4, 9, 20, 32])
+        fam = _perturbed_family(small_grid, 3e-6, ks)
+        for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
+            p = fam.projection(i).matrix
+            q = fam.projection(i - 1).matrix if i else np.zeros_like(p)
+            assert comp > _CLUSTER_GAP
+            assert rank == projection_rank(fam.projection(i)) == ks[i]
+            assert idem == pytest.approx(np.linalg.norm(p @ p - p), rel=1e-6, abs=1e-14)
+            assert nest == pytest.approx(np.linalg.norm(q @ p - q), rel=1e-6, abs=1e-14)
+
+    def test_residuals_reject_what_projection_rank_rejects(self, small_grid):
+        fam = _perturbed_family(small_grid, 1e-3, np.array([0, 4, 9, 20, 32]))
+        with pytest.raises(ValueError, match="not clustered"):
+            projection_rank(fam.projection(1))
+        with pytest.raises(ValueError, match="not clustered"):
+            fam.residuals()
+
     def test_grid_validation(self, model):
         dt = model.grid.delta_tau
         with pytest.raises(ValueError):
@@ -276,6 +307,19 @@ class TestOrderingOperator:
         vals = np.linalg.eigvalsh(op.matrix.matrix)
         assert np.allclose(vals, expected, atol=1e-10)
         assert op.truncation_time == pytest.approx(ks[-1] * dt)
+
+    @pytest.mark.parametrize("fixture, ks", [
+        ("model", [0, 5, 16, 40, 64, 130]),
+        ("fibred", [0, 3, 8, 20]),
+        ("model", [0, 100, 300, 512]),  # last time at the half window: E = N
+    ])
+    def test_gram_block_spectrum_matches_dense_T(self, request, fixture, ks):
+        m = request.getfixturevalue(fixture)
+        fam = spectral_measure(m, np.array(ks) * m.grid.delta_tau)
+        dense = np.linalg.eigvalsh(assemble_T(fam).matrix.matrix)
+        vals = fam.ordering_spectrum()
+        assert vals.shape == dense.shape
+        assert np.max(np.abs(vals - dense)) <= 1e-10
 
     def test_commutes_with_family(self, model):
         dt = model.grid.delta_tau
