@@ -55,10 +55,10 @@ _DENSE_MATRICES = 12
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16
-# selftest criterion 1 holds about eight complex full-line matrices of
-# (2 n_dense)^2 entries (tracemalloc peak 128 MB at n_dense 512) next to the
-# dense model: peak RSS 175 MB at n_dense 512 and 79 MB at 256, measured
-# as above.
+# selftest criterion 1 holds about six complex full-line matrices of
+# (2 n_dense)^2 entries (tracemalloc peak 96 MB at n_dense 512) next to the
+# dense model: peak RSS 138 MB at n_dense 512, measured as above; at 256 the
+# fixed 1024-bin grid of criterion 11 sets the peak, 78-84 MB.
 _FULL_LINE_MATRICES = 10
 
 

@@ -42,7 +42,9 @@ from .lambda_transform import _from_hardy, _to_hardy, build_model
 from .lyapunov import lyapunov_curve
 from .ordering import irreversible_matrix_element, spectral_measure
 from .selftest import refinement_series, run_all
-from .spaces import GridSpec, LinOp, Space, identity_op, make_grid, norm, restrict
+from .spaces import (
+    GridSpec, LinOp, Space, _column_norms, identity_op, make_grid, norm, restrict
+)
 from .states import random_guarded_state
 
 
@@ -284,7 +286,7 @@ def semigroup_norms_cmd(cfg, out_dir):
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
         z = _from_hardy(model, _toeplitz_block(h_psi, ks[cols]))
-        znorms[cols] = np.sqrt(np.sum(np.abs(z) ** 2, axis=0) * dense.delta_sigma)
+        znorms[cols] = _column_norms(dense, z)
     rows = (
         (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")
         for tb, tn, td, zn in zip(t_b, tnorms, ks * dense.delta_tau, znorms)

@@ -3,13 +3,16 @@
 The dense model factorization (two half-size eigenproblems of the commuting
 tridiagonal, then N x N products) is shared: one instance is built per
 session for every test module that needs matrices, and tests that run a
-dense SVD as an oracle reuse it too.
+dense SVD as an oracle reuse it too.  So is one run of the acceptance
+battery, read by the per-criterion tests and by the ``selftest`` command's
+report-stability test.
 """
 
 import numpy as np
 import pytest
 
 from timearrow import build_model, make_grid
+from timearrow.selftest import run_all
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +24,19 @@ def dense_grid():
 @pytest.fixture(scope="session")
 def model(dense_grid):
     return build_model(dense_grid)
+
+
+@pytest.fixture(scope="session")
+def battery(pytestconfig):
+    """The acceptance battery at the default ``n_dense``, run once per session.
+
+    One summary line per criterion is printed as it completes, past output
+    capture.
+    """
+    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled():
+        print()
+        return run_all(progress=lambda r: print(r.summary()))
 
 
 @pytest.fixture(scope="session")

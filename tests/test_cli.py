@@ -331,7 +331,8 @@ class TestConvergenceCommand:
 
 
 class TestSelftestCommand:
-    def test_full_battery_passes_and_report_is_stable(self, tmp_path):
+    def test_full_battery_passes_and_report_is_stable(self, tmp_path, battery,
+                                                      monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         res1 = _run(["selftest", "--out", str(a)])
         assert res1.exit_code == 0, res1.output
@@ -342,6 +343,15 @@ class TestSelftestCommand:
         assert all(r["passed"] for r in report["results"])
         # a criterion line per check on stdout
         assert res1.output.count("criterion") >= 12
+
+        # the second report is written from the session's own battery run
+        def shared_run(n_dense, progress):
+            assert n_dense == 512
+            for result in battery:
+                progress(result)
+            return battery
+
+        monkeypatch.setattr("timearrow.cli.run_all", shared_run)
         res2 = _run(["selftest", "--out", str(b)])
         assert res2.exit_code == 0
         assert (a / "selftest.json").read_bytes() == (b / "selftest.json").read_bytes()

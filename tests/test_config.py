@@ -92,7 +92,9 @@ def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n_dense, measured_mb", [(256, 79.0), (512, 175.0)])
 def test_selftest_estimate_bounds_measured_peaks(n_dense, measured_mb):
-    # peak RSS of selftest, one BLAS thread; criterion 1 dominates
+    # peak RSS of selftest, one BLAS thread, when criterion 1 still held its
+    # dense 0/1 diagonals; the current peaks are in _config's comment, and
+    # the estimate bounds them too
     need = selftest_memory_estimate(_with("dense", "n_dense", n_dense))
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
