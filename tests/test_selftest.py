@@ -211,29 +211,34 @@ def perturbed_mid():
     return _perturbed(build_model(make_grid(512, 50.0, 1)), 1e-7)
 
 
+@pytest.fixture(scope="module")
+def short_model():
+    # 32 half-line bins: the sweep's 44- and 64-bin shifts pass the window's
+    # end, where the shifted blocks are all zeros, and compact profiles still
+    # fill much of the window
+    return build_model(make_grid(64, 50.0, 1))
+
+
+@pytest.fixture(params=["model", "perturbed_mid", "short_model"])
+def block_model(request):
+    return request.param, request.getfixturevalue(request.param)
+
+
 class TestBlockForms:
-    # "short" has 32 half-line bins: the sweep's 44- and 64-bin shifts pass
-    # the window's end, where the shifted blocks are all zeros
-    @pytest.mark.parametrize("which", ["shared", "perturbed", "short"])
-    def test_semigroup_coisometries_match_per_state_route(self, which, model,
-                                                          perturbed_mid):
-        m = {"shared": model, "perturbed": perturbed_mid}.get(which)
-        m = m or build_model(make_grid(64, 50.0, 1))
+    def test_semigroup_coisometries_match_per_state_route(self, block_model):
+        name, m = block_model
         _, details = check_semigroup_laws(m)
         zz, tt = _per_state_coisometries(m)
-        if which == "perturbed":
-            assert zz > 1e-8  # R's defect shows, well above rounding
+        if name != "model":
+            assert zz > 1e-8  # well above rounding
         assert details["z_coisometry"] == pytest.approx(zz, rel=1e-6, abs=1e-14)
         assert details["toeplitz_coisometry"] == pytest.approx(tt, rel=1e-12)
 
-    # on "short" the compact profiles still fill much of the window
-    @pytest.mark.parametrize("which", ["shared", "perturbed", "short"])
-    def test_decay_ratios_match_per_state_route(self, which, model, perturbed_mid):
-        m = {"shared": model, "perturbed": perturbed_mid}.get(which)
-        m = m or build_model(make_grid(64, 50.0, 1))
+    def test_decay_ratios_match_per_state_route(self, block_model):
+        name, m = block_model
         _, details = check_decay_surrogates(m)
         lyap, toep, zdec = _per_state_decay(m)
-        if which != "shared":
+        if name != "model":
             assert zdec > 1e-8
         assert details["expectation_ratio"] == lyap
         assert details["toeplitz_norm_ratio"] == pytest.approx(toep, rel=1e-12)
