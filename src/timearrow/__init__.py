@@ -20,7 +20,6 @@ from .evolution import (
 )
 from .hardy import (
     TimeProfile,
-    from_time,
     guard_band_leakage,
     hardy_embed,
     hardy_part,
@@ -40,12 +39,9 @@ from .lambda_transform import (
 from .lyapunov import (
     TrajectoryReport,
     apply_omega,
-    apply_omega_adjoint,
     build_m_f,
     build_omega,
-    f_m_membership,
     lyapunov_curve,
-    lyapunov_expectation,
 )
 from .ordering import (
     OrderingOperator,
@@ -54,7 +50,6 @@ from .ordering import (
     correspondence_check,
     future_projection,
     irreversible_matrix_element,
-    past_projection,
     projection_rank,
     spectral_measure,
 )
@@ -71,7 +66,6 @@ from .spaces import (
     make_grid,
     make_state,
     norm,
-    project_halfline,
     restrict,
     zero_state,
 )
@@ -98,12 +92,10 @@ __all__ = [
     "make_grid",
     "make_state",
     "norm",
-    "project_halfline",
     "restrict",
     "zero_state",
     # Hardy subspace machinery
     "TimeProfile",
-    "from_time",
     "guard_band_leakage",
     "hardy_embed",
     "hardy_part",
@@ -122,12 +114,9 @@ __all__ = [
     # forward map and Lyapunov operator
     "TrajectoryReport",
     "apply_omega",
-    "apply_omega_adjoint",
     "build_m_f",
     "build_omega",
-    "f_m_membership",
     "lyapunov_curve",
-    "lyapunov_expectation",
     # square-root transform and contraction semigroup
     "IrreversibleModel",
     "build_model",
@@ -142,7 +131,6 @@ __all__ = [
     "correspondence_check",
     "future_projection",
     "irreversible_matrix_element",
-    "past_projection",
     "projection_rank",
     "spectral_measure",
     # test-state families and acceptance checks

@@ -57,9 +57,13 @@ _BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16
 # selftest criterion 1 holds about six complex full-line matrices of
 # (2 n_dense)^2 entries (tracemalloc peak 96 MB at n_dense 512) next to the
-# dense model: peak RSS 138 MB at n_dense 512, measured as above; at 256 the
-# fixed 1024-bin grid of criterion 11 sets the peak, 78-84 MB.
+# dense model.  Criteria 8 and 11 run on fixed grids whatever n_dense: 4096
+# bins, and 1024 bins with 1024 x 1024 real and complex quadrature kernels
+# (criterion 11 adds 40 MB of RSS).  Peak RSS of selftest through the CLI,
+# measured as above: 80.8 MB at n_dense 16 and 76.4 MB at 128 (criterion 11
+# sets both), 78-84 MB at 256, 138 MB at 512 (criterion 1).
 _FULL_LINE_MATRICES = 10
+_FIXED_GRID_BYTES = 48 * 2**20
 
 
 class ConfigError(ValueError):
@@ -259,12 +263,16 @@ def selftest_memory_estimate(cfg: dict) -> int:
     """Estimated peak bytes of ``selftest`` on a valid config.
 
     ``selftest`` ignores the grid and time sections and works at
-    ``k_dim = 1``: the dense model's matrices plus criterion 1's full-line
-    projection matrices, both set by ``dense.n_dense``.
+    ``k_dim = 1``: the dense model's matrices, set by ``dense.n_dense``, plus
+    the larger of criterion 1's full-line projection matrices and the fixed
+    grids of criteria 8 and 11.
     """
     rows = cfg["dense"]["n_dense"]
-    matrices = _DENSE_MATRICES * rows**2 + _FULL_LINE_MATRICES * (2 * rows) ** 2
-    return _BASE_BYTES + _COMPLEX_BYTES * matrices
+    full_line = _COMPLEX_BYTES * _FULL_LINE_MATRICES * (2 * rows) ** 2
+    return (
+        _BASE_BYTES + _COMPLEX_BYTES * _DENSE_MATRICES * rows**2
+        + max(full_line, _FIXED_GRID_BYTES)
+    )
 
 
 def check_selftest_memory(cfg: dict) -> None:

@@ -9,10 +9,12 @@ zero-padded slices of the stored time samples, and are computed as such.
 On a time grid the same rules give blocks with one column per time, which
 consumers take in chunks of ``_BLOCK_COLUMNS`` columns to bound memory.
 
-Shift identities are exact only at lattice times ``t = k * delta_tau``;
-everything here therefore takes a ``snap`` flag: off-lattice times raise
-:class:`OffLatticeTimeError` by default, or are rounded to the nearest
-lattice point with one :class:`OffLatticeWarning` per call when ``snap=True``.
+Shift identities are exact only at lattice times ``t = k * delta_tau``, so
+every function of a time raises :class:`OffLatticeTimeError` off the
+lattice.  Rounding is :func:`lattice_index`'s alone: with ``snap=True`` it
+moves times to the nearest lattice point with one :class:`OffLatticeWarning`
+per call.  A caller that wants rounded times multiplies those indices by
+``delta_tau`` first, as :func:`kernel_witness` does with its ``t0``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _first(t: np.ndarray, mask: np.ndarray) -> tuple[int, str]:
     return i, f"{f't[{i}]' if t.ndim else 't'} = {float(t.flat[i])}"
 
 
-def lattice_index(grid: GridSpec, t, snap: bool = False):
+def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2):
     """Convert times to their dual-lattice indices ``k`` with ``t = k*delta_tau``.
 
     A scalar ``t`` gives an ``int``; an array gives an int64 array of the
@@ -66,9 +68,9 @@ def lattice_index(grid: GridSpec, t, snap: bool = False):
     :class:`OffLatticeTimeError` naming the first off-lattice time unless
     ``snap=True``, in which case the nearest indices are used and one
     :class:`OffLatticeWarning` per call names how many times moved and the
-    first one's requested and used value.  A time whose index is not finite
-    or does not fit in int64 raises :class:`OffLatticeTimeError` whatever
-    ``snap`` says.
+    first one's requested and used value, at the caller's line.  A time
+    whose index is not finite or does not fit in int64 raises
+    :class:`OffLatticeTimeError` whatever ``snap`` says.
     """
     t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
     with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
@@ -78,7 +80,7 @@ def lattice_index(grid: GridSpec, t, snap: bool = False):
     for bad, what in (
         (~(np.abs(k) < 2.0**63), f"has no dual-lattice index (delta_tau = {dt})"),
         (moved & (not snap), f"is not on the dual lattice (delta_tau = {dt}); "
-         "pass snap=True to round"),
+         "lattice_index(grid, t, snap=True) rounds it"),
     ):
         if bad.any():
             i, label = _first(t, bad)
@@ -89,7 +91,7 @@ def lattice_index(grid: GridSpec, t, snap: bool = False):
         i, label = _first(t, moved)
         count = f" ({np.count_nonzero(moved)} of {t.size} moved)" if t.ndim else ""
         message = f"{label} snapped to lattice point {float(k.flat[i]) * dt}{count}"
-        warnings.warn(message, OffLatticeWarning, stacklevel=3)
+        warnings.warn(message, OffLatticeWarning, stacklevel=_stacklevel)
     return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
@@ -132,8 +134,8 @@ def _toeplitz_block(h: StateVector, ks) -> np.ndarray:
     return sliding_window_view(np.pad(a, n), n)[n + e].T
 
 
-def _semigroup_index(grid: GridSpec, t, snap: bool):
-    k = lattice_index(grid, t, snap=snap)
+def _semigroup_index(grid: GridSpec, t):
+    k = lattice_index(grid, t)
     negative = np.asarray(k) < 0
     if negative.any():
         _, label = _first(np.asarray(t, dtype=np.float64), negative)
@@ -141,14 +143,14 @@ def _semigroup_index(grid: GridSpec, t, snap: bool):
     return k
 
 
-def _hardy_shift(f: StateVector, t: float, snap: bool, sign: int) -> StateVector:
+def _hardy_shift(f: StateVector, t: float, sign: int) -> StateVector:
     if f.space is not Space.HARDY_PLUS:
         raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
-    k = sign * _semigroup_index(f.grid, t, snap)
+    k = sign * _semigroup_index(f.grid, t)
     return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [k])[:, 0])
 
 
-def toeplitz_step(f: StateVector, t: float, snap: bool = False) -> StateVector:
+def toeplitz_step(f: StateVector, t: float) -> StateVector:
     """Compression of forward evolution to the positive Hardy subspace.
 
     On the lattice ``t = k * delta_tau`` this is the truncated left shift of
@@ -158,17 +160,17 @@ def toeplitz_step(f: StateVector, t: float, snap: bool = False) -> StateVector:
     semigroup law; annihilates every state once ``t`` reaches half the time
     window.
     """
-    return _hardy_shift(f, t, snap, 1)
+    return _hardy_shift(f, t, 1)
 
 
-def toeplitz_adjoint(f: StateVector, t: float, snap: bool = False) -> StateVector:
+def toeplitz_adjoint(f: StateVector, t: float) -> StateVector:
     """Adjoint of :func:`toeplitz_step`: backward evolution restricted back.
 
     The zero-padded right shift of the time samples, ``out[j + k] = f[j]``,
     which drops whatever crosses the far window edge.  So it is isometric
     exactly on states with no power near that edge (guard-banded states).
     """
-    return _hardy_shift(f, t, snap, -1)
+    return _hardy_shift(f, t, -1)
 
 
 def kernel_witness(
@@ -200,7 +202,7 @@ def kernel_witness(
         raise ValueError(f"witness pole {mu} must lie in the open lower half-plane")
     if not (t0 > 0):
         raise ValueError(f"witness support length t0 must be positive, got {t0}")
-    k0 = lattice_index(grid, t0, snap=snap)
+    k0 = lattice_index(grid, t0, snap=snap, _stacklevel=3)
     if k0 < 1:
         raise ValueError(f"t0 = {t0} is below the lattice resolution")
     t0 = k0 * grid.delta_tau

@@ -39,7 +39,6 @@ from .spaces import (
 __all__ = [
     "TimeProfile",
     "to_time",
-    "from_time",
     "hardy_project",
     "hardy_part",
     "hardy_embed",
@@ -109,12 +108,6 @@ def to_time(f: StateVector) -> TimeProfile:
         raise SpaceMismatchError("to_time acts on FULL_LINE states")
     g = _sigma_to_tau(f.grid, f.fibered())
     return TimeProfile(f.grid, g.reshape(-1))
-
-
-def from_time(p: TimeProfile) -> StateVector:
-    """Inverse of :func:`to_time`."""
-    f = _tau_to_sigma(p.grid, p.fibered())
-    return StateVector(p.grid, Space.FULL_LINE, f.reshape(-1))
 
 
 def hardy_project(f: StateVector, half: str = "plus") -> StateVector:

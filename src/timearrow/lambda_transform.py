@@ -156,18 +156,18 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     )
 
 
-def _shift_rows(model: IrreversibleModel, t: float, snap: bool) -> int:
+def _shift_rows(model: IrreversibleModel, t: float) -> int:
     """Row count ``e = k * k_dim`` of the shift at ``t = k * delta_tau``."""
-    return _semigroup_index(model.grid, t, snap) * model.grid.k_dim
+    return _semigroup_index(model.grid, t) * model.grid.k_dim
 
 
-def z_matrix(model: IrreversibleModel, t: float, snap: bool = False) -> np.ndarray:
+def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:
     """Dense matrix of ``Z(t) = R[:N-e]^H R[e:]`` (see the module note).
 
     One product of two row slices of ``R``; the zero matrix once the shift
     reaches half the window.
     """
-    e = _shift_rows(model, t, snap)
+    e = _shift_rows(model, t)
     r = model.isometry.matrix
     return r[: max(r.shape[0] - e, 0)].conj().T @ r[e:]
 
@@ -186,9 +186,7 @@ def _from_hardy(model: IrreversibleModel, h: np.ndarray) -> np.ndarray:
     return (h.conj().T @ model.isometry.matrix).conj().T
 
 
-def z_evolve(
-    model: IrreversibleModel, psi: StateVector, t: float, snap: bool = False
-) -> StateVector:
+def z_evolve(model: IrreversibleModel, psi: StateVector, t: float) -> StateVector:
     """Apply ``Z(t) = R* T_u(t) R`` to a half-line state.
 
     Contraction semigroup on lattice times: ``Z(0)`` is the identity, the
@@ -196,23 +194,18 @@ def z_evolve(
     every state in the square root's range is annihilated by the time the
     shift crosses half the window.
     """
-    h = toeplitz_step(_to_hardy(model, psi), t, snap)
+    h = toeplitz_step(_to_hardy(model, psi), t)
     return StateVector(h.grid, Space.HALF_LINE_POS, _from_hardy(model, h.amplitudes))
 
 
-def z_adjoint(
-    model: IrreversibleModel, psi: StateVector, t: float, snap: bool = False
-) -> StateVector:
+def z_adjoint(model: IrreversibleModel, psi: StateVector, t: float) -> StateVector:
     """Apply ``Z*(t) = R* (T_u(t))* R``, the co-isometric adjoint."""
-    h = toeplitz_adjoint(_to_hardy(model, psi), t, snap)
+    h = toeplitz_adjoint(_to_hardy(model, psi), t)
     return StateVector(h.grid, Space.HALF_LINE_POS, _from_hardy(model, h.amplitudes))
 
 
 def intertwining_residual(
-    model: IrreversibleModel,
-    t,
-    psi_set: list[StateVector],
-    snap: bool = False,
+    model: IrreversibleModel, t, psi_set: list[StateVector]
 ) -> tuple[float, float]:
     """Residuals of the forward and adjoint intertwining relations.
 
@@ -230,13 +223,13 @@ def intertwining_residual(
     guard-banded states, for which the transported profile is the forward
     image itself.  Outside those domains the finite window's edge defect
     enters at order one.  Both relations are evaluated at the same lattice
-    times: with ``snap=True`` off-lattice times are rounded once, on entry.
-    Each state is one block per chunk of times, one column per time: ``lam``
-    and ``R^H`` act on the evolved and on the shifted columns at once.
+    times.  Each state is one block per chunk of times, one column per
+    time: ``lam`` and ``R^H`` act on the evolved and on the shifted columns
+    at once.
     """
     if not psi_set:
         raise ValueError("psi_set must contain at least one state")
-    ks = np.atleast_1d(_semigroup_index(model.grid, t, snap))
+    ks = np.atleast_1d(_semigroup_index(model.grid, t))
     lam = model.lam
     forward = adjoint = 0.0
     for psi in psi_set:

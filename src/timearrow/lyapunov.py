@@ -16,27 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import _hardy_scale, _sigma_to_tau, guard_band_leakage, hardy_embed
-from .spaces import (
-    GridSpec,
-    LinOp,
-    Space,
-    SpaceMismatchError,
-    StateVector,
-    norm,
-    restrict,
-)
+from .hardy import _hardy_scale, _sigma_to_tau, guard_band_leakage
+from .spaces import GridSpec, LinOp, Space, SpaceMismatchError, StateVector, norm
 from .evolution import _semigroup_index
 
 __all__ = [
     "TrajectoryReport",
     "apply_omega",
-    "apply_omega_adjoint",
     "build_omega",
     "build_m_f",
-    "lyapunov_expectation",
     "lyapunov_curve",
-    "f_m_membership",
 ]
 
 
@@ -57,12 +46,6 @@ def _omega_block(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     full = np.zeros((grid.n_sigma, grid.k_dim * m), dtype=np.complex128)
     full[nh:] = a.reshape(nh, -1)
     return (_sigma_to_tau(grid, full)[nh:] * _hardy_scale(grid)).reshape(-1, m)
-
-
-def apply_omega_adjoint(h: StateVector) -> StateVector:
-    """Matrix-free adjoint: include the Hardy state in the full line, then
-    restrict to positive frequencies.  HARDY_PLUS -> HALF_LINE_POS."""
-    return restrict(hardy_embed(h))
 
 
 def _dft_block(n_sigma: int, a: np.ndarray) -> np.ndarray:
@@ -115,27 +98,6 @@ def build_m_f(grid: GridSpec) -> LinOp:
     return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, m, hermitian=True)
 
 
-def lyapunov_expectation(psi: StateVector, t: float, snap: bool = False) -> float:
-    """Expectation ``(psi_t, M psi_t)`` at lattice time ``t``, matrix-free.
-
-    Equal to ``|T_u(t) omega psi|^2`` by the intertwining of the forward map
-    with evolution, hence non-increasing in ``t`` and bounded by ``|psi|^2``:
-    the tail power of ``omega psi``, the one-time case of :func:`lyapunov_curve`
-    (without the curve's guard-band diagnostic).
-    """
-    return float(_tail_power(psi, t, snap)[1])
-
-
-def _tail_power(psi: StateVector, t, snap: bool) -> tuple[StateVector, np.ndarray]:
-    """``b = omega psi`` and its tail power ``sum_{j >= k} |b_j|^2 delta_sigma``
-    at the lattice index ``k`` of each time (zero from the half window on)."""
-    b = apply_omega(psi)
-    ks = _semigroup_index(psi.grid, t, snap)
-    power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
-    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
-    return b, tail[np.minimum(ks, power.size)]
-
-
 @dataclass(frozen=True)
 class TrajectoryReport:
     """Expectation curve along a unitary trajectory plus diagnostics.
@@ -159,9 +121,7 @@ class TrajectoryReport:
             raise ValueError("trajectory arrays must have equal length")
 
 
-def lyapunov_curve(
-    psi: StateVector, time_grid: np.ndarray, snap: bool = False
-) -> TrajectoryReport:
+def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
     """Evaluate the expectation curve on a lattice time grid.
 
     The forward image ``b = omega psi`` is computed once; the expectation at
@@ -173,7 +133,12 @@ def lyapunov_curve(
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    b, expectations = _tail_power(psi, times, snap)
+    ks = _semigroup_index(psi.grid, times)
+    b = apply_omega(psi)
+    leakage = guard_band_leakage(b)  # its FFTs set the peak: before the tail
+    power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
+    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+    expectations = tail[np.minimum(ks, power.size)]
     norms = np.full(times.size, norm(psi))
     diffs = np.diff(expectations)
     violation = float(diffs.max(initial=0.0).clip(min=0.0))
@@ -181,22 +146,6 @@ def lyapunov_curve(
         times=times,
         expectations=expectations,
         norms=norms,
-        guard_band_leakage=guard_band_leakage(b),
+        guard_band_leakage=leakage,
         max_monotonicity_violation=violation,
     )
-
-
-def f_m_membership(psi: StateVector, m: float) -> bool:
-    """Whether ``psi`` lies in the ordering set of level ``m``.
-
-    True iff the normalized expectation ``(psi, M psi)/|psi|^2`` is at most
-    ``m``.  The sets nest by construction, every state belongs at ``m = 1``
-    (contractivity), and none at ``m = 0`` (injectivity); forward evolution
-    never leaves a set.
-    """
-    if psi.space is not Space.HALF_LINE_POS:
-        raise ValueError("f_m_membership expects a HALF_LINE_POS state")
-    ns = norm(psi) ** 2
-    if ns == 0.0:
-        raise ValueError("membership is undefined for the zero state")
-    return float(norm(apply_omega(psi)) ** 2) / ns <= m

@@ -12,12 +12,7 @@ weight ``w`` is nonzero.  With ``e = k * k_dim`` rows behind the shift at
   future projection ``Z*(t) Z(t)`` is ``R[e:]^H R[e:]``: exact orthogonal
   projections of the discrete model, of rank ``e`` and ``N - e``;
 * the increment over ``(t_i, t_{i+1}]`` is the row block ``R[e_i:e_{i+1}]``,
-  and the ordering operator ``T`` weights each block with its midpoint;
-* :func:`past_projection` is the literal commutator ``[Z(t), Z*(t)]``, with
-  weight ``+1`` on the first and ``-1`` on the last ``e`` rows: the finite
-  window clips the far edge, so it is an exact projection only on states
-  whose transport stays clear of that edge (guard-banded states).  There
-  it agrees with the complement form, as it does in the continuum model.
+  and the ordering operator ``T`` weights each block with its midpoint.
 
 The family's numbers need no dense projection or ``T``, only ``G = R R^H``:
 :meth:`ProjectionFamily.residuals` takes them from ``G - I``, with ranks
@@ -47,7 +42,6 @@ from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
 __all__ = [
     "ProjectionFamily",
     "OrderingOperator",
-    "past_projection",
     "future_projection",
     "spectral_measure",
     "assemble_T",
@@ -88,30 +82,13 @@ def _cluster_rank(vals: np.ndarray) -> int:
     return int(np.count_nonzero(vals > 0.5))
 
 
-def past_projection(
-    model: IrreversibleModel, t: float, snap: bool = False
-) -> LinOp:
-    """Projection onto states the semigroup has killed by time ``t``.
-
-    The literal commutator ``Z Z* - Z* Z = R^H (S S^H - S^H S) R``; see the
-    module note for its finite-window domain of validity.  At ``t = 0`` it
-    vanishes identically.
-    """
-    e = _shift_rows(model, t, snap)
-    rows = np.arange(model.grid.dim(Space.HALF_LINE_POS))
-    d = (rows < rows.size - e).astype(np.float64) - (rows >= e)
-    return _row_weighted(model.isometry, d)
-
-
-def future_projection(
-    model: IrreversibleModel, t: float, snap: bool = False
-) -> LinOp:
+def future_projection(model: IrreversibleModel, t: float) -> LinOp:
     """Projection onto the forward-relevant subspace, ``Z*(t) Z(t) = R[e:]^H R[e:]``.
 
     An exact orthogonal projection of the discrete model (the shift's
     isometric leg has no edge defect), equal to ``I`` at ``t = 0``.
     """
-    return _row_block(model.isometry, _shift_rows(model, t, snap))
+    return _row_block(model.isometry, _shift_rows(model, t))
 
 
 @dataclass(frozen=True)
@@ -220,9 +197,7 @@ class OrderingOperator:
         _freeze(self, "time_grid", np.float64)
 
 
-def spectral_measure(
-    model: IrreversibleModel, time_grid, snap: bool = False
-) -> ProjectionFamily:
+def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:
     """Past-projection family and interval increments on a lattice time grid.
 
     The grid must increase strictly from 0.  Only the row end of each time
@@ -230,7 +205,7 @@ def spectral_measure(
     the half window, where the past projection is the identity.
     """
     times = np.asarray(time_grid, dtype=np.float64)
-    ks = np.minimum(_semigroup_index(model.grid, times, snap), model.grid.n_half())
+    ks = np.minimum(_semigroup_index(model.grid, times), model.grid.n_half())
     return ProjectionFamily(model.isometry, times, ks * model.grid.k_dim)
 
 
@@ -270,17 +245,14 @@ def irreversible_matrix_element(
     psi: StateVector,
     x_lambda: LinOp,
     time_grid,
-    snap: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Matrix elements of an observable in both pictures along a time grid.
 
     ``x_lambda`` is the observable's irreversible form, a :class:`LinOp`
     declared ``hermitian=True`` (checked when it was built; an undeclared one
     raises ``ValueError``), dense or diagonal; the reversible form is ``X =
-    lam x_lambda lam``, never an inverse of ``lam``.  The grid is rounded
-    once to lattice times (one warning per call under ``snap=True`` if any
-    time moves) and both pictures are evaluated there.  Returns one array
-    per quantity:
+    lam x_lambda lam``, never an inverse of ``lam``.  Both pictures are
+    evaluated at the grid's lattice times.  Returns one array per quantity:
 
     * reversible ``(u(t)phi, X u(t)psi)``, taken as ``(lam u(t)phi,
       x_lambda lam u(t)psi)`` since ``lam`` is Hermitian;
@@ -305,7 +277,7 @@ def irreversible_matrix_element(
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    ks = _semigroup_index(model.grid, times, snap)
+    ks = _semigroup_index(model.grid, times)
     lam = model.lam
     same = phi is psi
     h_psi = _to_hardy(model, lam.apply(psi))
@@ -328,9 +300,7 @@ def irreversible_matrix_element(
     return rev, irr, np.abs(rev - irr)
 
 
-def correspondence_check(
-    model: IrreversibleModel, psi: StateVector, t, snap: bool = False
-):
+def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     """Both sides of the expectation correspondence, with their gap.
 
     Returns ``(psi_t, M psi_t)`` from the reversible picture, taken
@@ -339,9 +309,9 @@ def correspondence_check(
     difference relative to the trajectory's initial expectation
     ``|lam psi|^2``: three floats for a scalar ``t``, three arrays for an
     array of times.  Both pictures are evaluated at the lattice times of
-    ``t``, rounded once on entry when ``snap=True``: per chunk of times one
-    block of evolved states goes through ``omega`` (one FFT) and one block
-    of shifted Hardy images through ``R^H``.  Both sides decay monotonically
+    ``t``: per chunk of times one block of evolved states goes through
+    ``omega`` (one FFT) and one block of shifted Hardy images through
+    ``R^H``.  Both sides decay monotonically
     from that common initial value and the rounding error of the comparison
     scales with it, so it is the meaningful yardstick even at late times
     when both sides have decayed to the roundoff floor (where a pointwise
@@ -349,7 +319,7 @@ def correspondence_check(
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("correspondence_check expects a HALF_LINE_POS state")
-    k_t = _semigroup_index(model.grid, t, snap)
+    k_t = _semigroup_index(model.grid, t)
     ks = np.atleast_1d(k_t)
     transported = model.lam.apply(psi)
     h = _to_hardy(model, transported)

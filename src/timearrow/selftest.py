@@ -8,8 +8,8 @@ refinement, at pinned grids).  :data:`CHECKS` is their table, one
 dense-tier model (the continuum checks ignore it) and returns ``(passed,
 details)``, the measured residuals; :func:`run_all` times and wraps each in a
 :class:`CheckResult`.  The CLI ``selftest`` command and the acceptance tests
-drive exactly this table.  Criterion 6 reads the projection family's Gram
-matrix, as ``projection-family`` does, and criteria 4, 5, 7 and 12 act on
+drive exactly this table.  Criterion 6 reads the projection family's
+residuals, as ``projection-family`` does, and criteria 4, 5, 7 and 12 act on
 blocks of states or times; the dense routes to those facts are test oracles.
 Thresholds are fixed contracts of the model, not configuration.
 """
@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import itertools
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _toeplitz_block, _unitary_block, kernel_witness, toeplitz_step
+from .evolution import (
+    OffLatticeWarning, _toeplitz_block, _unitary_block, kernel_witness, lattice_index,
+    toeplitz_step,
+)
 from .hardy import (
     _sigma_to_tau,
     _tau_to_sigma,
@@ -82,7 +86,9 @@ def _sweep_shifts() -> np.ndarray:
 
 def _lattice_time(grid, t: float) -> float:
     """The lattice time that ``snap=True`` rounds ``t`` to, without its warning."""
-    return round(t / grid.delta_tau) * grid.delta_tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OffLatticeWarning)
+        return lattice_index(grid, t, snap=True) * grid.delta_tau
 
 
 def _guarded_set(grid, seed: int, count: int):
@@ -257,24 +263,20 @@ def check_projection_family(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 6: the past-projection family is an exact nested resolution
     with the right ranks, read from its Gram matrix ``G = R R^H``.
 
-    Ranks, idempotency and complement are :meth:`ProjectionFamily.residuals
-    <timearrow.ordering.ProjectionFamily.residuals>`; nesting is the worst
-    pair ``i < j`` of ``|P_i P_j - P_i|^2 = Re<G_i F, F G_j>``, ``F = (G -
-    I)[:e_i, :e_j]``; increment ``i`` has the spectrum of ``G[e_i:e_{i+1},
-    e_i:e_{i+1}]`` plus zeros, since ``spec(A^H A) = spec(A A^H) + {0}``.
+    Ranks and the idempotency, nesting and complement residuals are
+    :meth:`ProjectionFamily.residuals
+    <timearrow.ordering.ProjectionFamily.residuals>`, the numbers
+    ``projection-family`` writes; increment ``i`` has the spectrum of
+    ``G[e_i:e_{i+1}, e_i:e_{i+1}]`` plus zeros, since ``spec(A^H A) =
+    spec(A A^H) + {0}``.
     """
     grid = model.grid
     nh = grid.n_half()
     ks = np.arange(0, nh + 1, max(nh // 8, 1))
     family = spectral_measure(model, ks * grid.delta_tau)
-    ranks, idems, _, comps = zip(*family.residuals())
-    idem, comp = max(idems), max(comps)
+    ranks, idems, nests, comps = zip(*family.residuals())
+    idem, nest, comp = max(idems), max(nests), max(comps)
     g, ends = family.gram, family.row_ends
-    nest_sq = 0.0
-    for a, b in itertools.combinations(ends, 2):
-        f = g[:a, :b] - np.eye(a, b)
-        nest_sq = max(nest_sq, np.vdot(g[:a, :a] @ f, f @ g[:b, :b]).real)
-    nest = float(np.sqrt(nest_sq))
     spectra = np.concatenate([
         np.append(np.linalg.eigvalsh(g[a:b, a:b]), np.zeros(g.shape[0] - (b - a)))
         for a, b in itertools.pairwise(ends)

@@ -34,7 +34,6 @@ __all__ = [
     "zero_state",
     "inner",
     "norm",
-    "project_halfline",
     "embed",
     "restrict",
     "identity_op",
@@ -231,29 +230,6 @@ def _column_norms(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=0) * grid.delta_sigma)
 
 
-def project_halfline(f: StateVector, side: str) -> StateVector:
-    """Sharp spectral cut: zero all bins on the opposite energy half-line.
-
-    Parameters
-    ----------
-    f : StateVector
-        Must be tagged ``FULL_LINE``.
-    side : {"pos", "neg"}
-        Which half-line survives.
-    """
-    if f.space is not Space.FULL_LINE:
-        raise SpaceMismatchError("project_halfline acts on FULL_LINE states")
-    if side not in ("pos", "neg"):
-        raise ValueError(f"side must be 'pos' or 'neg', got {side!r}")
-    a = f.fibered().copy()
-    half = f.grid.n_sigma // 2
-    if side == "pos":
-        a[:half, :] = 0.0
-    else:
-        a[half:, :] = 0.0
-    return StateVector(f.grid, Space.FULL_LINE, a.reshape(-1))
-
-
 def embed(psi: StateVector) -> StateVector:
     """Isometric inclusion of the positive half-line into the full line."""
     if psi.space is not Space.HALF_LINE_POS:
@@ -340,12 +316,6 @@ class LinOp:
                 f"{f.space.value} state (or grids differ)"
             )
         return StateVector(self.grid, self.codomain, self._act(f.amplitudes))
-
-    def adjoint(self) -> "LinOp":
-        return LinOp(
-            self.grid, self.codomain, self.domain, self._entries.conj().T,
-            hermitian=self.hermitian,
-        )
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
         if not isinstance(other, LinOp):

@@ -1,0 +1,97 @@
+"""Independent routes to facts the library computes another way.
+
+No command or selftest check reaches these; the tests compare the library's
+production route against them.  Each is the literal form of its fact:
+
+* :func:`past_projection` is the commutator ``[Z(t), Z*(t)] = R^H (S S^H -
+  S^H S) R``, with weight ``+1`` on the first and ``-1`` on the last ``e``
+  rows.  The finite window clips the far edge, so it is an exact projection
+  only on states whose transport stays clear of that edge (guard-banded
+  states); there it agrees with the complement ``I - Z*(t) Z(t)``, as it
+  does in the continuum model.
+* :func:`lyapunov_expectation` is ``|T_u(t) omega psi|^2``, one shifted slice
+  of the forward image, where ``lyapunov_curve`` reads a reverse cumulative
+  sum.
+"""
+
+import numpy as np
+
+from timearrow import (
+    LinOp,
+    Space,
+    SpaceMismatchError,
+    StateVector,
+    apply_omega,
+    hardy_embed,
+    norm,
+    restrict,
+    toeplitz_step,
+)
+from timearrow.hardy import TimeProfile, _tau_to_sigma
+from timearrow.lambda_transform import IrreversibleModel, _shift_rows
+from timearrow.ordering import _row_weighted
+
+
+def past_projection(model: IrreversibleModel, t: float) -> LinOp:
+    """Projection onto the states the semigroup has killed by lattice time
+    ``t``, as the literal commutator (see the module note); zero at ``t = 0``."""
+    e = _shift_rows(model, t)
+    rows = np.arange(model.grid.dim(Space.HALF_LINE_POS))
+    d = (rows < rows.size - e).astype(np.float64) - (rows >= e)
+    return _row_weighted(model.isometry, d)
+
+
+def lyapunov_expectation(psi: StateVector, t: float) -> float:
+    """Expectation ``(psi_t, M psi_t)`` at lattice time ``t`` as ``|T_u(t)
+    omega psi|^2``: non-increasing in ``t`` and bounded by ``|psi|^2``."""
+    return norm(toeplitz_step(apply_omega(psi), t)) ** 2
+
+
+def apply_omega_adjoint(h: StateVector) -> StateVector:
+    """Matrix-free adjoint of the forward map: include the Hardy state in the
+    full line, then restrict to positive frequencies."""
+    return restrict(hardy_embed(h))
+
+
+def f_m_membership(psi: StateVector, m: float) -> bool:
+    """Whether ``psi`` lies in the ordering set of level ``m``.
+
+    True iff the normalized expectation ``(psi, M psi)/|psi|^2`` is at most
+    ``m``.  The sets nest by construction, every state belongs at ``m = 1``
+    (contractivity), and none at ``m = 0`` (injectivity); forward evolution
+    never leaves a set.
+    """
+    if psi.space is not Space.HALF_LINE_POS:
+        raise ValueError("f_m_membership expects a HALF_LINE_POS state")
+    ns = norm(psi) ** 2
+    if ns == 0.0:
+        raise ValueError("membership is undefined for the zero state")
+    return float(norm(apply_omega(psi)) ** 2) / ns <= m
+
+
+def project_halfline(f: StateVector, side: str) -> StateVector:
+    """Sharp spectral cut of a FULL_LINE state: zero every bin on the
+    opposite energy half-line; ``side`` is ``"pos"`` or ``"neg"``."""
+    if f.space is not Space.FULL_LINE:
+        raise SpaceMismatchError("project_halfline acts on FULL_LINE states")
+    if side not in ("pos", "neg"):
+        raise ValueError(f"side must be 'pos' or 'neg', got {side!r}")
+    a = f.fibered().copy()
+    half = f.grid.n_sigma // 2
+    if side == "pos":
+        a[:half, :] = 0.0
+    else:
+        a[half:, :] = 0.0
+    return StateVector(f.grid, Space.FULL_LINE, a.reshape(-1))
+
+
+def from_time(p: TimeProfile) -> StateVector:
+    """Inverse of :func:`timearrow.to_time`."""
+    f = _tau_to_sigma(p.grid, p.fibered())
+    return StateVector(p.grid, Space.FULL_LINE, f.reshape(-1))
+
+
+def adjoint(op: LinOp) -> LinOp:
+    """The conjugate transpose, the adjoint for every space tag's quadrature."""
+    return LinOp(op.grid, op.codomain, op.domain, op._entries.conj().T,
+                 hermitian=op.hermitian)

@@ -78,23 +78,40 @@ def test_default_config_is_valid(tmp_path):
     assert load_config(_write(tmp_path, DEFAULT_CONFIG)) == DEFAULT_CONFIG
 
 
+def _perfbench(name, monkeypatch):
+    """``perfbench/<name>.py`` loaded as a module (read, never edited)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # the tracer wraps each target as an attribute of its timearrow module,
+    # so a removed or renamed one fails here, not only in a traced run
+    for module_name, attr in _perfbench("tracer", monkeypatch).TARGETS:
+        module = importlib.import_module(f"timearrow.{module_name}")
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
 def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenarios", path)
-    scenarios = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, scenarios)
-    spec.loader.exec_module(scenarios)
+    scenarios = _perfbench("scenarios", monkeypatch)
     for name, workload in scenarios.WORKLOADS.items():
         for j in range(scenarios.POOL_SIZE):
             cfg = workload.config(j)
             assert load_config(_write(tmp_path, cfg)) == cfg, (name, j)
 
 
-@pytest.mark.parametrize("n_dense, measured_mb", [(256, 79.0), (512, 175.0)])
+@pytest.mark.parametrize("n_dense, measured_mb", [(256, 79.0), (512, 175.0),
+                                                  (16, 80.8), (128, 76.4)])
 def test_selftest_estimate_bounds_measured_peaks(n_dense, measured_mb):
-    # peak RSS of selftest, one BLAS thread, when criterion 1 still held its
-    # dense 0/1 diagonals; the current peaks are in _config's comment, and
-    # the estimate bounds them too
+    # peak RSS of selftest, one BLAS thread: at 256 and 512 when criterion 1
+    # still held its dense 0/1 diagonals, at 16 and 128 through the CLI,
+    # where the fixed 1024-bin quadrature grid of criterion 11 sets the peak;
+    # the current peaks are in _config's comment, and the estimate bounds
+    # them too
     need = selftest_memory_estimate(_with("dense", "n_dense", n_dense))
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 

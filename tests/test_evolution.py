@@ -47,6 +47,11 @@ def _scalar_lattice_index(grid, t, snap):
     return k
 
 
+def _rounded(grid, t):
+    # the one rounding route: lattice_index, then back to a lattice time
+    return lattice_index(grid, t, snap=True) * grid.delta_tau
+
+
 def _slice_loop_block(h, ks):
     # one slice copy per column, kept as the oracle of the windowed gather
     a, n = h.amplitudes, h.amplitudes.size
@@ -103,6 +108,16 @@ class TestLatticeIndex:
         with pytest.warns(OffLatticeWarning):
             k = lattice_index(small_grid, 3.49 * small_grid.delta_tau, snap=True)
         assert k == 3
+
+    def test_warning_names_the_caller(self, small_grid):
+        # a direct call and kernel_witness's own rounding both warn at the
+        # line of this file that called them
+        with pytest.warns(OffLatticeWarning) as direct:
+            lattice_index(small_grid, 3.49 * small_grid.delta_tau, snap=True)
+        with pytest.warns(OffLatticeWarning) as witness:
+            kernel_witness(small_grid, -1j, 8.5 * small_grid.delta_tau)
+        for record in (direct, witness):
+            assert [w.filename for w in record] == [__file__]
 
     def test_negative_times_are_lattice_points_too(self, small_grid):
         assert lattice_index(small_grid, -2 * small_grid.delta_tau) == -2
@@ -178,10 +193,9 @@ class TestLatticeIndex:
 
     def test_negative_semigroup_time_named(self, small_grid):
         dt = small_grid.delta_tau
-        assert _semigroup_index(small_grid, np.array([0.0, dt]), False).tolist() \
-            == [0, 1]
+        assert _semigroup_index(small_grid, np.array([0.0, dt])).tolist() == [0, 1]
         with pytest.raises(ValueError, match=r"got t\[2\] = -"):
-            _semigroup_index(small_grid, np.array([0.0, dt, -dt, -2 * dt]), False)
+            _semigroup_index(small_grid, np.array([0.0, dt, -dt, -2 * dt]))
 
 
 class TestToeplitzSemigroup:
@@ -272,7 +286,7 @@ class TestToeplitzSemigroup:
         with pytest.raises(OffLatticeTimeError):
             toeplitz_step(h, t_bad)
         with pytest.warns(OffLatticeWarning):
-            snapped = toeplitz_step(h, t_bad, snap=True)
+            snapped = toeplitz_step(h, _rounded(small_grid, t_bad))
         assert norm(snapped - h) <= 1e-13 * norm(h)  # rounds down to k = 0
 
     def test_negative_time_rejected(self, small_grid, rng):
@@ -300,7 +314,7 @@ class TestKernelWitness:
         with pytest.warns(OffLatticeWarning):
             w = kernel_witness(big_grid, -1j, 1.0)
         with pytest.warns(OffLatticeWarning):
-            r = norm(toeplitz_step(w, 0.5, snap=True)) / norm(w)
+            r = norm(toeplitz_step(w, _rounded(big_grid, 0.5))) / norm(w)
         expected = np.sqrt((np.exp(-1) - np.exp(-2)) / (1 - np.exp(-2)))
         assert r == pytest.approx(expected, abs=0.01)
         assert r == pytest.approx(0.518820, abs=1e-4)
@@ -309,9 +323,9 @@ class TestKernelWitness:
         with pytest.warns(OffLatticeWarning):
             w = kernel_witness(big_grid, -1j, 1.0)
         with pytest.warns(OffLatticeWarning):
-            r1 = norm(toeplitz_step(w, 1.0, snap=True)) / norm(w)
+            r1 = norm(toeplitz_step(w, _rounded(big_grid, 1.0))) / norm(w)
         with pytest.warns(OffLatticeWarning):
-            r2 = norm(toeplitz_step(w, 2.0, snap=True)) / norm(w)
+            r2 = norm(toeplitz_step(w, _rounded(big_grid, 2.0))) / norm(w)
         assert r1 <= 5e-2
         assert r1 == pytest.approx(6.327e-3, abs=2e-4)
         assert r2 <= r1  # kernels nest as t grows

@@ -6,7 +6,6 @@ import pytest
 from timearrow import (
     Space,
     TimeProfile,
-    from_time,
     guard_band_leakage,
     hardy_embed,
     hardy_part,
@@ -20,6 +19,7 @@ from timearrow import (
     smooth_oracle_state,
     to_time,
 )
+from oracles import from_time
 
 
 def _rand_full(grid, rng):

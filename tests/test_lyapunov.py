@@ -8,18 +8,16 @@ from timearrow import (
     Space,
     TrajectoryReport,
     apply_omega,
-    apply_omega_adjoint,
     build_m_f,
     build_omega,
     compact_profile_state,
-    f_m_membership,
     hardy_embed,
     hardy_part,
     hardy_project,
     inner,
     kernel_witness,
+    lattice_index,
     lyapunov_curve,
-    lyapunov_expectation,
     make_grid,
     make_state,
     norm,
@@ -30,8 +28,8 @@ from timearrow import (
     unitary_evolve,
     zero_state,
 )
-from timearrow import lyapunov
 from timearrow.lyapunov import _omega_block
+from oracles import adjoint, apply_omega_adjoint, f_m_membership, lyapunov_expectation
 
 
 def _rand_half(grid, rng):
@@ -73,7 +71,7 @@ class TestForwardMap:
         assert norm(apply_omega(psi) - om.apply(psi)) <= 1e-13 * norm(psi)
         h = make_state(small_grid, Space.HARDY_PLUS,
                        rng.normal(size=small_grid.n_half()))
-        assert norm(apply_omega_adjoint(h) - om.adjoint().apply(h)) <= 1e-13 * norm(h)
+        assert norm(apply_omega_adjoint(h) - adjoint(om).apply(h)) <= 1e-13 * norm(h)
 
     @pytest.mark.parametrize("k_dim", [1, 2])
     def test_block_columns_match_the_embed_route(self, rng, k_dim):
@@ -164,22 +162,6 @@ class TestExpectationCurve:
         assert np.all(rep.expectations <= norm(psi) ** 2 * (1 + 1e-12))
         assert np.allclose(rep.norms, norm(psi), rtol=1e-12)
 
-    def test_expectation_is_the_curve_without_its_leakage(self, dense_grid, rng,
-                                                          monkeypatch):
-        # one tail-power rule: the same numbers, bit for bit, and no
-        # guard-band diagnostic (two more FFTs) for a single time
-        psi = random_guarded_state(dense_grid, rng)
-        ks = np.array([0, 3, 37, 200, dense_grid.n_half(), dense_grid.n_half() + 5])
-        curve = lyapunov_curve(psi, ks * dense_grid.delta_tau)
-
-        def refuse(_):
-            raise AssertionError("guard_band_leakage called")
-
-        monkeypatch.setattr(lyapunov, "guard_band_leakage", refuse)
-        for k, expected in zip(ks, curve.expectations):
-            got = lyapunov_expectation(psi, k * dense_grid.delta_tau)
-            assert type(got) is float and got == expected
-
     def test_compact_profile_exhausts(self, dense_grid, rng):
         # once the shifted window clears the support, nothing remains
         psi = compact_profile_state(dense_grid, rng)
@@ -194,7 +176,8 @@ class TestExpectationCurve:
         psi = restrict(hardy_embed(w))
         e0 = lyapunov_expectation(psi, 0.0)
         with pytest.warns(OffLatticeWarning):
-            e2 = lyapunov_expectation(psi, 2.0, snap=True)
+            k = lattice_index(dense_grid, 2.0, snap=True)
+        e2 = lyapunov_expectation(psi, k * dense_grid.delta_tau)
         assert e2 <= 1e-3 * e0
         assert e2 / e0 == pytest.approx(1.32e-5, rel=0.05)
 

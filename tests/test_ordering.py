@@ -1,7 +1,5 @@
 """Past/future projections, the spectral measure, and the ordering operator."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from timearrow import (
     OffLatticeWarning,
     ProjectionFamily,
     Space,
+    apply_omega,
     assemble_T,
     build_m_f,
     build_model,
@@ -22,14 +21,15 @@ from timearrow import (
     intertwining_residual,
     irreversible_matrix_element,
     kernel_witness,
-    lyapunov_expectation,
+    lyapunov_curve,
     make_grid,
     make_state,
     norm,
-    past_projection,
     projection_rank,
     random_guarded_state,
     spectral_measure,
+    toeplitz_adjoint,
+    toeplitz_step,
     unitary_evolve,
     z_adjoint,
     z_evolve,
@@ -37,6 +37,7 @@ from timearrow import (
 )
 from timearrow import evolution
 from timearrow.ordering import _CLUSTER_GAP, _row_weighted
+from oracles import adjoint, lyapunov_expectation, past_projection
 
 
 def _rand_half(grid, rng):
@@ -135,7 +136,7 @@ class TestProjectionPair:
     def test_witness_leaves_future_by_its_deadline(self, model):
         with pytest.warns(OffLatticeWarning):
             w = kernel_witness(model.grid, -1j, 1.0)
-        psi = model.isometry.adjoint().apply(w)
+        psi = adjoint(model.isometry).apply(w)
         dt = model.grid.delta_tau
         for k in (32, 48, 64):  # t0 snaps to 32 lattice steps on this grid
             q = future_projection(model, k * dt)
@@ -359,7 +360,7 @@ class TestOrderingOperator:
         # exp(-2 tau) on [0, 1], whose mean is (1/4 - 3/(4 e^2)) / norm
         with pytest.warns(OffLatticeWarning):
             w = kernel_witness(model.grid, -1j, 1.0)
-        psi = model.isometry.adjoint().apply(w)
+        psi = adjoint(model.isometry).apply(w)
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.arange(0, 65) * dt)
         op = assemble_T(fam)
@@ -563,8 +564,6 @@ class TestCorrespondence:
     def test_grid_form_matches_per_time_oracle(self, request, monkeypatch, which):
         # |omega u(t) psi|^2 and |Z(t) lam psi|^2 one time at a time, against
         # the blocks over the grid (whole, and in chunks of 3 columns)
-        from timearrow import apply_omega
-
         m = request.getfixturevalue(which)
         psi = _rand_half(m.grid, np.random.default_rng(410))
         ks = np.array([0, 1, 5, 16, 64, 256, m.grid.n_half(), m.grid.n_half() + 3])
@@ -611,38 +610,39 @@ class TestCorrespondence:
 
 
 class TestSnappedTime:
-    """With ``snap=True`` both pictures use the one rounded lattice time."""
+    """Every function of a semigroup time rejects off-lattice and non-finite
+    times; only ``lattice_index`` rounds."""
 
     @pytest.fixture(scope="class")
     def calls(self, model):
         rng = np.random.default_rng(409)
         psi = random_guarded_state(model.grid, rng)
+        h = apply_omega(psi)
         x = _hermitian_op(model.grid, rng)
         dt = model.grid.delta_tau
+        # in the grid forms the bad time sits between two lattice times
         return {
-            "correspondence_check": lambda t, snap: correspondence_check(
-                model, psi, t, snap=snap),
-            "intertwining_residual": lambda t, snap: intertwining_residual(
-                model, t, [psi], snap=snap),
-            # the off-lattice time sits between two lattice times of a grid
-            "irreversible_matrix_element": lambda t, snap: tuple(
-                v[1] for v in irreversible_matrix_element(
-                    model, psi, psi, x, [0.0, t, 12 * dt], snap=snap)),
+            "correspondence_check": lambda t: correspondence_check(model, psi, t),
+            "intertwining_residual": lambda t: intertwining_residual(model, t, [psi]),
+            "irreversible_matrix_element": lambda t: irreversible_matrix_element(
+                model, psi, psi, x, [0.0, t, 12 * dt]),
+            "toeplitz_step": lambda t: toeplitz_step(h, t),
+            "toeplitz_adjoint": lambda t: toeplitz_adjoint(h, t),
+            "z_matrix": lambda t: z_matrix(model, t),
+            "z_evolve": lambda t: z_evolve(model, psi, t),
+            "z_adjoint": lambda t: z_adjoint(model, psi, t),
+            "lyapunov_curve": lambda t: lyapunov_curve(psi, [0.0, t, 12 * dt]),
+            "spectral_measure": lambda t: spectral_measure(model, [0.0, t, 12 * dt]),
+            "future_projection": lambda t: future_projection(model, t),
         }
 
     NAMES = ["correspondence_check", "intertwining_residual",
-             "irreversible_matrix_element"]
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_off_lattice_time_snaps_once(self, model, calls, name):
-        dt = model.grid.delta_tau
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            snapped = calls[name](10.3 * dt, True)
-        assert [w.category for w in caught] == [OffLatticeWarning]
-        assert snapped == calls[name](10 * dt, False)
+             "irreversible_matrix_element", "toeplitz_step", "toeplitz_adjoint",
+             "z_matrix", "z_evolve", "z_adjoint", "lyapunov_curve",
+             "spectral_measure", "future_projection"]
 
     @pytest.mark.parametrize("name", NAMES)
     def test_off_lattice_time_rejected_without_snap(self, model, calls, name):
-        with pytest.raises(OffLatticeTimeError):
-            calls[name](10.3 * model.grid.delta_tau, False)
+        for t in (10.3 * model.grid.delta_tau, float("nan"), float("inf")):
+            with pytest.raises(OffLatticeTimeError):
+                calls[name](t)

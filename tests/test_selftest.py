@@ -1,9 +1,10 @@
 """Selftest checks against the dense and per-state routes they replaced.
 
-Criterion 6 reads the projection family's Gram matrix; its former dense body
+Criterion 6 reads the projection family's residuals; its former dense body
 (every projection, nesting product and increment spectrum as an N x N
-matrix) is kept here as the oracle.  Criteria 5 and 12 act on blocks; their
-per-state loops through the single-vector functions are kept as oracles too.
+matrix) and its nesting over all pairs of times are kept here as oracles.
+Criteria 5 and 12 act on blocks; their per-state loops through the
+single-vector functions (and ``oracles.lyapunov_expectation``) are oracles too.
 A perturbed R, moved off unitarity as in ``tests/test_ordering.py``, puts
 the residuals well above rounding, so the comparisons have digits to check.
 """
@@ -23,7 +24,6 @@ from timearrow import (
     build_model,
     compact_profile_state,
     future_projection,
-    lyapunov_expectation,
     make_grid,
     norm,
     projection_rank,
@@ -40,6 +40,7 @@ from timearrow.selftest import (
     check_projection_family,
     check_semigroup_laws,
 )
+from oracles import lyapunov_expectation
 
 
 def _perturbed(model, eps):
@@ -102,6 +103,18 @@ def _dense_projection_family(model):
     return passed, details
 
 
+def _all_pairs_nesting(family):
+    """Worst ``|P_i P_j - P_i|`` over every pair ``i < j`` of the family, from
+    Gram blocks: ``|P_i P_j - P_i|^2 = Re<G_i F, F G_j>`` with ``F = (G -
+    I)[:e_i, :e_j]`` and ``G_e`` the leading ``e x e`` block of ``G``."""
+    g = family.gram
+    nest_sq = 0.0
+    for a, b in itertools.combinations(family.row_ends, 2):
+        f = g[:a, :b] - np.eye(a, b)
+        nest_sq = max(nest_sq, np.vdot(g[:a, :a] @ f, f @ g[:b, :b]).real)
+    return float(np.sqrt(nest_sq))
+
+
 def _assert_same_check(got, want, rel=1e-6, abs_floor=1e-14):
     (passed, details), (want_passed, want_details) = got, want
     assert passed == want_passed
@@ -122,6 +135,15 @@ class TestProjectionFamilyCheck:
         got = check_projection_family(model)
         assert got[0]
         _assert_same_check(got, _dense_projection_family(model))
+
+    def test_nesting_is_the_worst_of_all_pairs(self, model):
+        # the criterion reads the consecutive pairs that residuals() gives;
+        # on the shared model the worst of all 36 pairs is the same number
+        # (bit for bit on x86-64 with OpenBLAS, and at rounding level)
+        family = spectral_measure(model, _family_ks(model) * model.grid.delta_tau)
+        _, details = check_projection_family(model)
+        assert details["nesting"] == pytest.approx(_all_pairs_nesting(family),
+                                                   rel=1e-12)
 
     def test_matches_dense_route_off_unitarity(self, perturbed_small):
         got = check_projection_family(perturbed_small)
@@ -240,6 +262,8 @@ class TestBlockForms:
         lyap, toep, zdec = _per_state_decay(m)
         if name != "model":
             assert zdec > 1e-8
-        assert details["expectation_ratio"] == lyap
+        # the curve's reverse cumulative sum against the oracle's slice norm:
+        # the same powers summed in another order, so equal to rounding only
+        assert details["expectation_ratio"] == pytest.approx(lyap, rel=1e-12)
         assert details["toeplitz_norm_ratio"] == pytest.approx(toep, rel=1e-12)
         assert details["z_norm_ratio"] == pytest.approx(zdec, rel=1e-6, abs=1e-14)
