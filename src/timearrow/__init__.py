@@ -44,7 +44,6 @@ from .lyapunov import (
     lyapunov_curve,
 )
 from .ordering import (
-    OrderingOperator,
     ProjectionFamily,
     assemble_T,
     correspondence_check,
@@ -125,7 +124,6 @@ __all__ = [
     "z_evolve",
     "z_matrix",
     # ordering operator and projections
-    "OrderingOperator",
     "ProjectionFamily",
     "assemble_T",
     "correspondence_check",

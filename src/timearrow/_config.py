@@ -45,13 +45,17 @@ DEFAULT_CONFIG = {
 # Peak-memory model of the scenario commands, fitted with headroom to peak
 # RSS measured with one BLAS thread (x86-64 Linux, Python 3.11, numpy 2.4.6,
 # OpenBLAS): matrix-element at n_dense 1024 168 MB, projection-family at
-# n_dense 512 69 MB (80 MB at 128 bins x k_dim 4), lyapunov-curve at n_sigma
-# 2^20 179 MB; per time step (CSV rows streamed to disk) matrix-element 120 B,
-# semigroup-norms 52 B, lyapunov-curve 48 B (61 MB at 200000 steps and
-# n_dense 64, 49 MB, 82 MB at 10^6 steps).  Matrices are N x N complex, N =
-# n_dense * k_dim.
+# n_dense 512 69 MB, lyapunov-curve at n_sigma 2^20 179 MB; per time step (CSV
+# rows streamed to disk) matrix-element 120 B, semigroup-norms 52 B,
+# lyapunov-curve 48 B (61 MB at 200000 steps and n_dense 64, 49 MB, 82 MB at
+# 10^6 steps).  The model's matrices are n_dense x n_dense complex at every
+# k_dim (stored per bin); blocks of states have n_dense * k_dim rows and up to
+# 256 time columns: at n_dense 512 and k_dim 8, 55-59 MB at 33 steps, 132 MB
+# (matrix-element) and 148 MB (semigroup-norms) at 2000 steps.
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
 _DENSE_MATRICES = 12
+_STATE_BLOCKS = 8
+_BLOCK_COLUMNS = 256  # evolution._BLOCK_COLUMNS
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16
@@ -231,16 +235,19 @@ def peak_memory_estimate(cfg: dict) -> tuple[int, str]:
     """Estimated peak bytes of a scenario run on a valid config.
 
     Returns the bytes and the field whose term dominates them: the FFT tier
-    (``grid.n_sigma``), the dense tier (``dense.n_dense``) or the per-time
-    rows (``times.n_steps``).  The estimate bounds the measured peaks of the
-    scenario commands.
+    (``grid.n_sigma``), the dense tier (``dense.n_dense``: the model and the
+    blocks of states) or the per-time rows (``times.n_steps``).  The
+    estimate bounds the measured peaks of the scenario commands.
     """
-    k_dim = cfg["grid"]["k_dim"]
-    rows = cfg["dense"]["n_dense"] * k_dim
+    k_dim, n_steps = cfg["grid"]["k_dim"], cfg["times"]["n_steps"]
+    n_dense = cfg["dense"]["n_dense"]
+    block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS)  # one block of states
     terms = {
         "grid.n_sigma": _FFT_VECTORS * _COMPLEX_BYTES * cfg["grid"]["n_sigma"] * k_dim,
-        "dense.n_dense": _DENSE_MATRICES * _COMPLEX_BYTES * rows**2,
-        "times.n_steps": _BYTES_PER_STEP * cfg["times"]["n_steps"],
+        "dense.n_dense": _COMPLEX_BYTES * (
+            _DENSE_MATRICES * n_dense**2 + _STATE_BLOCKS * block
+        ),
+        "times.n_steps": _BYTES_PER_STEP * n_steps,
     }
     return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)
 

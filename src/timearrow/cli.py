@@ -285,7 +285,7 @@ def semigroup_norms_cmd(cfg, out_dir):
     ks = _lattice_times(dense, cfg)
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
-        z = _from_hardy(model, _toeplitz_block(h_psi, ks[cols]))
+        z = _from_hardy(model, _toeplitz_block(dense, h_psi, ks[cols]))
         znorms[cols] = _column_norms(dense, z)
     rows = (
         (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")
@@ -367,7 +367,7 @@ def matrix_element_cmd(cfg, out_dir):
     model = build_model(dense)
     psi = _build_state(dense, cfg)
     half = Space.HALF_LINE_POS
-    energy = np.repeat(dense.sigma_pos() / dense.sigma_max, dense.k_dim)
+    energy = dense.sigma_pos() / dense.sigma_max  # per bin: every fibre alike
     observables = {
         "identity": identity_op(dense, half),
         "energy": LinOp(dense, half, half, energy, hermitian=True),

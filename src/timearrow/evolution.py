@@ -123,15 +123,16 @@ def _column_chunks(n: int) -> list[slice]:
     return [slice(lo, lo + _BLOCK_COLUMNS) for lo in range(0, n, _BLOCK_COLUMNS)]
 
 
-def _toeplitz_block(h: StateVector, ks) -> np.ndarray:
-    """Amplitudes of ``T(k delta_tau) h`` (HARDY_PLUS ``h``), one column per
-    lattice index ``k``: ``h[j + k * k_dim]`` in row ``j``, zero outside the
-    window, so ``-k`` gives ``T*(k delta_tau) h``.  One gather from the windows
-    of the zero-padded samples, ``|k|`` capped at the bin count (all zeros)."""
-    a, n = h.amplitudes, h.amplitudes.size
-    bins = n // h.grid.k_dim
-    e = np.clip(np.asarray(ks), -bins, bins) * h.grid.k_dim
-    return sliding_window_view(np.pad(a, n), n)[n + e].T
+def _toeplitz_block(grid: GridSpec, a: np.ndarray, k) -> np.ndarray:
+    """``T(k delta_tau)`` on Hardy amplitudes, a vector with an array of lattice
+    indices ``k`` (one column each) or an ``N x m`` block with one: row ``j + k
+    * k_dim`` in row ``j``, zero-padded, so ``-k`` gives ``T*``.  One gather
+    from the windows of the padded rows, ``|k|`` capped at the bin count."""
+    n = a.shape[0]
+    bins = n // grid.k_dim
+    e = np.clip(np.asarray(k), -bins, bins) * grid.k_dim
+    padded = np.pad(a, [(n, n)] + [(0, 0)] * (a.ndim - 1))
+    return sliding_window_view(padded, n, axis=0)[n + e].T
 
 
 def _semigroup_index(grid: GridSpec, t):
@@ -146,8 +147,8 @@ def _semigroup_index(grid: GridSpec, t):
 def _hardy_shift(f: StateVector, t: float, sign: int) -> StateVector:
     if f.space is not Space.HARDY_PLUS:
         raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
-    k = sign * _semigroup_index(f.grid, t)
-    return StateVector(f.grid, Space.HARDY_PLUS, _toeplitz_block(f, [k])[:, 0])
+    h = _toeplitz_block(f.grid, f.amplitudes, sign * _semigroup_index(f.grid, t))
+    return StateVector(f.grid, Space.HARDY_PLUS, h)
 
 
 def toeplitz_step(f: StateVector, t: float) -> StateVector:

@@ -8,11 +8,11 @@ the forward map: ``omega = R lam``, and ``Z(t) = R* T_u(t) R`` is the
 unitary transport of the truncated-shift semigroup.
 
 At ``t = k * delta_tau`` the shift ``T_u(t)`` moves time sample ``j + k``
-into sample ``j``.  Fibres are interleaved (bin ``j`` owns rows
-``j*k_dim ... (j+1)*k_dim - 1`` of ``R``), so with ``e = k * k_dim`` and
-``N`` rows, ``Z(t) = R[:N-e]^H R[e:]``; :func:`z_evolve` and
-:func:`z_adjoint` apply the slices of :mod:`timearrow.evolution` between
-the two legs of ``R``.
+into sample ``j``.  Every operator here acts on each fibre alike, so ``lam``
+and ``R`` are stored per bin (see :mod:`timearrow.spaces`): row ``j`` of the
+stored ``R`` is time bin ``j``, and with ``n`` rows ``Z(t) = R[:n-k]^H
+R[k:]`` on every fibre; :func:`z_evolve` and :func:`z_adjoint` apply the
+slices of :mod:`timearrow.evolution` between the two legs of ``R``.
 
 Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
@@ -40,10 +40,8 @@ from .evolution import (
     _semigroup_index,
     _toeplitz_block,
     _unitary_block,
-    toeplitz_adjoint,
-    toeplitz_step,
 )
-from .lyapunov import _dft_block, _fiberize
+from .lyapunov import _dft_block
 from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, _freeze, norm
 
 __all__ = [
@@ -116,7 +114,8 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
 
     Polar factors from the commuting tridiagonal (see the module note): two
     half-size real symmetric eigenproblems and a few half-size real
-    products, no SVD.  Fibres repeat every singular value ``k_dim`` times.
+    products, no SVD.  ``lam`` and ``isometry`` are stored per bin at every
+    ``k_dim``; fibres repeat every singular value ``k_dim`` times.
     """
     n = grid.n_sigma
     nh = grid.n_half()
@@ -145,45 +144,37 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
         for b in range(4):
             lam[a::4, b::4] *= 1j ** ((a - b) % 4)
     s = np.sort(np.concatenate([s_even, s_odd]))[::-1]
-    k = grid.k_dim
     return IrreversibleModel(
         grid=grid,
-        lam=LinOp._hermitian_by_construction(
-            grid, Space.HALF_LINE_POS, _fiberize(lam, k)
-        ),
-        isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, _fiberize(r, k)),
-        singular_values=np.repeat(s, k),
+        lam=LinOp._hermitian_by_construction(grid, Space.HALF_LINE_POS, lam),
+        isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r),
+        singular_values=np.repeat(s, grid.k_dim),
     )
 
 
-def _shift_rows(model: IrreversibleModel, t: float) -> int:
-    """Row count ``e = k * k_dim`` of the shift at ``t = k * delta_tau``."""
-    return _semigroup_index(model.grid, t) * model.grid.k_dim
-
-
 def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:
-    """Dense matrix of ``Z(t) = R[:N-e]^H R[e:]`` (see the module note).
+    """Dense matrix of ``Z(t) = R[:n-k]^H R[k:]`` (see the module note).
 
-    One product of two row slices of ``R``; the zero matrix once the shift
-    reaches half the window.
+    One product of two row slices of ``R``, lifted to every fibre; the zero
+    matrix once the shift reaches half the window.
     """
-    e = _shift_rows(model, t)
-    r = model.isometry.matrix
-    return r[: max(r.shape[0] - e, 0)].conj().T @ r[e:]
+    k = _semigroup_index(model.grid, t)
+    r = model.isometry._entries
+    z = r[: max(r.shape[0] - k, 0)].conj().T @ r[k:]
+    return LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, z).matrix
 
 
-def _to_hardy(model: IrreversibleModel, psi: StateVector) -> StateVector:
-    """``R psi``: a half-line state carried into the Hardy picture."""
+def _to_hardy(model: IrreversibleModel, psi: StateVector) -> np.ndarray:
+    """Amplitudes of ``R psi``: a half-line state carried into the Hardy picture."""
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("the transported semigroup acts on HALF_LINE_POS states")
-    r = model.isometry.matrix
-    return StateVector(model.grid, Space.HARDY_PLUS, r @ psi.amplitudes)
+    return model.isometry._act(psi.amplitudes)
 
 
 def _from_hardy(model: IrreversibleModel, h: np.ndarray) -> np.ndarray:
     """``R^H h`` for Hardy amplitudes ``h``, a vector or an ``N x m`` block,
     as ``(h^H R)^H``: no conjugate of ``R`` is copied."""
-    return (h.conj().T @ model.isometry.matrix).conj().T
+    return model.isometry._act(h, adjoint=True)
 
 
 def z_evolve(model: IrreversibleModel, psi: StateVector, t: float) -> StateVector:
@@ -194,14 +185,17 @@ def z_evolve(model: IrreversibleModel, psi: StateVector, t: float) -> StateVecto
     every state in the square root's range is annihilated by the time the
     shift crosses half the window.
     """
-    h = toeplitz_step(_to_hardy(model, psi), t)
-    return StateVector(h.grid, Space.HALF_LINE_POS, _from_hardy(model, h.amplitudes))
+    return _z_shift(model, psi, _semigroup_index(model.grid, t))
 
 
 def z_adjoint(model: IrreversibleModel, psi: StateVector, t: float) -> StateVector:
     """Apply ``Z*(t) = R* (T_u(t))* R``, the co-isometric adjoint."""
-    h = toeplitz_adjoint(_to_hardy(model, psi), t)
-    return StateVector(h.grid, Space.HALF_LINE_POS, _from_hardy(model, h.amplitudes))
+    return _z_shift(model, psi, -_semigroup_index(model.grid, t))
+
+
+def _z_shift(model: IrreversibleModel, psi: StateVector, k: int) -> StateVector:
+    h = _toeplitz_block(model.grid, _to_hardy(model, psi), k)
+    return StateVector(model.grid, Space.HALF_LINE_POS, _from_hardy(model, h))
 
 
 def intertwining_residual(
@@ -242,9 +236,9 @@ def intertwining_residual(
             k = ks[cols]
             t_k = k * model.grid.delta_tau
             lhs = lam._act(_unitary_block(psi, t_k))
-            rhs = _from_hardy(model, _toeplitz_block(h_moved, k))
+            rhs = _from_hardy(model, _toeplitz_block(model.grid, h_moved, k))
             lhs_a = _unitary_block(moved, -t_k)
-            rhs_a = lam._act(_from_hardy(model, _toeplitz_block(h_psi, -k)))
+            rhs_a = lam._act(_from_hardy(model, _toeplitz_block(model.grid, h_psi, -k)))
             forward = max(forward, _column_norms(psi.grid, lhs - rhs).max() / scale)
             adjoint = max(adjoint, _column_norms(psi.grid, lhs_a - rhs_a).max() / scale)
     return float(forward), float(adjoint)

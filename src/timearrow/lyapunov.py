@@ -58,12 +58,6 @@ def _dft_block(n_sigma: int, a: np.ndarray) -> np.ndarray:
     return (roots / np.sqrt(n_sigma))[phase]
 
 
-def _fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
-    if k_dim == 1:
-        return block
-    return np.kron(block, np.eye(k_dim))
-
-
 def build_omega(grid: GridSpec) -> LinOp:
     """Dense matrix of the forward map on the given grid.
 
@@ -74,15 +68,10 @@ def build_omega(grid: GridSpec) -> LinOp:
     In closed form, with ``n = n_sigma`` and ``j, m < n/2`` indexing the
     positive energy and time bins, the scalar block is the offset DFT block
     ``exp(-2 pi i (j + 1/2)(m + 1/2) / n) / sqrt(n)``, whatever
-    ``sigma_max``; fibres multiply it by the identity.
+    ``sigma_max``; fibres multiply it by the identity, so it is stored per bin.
     """
     block = _dft_block(grid.n_sigma, 2 * np.arange(grid.n_half()) + 1)
-    return LinOp(
-        grid,
-        Space.HALF_LINE_POS,
-        Space.HARDY_PLUS,
-        _fiberize(block, grid.k_dim),
-    )
+    return LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, block)
 
 
 def build_m_f(grid: GridSpec) -> LinOp:
@@ -90,9 +79,9 @@ def build_m_f(grid: GridSpec) -> LinOp:
 
     Hermitian, nonnegative, contractive, and injective on the discrete
     half-line space; its eigenvalues fill (0, 1) increasingly densely as the
-    grid refines.
+    grid refines.  Stored per bin, as the forward map is.
     """
-    om = build_omega(grid).matrix
+    om = build_omega(grid)._entries
     m = om.conj().T @ om
     m = 0.5 * (m + m.conj().T)
     return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, m, hermitian=True)

@@ -5,12 +5,13 @@ into a past subspace (states already annihilated, ``Ker Z(t)``) and its
 orthogonal complement, the future subspace.  Because ``Z(t) = R* S_k R``
 with ``S_k`` a slice of rows (see :mod:`timearrow.lambda_transform`), every
 operator here is ``R^H diag(w) R``, built from the rows of ``R`` where the
-weight ``w`` is nonzero.  With ``e = k * k_dim`` rows behind the shift at
-``t = k * delta_tau``:
+weight ``w`` is nonzero and stored per bin, as ``R`` is (one row per time
+bin, ``n`` rows).  With ``e = k`` rows behind the shift at ``t = k *
+delta_tau``:
 
 * the past projection ``I - Z*(t) Z(t)`` is ``R[:e]^H R[:e]`` and the
   future projection ``Z*(t) Z(t)`` is ``R[e:]^H R[e:]``: exact orthogonal
-  projections of the discrete model, of rank ``e`` and ``N - e``;
+  projections of the discrete model, of rank ``e`` and ``n - e`` per fibre;
 * the increment over ``(t_i, t_{i+1}]`` is the row block ``R[e_i:e_{i+1}]``,
   and the ordering operator ``T`` weights each block with its midpoint.
 
@@ -19,7 +20,9 @@ The family's numbers need no dense projection or ``T``, only ``G = R R^H``:
 certified by Weyl's inequality, and since ``spec(XY) = spec(YX)``, ``T = (R^H
 M^(1/2)) (M^(1/2) R)`` (``M`` the midpoint weights) has the spectrum of
 ``M^(1/2) G M^(1/2)``: that of its first ``E`` rows and columns (``E`` the
-last row end), plus ``N - E`` zeros.
+last row end), plus ``n - E`` zeros.  On the full space each matrix is
+``kron(block, I_k)``: ranks and spectra repeat ``k_dim`` times, and Frobenius
+norms grow by ``sqrt(k_dim)``, as ``<kron(A, I), kron(B, I)> = k_dim <A, B>``.
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ from .evolution import (
     _toeplitz_block,
     _unitary_block,
 )
-from .lambda_transform import IrreversibleModel, _from_hardy, _shift_rows, _to_hardy
+from .lambda_transform import IrreversibleModel, _from_hardy, _to_hardy
 from .lyapunov import _omega_block
 from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
 
 __all__ = [
     "ProjectionFamily",
-    "OrderingOperator",
     "future_projection",
     "spectral_measure",
     "assemble_T",
@@ -58,7 +60,7 @@ _CLUSTER_GAP = 1e-4
 def _row_weighted(isometry: LinOp, w: np.ndarray) -> LinOp:
     """``R^H diag(w) R``, summed over the rows of ``R`` where ``w`` is nonzero."""
     rows = np.flatnonzero(w)
-    a = isometry.matrix[rows]
+    a = isometry._entries[rows]
     m = (a.conj().T * w[rows]) @ a
     return LinOp._hermitian_by_construction(
         isometry.grid, Space.HALF_LINE_POS, 0.5 * (m + m.conj().T)
@@ -67,7 +69,7 @@ def _row_weighted(isometry: LinOp, w: np.ndarray) -> LinOp:
 
 def _row_block(isometry: LinOp, lo: int, hi: int | None = None) -> LinOp:
     """``R[lo:hi]^H R[lo:hi]``."""
-    w = np.zeros(isometry.matrix.shape[0])
+    w = np.zeros(isometry._entries.shape[0])
     w[lo:hi] = 1.0
     return _row_weighted(isometry, w)
 
@@ -88,14 +90,15 @@ def future_projection(model: IrreversibleModel, t: float) -> LinOp:
     An exact orthogonal projection of the discrete model (the shift's
     isometric leg has no edge defect), equal to ``I`` at ``t = 0``.
     """
-    return _row_block(model.isometry, _shift_rows(model, t))
+    return _row_block(model.isometry, _semigroup_index(model.grid, t))
 
 
 @dataclass(frozen=True)
 class ProjectionFamily:
     """Increasing family of past projections, held as row ends of ``R``.
 
-    ``row_ends[i] = k_i * k_dim`` for ``times[i] = k_i * delta_tau``.
+    ``row_ends`` count stored rows: ``row_ends[i] = k_i`` for ``times[i] =
+    k_i * delta_tau`` if ``R`` is stored per bin, ``k_i * k_dim`` at full size.
     :meth:`projection` ``(i)`` is the past projection ``R[:e_i]^H R[:e_i]``
     at ``times[i]``; :meth:`increment` ``(i)`` is the measure of the
     half-open interval ``(times[i], times[i+1]]``, the row block
@@ -129,7 +132,8 @@ class ProjectionFamily:
     @cached_property
     def gram(self) -> np.ndarray:
         """``G = R R^H``, formed once per family (read-only)."""
-        g = self.isometry.matrix @ self.isometry.matrix.conj().T
+        r = self.isometry._entries
+        g = r @ r.conj().T
         g.setflags(write=False)
         return g
 
@@ -150,11 +154,14 @@ class ProjectionFamily:
         every eigenvalue of ``G_e`` within ``|D|`` of 1, so if ``|D| <=
         1e-4`` the rank is ``e``, as :func:`projection_rank`'s cluster test
         would find; otherwise that test runs on ``G_e`` (``ValueError`` if
-        its spectrum does not cluster at ``{0, 1}``).
+        its spectrum does not cluster at ``{0, 1}``).  Ranks and residuals
+        (``|D|`` before the rank decision) are lifted to the full space.
         """
-        complement = float(np.linalg.norm(self.gram - np.eye(self.gram.shape[0])))
+        g, fibres = self.gram, self.isometry._fibres
+        lift = np.sqrt(fibres)
+        complement = float(np.linalg.norm(g - np.eye(g.shape[0])) * lift)
         big_e = self.row_ends[-1]
-        d = self.gram[:big_e, :big_e] - np.eye(big_e)
+        d = g[:big_e, :big_e] - np.eye(big_e)
         acc = np.zeros_like(d)
         out = []
         q = 0
@@ -162,12 +169,13 @@ class ProjectionFamily:
             before = d[:q, :e] + acc[:q, :e]
             acc += d[:, q:e] @ d[q:e, :]
             c = d[:e, :e] + acc[:e, :e]
-            nest = float(np.sqrt(max(np.vdot(before, c[:q]).real, 0.0)))
+            nest = float(np.sqrt(max(np.vdot(before, c[:q]).real, 0.0)) * lift)
             if complement <= _CLUSTER_GAP:
                 rank = int(e)
             else:
-                rank = _cluster_rank(np.linalg.eigvalsh(self.gram[:e, :e]))
-            out.append((rank, float(np.linalg.norm(c)), nest, complement))
+                rank = _cluster_rank(np.linalg.eigvalsh(g[:e, :e]))
+            idem = float(np.linalg.norm(c) * lift)
+            out.append((rank * fibres, idem, nest, complement))
             q = e
         return out
 
@@ -177,24 +185,8 @@ class ProjectionFamily:
         mids = 0.5 * (self.times[1:] + self.times[:-1])
         s = np.sqrt(np.repeat(mids, np.diff(self.row_ends)))
         vals = np.linalg.eigvalsh(s[:, None] * self.gram[:e, :e] * s)
-        return np.sort(np.concatenate([vals, np.zeros(self.gram.shape[0] - e)]))
-
-
-@dataclass(frozen=True)
-class OrderingOperator:
-    """Riemann–Stieltjes assembly ``sum(t_mid * increment)`` of the measure.
-
-    Hermitian with spectrum inside ``[0, truncation_time]``; commutes with
-    every projection in the generating family.  The finite window truncates
-    the continuum operator's unbounded spectrum at ``truncation_time``.
-    """
-
-    matrix: LinOp
-    time_grid: np.ndarray
-    truncation_time: float
-
-    def __post_init__(self):
-        _freeze(self, "time_grid", np.float64)
+        vals = np.concatenate([vals, np.zeros(self.gram.shape[0] - e)])
+        return np.sort(np.repeat(vals, self.isometry._fibres))
 
 
 def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:
@@ -206,27 +198,23 @@ def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:
     """
     times = np.asarray(time_grid, dtype=np.float64)
     ks = np.minimum(_semigroup_index(model.grid, times), model.grid.n_half())
-    return ProjectionFamily(model.isometry, times, ks * model.grid.k_dim)
+    return ProjectionFamily(model.isometry, times, ks)
 
 
-def assemble_T(family: ProjectionFamily) -> OrderingOperator:
+def assemble_T(family: ProjectionFamily) -> LinOp:
     """Assemble the ordering operator ``T = R^H diag(m) R`` from a family.
 
     ``m`` is the midpoint of interval ``i`` on the rows of increment ``i``
     and 0 on the rows at or past the last time, so ``T`` is the sum of
     midpoint times increment.  It commutes with every projection in the
     family and its eigenvalues are exactly the interval midpoints, each with
-    multiplicity equal to its increment's rank.
+    multiplicity equal to its increment's rank, inside ``[0, times[-1]]``.
     """
     ends = family.row_ends
     mids = 0.5 * (family.times[1:] + family.times[:-1])
-    m = np.zeros(family.isometry.matrix.shape[0])
+    m = np.zeros(family.isometry._entries.shape[0])
     m[: ends[-1]] = np.repeat(mids, np.diff(ends))
-    return OrderingOperator(
-        matrix=_row_weighted(family.isometry, m),
-        time_grid=family.times,
-        truncation_time=float(family.times[-1]),
-    )
+    return _row_weighted(family.isometry, m)
 
 
 def projection_rank(p: LinOp) -> int:
@@ -294,8 +282,8 @@ def irreversible_matrix_element(
         b = lam._act(_unitary_block(psi, t))
         a = b if same else lam._act(_unitary_block(phi, t))
         rev[cols] = element(a, b)
-        b = _from_hardy(model, _toeplitz_block(h_psi, k))
-        a = b if same else _from_hardy(model, _toeplitz_block(h_phi, k))
+        b = _from_hardy(model, _toeplitz_block(model.grid, h_psi, k))
+        a = b if same else _from_hardy(model, _toeplitz_block(model.grid, h_phi, k))
         irr[cols] = element(a, b)
     return rev, irr, np.abs(rev - irr)
 
@@ -328,7 +316,7 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
         k = ks[cols]
         evolved = _omega_block(psi.grid, _unitary_block(psi, k * model.grid.delta_tau))
         lhs[cols] = _column_norms(psi.grid, evolved) ** 2
-        moved = _from_hardy(model, _toeplitz_block(h, k))
+        moved = _from_hardy(model, _toeplitz_block(model.grid, h, k))
         rhs[cols] = _column_norms(psi.grid, moved) ** 2
     denom = max(norm(transported) ** 2, np.finfo(float).tiny)
     rel = np.abs(lhs - rhs) / denom

@@ -203,7 +203,7 @@ def check_intertwining(model: IrreversibleModel) -> tuple[bool, dict]:
     worst_omega = 0.0
     for psi in psi_set:
         lhs = _omega_block(grid, _unitary_block(psi, times))
-        rhs = _toeplitz_block(apply_omega(psi), ks)
+        rhs = _toeplitz_block(grid, apply_omega(psi).amplitudes, ks)
         worst_omega = max(worst_omega, _column_norms(grid, lhs - rhs).max() / norm(psi))
     details = {
         "lambda_forward": worst_fwd,
@@ -211,13 +211,6 @@ def check_intertwining(model: IrreversibleModel) -> tuple[bool, dict]:
         "omega_route": worst_omega,
     }
     return all(v <= 1e-8 for v in details.values()), details
-
-
-def _row_shift(a: np.ndarray, e: int) -> np.ndarray:
-    """``T(t)`` on a block of Hardy columns at ``e = k * k_dim`` rows, ``T*(t)``
-    at ``-e``: row ``j + e`` in row ``j``, zero-padded, ``|e|`` capped at ``N``."""
-    n = a.shape[0]
-    return np.pad(a, ((n, n), (0, 0)))[n + np.clip(e, -n, n) :][:n]
 
 
 def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
@@ -244,12 +237,12 @@ def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
     )
     zz = tt = 0.0
     for k in (1, 5, 16, 44, _SWEEP_MAX_SHIFT):
-        e = k * grid.k_dim
         # Z(t) Z*(t) chi = R^H T(t) R R^H T*(t) R chi
-        back = _from_hardy(model, _row_shift(r_chi, -e))
-        back = _from_hardy(model, _row_shift(model.isometry._act(back), e))
+        back = _from_hardy(model, _toeplitz_block(grid, r_chi, -k))
+        back = _from_hardy(model, _toeplitz_block(grid, model.isometry._act(back), k))
         zz = max(zz, _relative_gap(grid, back, chi))
-        tt = max(tt, _relative_gap(grid, _row_shift(_row_shift(h, -e), e), h))
+        tt = max(tt, _relative_gap(
+            grid, _toeplitz_block(grid, _toeplitz_block(grid, h, -k), k), h))
     details = {
         "z_identity": identity_resid,
         "z_composition": law,
@@ -454,9 +447,10 @@ def check_decay_surrogates(model: IrreversibleModel) -> tuple[bool, dict]:
         curve = lyapunov_curve(psi, times).expectations
         h = apply_omega(psi)
         transported = model.lam.apply(psi)
-        z = _from_hardy(model, _toeplitz_block(_to_hardy(model, transported), ks))
+        z = _from_hardy(model, _toeplitz_block(grid, _to_hardy(model, transported), ks))
+        tail = _toeplitz_block(grid, h.amplitudes, ks)
         lyap = max(lyap, curve[1:].max() / curve[0])
-        toep = max(toep, _column_norms(grid, _toeplitz_block(h, ks)).max() / norm(h))
+        toep = max(toep, _column_norms(grid, tail).max() / norm(h))
         zdec = max(zdec, _column_norms(grid, z).max() / norm(transported))
     details = {
         "expectation_ratio": lyap,

@@ -13,7 +13,9 @@ All three use the same rectangle-rule quadrature weight ``delta_sigma``; the
 Hardy coordinates are scaled so that this single weight is exact for every
 tag.  A fiber dimension ``k_dim`` models vector-valued amplitudes; fibers are
 stored interleaved, i.e. a state is the C-order flattening of an
-``(n_bins, k_dim)`` array.
+``(n_bins, k_dim)`` array.  So an ``N x m`` block of states is an ``n_bins x
+(k_dim m)`` block (a view), and a :class:`LinOp` that acts on every fibre
+alike stores only the block ``A`` of ``kron(A, I_k)``, applied in one product.
 """
 
 from __future__ import annotations
@@ -255,15 +257,17 @@ class LinOp:
     """Linear operator between tagged spaces on one grid: dense or diagonal.
 
     ``matrix`` is the dense ``(dim(codomain), dim(domain))`` array or, with
-    matching legs, a 1-d array: a diagonal, stored as a vector (the dense
-    ``matrix`` property is then built on request).  Because every space tag
-    uses the same quadrature weight, the adjoint with respect to the weighted
-    inner products is the plain conjugate transpose.  ``hermitian=True`` is
-    checked once, here (``|m - m^H| <= 1e-12 max(|m|, 1)``, Frobenius, so
-    O(N) real entries for a diagonal; ``ValueError`` otherwise); functions
-    that need a Hermitian operator require the flag instead of rechecking.
-    Internally the operator also acts on an ``N x m`` block of amplitudes,
-    one state per column, once the caller has checked the space tags.
+    matching legs, a 1-d array: a diagonal, stored as a vector.  Either may
+    be stored per bin (``dim // k_dim``; see the module note); the dense
+    ``matrix`` is then built on request, as for a diagonal.  Because every
+    space tag uses the same quadrature weight, the adjoint with respect to
+    the weighted inner products is the plain conjugate transpose.
+    ``hermitian=True`` is checked once, here (``|m - m^H| <= 1e-12 max(|m|,
+    1)``, Frobenius, so O(N) real entries for a diagonal; ``ValueError``
+    otherwise); functions that need a Hermitian operator require the flag
+    instead of rechecking.  Internally the operator also acts on an ``N x
+    m`` block of amplitudes, one state per column, once the caller has
+    checked the space tags.
     """
 
     grid: GridSpec
@@ -285,8 +289,9 @@ class LinOp:
             if self.domain is not self.codomain:
                 raise ValueError("a diagonal operator needs matching legs")
             expected = expected[:1]
-        if m.shape != expected:
-            raise ValueError(f"matrix shape {m.shape}, expected {expected}")
+        binned = tuple(d // self.grid.k_dim for d in expected)
+        if m.shape not in (expected, binned):
+            raise ValueError(f"matrix shape {m.shape}, expected {expected} or {binned}")
         if self.hermitian:
             if self.domain is not self.codomain:
                 raise ValueError("hermitian operator needs matching legs")
@@ -299,15 +304,29 @@ class LinOp:
                 )
 
     @property
-    def matrix(self) -> np.ndarray:
-        """Dense matrix; built on each request for a diagonal operator."""
-        m = self._entries
-        return m if m.ndim == 2 else np.diag(m)
+    def _fibres(self) -> int:
+        """Fibres each stored entry acts on: ``k_dim`` if stored per bin, else 1."""
+        return self.grid.dim(self.domain) // self._entries.shape[-1]
 
-    def _act(self, a: np.ndarray) -> np.ndarray:
-        """Amplitudes of the image of a vector, or of each column of a block."""
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix; built on each request for a diagonal or per bin."""
+        m = self._entries if self._entries.ndim == 2 else np.diag(self._entries)
+        return m if self._fibres == 1 else np.kron(m, np.eye(self.grid.k_dim))
+
+    def _act(self, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Amplitudes of the image of a vector, or of each column of a block,
+        under the operator or (``adjoint``, dense only) its adjoint as ``(a^H
+        m)^H``, so no conjugate of ``m`` is copied.  Entries stored per bin act
+        on the ``n_bins x (k_dim m)`` view of a block of ``N`` rows."""
         m = self._entries
-        return m @ a if m.ndim == 2 else (m * a.T).T
+        f = a.shape[0] // m.shape[0 if adjoint else -1]
+        b = a if f == 1 else a.reshape(a.shape[0] // f, -1)
+        if adjoint:
+            out = (b.conj().T @ m).conj().T
+        else:
+            out = m @ b if m.ndim == 2 else (m * b.T).T
+        return out if f == 1 else out.reshape(-1, *a.shape[1:])
 
     def apply(self, f: StateVector) -> StateVector:
         if f.grid != self.grid or f.space is not self.domain:
@@ -324,7 +343,9 @@ class LinOp:
             raise SpaceMismatchError(
                 f"cannot compose {self.domain.value} <- {other.codomain.value}"
             )
-        b = other._entries
+        # stored sizes differ: the right factor is lifted, and a left factor
+        # stored per bin acts on it by the fibre rule
+        b = other._entries if self._fibres == other._fibres else other.matrix
         # a diagonal on the right scales the columns of the left factor
         m = self._entries * b if b.ndim == 1 else self._act(b)
         return LinOp(self.grid, other.domain, self.codomain, m)

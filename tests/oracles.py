@@ -12,6 +12,9 @@ production route against them.  Each is the literal form of its fact:
 * :func:`lyapunov_expectation` is ``|T_u(t) omega psi|^2``, one shifted slice
   of the forward image, where ``lyapunov_curve`` reads a reverse cumulative
   sum.
+* :func:`fiberize` is ``kron(block, I_k)``, the full-space matrix of an
+  operator that the library stores per bin and applies to every fibre by
+  reshaping.
 """
 
 import numpy as np
@@ -27,18 +30,27 @@ from timearrow import (
     restrict,
     toeplitz_step,
 )
+from timearrow.evolution import _semigroup_index
 from timearrow.hardy import TimeProfile, _tau_to_sigma
-from timearrow.lambda_transform import IrreversibleModel, _shift_rows
-from timearrow.ordering import _row_weighted
+from timearrow.lambda_transform import IrreversibleModel
+
+
+def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
+    """``kron(block, I_k)``: fibres interleaved, every fibre acted on alike."""
+    return block if k_dim == 1 else np.kron(block, np.eye(k_dim))
 
 
 def past_projection(model: IrreversibleModel, t: float) -> LinOp:
     """Projection onto the states the semigroup has killed by lattice time
-    ``t``, as the literal commutator (see the module note); zero at ``t = 0``."""
-    e = _shift_rows(model, t)
-    rows = np.arange(model.grid.dim(Space.HALF_LINE_POS))
+    ``t``, as the literal commutator (see the module note) on the dense ``R``;
+    zero at ``t = 0``."""
+    e = _semigroup_index(model.grid, t) * model.grid.k_dim
+    r = model.isometry.matrix
+    rows = np.arange(r.shape[0])
     d = (rows < rows.size - e).astype(np.float64) - (rows >= e)
-    return _row_weighted(model.isometry, d)
+    m = (r.conj().T * d) @ r
+    return LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
+                 0.5 * (m + m.conj().T), hermitian=True)
 
 
 def lyapunov_expectation(psi: StateVector, t: float) -> float:

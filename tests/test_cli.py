@@ -286,6 +286,19 @@ class TestProjectionFamilyCommand:
         assert abs(d["ordering_spectrum_max"] - last_mid) <= 1e-10 * d["truncation_time"]
 
 
+    def test_ranks_count_every_fibre(self, tmp_path):
+        cfg = copy.deepcopy(SMALL)
+        cfg["grid"]["k_dim"] = 4
+        path = _write_cfg(tmp_path, cfg)
+        res = _run(["projection-family", "--config", path, "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        _, rows = _read_csv(tmp_path / "projection_family.csv")
+        dense = make_grid(2 * cfg["dense"]["n_dense"], cfg["grid"]["sigma_max"], 4)
+        ks = np.rint(np.array([float(r[0]) for r in rows]) / dense.delta_tau)
+        assert [int(r[1]) for r in rows] == list(4 * ks.astype(int))
+        assert ks[-1] > 0
+
+
 class TestMatrixElementCommand:
     def test_pictures_agree_for_guarded_random_state(self, tmp_path):
         cfg = _write_cfg(tmp_path, SMALL)

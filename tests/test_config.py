@@ -74,6 +74,18 @@ def test_estimate_bounds_measured_peaks(n_dense, measured_mb):
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
 
+@pytest.mark.parametrize("n_steps, measured_mb", [(33, 59.0), (2000, 148.0)])
+def test_estimate_bounds_measured_peaks_at_k_dim_8(n_steps, measured_mb):
+    # the largest peak RSS of projection-family, matrix-element and
+    # semigroup-norms at n_dense 512 and k_dim 8, one BLAS thread: the model
+    # is stored per bin, and only the blocks of states grow with k_dim
+    cfg = _with("grid", "k_dim", 8)
+    cfg["times"]["n_steps"] = n_steps
+    need, field = peak_memory_estimate(cfg)
+    assert field == "dense.n_dense"
+    assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+
+
 def test_default_config_is_valid(tmp_path):
     assert load_config(_write(tmp_path, DEFAULT_CONFIG)) == DEFAULT_CONFIG
 

@@ -367,7 +367,8 @@ class TestBlocks:
         f = _rand_state(grid, Space.HALF_LINE_POS, rng)
         h = _rand_state(grid, Space.HARDY_PLUS, rng)
         evolved = _unitary_block(f, ks * grid.delta_tau)
-        forward, backward = _toeplitz_block(h, ks), _toeplitz_block(h, -ks)
+        forward = _toeplitz_block(grid, h.amplitudes, ks)
+        backward = _toeplitz_block(grid, h.amplitudes, -ks)
         for i, k in enumerate(ks):
             t = k * grid.delta_tau
             assert np.array_equal(evolved[:, i], unitary_evolve(f, t).amplitudes)
@@ -380,6 +381,19 @@ class TestBlocks:
         n = grid.n_half()
         ks = np.array([-n - 3, -n, -5, 0, 5, n, n + 3])
         h = _rand_state(grid, Space.HARDY_PLUS, rng)
-        got, want = _toeplitz_block(h, ks), _slice_loop_block(h, ks)
+        got, want = _toeplitz_block(grid, h.amplitudes, ks), _slice_loop_block(h, ks)
         assert got.shape == want.shape and got.strides == want.strides
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k_dim", [1, 2])
+    def test_block_gather_matches_slice_loop(self, rng, k_dim):
+        # an N x m block with one index: column j is the vector form's image
+        grid = make_grid(64, 20.0, k_dim)
+        n = grid.n_half()
+        columns = [_rand_state(grid, Space.HARDY_PLUS, rng) for _ in range(5)]
+        block = np.column_stack([h.amplitudes for h in columns])
+        for k in (-n - 3, -n, -5, 0, 5, n, n + 3):
+            got = _toeplitz_block(grid, block, k)
+            want = np.column_stack([_slice_loop_block(h, [k])[:, 0] for h in columns])
+            assert got.shape == want.shape and got.strides == want.strides
+            assert np.array_equal(got, want)

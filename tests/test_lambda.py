@@ -21,6 +21,7 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
+from oracles import fiberize
 
 
 # Oracles of build_model: the square root from the eigendecomposition of the
@@ -216,6 +217,25 @@ class TestStructuredFactorization:
         gamma = np.exp(-0.25j * np.pi * nh)
         rebuilt = gamma * d[:, None] * _centred_dft(small_grid) * d
         assert np.abs(build_omega(small_grid).matrix - rebuilt).max() <= 1e-14
+
+
+class TestFibres:
+    """At every ``k_dim`` the model stores the scalar model's blocks, and the
+    dense matrices are their Kronecker forms (the oracle)."""
+
+    @pytest.mark.parametrize("k_dim", [1, 2, 4])
+    def test_stored_blocks_and_kronecker_forms(self, k_dim):
+        scalar_grid, grid = make_grid(64, 20.0, 1), make_grid(64, 20.0, k_dim)
+        scalar, model = build_model(scalar_grid), build_model(grid)
+        pairs = [(model.lam, scalar.lam), (model.isometry, scalar.isometry),
+                 (build_omega(grid), build_omega(scalar_grid)),
+                 (build_m_f(grid), build_m_f(scalar_grid))]
+        for op, ref in pairs:
+            assert op._entries.shape == (grid.n_half(), grid.n_half())
+            assert np.array_equal(op._entries, ref._entries)
+            assert np.array_equal(op.matrix, fiberize(ref.matrix, k_dim))
+        assert np.array_equal(model.singular_values,
+                              np.repeat(scalar.singular_values, k_dim))
 
 
 class TestContractionSemigroup:

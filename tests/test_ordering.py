@@ -1,5 +1,7 @@
 """Past/future projections, the spectral measure, and the ordering operator."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from timearrow import (
 )
 from timearrow import evolution
 from timearrow.ordering import _CLUSTER_GAP, _row_weighted
-from oracles import adjoint, lyapunov_expectation, past_projection
+from oracles import adjoint, fiberize, lyapunov_expectation, past_projection
 
 
 def _rand_half(grid, rng):
@@ -290,9 +292,79 @@ class TestFibredDenseOracle:
             inc = past[i + 1] - past[i]
             assert np.linalg.norm(fam.increment(i).matrix - inc) <= 1e-12
             t_oracle += 0.5 * (ks[i] + ks[i + 1]) * dt * inc
-        assert np.linalg.norm(assemble_T(fam).matrix.matrix - t_oracle) <= 1e-12
+        assert np.linalg.norm(assemble_T(fam).matrix - t_oracle) <= 1e-12
         assert [row[0] for row in fam.residuals()] == list(2 * ks)
         assert max(max(row[1:]) for row in fam.residuals()) <= 1e-12
+
+
+class TestKroneckerOracle:
+    """The family of an ``R`` stored per bin against the family of its full
+    Kronecker form ``kron(R, I_k)``, whose row ends count ``k_dim`` rows per
+    lattice step: ranks exactly, residuals and ``T``'s spectrum to rounding."""
+
+    @pytest.mark.parametrize("k_dim", [1, 2, 4])
+    @pytest.mark.parametrize("eps", [0.0, 3e-6])
+    def test_family_matches_full_size_route(self, k_dim, eps):
+        grid = make_grid(64, 20.0, k_dim)
+        model = build_model(grid)
+        ks = np.array([0, 4, 9, 20, 32])
+        times = ks * grid.delta_tau
+        if eps:  # residuals well above rounding, ranks from the cluster test
+            r = _perturbed_family(make_grid(64, 20.0, 1), eps, ks).isometry._entries
+            per_bin = ProjectionFamily(
+                LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r), times, ks)
+        else:
+            r, per_bin = model.isometry._entries, spectral_measure(model, times)
+        full = ProjectionFamily(
+            LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, fiberize(r, k_dim)),
+            times, ks * k_dim)
+        got, want = per_bin.residuals(), full.residuals()
+        assert [row[0] for row in got] == [row[0] for row in want] == list(ks * k_dim)
+        assert np.abs(np.array(got)[:, 1:] - np.array(want)[:, 1:]).max() <= 1e-12
+        if eps:
+            assert min(row[3] for row in got) > _CLUSTER_GAP
+        spectrum, dense = per_bin.ordering_spectrum(), full.ordering_spectrum()
+        assert spectrum.shape == dense.shape
+        assert np.abs(spectrum - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("k_dim", [1, 4])
+    def test_rejects_what_the_full_size_route_rejects(self, k_dim):
+        grid = make_grid(64, 20.0, k_dim)
+        ks = np.array([0, 4, 9, 20, 32])
+        r = _perturbed_family(make_grid(64, 20.0, 1), 1e-3, ks).isometry._entries
+        for m, ends in ((r, ks), (fiberize(r, k_dim), ks * k_dim)):
+            iso = LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, m)
+            with pytest.raises(ValueError, match="not clustered"):
+                ProjectionFamily(iso, ks * grid.delta_tau, ends).residuals()
+
+    def test_structure_at_k_dim_8(self, monkeypatch, rng):
+        # the model, the family and the matrix elements stay n x n: no
+        # Kronecker form is built unless a dense matrix is asked for
+        calls = collections.Counter()
+        kron = np.kron
+
+        def counted(*args, **kwargs):
+            calls["kron"] += 1
+            return kron(*args, **kwargs)
+
+        monkeypatch.setattr(np, "kron", counted)
+        grid = make_grid(64, 20.0, 8)
+        nh, half = grid.n_half(), Space.HALF_LINE_POS
+        ks = np.array([0, 4, 9, 20, 32])
+        model = build_model(grid)
+        fam = spectral_measure(model, ks * grid.delta_tau)
+        ranks = [row[0] for row in fam.residuals()]
+        fam.ordering_spectrum()
+        psi = _rand_half(grid, rng)
+        energy = LinOp(grid, half, half, grid.sigma_pos(), hermitian=True)
+        for x in (identity_op(grid, half), energy, _hermitian_op(grid, rng)):
+            irreversible_matrix_element(model, psi, psi, x, ks * grid.delta_tau)
+        assert calls["kron"] == 0
+        assert model.isometry._entries.shape == model.lam._entries.shape == (nh, nh)
+        assert fam.gram.shape == (nh, nh)
+        assert ranks == list(8 * ks)
+        assert model.isometry.matrix.shape == (8 * nh, 8 * nh)
+        assert calls["kron"] == 1
 
 
 class TestOrderingOperator:
@@ -305,9 +377,9 @@ class TestOrderingOperator:
         mids = 0.5 * (ks[1:] + ks[:-1]) * dt
         expected = np.sort(np.concatenate([np.repeat(mids, 8),
                                            np.zeros(nh - ks[-1])]))
-        vals = np.linalg.eigvalsh(op.matrix.matrix)
+        vals = np.linalg.eigvalsh(op.matrix)
         assert np.allclose(vals, expected, atol=1e-10)
-        assert op.truncation_time == pytest.approx(ks[-1] * dt)
+        assert fam.times[-1] == pytest.approx(ks[-1] * dt)
 
     @pytest.mark.parametrize("fixture, ks", [
         ("model", [0, 5, 16, 40, 64, 130]),
@@ -317,7 +389,7 @@ class TestOrderingOperator:
     def test_gram_block_spectrum_matches_dense_T(self, request, fixture, ks):
         m = request.getfixturevalue(fixture)
         fam = spectral_measure(m, np.array(ks) * m.grid.delta_tau)
-        dense = np.linalg.eigvalsh(assemble_T(fam).matrix.matrix)
+        dense = np.linalg.eigvalsh(assemble_T(fam).matrix)
         vals = fam.ordering_spectrum()
         assert vals.shape == dense.shape
         assert np.max(np.abs(vals - dense)) <= 1e-10
@@ -325,7 +397,7 @@ class TestOrderingOperator:
     def test_commutes_with_family(self, model):
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.arange(0, 49, 16) * dt)
-        op = assemble_T(fam).matrix.matrix
+        op = assemble_T(fam).matrix
         for i in range(1, fam.times.size):
             p = fam.projection(i)
             comm = op @ p.matrix - p.matrix @ op
@@ -336,7 +408,7 @@ class TestOrderingOperator:
         ks = np.array([0, 16, 40, 64])
         fam = spectral_measure(model, ks * dt)
         op = assemble_T(fam)
-        vals, vecs = np.linalg.eigh(op.matrix.matrix)
+        vals, vecs = np.linalg.eigh(op.matrix)
         mids = 0.5 * (ks[1:] + ks[:-1]) * dt
         for j in (1, 2, 3):
             sel = (vals > 1e-10) & (vals <= mids[j - 1] + 1e-10)
@@ -352,7 +424,7 @@ class TestOrderingOperator:
         fam = spectral_measure(m, np.array([0.0, nh * dt]))
         op = assemble_T(fam)
         # the single increment is the identity, so T = midpoint * I
-        assert np.linalg.norm(op.matrix.matrix
+        assert np.linalg.norm(op.matrix
                               - 0.5 * nh * dt * np.eye(nh)) <= 1e-10
 
     def test_transported_witness_mean_time(self, model):
@@ -364,13 +436,13 @@ class TestOrderingOperator:
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.arange(0, 65) * dt)
         op = assemble_T(fam)
-        mean = inner(psi, op.matrix.apply(psi)).real / norm(psi) ** 2
+        mean = inner(psi, op.apply(psi)).real / norm(psi) ** 2
         analytic = (0.25 - 0.75 * np.exp(-2)) / ((1 - np.exp(-2)) / 2)
         assert mean == pytest.approx(analytic, abs=0.02)
         assert mean == pytest.approx(0.34659, abs=2e-3)
-        vals = np.linalg.eigvalsh(op.matrix.matrix)
+        vals = np.linalg.eigvalsh(op.matrix)
         assert vals.min() >= -1e-8
-        assert vals.max() <= op.truncation_time + 1e-8
+        assert vals.max() <= fam.times[-1] + 1e-8
 
     def test_degenerate_family_rejected(self, model):
         dt = model.grid.delta_tau

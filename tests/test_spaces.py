@@ -1,5 +1,7 @@
 """Grid construction, state algebra, and the weighted inner product."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from timearrow import (
     restrict,
     zero_state,
 )
-from oracles import adjoint, project_halfline
+from oracles import adjoint, fiberize, project_halfline
 
 
 def _rand_state(grid, space, rng):
@@ -262,3 +264,75 @@ class TestDiagonalLinOp:
         ident = identity_op(small_grid, Space.FULL_LINE)
         assert ident.hermitian and ident._entries.ndim == 1
         assert np.array_equal(ident.matrix, np.eye(small_grid.dim(Space.FULL_LINE)))
+
+
+class TestPerBinLinOp:
+    """An operator stored per bin acts as its Kronecker form ``kron(A, I_k)``
+    (the oracle), whatever the kind (dense or diagonal) and the stored size
+    of its partner."""
+
+    HALF = Space.HALF_LINE_POS
+
+    @pytest.fixture(params=[1, 2, 4])
+    def grid(self, request):
+        return make_grid(16, 5.0, request.param)
+
+    def _ops(self, grid, rng):
+        ops = {}
+        for size, n in (("bin", grid.n_half()), ("full", grid.dim(self.HALF))):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            d = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ops[f"dense-{size}"] = LinOp(grid, self.HALF, self.HALF, a)
+            ops[f"diagonal-{size}"] = LinOp(grid, self.HALF, self.HALF, d)
+        return ops
+
+    def test_matrix_is_the_kronecker_form(self, grid, rng):
+        ops = self._ops(grid, rng)
+        k = grid.k_dim
+        dense, diagonal = ops["dense-bin"], ops["diagonal-bin"]
+        assert np.array_equal(dense.matrix, fiberize(dense._entries, k))
+        assert np.array_equal(diagonal.matrix, fiberize(np.diag(diagonal._entries), k))
+
+    def test_apply_and_blocks_match_dense(self, grid, rng):
+        n = grid.dim(self.HALF)
+        psi = _rand_state(grid, self.HALF, rng)
+        block = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        strided = np.ascontiguousarray(block.T).T  # Fortran order: reshape copies
+        ops = self._ops(grid, rng)
+        wide = rng.normal(size=(grid.n_sigma, grid.n_half())) + 0j
+        ops["rectangular-bin"] = LinOp(grid, self.HALF, Space.FULL_LINE, wide)
+        for name, op in ops.items():
+            m = op.matrix
+            assert np.allclose(op.apply(psi).amplitudes, m @ psi.amplitudes,
+                               rtol=0, atol=1e-13), name
+            for a in (block, strided):
+                assert np.allclose(op._act(a), m @ a, rtol=0, atol=1e-13), name
+                if op._entries.ndim == 2:
+                    back = rng.normal(size=(m.shape[0], 3)) + 0j
+                    assert np.allclose(op._act(back, adjoint=True), m.conj().T @ back,
+                                       rtol=0, atol=1e-13), name
+
+    def test_composition_over_every_pair(self, grid, rng):
+        ops = self._ops(grid, rng)
+        for (left, a), (right, b) in itertools.product(ops.items(), repeat=2):
+            assert np.allclose((a @ b).matrix, a.matrix @ b.matrix,
+                               rtol=0, atol=1e-12), (left, right)
+        both = ops["diagonal-bin"] @ ops["diagonal-bin"]
+        assert both._entries.shape == (grid.n_half(),)  # stays a vector per bin
+
+    def test_hermitian_check_matches_dense(self, grid, rng):
+        nb = grid.n_half()
+        a = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+        for m in (a, fiberize(a, grid.k_dim)):
+            with pytest.raises(ValueError, match="must be Hermitian"):
+                LinOp(grid, self.HALF, self.HALF, m, hermitian=True)
+            LinOp(grid, self.HALF, self.HALF, m + m.conj().T, hermitian=True)
+
+    def test_shape_errors(self, grid):
+        nb, n = grid.n_half(), grid.dim(self.HALF)
+        bad = [(nb + 1,), (nb, nb + 1), (n, n + 1)] + [(nb, n)] * (grid.k_dim > 1)
+        for shape in bad:
+            with pytest.raises(ValueError, match="shape"):
+                LinOp(grid, self.HALF, self.HALF, np.ones(shape))
+        with pytest.raises(ValueError, match="matching legs"):
+            LinOp(grid, self.HALF, Space.HARDY_PLUS, np.ones(nb))
