@@ -14,7 +14,6 @@ from .evolution import (
     OffLatticeWarning,
     kernel_witness,
     lattice_index,
-    toeplitz_adjoint,
     toeplitz_step,
     unitary_evolve,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "OffLatticeWarning",
     "kernel_witness",
     "lattice_index",
-    "toeplitz_adjoint",
     "toeplitz_step",
     "unitary_evolve",
     # forward map and Lyapunov operator

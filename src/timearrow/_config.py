@@ -18,6 +18,8 @@ import json
 import math
 import os
 
+from .evolution import _BLOCK_COLUMNS
+
 __all__ = [
     "ConfigError",
     "DEFAULT_CONFIG",
@@ -55,7 +57,6 @@ DEFAULT_CONFIG = {
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
 _DENSE_MATRICES = 12
 _STATE_BLOCKS = 8
-_BLOCK_COLUMNS = 256  # evolution._BLOCK_COLUMNS
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16

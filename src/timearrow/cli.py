@@ -33,12 +33,11 @@ from .evolution import (
     OffLatticeTimeError,
     OffLatticeWarning,
     _column_chunks,
-    _toeplitz_block,
     kernel_witness,
     lattice_index,
 )
 from .hardy import hardy_embed, hardy_part, rational_hardy
-from .lambda_transform import _from_hardy, _to_hardy, build_model
+from .lambda_transform import _z_block, build_model
 from .lyapunov import lyapunov_curve
 from .ordering import irreversible_matrix_element, spectral_measure
 from .selftest import refinement_series, run_all
@@ -112,7 +111,10 @@ def _build_state(grid: GridSpec, cfg):
         warnings.simplefilter("ignore", OffLatticeWarning)
         if kind == "witness":
             mu = complex(params["mu"][0], params["mu"][1])
-            f = kernel_witness(grid, mu, params["t0"], snap=True)
+            try:
+                f = kernel_witness(grid, mu, params["t0"], snap=True)
+            except ValueError as exc:  # t0 rounds to index 0 or has none
+                raise ConfigError([f"state.parameters.t0: {exc}"]) from None
             return restrict(hardy_embed(f))
         if kind == "rational":
             poles = [(complex(p[0], p[1]), int(p[2])) for p in params["poles"]]
@@ -281,11 +283,11 @@ def semigroup_norms_cmd(cfg, out_dir):
     t_b = _lattice_times(grid, cfg) * grid.delta_tau
     tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
     model = build_model(dense)
-    h_psi = _to_hardy(model, model.lam.apply(_build_state(dense, cfg)))
+    l_psi = model.lam.apply(_build_state(dense, cfg)).amplitudes
     ks = _lattice_times(dense, cfg)
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
-        z = _from_hardy(model, _toeplitz_block(dense, h_psi, ks[cols]))
+        z = _z_block(model, l_psi, ks[cols])
         znorms[cols] = _column_norms(dense, z)
     rows = (
         (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")

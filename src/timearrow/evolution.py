@@ -3,10 +3,10 @@
 ``unitary_evolve`` multiplies by the diagonal phase ``exp(-i sigma t)``; in
 the time domain this is a lattice shift, so a state's profile moves left by
 ``t``.  Compressing the group to the positive Hardy subspace gives the
-truncated-left-shift semigroup ``toeplitz_step`` and its isometric-on-
-guard-banded-states adjoint ``toeplitz_adjoint``.  On the lattice both are
-zero-padded slices of the stored time samples, and are computed as such.
-On a time grid the same rules give blocks with one column per time, which
+truncated-left-shift semigroup ``toeplitz_step``.  On the lattice it and its
+adjoint, the zero-padded right shift, are slices of the stored time samples
+(``_toeplitz_block`` with ``k`` and ``-k``), and are computed as such.  On a
+time grid the same rule gives blocks with one column per time, which
 consumers take in chunks of ``_BLOCK_COLUMNS`` columns to bound memory.
 
 Shift identities are exact only at lattice times ``t = k * delta_tau``, so
@@ -33,7 +33,6 @@ __all__ = [
     "lattice_index",
     "unitary_evolve",
     "toeplitz_step",
-    "toeplitz_adjoint",
     "kernel_witness",
 ]
 
@@ -102,8 +101,8 @@ def unitary_evolve(f: StateVector, t: float) -> StateVector:
     exact group law ``u(t)u(s) = u(t+s)``.  The positive Hardy subspace is
     not invariant under the group (forward evolution shifts its time profile
     across the cut), so HARDY_PLUS input is embedded first and the result
-    carries the FULL_LINE tag; compress with :func:`toeplitz_step` /
-    :func:`toeplitz_adjoint` to stay inside the subspace.
+    carries the FULL_LINE tag; compress with :func:`toeplitz_step` to stay
+    inside the subspace.
     """
     if f.space is Space.HARDY_PLUS:
         f = hardy_embed(f)
@@ -144,13 +143,6 @@ def _semigroup_index(grid: GridSpec, t):
     return k
 
 
-def _hardy_shift(f: StateVector, t: float, sign: int) -> StateVector:
-    if f.space is not Space.HARDY_PLUS:
-        raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
-    h = _toeplitz_block(f.grid, f.amplitudes, sign * _semigroup_index(f.grid, t))
-    return StateVector(f.grid, Space.HARDY_PLUS, h)
-
-
 def toeplitz_step(f: StateVector, t: float) -> StateVector:
     """Compression of forward evolution to the positive Hardy subspace.
 
@@ -161,17 +153,10 @@ def toeplitz_step(f: StateVector, t: float) -> StateVector:
     semigroup law; annihilates every state once ``t`` reaches half the time
     window.
     """
-    return _hardy_shift(f, t, 1)
-
-
-def toeplitz_adjoint(f: StateVector, t: float) -> StateVector:
-    """Adjoint of :func:`toeplitz_step`: backward evolution restricted back.
-
-    The zero-padded right shift of the time samples, ``out[j + k] = f[j]``,
-    which drops whatever crosses the far window edge.  So it is isometric
-    exactly on states with no power near that edge (guard-banded states).
-    """
-    return _hardy_shift(f, t, -1)
+    if f.space is not Space.HARDY_PLUS:
+        raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
+    h = _toeplitz_block(f.grid, f.amplitudes, _semigroup_index(f.grid, t))
+    return StateVector(f.grid, Space.HARDY_PLUS, h)
 
 
 def kernel_witness(

@@ -11,8 +11,9 @@ At ``t = k * delta_tau`` the shift ``T_u(t)`` moves time sample ``j + k``
 into sample ``j``.  Every operator here acts on each fibre alike, so ``lam``
 and ``R`` are stored per bin (see :mod:`timearrow.spaces`): row ``j`` of the
 stored ``R`` is time bin ``j``, and with ``n`` rows ``Z(t) = R[:n-k]^H
-R[k:]`` on every fibre; :func:`z_evolve` and :func:`z_adjoint` apply the
-slices of :mod:`timearrow.evolution` between the two legs of ``R``.
+R[k:]`` on every fibre.  ``_z_block`` is the one place that composes the two
+legs of ``R`` with the slices of :mod:`timearrow.evolution` between them;
+:func:`z_evolve`, :func:`z_adjoint` and every block of states or times use it.
 
 Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
@@ -164,19 +165,6 @@ def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:
     return LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, z).matrix
 
 
-def _to_hardy(model: IrreversibleModel, psi: StateVector) -> np.ndarray:
-    """Amplitudes of ``R psi``: a half-line state carried into the Hardy picture."""
-    if psi.space is not Space.HALF_LINE_POS:
-        raise ValueError("the transported semigroup acts on HALF_LINE_POS states")
-    return model.isometry._act(psi.amplitudes)
-
-
-def _from_hardy(model: IrreversibleModel, h: np.ndarray) -> np.ndarray:
-    """``R^H h`` for Hardy amplitudes ``h``, a vector or an ``N x m`` block,
-    as ``(h^H R)^H``: no conjugate of ``R`` is copied."""
-    return model.isometry._act(h, adjoint=True)
-
-
 def z_evolve(model: IrreversibleModel, psi: StateVector, t: float) -> StateVector:
     """Apply ``Z(t) = R* T_u(t) R`` to a half-line state.
 
@@ -194,8 +182,20 @@ def z_adjoint(model: IrreversibleModel, psi: StateVector, t: float) -> StateVect
 
 
 def _z_shift(model: IrreversibleModel, psi: StateVector, k: int) -> StateVector:
-    h = _toeplitz_block(model.grid, _to_hardy(model, psi), k)
-    return StateVector(model.grid, Space.HALF_LINE_POS, _from_hardy(model, h))
+    if psi.space is not Space.HALF_LINE_POS:
+        raise ValueError("the transported semigroup acts on HALF_LINE_POS states")
+    z = _z_block(model, psi.amplitudes, k)
+    return StateVector(model.grid, Space.HALF_LINE_POS, z)
+
+
+def _z_block(model: IrreversibleModel, a: np.ndarray, k) -> np.ndarray:
+    """``Z(k delta_tau) = R^H T(k delta_tau) R`` on half-line amplitudes, in
+    the shapes of :func:`~timearrow.evolution._toeplitz_block`: a vector with
+    an array of lattice indices ``k`` (one column each) or an ``N x m`` block
+    with one; ``-k`` gives ``Z*``.  ``R^H`` acts as ``(h^H R)^H``, so no
+    conjugate of ``R`` is copied."""
+    r = model.isometry
+    return r._act(_toeplitz_block(model.grid, r._act(a), k), adjoint=True)
 
 
 def intertwining_residual(
@@ -231,14 +231,13 @@ def intertwining_residual(
         if scale == 0.0:
             continue
         moved = lam.apply(psi)
-        h_moved, h_psi = _to_hardy(model, moved), _to_hardy(model, psi)
         for cols in _column_chunks(ks.size):
             k = ks[cols]
             t_k = k * model.grid.delta_tau
             lhs = lam._act(_unitary_block(psi, t_k))
-            rhs = _from_hardy(model, _toeplitz_block(model.grid, h_moved, k))
+            rhs = _z_block(model, moved.amplitudes, k)
             lhs_a = _unitary_block(moved, -t_k)
-            rhs_a = lam._act(_from_hardy(model, _toeplitz_block(model.grid, h_psi, -k)))
+            rhs_a = lam._act(_z_block(model, psi.amplitudes, -k))
             forward = max(forward, _column_norms(psi.grid, lhs - rhs).max() / scale)
             adjoint = max(adjoint, _column_norms(psi.grid, lhs_a - rhs_a).max() / scale)
     return float(forward), float(adjoint)

@@ -32,13 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import (
-    _column_chunks,
-    _semigroup_index,
-    _toeplitz_block,
-    _unitary_block,
-)
-from .lambda_transform import IrreversibleModel, _from_hardy, _to_hardy
+from .evolution import _column_chunks, _semigroup_index, _unitary_block
+from .lambda_transform import IrreversibleModel, _z_block
 from .lyapunov import _omega_block
 from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
 
@@ -268,8 +263,8 @@ def irreversible_matrix_element(
     ks = _semigroup_index(model.grid, times)
     lam = model.lam
     same = phi is psi
-    h_psi = _to_hardy(model, lam.apply(psi))
-    h_phi = h_psi if same else _to_hardy(model, lam.apply(phi))
+    l_psi = lam._act(psi.amplitudes)
+    l_phi = l_psi if same else lam._act(phi.amplitudes)
 
     def element(a, b):
         return np.einsum("ij,ij->j", a.conj(), x_lambda._act(b)) * psi.grid.delta_sigma
@@ -282,8 +277,8 @@ def irreversible_matrix_element(
         b = lam._act(_unitary_block(psi, t))
         a = b if same else lam._act(_unitary_block(phi, t))
         rev[cols] = element(a, b)
-        b = _from_hardy(model, _toeplitz_block(model.grid, h_psi, k))
-        a = b if same else _from_hardy(model, _toeplitz_block(model.grid, h_phi, k))
+        b = _z_block(model, l_psi, k)
+        a = b if same else _z_block(model, l_phi, k)
         irr[cols] = element(a, b)
     return rev, irr, np.abs(rev - irr)
 
@@ -310,13 +305,12 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     k_t = _semigroup_index(model.grid, t)
     ks = np.atleast_1d(k_t)
     transported = model.lam.apply(psi)
-    h = _to_hardy(model, transported)
     lhs, rhs = np.empty((2, ks.size))
     for cols in _column_chunks(ks.size):
         k = ks[cols]
         evolved = _omega_block(psi.grid, _unitary_block(psi, k * model.grid.delta_tau))
         lhs[cols] = _column_norms(psi.grid, evolved) ** 2
-        moved = _from_hardy(model, _toeplitz_block(model.grid, h, k))
+        moved = _z_block(model, transported.amplitudes, k)
         rhs[cols] = _column_norms(psi.grid, moved) ** 2
     denom = max(norm(transported) ** 2, np.finfo(float).tiny)
     rel = np.abs(lhs - rhs) / denom

@@ -15,6 +15,8 @@ production route against them.  Each is the literal form of its fact:
 * :func:`fiberize` is ``kron(block, I_k)``, the full-space matrix of an
   operator that the library stores per bin and applies to every fibre by
   reshaping.
+* :func:`toeplitz_adjoint` is ``T*(t)``, the zero-padded right shift, which
+  the library applies to blocks as ``_toeplitz_block`` with ``-k``.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ from timearrow import (
     restrict,
     toeplitz_step,
 )
-from timearrow.evolution import _semigroup_index
+from timearrow.evolution import _semigroup_index, _toeplitz_block
 from timearrow.hardy import TimeProfile, _tau_to_sigma
 from timearrow.lambda_transform import IrreversibleModel
 
@@ -38,6 +40,17 @@ from timearrow.lambda_transform import IrreversibleModel
 def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
     """``kron(block, I_k)``: fibres interleaved, every fibre acted on alike."""
     return block if k_dim == 1 else np.kron(block, np.eye(k_dim))
+
+
+def toeplitz_adjoint(f: StateVector, t: float) -> StateVector:
+    """Adjoint of :func:`timearrow.toeplitz_step`: backward evolution
+    restricted back, the zero-padded right shift ``out[j + k] = f[j]`` of the
+    time samples.  It drops whatever crosses the far window edge, so it is
+    isometric exactly on states with no power near that edge."""
+    if f.space is not Space.HARDY_PLUS:
+        raise SpaceMismatchError("Toeplitz operators act on HARDY_PLUS states")
+    h = _toeplitz_block(f.grid, f.amplitudes, -_semigroup_index(f.grid, t))
+    return StateVector(f.grid, Space.HARDY_PLUS, h)
 
 
 def past_projection(model: IrreversibleModel, t: float) -> LinOp:

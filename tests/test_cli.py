@@ -93,6 +93,19 @@ class TestConfigHandling:
         assert "t[1] = 2.5e+299 has no dual-lattice index" in _stderr(res)
         assert not (tmp_path / "lyapunov_curve.csv").exists()
 
+    @pytest.mark.parametrize("t0", [1e-6, 1e300], ids=["index-0", "no-index"])
+    def test_witness_t0_off_the_index_range_exits_2_and_names_it(self, tmp_path,
+                                                                 t0):
+        # valid positive t0, but it rounds to lattice index 0 or has none
+        cfg = copy.deepcopy(SMALL)
+        cfg["state"] = {"kind": "witness",
+                        "parameters": {"mu": [25.0, -1.0], "t0": t0}, "seed": 7}
+        path = _write_cfg(tmp_path, cfg)
+        res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "config error: state.parameters.t0:" in _stderr(res)
+        assert not (tmp_path / "lyapunov_curve.csv").exists()
+
     @pytest.mark.parametrize("section, field, value", [
         ("times", "t_max", float("inf")),
         ("times", "t_max", -float("inf")),

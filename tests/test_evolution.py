@@ -20,11 +20,11 @@ from timearrow import (
     make_grid,
     make_state,
     norm,
-    toeplitz_adjoint,
     toeplitz_step,
     unitary_evolve,
 )
 from timearrow.evolution import _semigroup_index, _toeplitz_block, _unitary_block
+from oracles import toeplitz_adjoint
 
 
 def _spectral_step(f, t):

@@ -21,6 +21,7 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
+from timearrow.lambda_transform import _z_block
 from oracles import fiberize
 
 
@@ -293,6 +294,50 @@ class TestContractionSemigroup:
         f = make_state(model.grid, Space.FULL_LINE, np.ones(n))
         with pytest.raises(Exception):
             z_evolve(model, f, 0.0)
+
+
+class TestZBlock:
+    """``_z_block`` against the dense route :func:`z_matrix`, column by
+    column: one column per lattice index, or one index for a block."""
+
+    @staticmethod
+    def _case(k_dim, m):
+        grid = make_grid(64, 20.0, k_dim)
+        rng = np.random.default_rng(413)
+        shape = (grid.dim(Space.HALF_LINE_POS), m)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return build_model(grid), a[:, 0] if m == 1 else a
+
+    @staticmethod
+    def _dense(model, k):
+        z = z_matrix(model, abs(k) * model.grid.delta_tau)
+        return z if k >= 0 else z.conj().T
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["Z", "Z*"])
+    @pytest.mark.parametrize("k_dim", [1, 2])
+    def test_vector_columns_match_dense_route(self, k_dim, sign):
+        model, a = self._case(k_dim, 1)
+        bins = model.grid.n_half()
+        ks = sign * np.array([0, 1, 5, bins - 1, bins, bins + 3])
+        got = _z_block(model, a, ks)
+        assert got.shape == (a.size, ks.size)
+        for col, k in zip(got.T, ks):
+            want = self._dense(model, k) @ a
+            assert np.linalg.norm(col - want) <= 1e-12 * np.linalg.norm(a), k
+        # the shift has crossed every bin: nothing is left, in either direction
+        assert not got[:, np.abs(ks) >= bins].any()
+
+    @pytest.mark.parametrize("k_dim", [1, 2])
+    def test_block_columns_match_dense_route(self, k_dim):
+        model, block = self._case(k_dim, 3)
+        bins = model.grid.n_half()
+        for k in (0, 3, -3, bins - 1, -bins):
+            got = _z_block(model, block, k)
+            assert got.shape == block.shape
+            want = self._dense(model, k)
+            for j in range(block.shape[1]):
+                gap = np.linalg.norm(got[:, j] - want @ block[:, j])
+                assert gap <= 1e-12 * np.linalg.norm(block[:, j]), (k, j)
 
 
 class TestIntertwining:

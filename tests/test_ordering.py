@@ -30,7 +30,6 @@ from timearrow import (
     projection_rank,
     random_guarded_state,
     spectral_measure,
-    toeplitz_adjoint,
     toeplitz_step,
     unitary_evolve,
     z_adjoint,
@@ -699,7 +698,6 @@ class TestSnappedTime:
             "irreversible_matrix_element": lambda t: irreversible_matrix_element(
                 model, psi, psi, x, [0.0, t, 12 * dt]),
             "toeplitz_step": lambda t: toeplitz_step(h, t),
-            "toeplitz_adjoint": lambda t: toeplitz_adjoint(h, t),
             "z_matrix": lambda t: z_matrix(model, t),
             "z_evolve": lambda t: z_evolve(model, psi, t),
             "z_adjoint": lambda t: z_adjoint(model, psi, t),
@@ -709,9 +707,9 @@ class TestSnappedTime:
         }
 
     NAMES = ["correspondence_check", "intertwining_residual",
-             "irreversible_matrix_element", "toeplitz_step", "toeplitz_adjoint",
-             "z_matrix", "z_evolve", "z_adjoint", "lyapunov_curve",
-             "spectral_measure", "future_projection"]
+             "irreversible_matrix_element", "toeplitz_step", "z_matrix",
+             "z_evolve", "z_adjoint", "lyapunov_curve", "spectral_measure",
+             "future_projection"]
 
     @pytest.mark.parametrize("name", NAMES)
     def test_off_lattice_time_rejected_without_snap(self, model, calls, name):

@@ -28,7 +28,6 @@ from timearrow import (
     norm,
     projection_rank,
     spectral_measure,
-    toeplitz_adjoint,
     toeplitz_step,
     z_adjoint,
     z_evolve,
@@ -40,7 +39,7 @@ from timearrow.selftest import (
     check_projection_family,
     check_semigroup_laws,
 )
-from oracles import lyapunov_expectation
+from oracles import lyapunov_expectation, toeplitz_adjoint
 
 
 def _perturbed(model, eps):
