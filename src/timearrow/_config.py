@@ -46,27 +46,28 @@ DEFAULT_CONFIG = {
 
 # Peak-memory model of the scenario commands, fitted with headroom to peak
 # RSS measured with one BLAS thread (x86-64 Linux, Python 3.11, numpy 2.4.6,
-# OpenBLAS): matrix-element at n_dense 1024 168 MB, projection-family at
-# n_dense 512 69 MB, lyapunov-curve at n_sigma 2^20 179 MB; per time step (CSV
-# rows streamed to disk) matrix-element 120 B, semigroup-norms 52 B,
-# lyapunov-curve 48 B (61 MB at 200000 steps and n_dense 64, 49 MB, 82 MB at
-# 10^6 steps).  The model's matrices are n_dense x n_dense complex at every
-# k_dim (stored per bin); blocks of states have n_dense * k_dim rows and up to
-# 256 time columns: at n_dense 512 and k_dim 8, 55-59 MB at 33 steps, 132 MB
-# (matrix-element) and 148 MB (semigroup-norms) at 2000 steps.
+# OpenBLAS): lyapunov-curve at n_sigma 2^20 179 MB; per time step (CSV rows
+# streamed to disk) matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve
+# 48 B (61 MB at 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
+# Dense term: n_dense^2 complex matrices at every k_dim (the model holds two
+# real (n_dense/2)^2 halves; projection-family R, G = R R^H, G - I, ...): at
+# n_dense 512 / 1024 / 2048 / 4096, projection-family 53.5 / 107.2 / 309.7 /
+# 1004.7 MB (5 matrices: 1337 MB at 4096), matrix-element 41.2 / 49.7 / 82.6 /
+# 229.5 MB, semigroup-norms within 8 MB, k_dim 8 within 17 MB.  Blocks of
+# states: n_dense * k_dim rows, up to 256 columns (128.4 MB at k_dim 8, 2000 steps).
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
-_DENSE_MATRICES = 12
+_DENSE_MATRICES = 5
 _STATE_BLOCKS = 8
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16
 # selftest criterion 1 holds about six complex full-line matrices of
 # (2 n_dense)^2 entries (tracemalloc peak 96 MB at n_dense 512) next to the
-# dense model.  Criteria 8 and 11 run on fixed grids whatever n_dense: 4096
+# dense forms.  Criteria 8 and 11 run on fixed grids whatever n_dense: 4096
 # bins, and 1024 bins with 1024 x 1024 real and complex quadrature kernels
 # (criterion 11 adds 40 MB of RSS).  Peak RSS of selftest through the CLI,
 # measured as above: 80.8 MB at n_dense 16 and 76.4 MB at 128 (criterion 11
-# sets both), 78-84 MB at 256, 138 MB at 512 (criterion 1).
+# sets both), 78-84 MB at 256, 133 MB at 512 (criterion 1).
 _FULL_LINE_MATRICES = 10
 _FIXED_GRID_BYTES = 48 * 2**20
 
@@ -271,7 +272,7 @@ def selftest_memory_estimate(cfg: dict) -> int:
     """Estimated peak bytes of ``selftest`` on a valid config.
 
     ``selftest`` ignores the grid and time sections and works at
-    ``k_dim = 1``: the dense model's matrices, set by ``dense.n_dense``, plus
+    ``k_dim = 1``: the dense n_dense x n_dense matrices of its criteria, plus
     the larger of criterion 1's full-line projection matrices and the fixed
     grids of criteria 8 and 11.
     """

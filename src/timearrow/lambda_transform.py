@@ -8,12 +8,13 @@ the forward map: ``omega = R lam``, and ``Z(t) = R* T_u(t) R`` is the
 unitary transport of the truncated-shift semigroup.
 
 At ``t = k * delta_tau`` the shift ``T_u(t)`` moves time sample ``j + k``
-into sample ``j``.  Every operator here acts on each fibre alike, so ``lam``
-and ``R`` are stored per bin (see :mod:`timearrow.spaces`): row ``j`` of the
-stored ``R`` is time bin ``j``, and with ``n`` rows ``Z(t) = R[:n-k]^H
-R[k:]`` on every fibre.  ``_z_block`` is the one place that composes the two
-legs of ``R`` with the slices of :mod:`timearrow.evolution` between them;
-:func:`z_evolve`, :func:`z_adjoint` and every block of states or times use it.
+into sample ``j``.  Every operator here acts on each fibre alike (see
+:mod:`timearrow.spaces`): row ``j`` of ``R``'s dense ``n x n`` block is time
+bin ``j``, and ``Z(t) = R[:n-k]^H R[k:]`` on every fibre.  ``_z_block`` is
+the one place that composes the two legs of ``R`` with the slices of
+:mod:`timearrow.evolution` between them; :func:`z_evolve`, :func:`z_adjoint`
+and every block of states or times use it.  ``lam`` and ``R`` act from the
+real halves of ``Q`` (below); their dense matrices are built on request.
 
 Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
@@ -36,17 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    _column_chunks,
-    _semigroup_index,
-    _toeplitz_block,
-    _unitary_block,
-)
-from .lyapunov import _dft_block
-from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, _freeze, norm
+from .evolution import _column_chunks, _semigroup_index, _toeplitz_block, _unitary_block
+from .lyapunov import _dft_lookup
+from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, norm
 
 __all__ = [
     "IrreversibleModel",
+    "ProlateOp",
     "build_model",
     "z_matrix",
     "z_evolve",
@@ -54,29 +51,107 @@ __all__ = [
     "intertwining_residual",
 ]
 
+@dataclass(frozen=True, eq=False)
+class ProlateOp:
+    """``left * Q diag(c) Q^T (right * x)`` on every fibre, ``Q = [[Y_e, Y_o],
+    [J Y_e, -J Y_o]] / sqrt(2)``, ``c`` real times ``phase`` on its odd half.
+    Blocks are ``n x (k_dim m)`` views, as for :class:`~timearrow.spaces.LinOp`;
+    each real product takes their real and imaginary parts at once (3x faster
+    than numpy's real-times-complex one).  The adjoint conjugates ``phase``,
+    ``left`` and ``right``; ``_entries`` and ``matrix`` are built on request."""
+
+    grid: GridSpec
+    domain: Space
+    codomain: Space
+    halves: tuple
+    c: np.ndarray
+    phase: complex
+    left: np.ndarray
+    right: np.ndarray
+    hermitian: bool = False
+
+    apply = LinOp.apply  # its space-tag checks, around this class's _act
+
+    def _act(self, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        def real_product(y, z):  # one real product on the float view of z
+            return (y @ z.view(np.float64)).view(np.complex128)
+
+        left, right, phase = self.left, self.right, self.phase
+        if adjoint:
+            left, right, phase = right.conj(), left.conj(), np.conj(phase)
+        y_even, y_odd = self.halves
+        h = y_even.shape[0]
+        b = a.reshape(2 * h, self.grid.k_dim, -1)
+        x = np.multiply(b, right[:, None, None], order="C").reshape(2 * h, -1)
+        # Q^T folds the halves as top +- J bottom
+        even = real_product(y_even.T, x[:h] + x[h:][::-1])
+        odd = real_product(y_odd.T, x[:h] - x[h:][::-1])
+        del x
+        even *= 0.5 * self.c[:h, None]
+        odd *= (0.5 * phase) * self.c[h:, None]
+        even, odd = real_product(y_even, even), real_product(y_odd, odd)
+        out = np.empty((2 * h, even.shape[1]), dtype=np.complex128)
+        np.add(even, odd, out=out[:h])
+        np.subtract(even, odd, out=out[h:][::-1])
+        out *= left[:, None]
+        return out.reshape(a.shape)
+
+    @property
+    def _entries(self) -> np.ndarray:
+        """``Q diag(c) Q^T = [[B, C J], [J C, J B J]]`` times the phases, per bin."""
+        y_even, y_odd = self.halves
+        h = y_even.shape[0]
+        e = (y_even * self.c[:h]) @ y_even.T
+        o = (y_odd * self.c[h:]) @ y_odd.T
+        b, c = 0.5 * (e + self.phase * o), 0.5 * (e - self.phase * o)
+        out = np.block([[b, c[:, ::-1]], [c[::-1], b[::-1, ::-1]]]) * self.left[:, None]
+        out *= self.right
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return LinOp(self.grid, self.domain, self.codomain, self._entries).matrix
+
+
 @dataclass(frozen=True)
 class IrreversibleModel:
-    """Matched factorization of the forward map ``omega`` on one grid: its
-    polar factors and its singular values.
+    """Matched factorization of the forward map ``omega`` on one grid.
 
-    ``lam`` and ``isometry`` share one eigenbasis of the commuting
-    tridiagonal (see the module note), so the polar identity ``isometry @
-    lam = omega`` and the intertwining relations hold at machine precision.
-    ``singular_values`` are those of ``omega`` (equal to the eigenvalues of
-    ``lam``), sorted descending; the smallest one is the injectivity margin
-    of the discrete model.  Neither ``omega`` (applied by FFT in
-    :func:`~timearrow.lyapunov.apply_omega`) nor the Lyapunov operator is
-    stored: ``lam @ lam`` is the latter's square-root form, ``|omega psi|^2``
-    its expectation, and :mod:`~timearrow.lyapunov` builds both dense matrices.
+    Stored: the real halves ``(Y_e, Y_o)`` of one eigenbasis (module note),
+    the singular values ``sigma`` in its order, the phases ``d`` and ``gamma``;
+    ``omega`` and the Lyapunov operator are not.  ``lam`` and ``isometry`` are
+    :class:`ProlateOp` views built on each access, so ``isometry @ lam =
+    omega`` and the intertwining relations hold at machine precision.
+    ``singular_values``: sorted descending, repeated on every fibre; the
+    smallest is the injectivity margin of the discrete model.
     """
 
     grid: GridSpec
-    lam: LinOp
-    isometry: LinOp
-    singular_values: np.ndarray
+    halves: tuple
+    sigma: np.ndarray
+    d: np.ndarray
+    gamma: complex
 
     def __post_init__(self):
-        _freeze(self, "singular_values", np.float64)
+        for a in (*self.halves, self.sigma, self.d):
+            a.setflags(write=False)
+
+    @property
+    def lam(self) -> ProlateOp:
+        half = Space.HALF_LINE_POS
+        return ProlateOp(self.grid, half, half, self.halves, self.sigma, 1.0,
+                         self.d.conj(), self.d, hermitian=True)
+
+    @property
+    def isometry(self) -> ProlateOp:
+        # (-i)^k on q_k: +-1 alternating on the even and -i times that on the odd
+        alt = np.tile((-1.0) ** np.arange(self.sigma.size // 2), 2)
+        return ProlateOp(self.grid, Space.HALF_LINE_POS, Space.HARDY_PLUS,
+                         self.halves, alt, -1j, self.gamma * self.d, self.d)
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        return np.repeat(np.sort(self.sigma)[::-1], self.grid.k_dim)
 
 
 def _prolate_halves(n_sigma: int):
@@ -87,7 +162,7 @@ def _prolate_halves(n_sigma: int):
     ``[y; J y] / sqrt(2)`` (even) and ``[y; -J y] / sqrt(2)`` (odd), with
     ``y`` an eigenvector of the leading ``N/2`` block plus or minus the
     coupling entry in its last diagonal place.  Yields the even and then the
-    odd ``y``, as columns in descending order of eigenvalue.
+    odd ``y``, as C-ordered columns in descending order of eigenvalue.
     """
     nh = n_sigma // 2
     j = np.arange(1, nh // 2 + 1)
@@ -96,61 +171,22 @@ def _prolate_halves(n_sigma: int):
     a += a.T
     for sign in (1.0, -1.0):
         a[-1, -1] = sign * off[-1]
-        yield np.linalg.eigh(a)[1][:, ::-1]
-
-
-def _persymmetric(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The matrix ``[[B, C J], [J C, J B J]]`` from its two leading blocks."""
-    h = b.shape[0]
-    out = np.empty((2 * h, 2 * h), dtype=np.complex128)
-    out[:h, :h] = b
-    out[:h, h:] = c[:, ::-1]
-    out[h:, :h] = c[::-1]
-    out[h:, h:] = b[::-1, ::-1]
-    return out
+        yield np.ascontiguousarray(np.linalg.eigh(a)[1][:, ::-1])
 
 
 def build_model(grid: GridSpec) -> IrreversibleModel:
-    """Factor the forward map once and package the dense-tier operators.
-
-    Polar factors from the commuting tridiagonal (see the module note): two
-    half-size real symmetric eigenproblems and a few half-size real
-    products, no SVD.  ``lam`` and ``isometry`` are stored per bin at every
-    ``k_dim``; fibres repeat every singular value ``k_dim`` times.
-    """
-    n = grid.n_sigma
-    nh = grid.n_half()
-    h = nh // 2
-    # leading quarter of E; C = Re and S = -Im of it act on even / odd halves
-    e = _dft_block(n, 2 * np.arange(h) + 1 - nh)
-    y_even, y_odd = _prolate_halves(n)
-    s_even = 2.0 * np.linalg.norm(e.real @ y_even, axis=0)
-    s_odd = 2.0 * np.linalg.norm(e.imag @ y_odd, axis=0)
-    del e
-    # (-i)^k on q_k: +-1 alternating on the even and -i times that on the odd
-    alt = (-1.0) ** np.arange(h)
-    w = 0.5 * ((y_even * alt) @ y_even.T - 1j * ((y_odd * alt) @ y_odd.T))
-    l_even = (y_even * s_even) @ y_even.T
-    l_odd = (y_odd * s_odd) @ y_odd.T
-    l_even = 0.5 * (l_even + l_even.T)
-    l_odd = 0.5 * (l_odd + l_odd.T)
-    r = _persymmetric(w, w.conj())
-    lam = _persymmetric(0.5 * (l_even + l_odd), 0.5 * (l_even - l_odd))
+    """Factor the forward map once: two half-size real symmetric eigenproblems
+    of the commuting tridiagonal (see the module note) and two half-size real
+    products for the singular values; no SVD and no dense matrix."""
+    n, nh = grid.n_sigma, grid.n_half()
+    y_even, y_odd = halves = tuple(_prolate_halves(n))
+    # sigma_k = |E q_k|: C = Re and S = -Im of E's leading quarter act on the
+    # even / odd halves, each gathered from its part of the lookup table
+    index, table = _dft_lookup(n, 2 * np.arange(nh // 2) + 1 - nh)
+    s = 2.0 * np.concatenate([np.linalg.norm(table.real[index] @ y_even, axis=0),
+                              np.linalg.norm(table.imag[index] @ y_odd, axis=0)])
     d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
-    r *= (np.exp(-0.25j * np.pi * nh) * d)[:, None]
-    r *= d
-    # conj(d_i) d_j = i^(i - j) exactly: with the real blocks symmetric, lam
-    # is Hermitian by construction, bit for bit
-    for a in range(4):
-        for b in range(4):
-            lam[a::4, b::4] *= 1j ** ((a - b) % 4)
-    s = np.sort(np.concatenate([s_even, s_odd]))[::-1]
-    return IrreversibleModel(
-        grid=grid,
-        lam=LinOp._hermitian_by_construction(grid, Space.HALF_LINE_POS, lam),
-        isometry=LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r),
-        singular_values=np.repeat(s, grid.k_dim),
-    )
+    return IrreversibleModel(grid, halves, s, d, np.exp(-0.25j * np.pi * nh))
 
 
 def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:
@@ -192,8 +228,7 @@ def _z_block(model: IrreversibleModel, a: np.ndarray, k) -> np.ndarray:
     """``Z(k delta_tau) = R^H T(k delta_tau) R`` on half-line amplitudes, in
     the shapes of :func:`~timearrow.evolution._toeplitz_block`: a vector with
     an array of lattice indices ``k`` (one column each) or an ``N x m`` block
-    with one; ``-k`` gives ``Z*``.  ``R^H`` acts as ``(h^H R)^H``, so no
-    conjugate of ``R`` is copied."""
+    with one; ``-k`` gives ``Z*``.  ``R^H`` conjugates only O(N) vectors."""
     r = model.isometry
     return r._act(_toeplitz_block(model.grid, r._act(a), k), adjoint=True)
 

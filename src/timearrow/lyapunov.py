@@ -48,14 +48,14 @@ def _omega_block(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return (_sigma_to_tau(grid, full)[nh:] * _hardy_scale(grid)).reshape(-1, m)
 
 
-def _dft_block(n_sigma: int, a: np.ndarray) -> np.ndarray:
-    # exp(-2 pi i a_j a_m / (4 n_sigma)) / sqrt(n_sigma) for odd integers a.
-    # The phase is reduced exactly in integers before one lookup into a
-    # table of the 4 n_sigma roots of unity, so no large angle is rounded.
-    phase = np.multiply.outer(a, a)
-    phase %= 4 * n_sigma
+def _dft_lookup(n_sigma: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # exp(-2 pi i a_j a_m / (4 n_sigma)) / sqrt(n_sigma) for odd integers a
+    # is table[index]: the phase is reduced exactly in integers before one
+    # lookup into the 4 n_sigma roots of unity, so no large angle is rounded.
+    index = np.multiply.outer(a, a)
+    index %= 4 * n_sigma
     roots = np.exp(-0.5j * np.pi / n_sigma * np.arange(4 * n_sigma))
-    return (roots / np.sqrt(n_sigma))[phase]
+    return index, roots / np.sqrt(n_sigma)
 
 
 def build_omega(grid: GridSpec) -> LinOp:
@@ -70,8 +70,8 @@ def build_omega(grid: GridSpec) -> LinOp:
     ``exp(-2 pi i (j + 1/2)(m + 1/2) / n) / sqrt(n)``, whatever
     ``sigma_max``; fibres multiply it by the identity, so it is stored per bin.
     """
-    block = _dft_block(grid.n_sigma, 2 * np.arange(grid.n_half()) + 1)
-    return LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, block)
+    index, table = _dft_lookup(grid.n_sigma, 2 * np.arange(grid.n_half()) + 1)
+    return LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, table[index])
 
 
 def build_m_f(grid: GridSpec) -> LinOp:

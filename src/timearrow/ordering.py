@@ -4,9 +4,9 @@ At each lattice time the contraction semigroup splits the half-line space
 into a past subspace (states already annihilated, ``Ker Z(t)``) and its
 orthogonal complement, the future subspace.  Because ``Z(t) = R* S_k R``
 with ``S_k`` a slice of rows (see :mod:`timearrow.lambda_transform`), every
-operator here is ``R^H diag(w) R``, built from the rows of ``R`` where the
-weight ``w`` is nonzero and stored per bin, as ``R`` is (one row per time
-bin, ``n`` rows).  With ``e = k`` rows behind the shift at ``t = k *
+operator here is ``R^H diag(w) R``, built from the rows of the dense ``R``
+where the weight ``w`` is nonzero and stored per bin (one row per time bin,
+``n`` rows).  With ``e = k`` rows behind the shift at ``t = k *
 delta_tau``:
 
 * the past projection ``I - Z*(t) Z(t)`` is ``R[:e]^H R[:e]`` and the
@@ -85,7 +85,11 @@ def future_projection(model: IrreversibleModel, t: float) -> LinOp:
     An exact orthogonal projection of the discrete model (the shift's
     isometric leg has no edge defect), equal to ``I`` at ``t = 0``.
     """
-    return _row_block(model.isometry, _semigroup_index(model.grid, t))
+    return _row_block(_dense(model.isometry), _semigroup_index(model.grid, t))
+
+
+def _dense(r) -> LinOp:  # R with its dense per-bin matrix, built on request
+    return LinOp(r.grid, r.domain, r.codomain, r._entries)
 
 
 @dataclass(frozen=True)
@@ -187,13 +191,13 @@ class ProjectionFamily:
 def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:
     """Past-projection family and interval increments on a lattice time grid.
 
-    The grid must increase strictly from 0.  Only the row end of each time
-    is computed here, capped at the row count once the shift has crossed
-    the half window, where the past projection is the identity.
+    The grid must increase strictly from 0.  Only the dense ``R`` and the row
+    end of each time are computed here, capped at the row count once the shift
+    has crossed the half window, where the past projection is the identity.
     """
     times = np.asarray(time_grid, dtype=np.float64)
     ks = np.minimum(_semigroup_index(model.grid, times), model.grid.n_half())
-    return ProjectionFamily(model.isometry, times, ks)
+    return ProjectionFamily(_dense(model.isometry), times, ks)
 
 
 def assemble_T(family: ProjectionFamily) -> LinOp:

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-The dense model factorization (two half-size eigenproblems of the commuting
-tridiagonal, then N x N products) is shared: one instance is built per
-session for every test module that needs matrices, and tests that run a
-dense SVD as an oracle reuse it too.  So is one run of the acceptance
+The model factorization (two half-size eigenproblems of the commuting
+tridiagonal) is shared: one instance is built per session for every test
+module that needs matrices, and tests that run a dense SVD as an oracle
+reuse it too.  So is one run of the acceptance
 battery, read by the per-criterion tests and by the ``selftest`` command's
 report-stability test.
 """

@@ -17,6 +17,10 @@ production route against them.  Each is the literal form of its fact:
   reshaping.
 * :func:`toeplitz_adjoint` is ``T*(t)``, the zero-padded right shift, which
   the library applies to blocks as ``_toeplitz_block`` with ``-k``.
+* :func:`dense_polar_factors` assembles the dense ``lam`` and ``R`` per bin
+  from the model's eigenvector halves, with ``lam``'s phases ``conj(d_i) d_j
+  = i^(i - j)`` set exactly, where the library applies both as factored
+  operators and builds their dense forms from floating-point phase vectors.
 """
 
 import numpy as np
@@ -64,6 +68,40 @@ def past_projection(model: IrreversibleModel, t: float) -> LinOp:
     m = (r.conj().T * d) @ r
     return LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
                  0.5 * (m + m.conj().T), hermitian=True)
+
+
+def dense_polar_factors(model: IrreversibleModel) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, R)`` as dense ``n x n`` matrices from the halves ``y`` and the
+    singular values that the model stores: each block of the persymmetric
+    ``Q diag(c) Q^T`` from half-size real products, then the phases.  ``lam``
+    is Hermitian bit for bit: its real blocks are symmetrized and its phases
+    are the exact powers of ``i``."""
+    y_even, y_odd = model.lam.halves
+    h = y_even.shape[0]
+    nh = 2 * h
+    s_even, s_odd = model.lam.c[:h], model.lam.c[h:]
+    alt = (-1.0) ** np.arange(h)
+    w = 0.5 * ((y_even * alt) @ y_even.T - 1j * ((y_odd * alt) @ y_odd.T))
+    l_even = (y_even * s_even) @ y_even.T
+    l_odd = (y_odd * s_odd) @ y_odd.T
+    l_even = 0.5 * (l_even + l_even.T)
+    l_odd = 0.5 * (l_odd + l_odd.T)
+
+    def persymmetric(b, c):  # [[B, C J], [J C, J B J]]
+        out = np.empty((nh, nh), dtype=np.complex128)
+        out[:h, :h], out[:h, h:] = b, c[:, ::-1]
+        out[h:, :h], out[h:, h:] = c[::-1], b[::-1, ::-1]
+        return out
+
+    r = persymmetric(w, w.conj())
+    lam = persymmetric(0.5 * (l_even + l_odd), 0.5 * (l_even - l_odd))
+    d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
+    r *= (np.exp(-0.25j * np.pi * nh) * d)[:, None]
+    r *= d
+    for a in range(4):
+        for b in range(4):
+            lam[a::4, b::4] *= 1j ** ((a - b) % 4)
+    return lam, r
 
 
 def lyapunov_expectation(psi: StateVector, t: float) -> float:

@@ -65,10 +65,12 @@ def test_oversized_config_exits_2(tmp_path, section, field, value, named):
     assert not (tmp_path / "convergence.csv").exists()
 
 
-@pytest.mark.parametrize("n_dense, measured_mb", [(512, 69.2), (1024, 168.0)])
+@pytest.mark.parametrize("n_dense, measured_mb", [(512, 53.5), (1024, 107.2),
+                                                  (2048, 309.7), (4096, 1004.7)])
 def test_estimate_bounds_measured_peaks(n_dense, measured_mb):
-    # peak RSS of projection-family (512) and matrix-element (1024), one
-    # BLAS thread, default config otherwise
+    # the largest peak RSS of projection-family, matrix-element and
+    # semigroup-norms (projection-family at every size), one BLAS thread,
+    # default config otherwise
     need, field = peak_memory_estimate(_with("dense", "n_dense", n_dense))
     assert field == "dense.n_dense"
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
@@ -77,8 +79,10 @@ def test_estimate_bounds_measured_peaks(n_dense, measured_mb):
 @pytest.mark.parametrize("n_steps, measured_mb", [(33, 59.0), (2000, 148.0)])
 def test_estimate_bounds_measured_peaks_at_k_dim_8(n_steps, measured_mb):
     # the largest peak RSS of projection-family, matrix-element and
-    # semigroup-norms at n_dense 512 and k_dim 8, one BLAS thread: the model
-    # is stored per bin, and only the blocks of states grow with k_dim
+    # semigroup-norms at n_dense 512 and k_dim 8, one BLAS thread, measured
+    # while the model still held dense matrices (53.5 and 128.4 MB since, in
+    # _config's comment; the estimate bounds both): the model acts on every
+    # fibre alike, and only the blocks of states grow with k_dim
     cfg = _with("grid", "k_dim", 8)
     cfg["times"]["n_steps"] = n_steps
     need, field = peak_memory_estimate(cfg)

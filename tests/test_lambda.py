@@ -1,5 +1,7 @@
 """Square-root factor, polar isometry, and the contraction semigroup Z."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
-from timearrow.lambda_transform import _z_block
-from oracles import fiberize
+from timearrow.lambda_transform import _prolate_halves, _z_block
+from timearrow.lyapunov import _dft_lookup
+from oracles import dense_polar_factors, fiberize
 
 
 # Oracles of build_model: the square root from the eigendecomposition of the
@@ -237,6 +240,73 @@ class TestFibres:
             assert np.array_equal(op.matrix, fiberize(ref.matrix, k_dim))
         assert np.array_equal(model.singular_values,
                               np.repeat(scalar.singular_values, k_dim))
+
+
+def _held_bytes(obj, seen=None) -> int:
+    """Bytes of every array reachable through dataclass fields and tuples,
+    each underlying buffer counted once."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while obj.base is not None:
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return sum(_held_bytes(x, seen) for x in obj)
+    return 0
+
+
+class TestFactoredModel:
+    """``lam`` and ``R`` act from the two real eigenvector halves; their dense
+    forms are built on request and agree with the dense assembly."""
+
+    @pytest.mark.parametrize("n_dense, k_dim", [(8, 1), (8, 2), (64, 1), (64, 2),
+                                                (512, 1), (512, 2)])
+    def test_factored_action_matches_dense_matrix(self, n_dense, k_dim):
+        model = build_model(make_grid(2 * n_dense, 20.0, k_dim))
+        rng = np.random.default_rng(414)
+        n = model.grid.dim(Space.HALF_LINE_POS)
+        block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        for op in (model.lam, model.isometry):
+            m = op.matrix
+            for a in (block[:, 0], block, np.asfortranarray(block)):
+                for got, want in ((op._act(a), m @ a),
+                                  (op._act(a, adjoint=True), m.conj().T @ a)):
+                    assert got.shape == a.shape
+                    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n_dense", [4, 8, 64, 512])
+    def test_dense_forms_match_the_assembly_oracle(self, n_dense):
+        model = build_model(make_grid(2 * n_dense, 20.0, 1))
+        lam, r = dense_polar_factors(model)
+        assert np.array_equal(model.isometry._entries, r)
+        assert np.linalg.norm(model.lam._entries - lam) <= 1e-13 * np.linalg.norm(lam)
+
+    @pytest.mark.parametrize("n_dense", [4, 64, 512])
+    def test_singular_values_match_the_complex_block_route(self, n_dense):
+        # the even / odd singular values from the real and imaginary parts of
+        # the complex quarter of E, as one array: the same digits
+        n, h = 2 * n_dense, n_dense // 2
+        index, table = _dft_lookup(n, 2 * np.arange(h) + 1 - n_dense)
+        e = table[index]
+        y_even, y_odd = _prolate_halves(n)
+        want = np.concatenate([2.0 * np.linalg.norm(e.real @ y_even, axis=0),
+                               2.0 * np.linalg.norm(e.imag @ y_odd, axis=0)])
+        assert np.array_equal(build_model(make_grid(n, 20.0, 1)).lam.c, want)
+
+    def test_model_holds_two_real_halves(self, model):
+        # n_dense 512: two real h x h halves shared by lam and R, plus O(N)
+        # vectors; no n x n matrix, real or complex
+        n, h = model.grid.n_half(), model.grid.n_half() // 2
+        y_even, y_odd = model.lam.halves
+        assert model.isometry.halves is model.lam.halves
+        assert y_even.shape == y_odd.shape == (h, h)
+        assert y_even.dtype == y_odd.dtype == np.float64
+        assert _held_bytes(model) <= 2 * h * h * 8 + 128 * n
 
 
 class TestContractionSemigroup:

@@ -337,8 +337,8 @@ class TestKroneckerOracle:
                 ProjectionFamily(iso, ks * grid.delta_tau, ends).residuals()
 
     def test_structure_at_k_dim_8(self, monkeypatch, rng):
-        # the model, the family and the matrix elements stay n x n: no
-        # Kronecker form is built unless a dense matrix is asked for
+        # the model stays two h x h halves, the family and the matrix elements
+        # n x n: no Kronecker form is built unless a dense matrix is asked for
         calls = collections.Counter()
         kron = np.kron
 
@@ -359,7 +359,9 @@ class TestKroneckerOracle:
         for x in (identity_op(grid, half), energy, _hermitian_op(grid, rng)):
             irreversible_matrix_element(model, psi, psi, x, ks * grid.delta_tau)
         assert calls["kron"] == 0
-        assert model.isometry._entries.shape == model.lam._entries.shape == (nh, nh)
+        # stored: the two real h x h eigenvector halves, shared by lam and R
+        assert model.isometry.halves is model.lam.halves
+        assert [y.shape for y in model.lam.halves] == [(nh // 2, nh // 2)] * 2
         assert fam.gram.shape == (nh, nh)
         assert ranks == list(8 * ks)
         assert model.isometry.matrix.shape == (8 * nh, 8 * nh)
