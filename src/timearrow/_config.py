@@ -49,14 +49,15 @@ DEFAULT_CONFIG = {
 # OpenBLAS): lyapunov-curve at n_sigma 2^20 179 MB; per time step (CSV rows
 # streamed to disk) matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve
 # 48 B (61 MB at 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
-# Dense term: n_dense^2 complex matrices at every k_dim (the model holds two
-# real (n_dense/2)^2 halves; projection-family R, G = R R^H, G - I, ...): at
-# n_dense 512 / 1024 / 2048 / 4096, projection-family 53.5 / 107.2 / 309.7 /
-# 1004.7 MB (5 matrices: 1337 MB at 4096), matrix-element 41.2 / 49.7 / 82.6 /
-# 229.5 MB, semigroup-norms within 8 MB, k_dim 8 within 17 MB.  Blocks of
-# states: n_dense * k_dim rows, up to 256 columns (128.4 MB at k_dim 8, 2000 steps).
+# Dense term: n_dense^2 complex matrices at every k_dim; at n_dense 512 / 1024 /
+# 2048 / 4096, projection-family (5: R, G = R R^H, G - I, ...) 53.5 / 107.2 /
+# 309.7 / 1004.7 MB, matrix-element (1: the model's two real halves and the
+# build) 40.9 / 49.4 / 81.8 / 198.8 MB, semigroup-norms (1) 41.6 / 50.5 / 82.6 /
+# 205.4 MB; other commands are charged 5.  Blocks of states: n_dense * k_dim
+# rows, up to 256 columns (at k_dim 8, 2000 steps: 101.0 / 97.3 / 53.5 MB).
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
 _DENSE_MATRICES = 5
+_COMMAND_DENSE_MATRICES = {"matrix-element": 1, "semigroup-norms": 1}
 _STATE_BLOCKS = 8
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
@@ -233,21 +234,22 @@ def validate_config(cfg) -> list[str]:
     return out
 
 
-def peak_memory_estimate(cfg: dict) -> tuple[int, str]:
-    """Estimated peak bytes of a scenario run on a valid config.
+def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, str]:
+    """Estimated peak bytes of the scenario ``command`` on a valid config.
 
     Returns the bytes and the field whose term dominates them: the FFT tier
-    (``grid.n_sigma``), the dense tier (``dense.n_dense``: the model and the
-    blocks of states) or the per-time rows (``times.n_steps``).  The
-    estimate bounds the measured peaks of the scenario commands.
+    (``grid.n_sigma``), the dense tier (``dense.n_dense``: the command's
+    matrices and blocks of states) or the per-time rows (``times.n_steps``).
+    It bounds the command's measured peaks; others are charged the most.
     """
     k_dim, n_steps = cfg["grid"]["k_dim"], cfg["times"]["n_steps"]
     n_dense = cfg["dense"]["n_dense"]
+    matrices = _COMMAND_DENSE_MATRICES.get(command, _DENSE_MATRICES)
     block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS)  # one block of states
     terms = {
         "grid.n_sigma": _FFT_VECTORS * _COMPLEX_BYTES * cfg["grid"]["n_sigma"] * k_dim,
         "dense.n_dense": _COMPLEX_BYTES * (
-            _DENSE_MATRICES * n_dense**2 + _STATE_BLOCKS * block
+            matrices * n_dense**2 + _STATE_BLOCKS * block
         ),
         "times.n_steps": _BYTES_PER_STEP * n_steps,
     }
@@ -293,12 +295,12 @@ def check_selftest_memory(cfg: dict) -> None:
         raise ConfigError(problems)
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, command: str | None = None) -> dict:
     """Load and validate a config file; ``None`` returns the default config.
 
     Raises :class:`ConfigError` with the full problem list on any failure,
-    including a valid config whose :func:`peak_memory_estimate` exceeds
-    physical memory.
+    including a valid config whose :func:`peak_memory_estimate` for
+    ``command`` exceeds physical memory.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -310,7 +312,7 @@ def load_config(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from None
     problems = validate_config(cfg) or _memory_problem(
-        *peak_memory_estimate(cfg), "the run"
+        *peak_memory_estimate(cfg, command), "the run"
     )
     if problems:
         raise ConfigError(problems)

@@ -86,13 +86,6 @@ def _write_outputs(out_dir, stem, header, rows, cfg, command, diagnostics=None):
     return out / f"{stem}.csv"
 
 
-def _load(config_path, seed):
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg["state"]["seed"] = seed
-    return cfg
-
-
 def _scenario_grid(cfg) -> GridSpec:
     g = cfg["grid"]
     return make_grid(g["n_sigma"], g["sigma_max"], g["k_dim"])
@@ -183,7 +176,9 @@ def _scenario(fn):
 
     def wrapper(config_path, out_dir, threads, seed, **kwargs):
         try:
-            cfg = _load(config_path, seed)
+            cfg = load_config(config_path, click.get_current_context().command.name)
+            if seed is not None:
+                cfg["state"]["seed"] = seed
             fn(cfg, out_dir, **kwargs)
         except ConfigError as exc:
             for problem in exc.problems:
@@ -287,8 +282,7 @@ def semigroup_norms_cmd(cfg, out_dir):
     ks = _lattice_times(dense, cfg)
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
-        z = _z_block(model, l_psi, ks[cols])
-        znorms[cols] = _column_norms(dense, z)
+        znorms[cols] = _column_norms(dense, _z_block(model, l_psi, ks[cols]))
     rows = (
         (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")
         for tb, tn, td, zn in zip(t_b, tnorms, ks * dense.delta_tau, znorms)
@@ -375,13 +369,12 @@ def matrix_element_cmd(cfg, out_dir):
         "energy": LinOp(dense, half, half, energy, hermitian=True),
     }
     times = _lattice_times(dense, cfg) * dense.delta_tau
-    data = {
-        name: irreversible_matrix_element(model, psi, psi, x, times)
-        for name, x in observables.items()
-    }
+    rev, irr, diffs = irreversible_matrix_element(
+        model, psi, psi, list(observables.values()), times
+    )
     rows = (
         (name, *map(_fmt, (t, r.real, r.imag, z.real, z.imag, d)), "algebraic")
-        for name, columns in data.items()
+        for name, *columns in zip(observables, rev, irr, diffs)
         for t, r, z, d in zip(times, *columns)
     )
     path = _write_outputs(
@@ -404,7 +397,7 @@ def matrix_element_cmd(cfg, out_dir):
     click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm
-    worst = max(float(diffs.max()) for _, _, diffs in data.values())
+    worst = float(diffs.max())
     if worst > tol * scale:
         _violation(
             f"picture mismatch {worst:.3e} exceeds {tol:g} x state scale "

@@ -23,12 +23,13 @@ here inverts ``lam``, forms ``M^(-1/2)`` or takes an SVD.  The scalar map is
 DFT block; ``E`` commutes with a real tridiagonal ``T`` (the discrete
 prolate structure of Slepian and Grünbaum) whose eigenvectors ``q_k``, in
 descending order, alternate in parity and satisfy ``E q_k = (-i)^k sigma_k
-q_k``.  So ``R = gamma D Q diag((-i)^k) Q^T D`` takes its phases from the
-parity rule, not from ``omega q_k / sigma_k``: it is unitary and symmetric
-(as ``omega`` is) even where ``sigma_k`` is rounding noise, and ``lam =
-conj(D) Q diag(sigma) Q^T D`` keeps ``R lam = omega`` at machine precision
-(a square root taken from the Lyapunov operator itself would lose half the
-digits of the smallest singular values, since squaring the map squares them).
+q_k``, all from one half-size eigenproblem (:func:`_prolate_halves`).  So
+``R = gamma D Q diag((-i)^k) Q^T D`` takes its phases from the parity rule,
+not from ``omega q_k / sigma_k``: unitary and symmetric (as ``omega`` is) even
+where ``sigma_k`` is rounding noise, and ``lam = conj(D) Q diag(sigma) Q^T D``
+keeps ``R lam = omega`` at machine precision (a root of the Lyapunov operator
+would lose half the digits of the smallest singular values, as squaring the
+map squares them).
 """
 
 from __future__ import annotations
@@ -154,32 +155,34 @@ class IrreversibleModel:
         return np.repeat(np.sort(self.sigma)[::-1], self.grid.k_dim)
 
 
-def _prolate_halves(n_sigma: int):
+def _prolate_halves(n_sigma: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector halves of the tridiagonal that commutes with ``E``.
 
     ``T`` has zero diagonal and off-diagonal ``sin(pi j / n) sin(pi (N - j)
     / n)``, ``j = 1 .. N-1``.  It is persymmetric, so its eigenvectors are
     ``[y; J y] / sqrt(2)`` (even) and ``[y; -J y] / sqrt(2)`` (odd), with
-    ``y`` an eigenvector of the leading ``N/2`` block plus or minus the
-    coupling entry in its last diagonal place.  Yields the even and then the
-    odd ``y``, as C-ordered columns in descending order of eigenvalue.
+    ``y`` an eigenvector of the leading ``N/2`` block ``A_+`` or ``A_-``:
+    plus or minus the coupling entry in its last diagonal place.  ``A_- = -S
+    A_+ S`` exactly, ``S = diag((-1)^j)``, so the odd ``y`` in descending
+    order are ``S`` times the even ones in ascending order.  Returns both as
+    C-ordered columns in descending order of eigenvalue.
     """
     nh = n_sigma // 2
     j = np.arange(1, nh // 2 + 1)
     off = np.sin(np.pi * j / n_sigma) * np.sin(np.pi * (nh - j) / n_sigma)
     a = np.diag(off[:-1], 1)
     a += a.T
-    for sign in (1.0, -1.0):
-        a[-1, -1] = sign * off[-1]
-        yield np.ascontiguousarray(np.linalg.eigh(a)[1][:, ::-1])
+    a[-1, -1] = off[-1]
+    v = np.linalg.eigh(a)[1]
+    return np.ascontiguousarray(v[:, ::-1]), v * (-1.0) ** j[:, None]
 
 
 def build_model(grid: GridSpec) -> IrreversibleModel:
-    """Factor the forward map once: two half-size real symmetric eigenproblems
-    of the commuting tridiagonal (see the module note) and two half-size real
-    products for the singular values; no SVD and no dense matrix."""
+    """Factor the forward map once: one half-size real symmetric eigenproblem
+    for both halves of the commuting tridiagonal (see the module note) and two
+    half-size real products for the singular values; no SVD, no dense matrix."""
     n, nh = grid.n_sigma, grid.n_half()
-    y_even, y_odd = halves = tuple(_prolate_halves(n))
+    y_even, y_odd = halves = _prolate_halves(n)
     # sigma_k = |E q_k|: C = Re and S = -Im of E's leading quarter act on the
     # even / odd halves, each gathered from its part of the lookup table
     index, table = _dft_lookup(n, 2 * np.arange(nh // 2) + 1 - nh)

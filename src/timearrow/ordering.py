@@ -230,16 +230,17 @@ def irreversible_matrix_element(
     model: IrreversibleModel,
     phi: StateVector,
     psi: StateVector,
-    x_lambda: LinOp,
+    observables: list[LinOp],
     time_grid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix elements of an observable in both pictures along a time grid.
+    """Matrix elements of observables in both pictures along a time grid.
 
-    ``x_lambda`` is the observable's irreversible form, a :class:`LinOp`
-    declared ``hermitian=True`` (checked when it was built; an undeclared one
-    raises ``ValueError``), dense or diagonal; the reversible form is ``X =
-    lam x_lambda lam``, never an inverse of ``lam``.  Both pictures are
-    evaluated at the grid's lattice times.  Returns one array per quantity:
+    ``observables`` holds irreversible forms ``x_lambda``, each a
+    :class:`LinOp` declared ``hermitian=True`` (checked when it was built; an
+    undeclared one raises ``ValueError``), dense or diagonal; the reversible
+    form is ``X = lam x_lambda lam``, never an inverse of ``lam``.  Both
+    pictures are evaluated at the grid's lattice times.  Returns one array
+    per quantity, a row per observable and a column per time:
 
     * reversible ``(u(t)phi, X u(t)psi)``, taken as ``(lam u(t)phi,
       x_lambda lam u(t)psi)`` since ``lam`` is Hermitian;
@@ -249,18 +250,19 @@ def irreversible_matrix_element(
 
     Each picture is one block per chunk of times (one column per time): one
     product of ``lam`` with the evolved states ``[u(t_k) psi]_k``, and one of
-    ``R^H`` with the slices ``[T(t_k) R lam psi]_k``.  ``x_lambda`` acts on
-    each block (O(N) a column if diagonal) and the elements are column-wise
-    inner products.  ``Z(t) P(t) = Z(t)`` exactly, so the future projection
-    ``P(t)`` is not formed.  When ``phi is psi`` the phi side reuses the psi
-    side's blocks.
+    ``R^H`` with the slices ``[T(t_k) R lam psi]_k``, for every observable.
+    Each ``x_lambda`` acts on the block (O(N) a column if diagonal) and the
+    elements are column-wise inner products.  ``Z(t) P(t) = Z(t)`` exactly,
+    so the future projection ``P(t)`` is not formed.  When ``phi is psi``
+    the phi side reuses the psi side's blocks.
     """
     if phi.space is not Space.HALF_LINE_POS or psi.space is not Space.HALF_LINE_POS:
         raise ValueError("matrix elements take HALF_LINE_POS states")
-    if x_lambda.domain is not Space.HALF_LINE_POS:  # hermitian: codomain too
-        raise ValueError("x_lambda must act on the half-line space")
-    if not x_lambda.hermitian:
-        raise ValueError("the observable must be a LinOp declared hermitian")
+    for x in observables:
+        if x.domain is not Space.HALF_LINE_POS:  # hermitian: codomain too
+            raise ValueError("every observable must act on the half-line space")
+        if not x.hermitian:
+            raise ValueError("every observable must be a LinOp declared hermitian")
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
@@ -269,21 +271,20 @@ def irreversible_matrix_element(
     same = phi is psi
     l_psi = lam._act(psi.amplitudes)
     l_phi = l_psi if same else lam._act(phi.amplitudes)
-
-    def element(a, b):
-        return np.einsum("ij,ij->j", a.conj(), x_lambda._act(b)) * psi.grid.delta_sigma
-
-    rev = np.empty(times.size, dtype=np.complex128)
+    rev = np.empty((len(observables), times.size), dtype=np.complex128)
     irr = np.empty_like(rev)
     for cols in _column_chunks(ks.size):
         k = ks[cols]
         t = k * model.grid.delta_tau
-        b = lam._act(_unitary_block(psi, t))
-        a = b if same else lam._act(_unitary_block(phi, t))
-        rev[cols] = element(a, b)
-        b = _z_block(model, l_psi, k)
-        a = b if same else _z_block(model, l_phi, k)
-        irr[cols] = element(a, b)
+        for out, block, right, left in (
+            (rev, lambda s: lam._act(_unitary_block(s, t)), psi, phi),
+            (irr, lambda a: _z_block(model, a, k), l_psi, l_phi),
+        ):
+            b = block(right)
+            a = (b if same else block(left)).conj()
+            for row, x in zip(out, observables):
+                row[cols] = np.einsum("ij,ij->j", a, x._act(b)) * psi.grid.delta_sigma
+            del a, b  # one side's blocks at a time
     return rev, irr, np.abs(rev - irr)
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The model factorization (two half-size eigenproblems of the commuting
+The model factorization (one half-size eigenproblem of the commuting
 tridiagonal) is shared: one instance is built per session for every test
 module that needs matrices, and tests that run a dense SVD as an oracle
 reuse it too.  So is one run of the acceptance

@@ -65,24 +65,65 @@ def test_oversized_config_exits_2(tmp_path, section, field, value, named):
     assert not (tmp_path / "convergence.csv").exists()
 
 
-@pytest.mark.parametrize("n_dense, measured_mb", [(512, 53.5), (1024, 107.2),
-                                                  (2048, 309.7), (4096, 1004.7)])
-def test_estimate_bounds_measured_peaks(n_dense, measured_mb):
-    # the largest peak RSS of projection-family, matrix-element and
-    # semigroup-norms (projection-family at every size), one BLAS thread,
-    # default config otherwise
-    need, field = peak_memory_estimate(_with("dense", "n_dense", n_dense))
+# peak RSS in MB of each command at n_dense 512 / 1024 / 2048 / 4096, one BLAS
+# thread, default config otherwise (the peaks in _config's comment)
+MEASURED_PEAKS_MB = {
+    "projection-family": (53.5, 107.2, 309.7, 1004.7),
+    "matrix-element": (40.9, 49.4, 81.8, 198.8),
+    "semigroup-norms": (41.6, 50.5, 82.6, 205.4),
+}
+
+
+@pytest.mark.parametrize("command, n_dense, measured_mb", [
+    pytest.param(command, n_dense, mb, id=f"{n_dense}-{mb}")
+    for command, peaks in MEASURED_PEAKS_MB.items()
+    for n_dense, mb in zip((512, 1024, 2048, 4096), peaks)
+])
+def test_estimate_bounds_measured_peaks(command, n_dense, measured_mb):
+    need, field = peak_memory_estimate(_with("dense", "n_dense", n_dense), command)
     assert field == "dense.n_dense"
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+
+
+def test_estimate_is_per_command(tmp_path, monkeypatch):
+    # with 1 GiB of memory, n_dense 4096 fits the one dense matrix of
+    # matrix-element and semigroup-norms, not the five of projection-family,
+    # which a command not named is charged too
+    monkeypatch.setattr(_config, "_physical_memory", lambda: 2**30)
+    path = _write(tmp_path, _with("dense", "n_dense", 4096))
+    for command in ("matrix-element", "semigroup-norms"):
+        assert load_config(path, command)["dense"]["n_dense"] == 4096
+    for command in ("projection-family", "convergence", None):
+        with pytest.raises(ConfigError, match="dense.n_dense: the run needs"):
+            load_config(path, command)
+
+
+@pytest.mark.parametrize("command", ["matrix-element", "semigroup-norms",
+                                     "projection-family", "lyapunov-curve"])
+def test_each_command_checks_its_own_estimate(tmp_path, monkeypatch, command):
+    # the estimate is stubbed to exceed any memory, so nothing runs
+    seen = []
+
+    def estimate(cfg, command=None):
+        seen.append(command)
+        return 2**62, "dense.n_dense"
+
+    monkeypatch.setattr(_config, "peak_memory_estimate", estimate)
+    path = _write(tmp_path, DEFAULT_CONFIG)
+    res = CliRunner().invoke(main, [command, "--config", path,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert seen == [command]
 
 
 @pytest.mark.parametrize("n_steps, measured_mb", [(33, 59.0), (2000, 148.0)])
 def test_estimate_bounds_measured_peaks_at_k_dim_8(n_steps, measured_mb):
     # the largest peak RSS of projection-family, matrix-element and
     # semigroup-norms at n_dense 512 and k_dim 8, one BLAS thread, measured
-    # while the model still held dense matrices (53.5 and 128.4 MB since, in
-    # _config's comment; the estimate bounds both): the model acts on every
-    # fibre alike, and only the blocks of states grow with k_dim
+    # while the model still held dense matrices (53.5 and 101.0 MB now, in
+    # _config's comment; the estimate bounds both), against the estimate of
+    # a command not named: the model acts on every fibre alike, and only the
+    # blocks of states grow with k_dim
     cfg = _with("grid", "k_dim", 8)
     cfg["times"]["n_steps"] = n_steps
     need, field = peak_memory_estimate(cfg)

@@ -214,6 +214,37 @@ class TestStructuredFactorization:
         assert np.abs(sigma.real - build_model(grid).singular_values).max() <= 1e-13
         assert np.linalg.norm(e @ q - q * mu) <= 1e-12
 
+    @pytest.mark.parametrize("n_dense", [16, 64, 256, 2048])
+    def test_odd_block_is_a_signed_copy_of_the_even_block(self, n_dense):
+        # the halves solve the leading block A plus (A_+) or minus (A_-) the
+        # coupling in its last diagonal place, and A_- = -S A_+ S exactly,
+        # S = diag((-1)^j); so the odd half, built from the even one, solves
+        # A_- with its eigenvalues descending
+        t = _commuting_tridiagonal(make_grid(2 * n_dense, 20.0, 1))
+        h = n_dense // 2
+        a_plus, a_minus = t[:h, :h].copy(), t[:h, :h].copy()
+        a_plus[-1, -1], a_minus[-1, -1] = t[h - 1, h], -t[h - 1, h]
+        s = (-1.0) ** np.arange(h)
+        assert np.array_equal(a_minus, -(s[:, None] * a_plus * s))
+        y_even, y_odd = _prolate_halves(2 * n_dense)
+        for a, y in ((a_plus, y_even), (a_minus, y_odd)):
+            assert y.flags.c_contiguous
+            mu = np.einsum("jk,jk->k", y, a @ y)
+            assert np.all(np.diff(mu) < 0)
+            assert np.abs(a @ y - y * mu).max() <= 1e-13
+
+    def test_build_solves_one_eigenproblem(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        build_model(make_grid(1024, 20.0, 2))
+        assert shapes == [(256, 256)]
+
     def test_closed_form_pieces(self, small_grid):
         # omega = gamma D E D with D = diag(exp(-i pi j_c / 2))
         nh = small_grid.n_half()

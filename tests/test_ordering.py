@@ -1,6 +1,7 @@
 """Past/future projections, the spectral measure, and the ordering operator."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,8 +357,8 @@ class TestKroneckerOracle:
         fam.ordering_spectrum()
         psi = _rand_half(grid, rng)
         energy = LinOp(grid, half, half, grid.sigma_pos(), hermitian=True)
-        for x in (identity_op(grid, half), energy, _hermitian_op(grid, rng)):
-            irreversible_matrix_element(model, psi, psi, x, ks * grid.delta_tau)
+        observables = [identity_op(grid, half), energy, _hermitian_op(grid, rng)]
+        irreversible_matrix_element(model, psi, psi, observables, ks * grid.delta_tau)
         assert calls["kron"] == 0
         # stored: the two real h x h eigenvector halves, shared by lam and R
         assert model.isometry.halves is model.lam.halves
@@ -459,8 +460,9 @@ class TestMatrixElements:
         psi = random_guarded_state(model.grid, rng)
         ident = identity_op(model.grid, Space.HALF_LINE_POS)
         times = np.array([0, 8, 32]) * model.grid.delta_tau
-        elements = irreversible_matrix_element(model, psi, psi, ident, times)
-        for t, rev, irr, diff in zip(times, *elements):
+        (revs,), (irrs,), (diffs,) = irreversible_matrix_element(model, psi, psi,
+                                                                 [ident], times)
+        for t, rev, irr, diff in zip(times, revs, irrs, diffs):
             expectation = lyapunov_expectation(psi, t)
             assert rev.real == pytest.approx(expectation, rel=1e-9, abs=1e-12)
             assert diff <= 1e-8 * norm(psi) ** 2
@@ -470,7 +472,7 @@ class TestMatrixElements:
         phi = random_guarded_state(model.grid, rng)
         psi = random_guarded_state(model.grid, rng)
         x = _hermitian_op(model.grid, rng)
-        (rev,), (irr,), _ = irreversible_matrix_element(model, phi, psi, x, [0.0])
+        [[rev]], [[irr]], _ = irreversible_matrix_element(model, phi, psi, [x], [0.0])
         direct = inner(model.lam.apply(phi), x.apply(model.lam.apply(psi)))
         assert rev == pytest.approx(direct, abs=1e-10)
         assert irr == pytest.approx(direct, abs=1e-10)
@@ -482,7 +484,7 @@ class TestMatrixElements:
         x = _hermitian_op(model.grid, rng)
         scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
         times = np.array([1, 16, 64]) * model.grid.delta_tau
-        _, _, diffs = irreversible_matrix_element(model, phi, psi, x, times)
+        _, _, (diffs,) = irreversible_matrix_element(model, phi, psi, [x], times)
         for diff in diffs:
             assert diff <= 1e-8 * scale
 
@@ -503,12 +505,12 @@ class TestMatrixElements:
         x = LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, a)
         psi = _rand_half(model.grid, rng)
         with pytest.raises(ValueError):
-            irreversible_matrix_element(model, psi, psi, x, [0.0])
+            irreversible_matrix_element(model, psi, psi, [x], [0.0])
         # a Hermitian matrix counts only when its LinOp is declared hermitian
         undeclared = LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
                            0.5 * (a + a.conj().T))
         with pytest.raises(ValueError, match="declared hermitian"):
-            irreversible_matrix_element(model, psi, psi, undeclared, [0.0])
+            irreversible_matrix_element(model, psi, psi, [undeclared], [0.0])
 
 
 class TestMatrixElementOracle:
@@ -528,7 +530,7 @@ class TestMatrixElementOracle:
         scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
         nh = m.grid.n_half()
         times = np.array([0, 1, 7, nh // 4, nh - 1, nh]) * m.grid.delta_tau
-        _, irr, _ = irreversible_matrix_element(m, phi, psi, x, times)
+        _, (irr,), _ = irreversible_matrix_element(m, phi, psi, [x], times)
         lam = m.lam.matrix
         for t, got in zip(times, irr):
             p = future_projection(m, t).matrix
@@ -547,7 +549,7 @@ class TestMatrixElementOracle:
         x = _hermitian_op(m.grid, rng)
         scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
         times = np.array([0, 3, m.grid.n_half() // 2]) * m.grid.delta_tau
-        rev, _, _ = irreversible_matrix_element(m, phi, psi, x, times)
+        (rev,), _, _ = irreversible_matrix_element(m, phi, psi, [x], times)
         dressed = m.lam.matrix @ x.matrix @ m.lam.matrix
         for t, got in zip(times, rev):
             b = make_state(m.grid, Space.HALF_LINE_POS,
@@ -561,8 +563,8 @@ class TestMatrixElementOracle:
         x = _hermitian_op(model.grid, rng)
         scale = norm(psi) ** 2 * np.linalg.norm(x.matrix, 2)
         times = np.array([0, 5, 40]) * model.grid.delta_tau
-        shared = irreversible_matrix_element(model, psi, psi, x, times)
-        separate = irreversible_matrix_element(model, twin, psi, x, times)
+        shared = irreversible_matrix_element(model, psi, psi, [x], times)
+        separate = irreversible_matrix_element(model, twin, psi, [x], times)
         for got, expected in zip(shared, separate):
             assert np.abs(got - expected).max() <= 1e-14 * scale
 
@@ -580,13 +582,66 @@ class TestMatrixElementOracle:
         times = np.array([0, 1, 2, 3, 5, 8, 13, 21, 34, 55]) * m.grid.delta_tau
         for x in observables:
             scale = norm(phi) * norm(psi) * np.linalg.norm(x.matrix, 2)
-            whole = irreversible_matrix_element(m, phi, psi, x, times)
+            whole = irreversible_matrix_element(m, phi, psi, [x], times)
             with monkeypatch.context() as patch:
                 patch.setattr(evolution, "_BLOCK_COLUMNS", 3)
                 assert len(evolution._column_chunks(times.size)) == 4
-                chunked = irreversible_matrix_element(m, phi, psi, x, times)
+                chunked = irreversible_matrix_element(m, phi, psi, [x], times)
             for got, expected in zip(chunked, whole):
                 assert np.abs(got - expected).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_each_row_equals_its_single_observable_call(self, model, rng, shared):
+        # the command's two observables and a dense one in one call: row i
+        # is bit for bit the call with observable i alone
+        grid, half = model.grid, Space.HALF_LINE_POS
+        psi = _rand_half(grid, rng)
+        phi = psi if shared else _rand_half(grid, rng)
+        energy = LinOp(grid, half, half, grid.sigma_pos() / grid.sigma_max,
+                       hermitian=True)
+        observables = [identity_op(grid, half), energy, _hermitian_op(grid, rng)]
+        times = np.array([0, 1, 7, 40, 300]) * grid.delta_tau
+        batched = irreversible_matrix_element(model, phi, psi, observables, times)
+        assert all(got.shape == (3, times.size) for got in batched)
+        for i, x in enumerate(observables):
+            single = irreversible_matrix_element(model, phi, psi, [x], times)
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[i], want[0])
+
+    def test_validation_fires_for_any_bad_observable(self, model, rng):
+        grid, half = model.grid, Space.HALF_LINE_POS
+        psi = _rand_half(grid, rng)
+        good = identity_op(grid, half)
+        n = grid.dim(half)
+        bad = {
+            "declared hermitian": LinOp(grid, half, half, rng.normal(size=(n, n))),
+            "half-line": identity_op(grid, Space.FULL_LINE),
+        }
+        for match, x in bad.items():
+            for observables in ([x], [good, x], [x, good]):
+                with pytest.raises(ValueError, match=match):
+                    irreversible_matrix_element(model, psi, psi, observables, [0.0])
+        with pytest.raises(ValueError, match="nonempty"):
+            irreversible_matrix_element(model, psi, psi, [good, good], [])
+
+    def test_peak_memory_is_about_three_blocks(self):
+        # n_dense 512, k_dim 8, 256 times: one block of states is 16 MB; each
+        # side's blocks are released before the other side is formed
+        grid, half = make_grid(1024, 100.0, 8), Space.HALF_LINE_POS
+        model = build_model(grid)
+        psi = random_guarded_state(grid, np.random.default_rng(415))
+        energy = LinOp(grid, half, half, grid.sigma_pos() / grid.sigma_max,
+                       hermitian=True)
+        times = np.arange(256) * grid.delta_tau
+        block = grid.dim(half) * times.size * 16
+        tracemalloc.start()
+        try:
+            irreversible_matrix_element(model, psi, psi,
+                                        [identity_op(grid, half), energy], times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * block
 
     def test_row_weighted_is_exactly_hermitian(self, model):
         # built as 0.5 (m + m^H), so it skips the runtime check
@@ -599,9 +654,9 @@ class TestMatrixElementOracle:
         psi = _rand_half(model.grid, rng)
         x = identity_op(model.grid, Space.HALF_LINE_POS)
         with pytest.raises(ValueError):
-            irreversible_matrix_element(model, psi, psi, x, [])
+            irreversible_matrix_element(model, psi, psi, [x], [])
         with pytest.raises(ValueError):
-            irreversible_matrix_element(model, psi, psi, x, [-model.grid.delta_tau])
+            irreversible_matrix_element(model, psi, psi, [x], [-model.grid.delta_tau])
 
 
 class TestCorrespondence:
@@ -698,7 +753,7 @@ class TestSnappedTime:
             "correspondence_check": lambda t: correspondence_check(model, psi, t),
             "intertwining_residual": lambda t: intertwining_residual(model, t, [psi]),
             "irreversible_matrix_element": lambda t: irreversible_matrix_element(
-                model, psi, psi, x, [0.0, t, 12 * dt]),
+                model, psi, psi, [x], [0.0, t, 12 * dt]),
             "toeplitz_step": lambda t: toeplitz_step(h, t),
             "z_matrix": lambda t: z_matrix(model, t),
             "z_evolve": lambda t: z_evolve(model, psi, t),
