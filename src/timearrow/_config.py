@@ -49,15 +49,19 @@ DEFAULT_CONFIG = {
 # OpenBLAS): lyapunov-curve at n_sigma 2^20 179 MB; per time step (CSV rows
 # streamed to disk) matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve
 # 48 B (61 MB at 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
-# Dense term: n_dense^2 complex matrices at every k_dim; at n_dense 512 / 1024 /
-# 2048 / 4096, projection-family (5: R, G = R R^H, G - I, ...) 53.5 / 107.2 /
-# 309.7 / 1004.7 MB, matrix-element (1: the model's two real halves and the
-# build) 40.9 / 49.4 / 81.8 / 198.8 MB, semigroup-norms (1) 41.6 / 50.5 / 82.6 /
-# 205.4 MB; other commands are charged 5.  Blocks of states: n_dense * k_dim
-# rows, up to 256 columns (at k_dim 8, 2000 steps: 101.0 / 97.3 / 53.5 MB).
+# Dense term: bytes per n_dense^2 entry at every k_dim, at n_dense 512 / 1024 /
+# 2048 / 4096: projection-family (40, five real n x n: the defect, its
+# products, one panel, the halves, eigvalsh) 43.3 / 63.1 / 149.2 / 424.7 MB,
+# and 43.3 / 71.1 / 156.6 / 487.0 MB over the half window (t_max = n_dense /
+# 32); matrix-element (16) 40.9 / 49.4 / 81.8 / 198.8 MB, semigroup-norms (16)
+# 41.6 / 50.5 / 82.6 / 205.4 MB; none for lyapunov-curve and convergence (no
+# dense model), the most for a command not named.  Blocks of states: n_dense
+# * k_dim rows, up to 256 columns (at k_dim 8, 2000 steps: matrix-element
+# 101.2, semigroup-norms 97.4, projection-family 43.2 MB).
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
-_DENSE_MATRICES = 5
-_COMMAND_DENSE_MATRICES = {"matrix-element": 1, "semigroup-norms": 1}
+_DENSE_BYTES = {"projection-family": 40, "matrix-element": 16, "semigroup-norms": 16,
+                "lyapunov-curve": 0, "convergence": 0}
+_SELFTEST_DENSE_MATRICES = 5
 _STATE_BLOCKS = 8
 _FFT_VECTORS = 12
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
@@ -244,13 +248,12 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
     """
     k_dim, n_steps = cfg["grid"]["k_dim"], cfg["times"]["n_steps"]
     n_dense = cfg["dense"]["n_dense"]
-    matrices = _COMMAND_DENSE_MATRICES.get(command, _DENSE_MATRICES)
-    block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS)  # one block of states
+    per_entry = _DENSE_BYTES.get(command, max(_DENSE_BYTES.values()))
+    # one block of states, on the dense tier only
+    block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS) if per_entry else 0
     terms = {
         "grid.n_sigma": _FFT_VECTORS * _COMPLEX_BYTES * cfg["grid"]["n_sigma"] * k_dim,
-        "dense.n_dense": _COMPLEX_BYTES * (
-            matrices * n_dense**2 + _STATE_BLOCKS * block
-        ),
+        "dense.n_dense": per_entry * n_dense**2 + _COMPLEX_BYTES * _STATE_BLOCKS * block,
         "times.n_steps": _BYTES_PER_STEP * n_steps,
     }
     return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)
@@ -281,7 +284,7 @@ def selftest_memory_estimate(cfg: dict) -> int:
     rows = cfg["dense"]["n_dense"]
     full_line = _COMPLEX_BYTES * _FULL_LINE_MATRICES * (2 * rows) ** 2
     return (
-        _BASE_BYTES + _COMPLEX_BYTES * _DENSE_MATRICES * rows**2
+        _BASE_BYTES + _COMPLEX_BYTES * _SELFTEST_DENSE_MATRICES * rows**2
         + max(full_line, _FIXED_GRID_BYTES)
     )
 

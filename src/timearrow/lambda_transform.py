@@ -97,21 +97,27 @@ class ProlateOp:
         out *= left[:, None]
         return out.reshape(a.shape)
 
+    def _parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real ``h x h`` parts ``Y_e c_e Y_e^T`` and ``Y_o c_o Y_o^T``."""
+        return tuple((y * c) @ y.T for y, c in zip(self.halves, np.split(self.c, 2)))
+
     @property
     def _entries(self) -> np.ndarray:
-        """``Q diag(c) Q^T = [[B, C J], [J C, J B J]]`` times the phases, per bin."""
-        y_even, y_odd = self.halves
-        h = y_even.shape[0]
-        e = (y_even * self.c[:h]) @ y_even.T
-        o = (y_odd * self.c[h:]) @ y_odd.T
-        b, c = 0.5 * (e + self.phase * o), 0.5 * (e - self.phase * o)
-        out = np.block([[b, c[:, ::-1]], [c[::-1], b[::-1, ::-1]]]) * self.left[:, None]
+        """``Q diag(c) Q^T`` times the phases, per bin."""
+        out = _persymmetric(*self._parts(), self.phase) * self.left[:, None]
         out *= self.right
         return out
 
     @property
     def matrix(self) -> np.ndarray:
         return LinOp(self.grid, self.domain, self.codomain, self._entries).matrix
+
+
+def _persymmetric(e: np.ndarray, o: np.ndarray, phase: complex = 1.0) -> np.ndarray:
+    """``[[B, C J], [J C, J B J]]`` with ``B, C = (e +- phase o) / 2``: the
+    ``n x n`` form of ``Q diag(c) Q^T`` from its even and odd parts."""
+    b, c = 0.5 * (e + phase * o), 0.5 * (e - phase * o)
+    return np.block([[b, c[:, ::-1]], [c[::-1], b[::-1, ::-1]]])
 
 
 @dataclass(frozen=True)
@@ -255,9 +261,7 @@ def intertwining_residual(
     guard-banded states, for which the transported profile is the forward
     image itself.  Outside those domains the finite window's edge defect
     enters at order one.  Both relations are evaluated at the same lattice
-    times.  Each state is one block per chunk of times, one column per
-    time: ``lam`` and ``R^H`` act on the evolved and on the shifted columns
-    at once.
+    times, one block of times per state.
     """
     if not psi_set:
         raise ValueError("psi_set must contain at least one state")

@@ -4,10 +4,9 @@ At each lattice time the contraction semigroup splits the half-line space
 into a past subspace (states already annihilated, ``Ker Z(t)``) and its
 orthogonal complement, the future subspace.  Because ``Z(t) = R* S_k R``
 with ``S_k`` a slice of rows (see :mod:`timearrow.lambda_transform`), every
-operator here is ``R^H diag(w) R``, built from the rows of the dense ``R``
-where the weight ``w`` is nonzero and stored per bin (one row per time bin,
-``n`` rows).  With ``e = k`` rows behind the shift at ``t = k *
-delta_tau``:
+operator here is ``R^H diag(w) R`` on a block of rows of ``R``'s per-bin
+matrix (one row per time bin, ``n`` rows).  With ``e = k`` rows behind the
+shift at ``t = k * delta_tau``:
 
 * the past projection ``I - Z*(t) Z(t)`` is ``R[:e]^H R[:e]`` and the
   future projection ``Z*(t) Z(t)`` is ``R[e:]^H R[e:]``: exact orthogonal
@@ -15,14 +14,17 @@ delta_tau``:
 * the increment over ``(t_i, t_{i+1}]`` is the row block ``R[e_i:e_{i+1}]``,
   and the ordering operator ``T`` weights each block with its midpoint.
 
-The family's numbers need no dense projection or ``T``, only ``G = R R^H``:
-:meth:`ProjectionFamily.residuals` takes them from ``G - I``, with ranks
-certified by Weyl's inequality, and since ``spec(XY) = spec(YX)``, ``T = (R^H
-M^(1/2)) (M^(1/2) R)`` (``M`` the midpoint weights) has the spectrum of
-``M^(1/2) G M^(1/2)``: that of its first ``E`` rows and columns (``E`` the
-last row end), plus ``n - E`` zeros.  On the full space each matrix is
-``kron(block, I_k)``: ranks and spectra repeat ``k_dim`` times, and Frobenius
-norms grow by ``sqrt(k_dim)``, as ``<kron(A, I), kron(B, I)> = k_dim <A, B>``.
+Their dense matrices are built on request.  The family's numbers need none
+of them, nor ``R``: only ``G = R R^H``, through the real defect ``D* G D -
+I`` (``D`` the unit phases of ``R = gamma D Q C Q^T D``; norms, traces and
+leading-block spectra do not see ``D``).  :meth:`ProjectionFamily.residuals`
+reads it, with ranks certified by Weyl's inequality.  As ``spec(XY) =
+spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the midpoint weights)
+has the spectrum of ``M^(1/2) G M^(1/2)``: that of its first ``E`` rows and
+columns (``E`` the last row end), and ``n - E`` zeros.  On the full space
+each matrix is ``kron(block, I_k)``: ranks and spectra repeat ``k_dim``
+times, and Frobenius norms grow by ``sqrt(k_dim)``, as ``<kron(A, I),
+kron(B, I)> = k_dim <A, B>``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import _column_chunks, _semigroup_index, _unitary_block
-from .lambda_transform import IrreversibleModel, _z_block
+from .lambda_transform import IrreversibleModel, ProlateOp, _persymmetric, _z_block
 from .lyapunov import _omega_block
 from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
 
@@ -52,21 +54,13 @@ __all__ = [
 _CLUSTER_GAP = 1e-4
 
 
-def _row_weighted(isometry: LinOp, w: np.ndarray) -> LinOp:
-    """``R^H diag(w) R``, summed over the rows of ``R`` where ``w`` is nonzero."""
-    rows = np.flatnonzero(w)
-    a = isometry._entries[rows]
-    m = (a.conj().T * w[rows]) @ a
+def _row_weighted(isometry: ProlateOp, lo: int, hi: int | None = None, w=1.0) -> LinOp:
+    """``R[lo:hi]^H diag(w) R[lo:hi]``, ``w`` a weight per row or one for all."""
+    a = isometry._entries[lo:hi]
+    m = (a.conj().T * w) @ a
     return LinOp._hermitian_by_construction(
         isometry.grid, Space.HALF_LINE_POS, 0.5 * (m + m.conj().T)
     )
-
-
-def _row_block(isometry: LinOp, lo: int, hi: int | None = None) -> LinOp:
-    """``R[lo:hi]^H R[lo:hi]``."""
-    w = np.zeros(isometry._entries.shape[0])
-    w[lo:hi] = 1.0
-    return _row_weighted(isometry, w)
 
 
 def _cluster_rank(vals: np.ndarray) -> int:
@@ -85,19 +79,15 @@ def future_projection(model: IrreversibleModel, t: float) -> LinOp:
     An exact orthogonal projection of the discrete model (the shift's
     isometric leg has no edge defect), equal to ``I`` at ``t = 0``.
     """
-    return _row_block(_dense(model.isometry), _semigroup_index(model.grid, t))
-
-
-def _dense(r) -> LinOp:  # R with its dense per-bin matrix, built on request
-    return LinOp(r.grid, r.domain, r.codomain, r._entries)
+    return _row_weighted(model.isometry, _semigroup_index(model.grid, t))
 
 
 @dataclass(frozen=True)
 class ProjectionFamily:
     """Increasing family of past projections, held as row ends of ``R``.
 
-    ``row_ends`` count stored rows: ``row_ends[i] = k_i`` for ``times[i] =
-    k_i * delta_tau`` if ``R`` is stored per bin, ``k_i * k_dim`` at full size.
+    ``isometry`` is the model's factored ``R``, and ``row_ends`` count its
+    per-bin rows: ``row_ends[i] = k_i`` for ``times[i] = k_i * delta_tau``.
     :meth:`projection` ``(i)`` is the past projection ``R[:e_i]^H R[:e_i]``
     at ``times[i]``; :meth:`increment` ``(i)`` is the measure of the
     half-open interval ``(times[i], times[i+1]]``, the row block
@@ -106,7 +96,7 @@ class ProjectionFamily:
     earlier projections absorb into later ones.
     """
 
-    isometry: LinOp
+    isometry: ProlateOp
     times: np.ndarray
     row_ends: np.ndarray
 
@@ -123,81 +113,92 @@ class ProjectionFamily:
             raise ValueError("row ends inconsistent with the time grid")
 
     def projection(self, i: int) -> LinOp:
-        return _row_block(self.isometry, 0, self.row_ends[i])
+        return _row_weighted(self.isometry, 0, self.row_ends[i])
 
     def increment(self, i: int) -> LinOp:
-        return _row_block(self.isometry, self.row_ends[i], self.row_ends[i + 1])
+        return _row_weighted(self.isometry, self.row_ends[i], self.row_ends[i + 1])
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """``G = R R^H``, formed once per family (read-only)."""
-        r = self.isometry._entries
-        g = r @ r.conj().T
-        g.setflags(write=False)
-        return g
+    def defect(self) -> np.ndarray:
+        """``D* R R^H D - I``, real and read-only, formed once per family:
+        ``Q^T Q`` is block diagonal by parity, so ``D* R R^H D`` is ``R``'s
+        dense form with parts ``e e`` and ``o o`` and no phases."""
+        e, o = self.isometry._parts()
+        d = _persymmetric(e @ e, o @ o)
+        d.flat[:: d.shape[0] + 1] -= 1.0
+        d.setflags(write=False)
+        return d
 
     def residuals(self) -> list[tuple[int, float, float, float]]:
         """``(rank, idempotency, nesting, complement)`` of each projection.
 
         The Frobenius residuals ``|P^2 - P|``, ``|Q P - Q|`` (``Q`` the
         previous projection) and ``|P + P_future - I|`` of the dense
-        matrices, without forming any of them.  ``P = A^H A`` with ``A =
-        R[:e]``, and ``A A^H = G_e`` is the leading block of ``G``.  Let ``D =
-        G - I``, ``F = D[:q, :e]`` (``q`` the previous row end) and ``C_j = D
-        + D[:, :e_j] D[:e_j, :]``, accumulated on the first ``E`` rows and
+        matrices, without forming any.  ``P = A^H A`` with ``A = R[:e]``, and
+        ``A A^H = G_e`` is the leading block of ``G``.  Let ``D`` be
+        :attr:`defect` (``G - I``, whose phases cancel from every quantity
+        here), ``F = D[:q, :e]`` (``q`` the previous row end) and ``C_j = D +
+        D[:, :e_j] D[:e_j, :]``, updated in place on the first ``E`` rows and
         columns by one panel product ``D[:, q:e] D[q:e, :]`` per time.  Then
-        ``|P^2 - P| = |D_e G_e| = |C_j[:e, :e]|``, and ``|Q P - Q|^2 =
-        tr(F^H G_q F G_e)`` is the inner product of ``C_{j-1}[:q, :e] = G_q
-        F`` and ``C_j[:q, :e] = F G_e``.  ``P + P_future = R^H R`` at every
-        time, so the complement residual is ``|D|``.  Weyl's inequality puts
-        every eigenvalue of ``G_e`` within ``|D|`` of 1, so if ``|D| <=
-        1e-4`` the rank is ``e``, as :func:`projection_rank`'s cluster test
-        would find; otherwise that test runs on ``G_e`` (``ValueError`` if
-        its spectrum does not cluster at ``{0, 1}``).  Ranks and residuals
-        (``|D|`` before the rank decision) are lifted to the full space.
+        ``|P^2 - P| = |D_e G_e| = |C_j[:e, :e]|``, ``|Q P - Q|^2 = tr(F^H G_q
+        F G_e)`` is the inner product of ``C_{j-1}[:q, :e] = G_q F`` and
+        ``C_j[:q, :e] = F G_e``, and since ``P + P_future = R^H R``, the
+        complement residual is ``|D|``.  Weyl's inequality puts the spectrum
+        of ``G_e`` within ``|D|`` of 1, so if ``|D| <= 1e-4`` the rank is
+        ``e``; otherwise :func:`projection_rank`'s cluster test runs on ``G_e``
+        (``ValueError`` if it does not cluster at ``{0, 1}``).  Ranks and
+        residuals are lifted to the full space.
         """
-        g, fibres = self.gram, self.isometry._fibres
+        def inner(a, b):  # <a, b> of two real views, copying neither
+            return np.einsum("ij,ij->", a, b)
+
+        d, fibres = self.defect, self.isometry.grid.k_dim
         lift = np.sqrt(fibres)
-        complement = float(np.linalg.norm(g - np.eye(g.shape[0])) * lift)
+        complement = float(np.linalg.norm(d) * lift)
         big_e = self.row_ends[-1]
-        d = g[:big_e, :big_e] - np.eye(big_e)
-        acc = np.zeros_like(d)
+        c = d[:big_e, :big_e].copy()  # C_j, updated in place
         out = []
         q = 0
         for e in self.row_ends:
-            before = d[:q, :e] + acc[:q, :e]
-            acc += d[:, q:e] @ d[q:e, :]
-            c = d[:e, :e] + acc[:e, :e]
-            nest = float(np.sqrt(max(np.vdot(before, c[:q]).real, 0.0)) * lift)
+            before = c[:q, :e]  # C_{j-1}
+            panel = d[:big_e, q:e] @ d[q:e, :big_e]
+            nest_sq = inner(before, before) + inner(before, panel[:q, :e])
+            c += panel
+            del panel
+            nest = float(np.sqrt(max(nest_sq, 0.0)) * lift)
             if complement <= _CLUSTER_GAP:
                 rank = int(e)
             else:
-                rank = _cluster_rank(np.linalg.eigvalsh(g[:e, :e]))
-            idem = float(np.linalg.norm(c) * lift)
+                rank = _cluster_rank(np.linalg.eigvalsh(d[:e, :e]) + 1.0)
+            idem = float(np.sqrt(inner(c[:e, :e], c[:e, :e])) * lift)
             out.append((rank * fibres, idem, nest, complement))
             q = e
         return out
 
     def ordering_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of :func:`assemble_T`'s ``T``, without ``T``."""
-        e = self.row_ends[-1]
+        """Ascending eigenvalues of :func:`assemble_T`'s ``T``, without ``T``:
+        ``S (I + defect) S`` on the first ``E`` rows (``S^2 = M``), and zeros."""
+        e, d = self.row_ends[-1], self.defect
         mids = 0.5 * (self.times[1:] + self.times[:-1])
-        s = np.sqrt(np.repeat(mids, np.diff(self.row_ends)))
-        vals = np.linalg.eigvalsh(s[:, None] * self.gram[:e, :e] * s)
-        vals = np.concatenate([vals, np.zeros(self.gram.shape[0] - e)])
-        return np.sort(np.repeat(vals, self.isometry._fibres))
+        w = np.repeat(mids, np.diff(self.row_ends))
+        s = np.sqrt(w)
+        m = s[:, None] * d[:e, :e]
+        m *= s
+        m.flat[:: e + 1] += w
+        vals = np.concatenate([np.linalg.eigvalsh(m), np.zeros(d.shape[0] - e)])
+        return np.sort(np.repeat(vals, self.isometry.grid.k_dim))
 
 
 def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:
     """Past-projection family and interval increments on a lattice time grid.
 
-    The grid must increase strictly from 0.  Only the dense ``R`` and the row
-    end of each time are computed here, capped at the row count once the shift
-    has crossed the half window, where the past projection is the identity.
+    The grid must increase strictly from 0.  Only the row end of each time
+    is computed here, capped at the row count once the shift has crossed
+    the half window, where the past projection is the identity.
     """
     times = np.asarray(time_grid, dtype=np.float64)
     ks = np.minimum(_semigroup_index(model.grid, times), model.grid.n_half())
-    return ProjectionFamily(_dense(model.isometry), times, ks)
+    return ProjectionFamily(model.isometry, times, ks)
 
 
 def assemble_T(family: ProjectionFamily) -> LinOp:
@@ -211,9 +212,7 @@ def assemble_T(family: ProjectionFamily) -> LinOp:
     """
     ends = family.row_ends
     mids = 0.5 * (family.times[1:] + family.times[:-1])
-    m = np.zeros(family.isometry._entries.shape[0])
-    m[: ends[-1]] = np.repeat(mids, np.diff(ends))
-    return _row_weighted(family.isometry, m)
+    return _row_weighted(family.isometry, 0, ends[-1], np.repeat(mids, np.diff(ends)))
 
 
 def projection_rank(p: LinOp) -> int:
@@ -248,13 +247,10 @@ def irreversible_matrix_element(
       ``Z(t) lam psi = R^H T(t) R lam psi``;
     * the absolute differences.
 
-    Each picture is one block per chunk of times (one column per time): one
-    product of ``lam`` with the evolved states ``[u(t_k) psi]_k``, and one of
-    ``R^H`` with the slices ``[T(t_k) R lam psi]_k``, for every observable.
-    Each ``x_lambda`` acts on the block (O(N) a column if diagonal) and the
-    elements are column-wise inner products.  ``Z(t) P(t) = Z(t)`` exactly,
-    so the future projection ``P(t)`` is not formed.  When ``phi is psi``
-    the phi side reuses the psi side's blocks.
+    Per chunk of times, each picture is one block (a column per time) through
+    ``lam`` or ``R^H``, shared by every observable; ``Z(t) P(t) = Z(t)``, so
+    the future projection ``P(t)`` is not formed.  When ``phi is psi`` the
+    phi side reuses the psi side's blocks.
     """
     if phi.space is not Space.HALF_LINE_POS or psi.space is not Space.HALF_LINE_POS:
         raise ValueError("matrix elements take HALF_LINE_POS states")
@@ -297,13 +293,10 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     difference relative to the trajectory's initial expectation
     ``|lam psi|^2``: three floats for a scalar ``t``, three arrays for an
     array of times.  Both pictures are evaluated at the lattice times of
-    ``t``: per chunk of times one block of evolved states goes through
-    ``omega`` (one FFT) and one block of shifted Hardy images through
-    ``R^H``.  Both sides decay monotonically
-    from that common initial value and the rounding error of the comparison
-    scales with it, so it is the meaningful yardstick even at late times
-    when both sides have decayed to the roundoff floor (where a pointwise
-    quotient would be pure noise).
+    ``t``, one block per chunk of times.  Both sides decay monotonically from
+    that common initial value, and the comparison's rounding error scales
+    with it, so it stays meaningful at late times, where a pointwise
+    quotient would be noise.
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("correspondence_check expects a HALF_LINE_POS state")

@@ -250,14 +250,14 @@ def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
 
 def check_projection_family(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 6: the past-projection family is an exact nested resolution
-    with the right ranks, read from its Gram matrix ``G = R R^H``.
+    with the right ranks, read from the real defect ``D* R R^H D - I``.
 
     Ranks and the idempotency, nesting and complement residuals are
     :meth:`ProjectionFamily.residuals
     <timearrow.ordering.ProjectionFamily.residuals>`, the numbers
     ``projection-family`` writes; increment ``i`` has the spectrum of
-    ``G[e_i:e_{i+1}, e_i:e_{i+1}]`` plus zeros, since ``spec(A^H A) =
-    spec(A A^H) + {0}``.
+    ``G[e_i:e_{i+1}, e_i:e_{i+1}]``, ``G = R R^H``, plus zeros, since
+    ``spec(A^H A) = spec(A A^H) + {0}``: one plus that of the defect's block.
     """
     grid = model.grid
     nh = grid.n_half()
@@ -265,9 +265,9 @@ def check_projection_family(model: IrreversibleModel) -> tuple[bool, dict]:
     family = spectral_measure(model, ks * grid.delta_tau)
     ranks, idems, nests, comps = zip(*family.residuals())
     idem, nest, comp = max(idems), max(nests), max(comps)
-    g, ends = family.gram, family.row_ends
+    d, ends = family.defect, family.row_ends
     spectra = np.concatenate([
-        np.append(np.linalg.eigvalsh(g[a:b, a:b]), np.zeros(g.shape[0] - (b - a)))
+        np.append(np.linalg.eigvalsh(d[a:b, a:b]) + 1.0, np.zeros(d.shape[0] - (b - a)))
         for a, b in itertools.pairwise(ends)
     ])
     inc_eig_lo, inc_eig_hi = float(spectra.min()), float(spectra.max())

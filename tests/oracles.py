@@ -21,6 +21,10 @@ production route against them.  Each is the literal form of its fact:
   from the model's eigenvector halves, with ``lam``'s phases ``conj(d_i) d_j
   = i^(i - j)`` set exactly, where the library applies both as factored
   operators and builds their dense forms from floating-point phase vectors.
+
+:func:`perturbed_model` is not an oracle but a test input: a model whose
+halves are moved off orthogonality, so that the residuals that vanish to
+rounding on the built model have digits to compare.
 """
 
 import numpy as np
@@ -44,6 +48,15 @@ from timearrow.lambda_transform import IrreversibleModel
 def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
     """``kron(block, I_k)``: fibres interleaved, every fibre acted on alike."""
     return block if k_dim == 1 else np.kron(block, np.eye(k_dim))
+
+
+def perturbed_model(model: IrreversibleModel, eps: float) -> IrreversibleModel:
+    """``model`` with each eigenvector half moved by ``eps`` times a seeded
+    real normal matrix: ``R`` and ``lam`` stay factored, but ``R R^H - I`` is
+    of order ``eps``."""
+    rng = np.random.default_rng(31)
+    halves = tuple(y + eps * rng.normal(size=y.shape) for y in model.halves)
+    return IrreversibleModel(model.grid, halves, model.sigma, model.d, model.gamma)
 
 
 def toeplitz_adjoint(f: StateVector, t: float) -> StateVector:

@@ -55,47 +55,71 @@ def test_oversized_config_rejected_with_dotted_path(tmp_path, section, field,
 
 
 @pytest.mark.parametrize("section, field, value, named", OVERSIZED)
-def test_oversized_config_exits_2(tmp_path, section, field, value, named):
-    # convergence pins its own grids, so a missed rejection would run small
+def test_oversized_config_exits_2(tmp_path, monkeypatch, section, field, value,
+                                  named):
+    # the dense-tier sizes go to projection-family, with build_model stubbed
+    # so a missed rejection fails the test instead of allocating; convergence
+    # pins its own grids, so a missed n_sigma rejection would run small
+    def must_not_run(grid):
+        raise AssertionError("the model was built past the memory check")
+
+    monkeypatch.setattr(timearrow.cli, "build_model", must_not_run)
+    command, stem = (("convergence", "convergence") if named == "grid.n_sigma"
+                     else ("projection-family", "projection_family"))
     path = _write(tmp_path, _with(section, field, value))
-    res = CliRunner().invoke(main, ["convergence", "--config", path,
+    res = CliRunner().invoke(main, [command, "--config", path,
                                     "--out", str(tmp_path)])
     assert res.exit_code == 2
     assert f"config error: {named}: " in res.output
-    assert not (tmp_path / "convergence.csv").exists()
+    assert not (tmp_path / f"{stem}.csv").exists()
 
 
 # peak RSS in MB of each command at n_dense 512 / 1024 / 2048 / 4096, one BLAS
 # thread, default config otherwise (the peaks in _config's comment)
 MEASURED_PEAKS_MB = {
-    "projection-family": (53.5, 107.2, 309.7, 1004.7),
+    "projection-family": (43.3, 63.1, 149.2, 424.7),
     "matrix-element": (40.9, 49.4, 81.8, 198.8),
     "semigroup-norms": (41.6, 50.5, 82.6, 205.4),
 }
+# projection-family over the full half window, t_max = n_dense / 32
+FULL_WINDOW_PEAKS_MB = (43.3, 71.1, 156.6, 487.0)
 
 
-@pytest.mark.parametrize("command, n_dense, measured_mb", [
-    pytest.param(command, n_dense, mb, id=f"{n_dense}-{mb}")
+@pytest.mark.parametrize("command, n_dense, t_max, measured_mb", [
+    pytest.param(command, n_dense, None, mb, id=f"{n_dense}-{mb}")
     for command, peaks in MEASURED_PEAKS_MB.items()
     for n_dense, mb in zip((512, 1024, 2048, 4096), peaks)
+] + [
+    pytest.param("projection-family", n_dense, n_dense / 32, mb,
+                 id=f"{n_dense}-full-window-{mb}")
+    for n_dense, mb in zip((512, 1024, 2048, 4096), FULL_WINDOW_PEAKS_MB)
 ])
-def test_estimate_bounds_measured_peaks(command, n_dense, measured_mb):
-    need, field = peak_memory_estimate(_with("dense", "n_dense", n_dense), command)
+def test_estimate_bounds_measured_peaks(command, n_dense, t_max, measured_mb):
+    cfg = _with("dense", "n_dense", n_dense)
+    if t_max is not None:
+        cfg["times"]["t_max"] = t_max
+    need, field = peak_memory_estimate(cfg, command)
     assert field == "dense.n_dense"
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
 
 def test_estimate_is_per_command(tmp_path, monkeypatch):
-    # with 1 GiB of memory, n_dense 4096 fits the one dense matrix of
-    # matrix-element and semigroup-norms, not the five of projection-family,
-    # which a command not named is charged too
-    monkeypatch.setattr(_config, "_physical_memory", lambda: 2**30)
+    # with 512 MiB of memory, n_dense 4096 fits the one complex n x n of
+    # matrix-element and semigroup-norms, not the five real ones of
+    # projection-family, which a command not named is charged too;
+    # lyapunov-curve and convergence build no dense model, so they are
+    # charged nothing for it at any n_dense
+    monkeypatch.setattr(_config, "_physical_memory", lambda: 2**29)
     path = _write(tmp_path, _with("dense", "n_dense", 4096))
-    for command in ("matrix-element", "semigroup-norms"):
+    for command in ("matrix-element", "semigroup-norms", "lyapunov-curve",
+                    "convergence"):
         assert load_config(path, command)["dense"]["n_dense"] == 4096
-    for command in ("projection-family", "convergence", None):
+    for command in ("projection-family", None):
         with pytest.raises(ConfigError, match="dense.n_dense: the run needs"):
             load_config(path, command)
+    path = _write(tmp_path, _with("dense", "n_dense", 2**20))
+    for command in ("lyapunov-curve", "convergence"):
+        assert load_config(path, command)["dense"]["n_dense"] == 2**20
 
 
 @pytest.mark.parametrize("command", ["matrix-element", "semigroup-norms",
@@ -120,8 +144,8 @@ def test_each_command_checks_its_own_estimate(tmp_path, monkeypatch, command):
 def test_estimate_bounds_measured_peaks_at_k_dim_8(n_steps, measured_mb):
     # the largest peak RSS of projection-family, matrix-element and
     # semigroup-norms at n_dense 512 and k_dim 8, one BLAS thread, measured
-    # while the model still held dense matrices (53.5 and 101.0 MB now, in
-    # _config's comment; the estimate bounds both), against the estimate of
+    # while the model still held dense matrices (the estimate bounds the
+    # peaks in _config's comment too), against the estimate of
     # a command not named: the model acts on every fibre alike, and only the
     # blocks of states grow with k_dim
     cfg = _with("grid", "k_dim", 8)

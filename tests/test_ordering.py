@@ -10,7 +10,6 @@ from timearrow import (
     LinOp,
     OffLatticeTimeError,
     OffLatticeWarning,
-    ProjectionFamily,
     Space,
     apply_omega,
     assemble_T,
@@ -38,8 +37,15 @@ from timearrow import (
     z_matrix,
 )
 from timearrow import evolution
+from timearrow.lambda_transform import ProlateOp
 from timearrow.ordering import _CLUSTER_GAP, _row_weighted
-from oracles import adjoint, fiberize, lyapunov_expectation, past_projection
+from oracles import (
+    adjoint,
+    fiberize,
+    lyapunov_expectation,
+    past_projection,
+    perturbed_model,
+)
 
 
 def _rand_half(grid, rng):
@@ -56,12 +62,24 @@ def _hermitian_op(grid, rng):
 
 
 def _perturbed_family(grid, eps, ks):
-    """Family at lattice indices ``ks`` whose R is moved off unitarity by ``eps``."""
-    rng = np.random.default_rng(31)
-    r = build_model(grid).isometry.matrix
-    r = r + eps * (rng.normal(size=r.shape) + 1j * rng.normal(size=r.shape))
-    iso = LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r)
-    return ProjectionFamily(iso, ks * grid.delta_tau, ks)
+    """Family at lattice indices ``ks`` whose R is moved off unitarity by
+    ``eps`` through the model's halves."""
+    return spectral_measure(perturbed_model(build_model(grid), eps), ks * grid.delta_tau)
+
+
+def _dense_residuals(grid, r, ends):
+    """``residuals()`` rows from dense products of the rows of the full-size
+    ``R``: ``P = R[:e]^H R[:e]``, the previous ``Q`` and ``R[e:]^H R[e:]``."""
+    eye = np.eye(r.shape[0])
+    out, q = [], np.zeros_like(eye)
+    for e in ends:
+        p = r[:e].conj().T @ r[:e]
+        rank = projection_rank(LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, p))
+        future = r[e:].conj().T @ r[e:]
+        out.append((rank, np.linalg.norm(p @ p - p), np.linalg.norm(q @ p - q),
+                    np.linalg.norm(p + future - eye)))
+        q = p
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -184,14 +202,9 @@ class TestSpectralMeasure:
     def test_residuals_match_dense_route(self, small_grid):
         # a slightly non-unitary R gives residuals well above rounding, so
         # the Gram-block formulas are checked against the dense products
-        rng = np.random.default_rng(31)
-        m = build_model(small_grid)
-        r = m.isometry.matrix + 1e-6 * (rng.normal(size=m.isometry.matrix.shape)
-                                        + 1j * rng.normal(size=m.isometry.matrix.shape))
-        iso = LinOp(small_grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r)
         ks = np.array([0, 4, 9, 20, 32])
-        fam = type(spectral_measure(m, ks * small_grid.delta_tau))(
-            isometry=iso, times=ks * small_grid.delta_tau, row_ends=ks)
+        fam = _perturbed_family(small_grid, 1e-6, ks)
+        r = fam.isometry.matrix
         eye = np.eye(small_grid.n_half())
         for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
             p = fam.projection(i).matrix
@@ -204,8 +217,8 @@ class TestSpectralMeasure:
         assert max(row[1] for row in fam.residuals()) > 1e-7
 
     def test_residuals_fall_back_to_the_cluster_test(self, small_grid):
-        # at 3e-6 |G - I| = 1.9e-4 is above the Weyl certificate's bound,
-        # yet every eigenvalue of each G_e is within 6.1e-5 of 1: the ranks
+        # at 3e-6 |G - I| = 1.53e-4 is above the Weyl certificate's bound,
+        # yet every eigenvalue of each G_e is within 5.7e-5 of 1: the ranks
         # come from the cluster test and agree with projection_rank
         ks = np.array([0, 4, 9, 20, 32])
         fam = _perturbed_family(small_grid, 3e-6, ks)
@@ -223,6 +236,41 @@ class TestSpectralMeasure:
             projection_rank(fam.projection(1))
         with pytest.raises(ValueError, match="not clustered"):
             fam.residuals()
+
+    @pytest.mark.parametrize("n_dense, k_dim, eps", [
+        (4, 1, 0.0), (64, 1, 0.0), (64, 4, 0.0), (512, 1, 0.0), (512, 4, 0.0),
+        (64, 1, 3e-6), (64, 4, 3e-6), (512, 1, 1e-6),
+    ])
+    def test_defect_is_the_phased_complex_gram(self, n_dense, k_dim, eps):
+        # D* R R^H D - I from the complex dense R at full size, D the phases
+        # on R's rows, against the real defect from the halves, lifted
+        model = build_model(make_grid(2 * n_dense, 100.0, k_dim))
+        if eps:
+            model = perturbed_model(model, eps)
+        r = model.isometry.matrix
+        phases = np.repeat(model.isometry.left, k_dim)
+        want = phases.conj()[:, None] * (r @ r.conj().T) * phases - np.eye(r.shape[0])
+        defect = spectral_measure(model, [0.0, model.grid.delta_tau]).defect
+        assert defect.dtype == np.float64 and defect.shape == (n_dense, n_dense)
+        assert np.abs(fiberize(defect, k_dim) - want).max() <= 1e-14
+        if eps:  # well above rounding
+            assert np.linalg.norm(defect) > 1e-5
+
+    def test_numbers_never_build_the_dense_R(self, model, monkeypatch):
+        calls = collections.Counter()
+        entries = ProlateOp._entries
+
+        def counted(op):
+            calls["_entries"] += 1
+            return entries.fget(op)
+
+        monkeypatch.setattr(ProlateOp, "_entries", property(counted))
+        fam = spectral_measure(model, np.array([0, 8, 40, 64]) * model.grid.delta_tau)
+        fam.residuals()
+        fam.ordering_spectrum()
+        assert calls["_entries"] == 0
+        fam.projection(1)  # the dense routes build it on request
+        assert calls["_entries"] == 1
 
     def test_grid_validation(self, model):
         dt = model.grid.delta_tau
@@ -298,32 +346,31 @@ class TestFibredDenseOracle:
 
 
 class TestKroneckerOracle:
-    """The family of an ``R`` stored per bin against the family of its full
-    Kronecker form ``kron(R, I_k)``, whose row ends count ``k_dim`` rows per
-    lattice step: ranks exactly, residuals and ``T``'s spectrum to rounding."""
+    """The family of the model's ``R``, factored per bin, against dense
+    products of its full Kronecker form ``kron(R, I_k)``, whose row ends
+    count ``k_dim`` rows per lattice step: ranks exactly, residuals and
+    ``T``'s spectrum to rounding."""
 
     @pytest.mark.parametrize("k_dim", [1, 2, 4])
     @pytest.mark.parametrize("eps", [0.0, 3e-6])
     def test_family_matches_full_size_route(self, k_dim, eps):
         grid = make_grid(64, 20.0, k_dim)
         model = build_model(grid)
+        if eps:  # residuals well above rounding, ranks from the cluster test
+            model = perturbed_model(model, eps)
         ks = np.array([0, 4, 9, 20, 32])
         times = ks * grid.delta_tau
-        if eps:  # residuals well above rounding, ranks from the cluster test
-            r = _perturbed_family(make_grid(64, 20.0, 1), eps, ks).isometry._entries
-            per_bin = ProjectionFamily(
-                LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r), times, ks)
-        else:
-            r, per_bin = model.isometry._entries, spectral_measure(model, times)
-        full = ProjectionFamily(
-            LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, fiberize(r, k_dim)),
-            times, ks * k_dim)
-        got, want = per_bin.residuals(), full.residuals()
+        per_bin = spectral_measure(model, times)
+        r = fiberize(model.isometry._entries, k_dim)
+        got, want = per_bin.residuals(), _dense_residuals(grid, r, ks * k_dim)
         assert [row[0] for row in got] == [row[0] for row in want] == list(ks * k_dim)
         assert np.abs(np.array(got)[:, 1:] - np.array(want)[:, 1:]).max() <= 1e-12
         if eps:
             assert min(row[3] for row in got) > _CLUSTER_GAP
-        spectrum, dense = per_bin.ordering_spectrum(), full.ordering_spectrum()
+        w = np.zeros(r.shape[0])
+        w[: ks[-1] * k_dim] = np.repeat(0.5 * (times[1:] + times[:-1]), np.diff(ks) * k_dim)
+        spectrum = per_bin.ordering_spectrum()
+        dense = np.linalg.eigvalsh((r.conj().T * w) @ r)
         assert spectrum.shape == dense.shape
         assert np.abs(spectrum - dense).max() <= 1e-12
 
@@ -331,11 +378,11 @@ class TestKroneckerOracle:
     def test_rejects_what_the_full_size_route_rejects(self, k_dim):
         grid = make_grid(64, 20.0, k_dim)
         ks = np.array([0, 4, 9, 20, 32])
-        r = _perturbed_family(make_grid(64, 20.0, 1), 1e-3, ks).isometry._entries
-        for m, ends in ((r, ks), (fiberize(r, k_dim), ks * k_dim)):
-            iso = LinOp(grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, m)
-            with pytest.raises(ValueError, match="not clustered"):
-                ProjectionFamily(iso, ks * grid.delta_tau, ends).residuals()
+        fam = _perturbed_family(grid, 1e-3, ks)
+        with pytest.raises(ValueError, match="not clustered"):
+            fam.residuals()
+        with pytest.raises(ValueError, match="not clustered"):
+            _dense_residuals(grid, fiberize(fam.isometry._entries, k_dim), ks * k_dim)
 
     def test_structure_at_k_dim_8(self, monkeypatch, rng):
         # the model stays two h x h halves, the family and the matrix elements
@@ -363,7 +410,7 @@ class TestKroneckerOracle:
         # stored: the two real h x h eigenvector halves, shared by lam and R
         assert model.isometry.halves is model.lam.halves
         assert [y.shape for y in model.lam.halves] == [(nh // 2, nh // 2)] * 2
-        assert fam.gram.shape == (nh, nh)
+        assert fam.defect.shape == (nh, nh)
         assert ranks == list(8 * ks)
         assert model.isometry.matrix.shape == (8 * nh, 8 * nh)
         assert calls["kron"] == 1
@@ -646,7 +693,7 @@ class TestMatrixElementOracle:
     def test_row_weighted_is_exactly_hermitian(self, model):
         # built as 0.5 (m + m^H), so it skips the runtime check
         w = np.linspace(-1.0, 2.0, model.grid.dim(Space.HALF_LINE_POS))
-        op = _row_weighted(model.isometry, w)
+        op = _row_weighted(model.isometry, 0, None, w)
         assert op.hermitian
         assert np.array_equal(op.matrix, op.matrix.conj().T)
 

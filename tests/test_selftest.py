@@ -5,19 +5,18 @@ Criterion 6 reads the projection family's residuals; its former dense body
 matrix) and its nesting over all pairs of times are kept here as oracles.
 Criteria 5 and 12 act on blocks; their per-state loops through the
 single-vector functions (and ``oracles.lyapunov_expectation``) are oracles too.
-A perturbed R, moved off unitarity as in ``tests/test_ordering.py``, puts
-the residuals well above rounding, so the comparisons have digits to check.
+A model whose eigenvector halves are moved off orthogonality
+(``oracles.perturbed_model``, as in ``tests/test_ordering.py``) puts the
+residuals well above rounding, so the comparisons have digits to check.
 """
 
 import collections
 import itertools
-import types
 
 import numpy as np
 import pytest
 
 from timearrow import (
-    LinOp,
     ProjectionFamily,
     Space,
     apply_omega,
@@ -39,18 +38,7 @@ from timearrow.selftest import (
     check_projection_family,
     check_semigroup_laws,
 )
-from oracles import lyapunov_expectation, toeplitz_adjoint
-
-
-def _perturbed(model, eps):
-    """``model`` with R moved off unitarity by ``eps`` (seeded): a stand-in
-    with the model's attributes, since the model's R is its factors' view."""
-    rng = np.random.default_rng(31)
-    r = model.isometry.matrix
-    r = r + eps * (rng.normal(size=r.shape) + 1j * rng.normal(size=r.shape))
-    iso = LinOp(model.grid, Space.HALF_LINE_POS, Space.HARDY_PLUS, r)
-    return types.SimpleNamespace(grid=model.grid, lam=model.lam, isometry=iso,
-                                 singular_values=model.singular_values)
+from oracles import lyapunov_expectation, perturbed_model, toeplitz_adjoint
 
 
 def _family_ks(model):
@@ -107,8 +95,10 @@ def _dense_projection_family(model):
 def _all_pairs_nesting(family):
     """Worst ``|P_i P_j - P_i|`` over every pair ``i < j`` of the family, from
     Gram blocks: ``|P_i P_j - P_i|^2 = Re<G_i F, F G_j>`` with ``F = (G -
-    I)[:e_i, :e_j]`` and ``G_e`` the leading ``e x e`` block of ``G``."""
-    g = family.gram
+    I)[:e_i, :e_j]`` and ``G_e`` the leading ``e x e`` block of ``G``, the
+    complex Gram matrix of the dense ``R``."""
+    r = family.isometry._entries
+    g = r @ r.conj().T
     nest_sq = 0.0
     for a, b in itertools.combinations(family.row_ends, 2):
         f = g[:a, :b] - np.eye(a, b)
@@ -126,9 +116,9 @@ def _assert_same_check(got, want, rel=1e-6, abs_floor=1e-14):
 
 @pytest.fixture(scope="module")
 def perturbed_small(small_grid):
-    # 3e-6 off unitarity: |G - I| = 1.9e-4, residuals near 1e-4, every rank
-    # decided by the cluster test rather than the Weyl certificate
-    return _perturbed(build_model(small_grid), 3e-6)
+    # halves 3e-6 off orthogonality: |G - I| = 1.53e-4, residuals near 1e-4,
+    # every rank decided by the cluster test rather than the Weyl certificate
+    return perturbed_model(build_model(small_grid), 3e-6)
 
 
 class TestProjectionFamilyCheck:
@@ -231,7 +221,7 @@ def _per_state_decay(model):
 @pytest.fixture(scope="module")
 def perturbed_mid():
     # 256 half-line bins: the sweep's 64-bin shifts stay inside the window
-    return _perturbed(build_model(make_grid(512, 50.0, 1)), 1e-7)
+    return perturbed_model(build_model(make_grid(512, 50.0, 1)), 1e-7)
 
 
 @pytest.fixture(scope="module")
