@@ -46,14 +46,20 @@ DEFAULT_CONFIG = {
 
 # Peak-memory model of the scenario commands, fitted with headroom to peak
 # RSS measured with one BLAS thread (x86-64 Linux, Python 3.11, numpy 2.4.6,
-# OpenBLAS): lyapunov-curve at n_sigma 2^20 179 MB; per time step (CSV rows
-# streamed to disk) matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve
-# 48 B (61 MB at 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
+# OpenBLAS): lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20 57.1 / 77.2 /
+# 117.2 MB at k_dim 1 and 111.2 / 185.1 / 333.3 MB at k_dim 8 (FFT tier: the
+# phase table and the time grid whatever k_dim, and per fibre the transform
+# buffer, the state and its power); per time step (CSV rows streamed to disk)
+# matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve 48 B (61 MB at
+# 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
 # Dense term: bytes per n_dense^2 entry at every k_dim, at n_dense 512 / 1024 /
 # 2048 / 4096: projection-family (40, five real n x n: the defect, its
 # products, one panel, the halves, eigvalsh) 43.3 / 63.1 / 149.2 / 424.7 MB,
 # and 43.3 / 71.1 / 156.6 / 487.0 MB over the half window (t_max = n_dense /
-# 32); matrix-element (16) 40.9 / 49.4 / 81.8 / 198.8 MB, semigroup-norms (16)
+# 32), then 37.4 / 52.1 / 108.3 / 295.5 MB and 41.4 / 67.7 / 171.5 / 485.7 MB
+# once the defect build freed its parts early (at 2048 over the half window,
+# heap memory that glibc keeps; 148.0 MB with MALLOC_TRIM_THRESHOLD_ 1 MB);
+# matrix-element (16) 40.9 / 49.4 / 81.8 / 198.8 MB, semigroup-norms (16)
 # 41.6 / 50.5 / 82.6 / 205.4 MB; none for lyapunov-curve and convergence (no
 # dense model), the most for a command not named.  Blocks of states: n_dense
 # * k_dim rows, up to 256 columns (at k_dim 8, 2000 steps: matrix-element
@@ -63,7 +69,8 @@ _DENSE_BYTES = {"projection-family": 40, "matrix-element": 16, "semigroup-norms"
                 "lyapunov-curve": 0, "convergence": 0}
 _SELFTEST_DENSE_MATRICES = 5
 _STATE_BLOCKS = 8
-_FFT_VECTORS = 12
+_FFT_TABLES = 4  # complex n_sigma vectors at any k_dim
+_FFT_VECTORS = 3  # complex n_sigma vectors per fibre
 _BYTES_PER_STEP = 256  # per-time arrays of times and results
 _COMPLEX_BYTES = 16
 # selftest criterion 1 holds about six complex full-line matrices of
@@ -252,7 +259,8 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
     # one block of states, on the dense tier only
     block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS) if per_entry else 0
     terms = {
-        "grid.n_sigma": _FFT_VECTORS * _COMPLEX_BYTES * cfg["grid"]["n_sigma"] * k_dim,
+        "grid.n_sigma": (_FFT_TABLES + _FFT_VECTORS * k_dim) * _COMPLEX_BYTES
+        * cfg["grid"]["n_sigma"],
         "dense.n_dense": per_entry * n_dense**2 + _COMPLEX_BYTES * _STATE_BLOCKS * block,
         "times.n_steps": _BYTES_PER_STEP * n_steps,
     }

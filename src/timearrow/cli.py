@@ -310,7 +310,9 @@ def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
     model = build_model(dense)
-    ks = np.unique(_lattice_times(dense, cfg))
+    ks = np.sort(_lattice_times(dense, cfg))
+    # distinct indices; np.unique would import numpy.ma on its first call
+    ks = ks[np.append(True, ks[1:] != ks[:-1])]
     if ks.size < 2 or ks[0] != 0:
         raise OffLatticeTimeError(
             "times must start at 0 and contain at least two distinct lattice "

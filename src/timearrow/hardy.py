@@ -51,22 +51,40 @@ __all__ = [
 def _phase_factors(grid: GridSpec):
     n = grid.n_sigma
     alpha = (1.0 - n) / 2.0
-    w = np.exp(-2j * np.pi * alpha * np.arange(n) / n)
+    w = np.arange(n, dtype=np.complex128)
+    np.multiply(-2j * np.pi * alpha, w, out=w)
+    w /= n
+    np.exp(w, out=w)
     s = np.exp(-2j * np.pi * alpha * alpha / n)
     c = grid.delta_sigma / np.sqrt(2.0 * np.pi)
     return w, s, c
 
 
-def _sigma_to_tau(grid: GridSpec, f: np.ndarray) -> np.ndarray:
-    # f: (n_sigma, k_dim) energy samples -> (n_sigma, k_dim) time samples
-    w, s, c = _phase_factors(grid)
-    return (c * s) * (w[:, None] * np.fft.fft(w[:, None] * f, axis=0))
+# The transforms below hold one (n_sigma, m) array: the phased input, the FFT
+# written over it and the phases applied in place.  The phases stay the left
+# operand (w * x, not x *= w): numpy's complex loops may round the two orders
+# differently, and this order gives the bits of the out-of-place form.
 
 
-def _tau_to_sigma(grid: GridSpec, g: np.ndarray) -> np.ndarray:
+def _sigma_to_tau(grid: GridSpec, f: np.ndarray, out=None) -> np.ndarray:
+    """(n_sigma, m) energy samples -> (n_sigma, m) time samples, written
+    to ``out`` (a new array by default; ``f`` itself is allowed)."""
     w, s, c = _phase_factors(grid)
-    wc = np.conj(w)
-    return (1.0 / (c * s)) * (wc[:, None] * np.fft.ifft(wc[:, None] * g, axis=0))
+    w = w[:, None]
+    out = np.multiply(w, f, out=out)
+    np.fft.fft(out, axis=0, out=out)
+    np.multiply(w, out, out=out)
+    return np.multiply(c * s, out, out=out)
+
+
+def _tau_to_sigma(grid: GridSpec, g: np.ndarray, out=None) -> np.ndarray:
+    """Inverse of :func:`_sigma_to_tau`, with the same ``out`` rule."""
+    w, s, c = _phase_factors(grid)
+    w = np.conj(w, out=w)[:, None]
+    out = np.multiply(w, g, out=out)
+    np.fft.ifft(out, axis=0, out=out)
+    np.multiply(w, out, out=out)
+    return np.multiply(1.0 / (c * s), out, out=out)
 
 
 @dataclass(frozen=True)
@@ -134,7 +152,7 @@ def hardy_project(f: StateVector, half: str = "plus") -> StateVector:
         g[:half_n, :] = 0.0
     else:
         g[half_n:, :] = 0.0
-    out = _tau_to_sigma(f.grid, g)
+    out = _tau_to_sigma(f.grid, g, out=g)
     return StateVector(f.grid, Space.FULL_LINE, out.reshape(-1))
 
 
@@ -165,7 +183,7 @@ def hardy_embed(h: StateVector) -> StateVector:
     half_n = grid.n_sigma // 2
     g = np.zeros((grid.n_sigma, grid.k_dim), dtype=np.complex128)
     g[half_n:, :] = h.fibered() / _hardy_scale(grid)
-    out = _tau_to_sigma(grid, g)
+    out = _tau_to_sigma(grid, g, out=g)
     return StateVector(grid, Space.FULL_LINE, out.reshape(-1))
 
 
@@ -249,26 +267,28 @@ def guard_band_leakage(x) -> float:
     ``|tau| >= 0.9 * t_window/2``.  Test states are required to keep this
     fraction below 1e-8.
 
-    Accepts a :class:`TimeProfile` or a StateVector of any space tag (states
-    are transformed/embedded as needed).  Returns 0 for the zero state.
+    Accepts a :class:`TimeProfile` or a StateVector of any space tag.  A
+    HARDY_PLUS state is read as it stands: its amplitudes are its ``tau >= 0``
+    samples times one factor, which cancels in the fraction.  Other states
+    are transformed (embedded first if half-line).  Returns 0 for the zero
+    state.
     """
-    if isinstance(x, TimeProfile):
-        profile = x
-    elif isinstance(x, StateVector):
-        if x.space is Space.FULL_LINE:
-            profile = to_time(x)
-        elif x.space is Space.HARDY_PLUS:
-            profile = to_time(hardy_embed(x))
-        else:
-            from .spaces import embed
-
-            profile = to_time(embed(x))
-    else:
+    if not isinstance(x, (StateVector, TimeProfile)):
         raise TypeError("expected a StateVector or TimeProfile")
-    power = np.sum(np.abs(profile.fibered()) ** 2, axis=1)
+    tau = x.grid.tau()
+    if isinstance(x, TimeProfile):
+        samples = x.fibered()
+    elif x.space is Space.HARDY_PLUS:
+        samples, tau = x.fibered(), tau[x.grid.n_half():]
+    elif x.space is Space.FULL_LINE:
+        samples = to_time(x).fibered()
+    else:
+        from .spaces import embed
+
+        samples = to_time(embed(x)).fibered()
+    power = np.sum(np.abs(samples) ** 2, axis=1)
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    tau = profile.grid.tau()
-    outer = np.abs(tau) >= 0.9 * (profile.grid.t_window / 2.0)
+    outer = np.abs(tau) >= 0.9 * (x.grid.t_window / 2.0)
     return float(np.sum(power[outer]) / total)

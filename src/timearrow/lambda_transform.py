@@ -115,9 +115,19 @@ class ProlateOp:
 
 def _persymmetric(e: np.ndarray, o: np.ndarray, phase: complex = 1.0) -> np.ndarray:
     """``[[B, C J], [J C, J B J]]`` with ``B, C = (e +- phase o) / 2``: the
-    ``n x n`` form of ``Q diag(c) Q^T`` from its even and odd parts."""
-    b, c = 0.5 * (e + phase * o), 0.5 * (e - phase * o)
-    return np.block([[b, c[:, ::-1]], [c[::-1], b[::-1, ::-1]]])
+    ``n x n`` form of ``Q diag(c) Q^T`` from its even and odd parts.  ``B``
+    and ``C`` are formed in their quadrants of the result."""
+    h = e.shape[0]
+    out = np.empty((2 * h, 2 * h), dtype=np.result_type(e, o, phase))
+    b, c = out[:h, :h], out[h:, :h][::-1]
+    np.multiply(phase, o, out=c)
+    np.add(e, c, out=b)
+    np.subtract(e, c, out=c)
+    b *= 0.5
+    c *= 0.5
+    out[:h, h:] = c[:, ::-1]
+    out[h:, h:] = b[::-1, ::-1]
+    return out
 
 
 @dataclass(frozen=True)

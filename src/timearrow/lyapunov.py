@@ -45,7 +45,8 @@ def _omega_block(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     nh, m = grid.n_half(), a.shape[1]
     full = np.zeros((grid.n_sigma, grid.k_dim * m), dtype=np.complex128)
     full[nh:] = a.reshape(nh, -1)
-    return (_sigma_to_tau(grid, full)[nh:] * _hardy_scale(grid)).reshape(-1, m)
+    kept = _sigma_to_tau(grid, full, out=full)[nh:]
+    return np.multiply(kept, _hardy_scale(grid), out=kept).reshape(-1, m)
 
 
 def _dft_lookup(n_sigma: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,10 +114,11 @@ class TrajectoryReport:
 def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
     """Evaluate the expectation curve on a lattice time grid.
 
-    The forward image ``b = omega psi`` is computed once; the expectation at
-    lattice index ``k`` is its tail power ``sum_{j >= k} |b_j|^2 delta_sigma``
-    (zero once ``k`` reaches the half window), read off one reverse
-    cumulative sum.  ``norms`` is ``|psi|`` at every time: the evolution
+    The forward image ``b = omega psi`` is the curve's one FFT; the
+    expectation at lattice index ``k`` is its tail power ``sum_{j >= k}
+    |b_j|^2 delta_sigma`` (zero once ``k`` reaches the half window), read off
+    one reverse cumulative sum, and the guard-band leakage is read off ``b``
+    too.  ``norms`` is ``|psi|`` at every time: the evolution
     group is unitary.
     """
     times = np.asarray(time_grid, dtype=np.float64)
@@ -124,7 +126,7 @@ def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
         raise ValueError("time grid must be a nonempty 1-d array")
     ks = _semigroup_index(psi.grid, times)
     b = apply_omega(psi)
-    leakage = guard_band_leakage(b)  # its FFTs set the peak: before the tail
+    leakage = guard_band_leakage(b)  # read off b: no transform
     power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
     expectations = tail[np.minimum(ks, power.size)]

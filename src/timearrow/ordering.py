@@ -124,7 +124,9 @@ class ProjectionFamily:
         ``Q^T Q`` is block diagonal by parity, so ``D* R R^H D`` is ``R``'s
         dense form with parts ``e e`` and ``o o`` and no phases."""
         e, o = self.isometry._parts()
-        d = _persymmetric(e @ e, o @ o)
+        e = e @ e  # each part is freed once its square exists
+        o = o @ o
+        d = _persymmetric(e, o)
         d.flat[:: d.shape[0] + 1] -= 1.0
         d.setflags(write=False)
         return d

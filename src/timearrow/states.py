@@ -47,13 +47,17 @@ def _packet_sum(
         c = rng.uniform(center_lo(w), center_hi(w))
         tau0 = rng.uniform(tau0_lo, tau0_hi)
         a = rng.standard_normal() + 1j * rng.standard_normal()
-        packet = np.exp(-((sigma - c) ** 2) / (4.0 * w * w)) * np.exp(1j * tau0 * sigma)
+        # a * exp(i tau0 sigma) * gaussian, built in one complex buffer
+        packet = np.multiply(1j * tau0, sigma)
+        np.exp(packet, out=packet)
+        packet *= np.exp(-((sigma - c) ** 2) / (4.0 * w * w))
+        np.multiply(a, packet, out=packet)
         if k_dim == 1:
-            out[:, 0] += a * packet
+            out[:, 0] += packet
         else:
             v = rng.standard_normal(k_dim) + 1j * rng.standard_normal(k_dim)
             v /= np.linalg.norm(v)
-            out += a * packet[:, None] * v[None, :]
+            out += packet[:, None] * v[None, :]
     return out
 
 

@@ -17,6 +17,12 @@ production route against them.  Each is the literal form of its fact:
   reshaping.
 * :func:`toeplitz_adjoint` is ``T*(t)``, the zero-padded right shift, which
   the library applies to blocks as ``_toeplitz_block`` with ``-k``.
+* :func:`offset_dft` is the sigma <-> tau transform pair written out of
+  place, one new array per step, where the library transforms one buffer
+  in place.
+* :func:`round_trip_leakage` is the guard-band leakage of a HARDY_PLUS
+  state's full time profile, embedded and transformed back, where the
+  library reads it off the state's own amplitudes.
 * :func:`dense_polar_factors` assembles the dense ``lam`` and ``R`` per bin
   from the model's eigenvector halves, with ``lam``'s phases ``conj(d_i) d_j
   = i^(i - j)`` set exactly, where the library applies both as factored
@@ -35,13 +41,15 @@ from timearrow import (
     SpaceMismatchError,
     StateVector,
     apply_omega,
+    guard_band_leakage,
     hardy_embed,
     norm,
     restrict,
+    to_time,
     toeplitz_step,
 )
 from timearrow.evolution import _semigroup_index, _toeplitz_block
-from timearrow.hardy import TimeProfile, _tau_to_sigma
+from timearrow.hardy import TimeProfile, _phase_factors, _tau_to_sigma
 from timearrow.lambda_transform import IrreversibleModel
 
 
@@ -171,3 +179,21 @@ def adjoint(op: LinOp) -> LinOp:
     """The conjugate transpose, the adjoint for every space tag's quadrature."""
     return LinOp(op.grid, op.codomain, op.domain, op._entries.conj().T,
                  hermitian=op.hermitian)
+
+
+def offset_dft(grid, f: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``c s w * FFT(w * f)`` down the rows of an ``(n_sigma, m)`` block, or
+    its inverse, with a new array for every product."""
+    w, s, c = _phase_factors(grid)
+    if inverse:
+        wc = np.conj(w)[:, None]
+        return (1.0 / (c * s)) * (wc * np.fft.ifft(wc * f, axis=0))
+    return (c * s) * (w[:, None] * np.fft.fft(w[:, None] * f, axis=0))
+
+
+def round_trip_leakage(h: StateVector) -> float:
+    """Guard-band leakage of a HARDY_PLUS state through its full-line
+    embedding and back: one IFFT and one FFT."""
+    if h.space is not Space.HARDY_PLUS:
+        raise SpaceMismatchError("round_trip_leakage acts on HARDY_PLUS states")
+    return guard_band_leakage(to_time(hardy_embed(h)))

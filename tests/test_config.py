@@ -103,6 +103,24 @@ def test_estimate_bounds_measured_peaks(command, n_dense, t_max, measured_mb):
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
 
+# peak RSS in MB of lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20, one BLAS
+# thread, default config otherwise, per k_dim (the peaks in _config's comment)
+CURVE_PEAKS_MB = {1: (57.1, 77.2, 117.2), 8: (111.2, 185.1, 333.3)}
+
+
+@pytest.mark.parametrize("k_dim, n_sigma, measured_mb", [
+    pytest.param(k_dim, n_sigma, mb, id=f"k{k_dim}-{n_sigma}-{mb}")
+    for k_dim, peaks in CURVE_PEAKS_MB.items()
+    for n_sigma, mb in zip((2**18, 2**19, 2**20), peaks)
+])
+def test_estimate_bounds_measured_curve_peaks(k_dim, n_sigma, measured_mb):
+    cfg = _with("grid", "n_sigma", n_sigma)
+    cfg["grid"]["k_dim"] = k_dim
+    need, field = peak_memory_estimate(cfg, "lyapunov-curve")
+    assert field == "grid.n_sigma"
+    assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+
+
 def test_estimate_is_per_command(tmp_path, monkeypatch):
     # with 512 MiB of memory, n_dense 4096 fits the one complex n x n of
     # matrix-element and semigroup-norms, not the five real ones of

@@ -6,6 +6,7 @@ import pytest
 from timearrow import (
     Space,
     TimeProfile,
+    apply_omega,
     guard_band_leakage,
     hardy_embed,
     hardy_part,
@@ -15,11 +16,13 @@ from timearrow import (
     make_grid,
     make_state,
     norm,
+    random_guarded_state,
     rational_hardy,
     smooth_oracle_state,
     to_time,
 )
-from oracles import from_time
+from timearrow.hardy import _sigma_to_tau, _tau_to_sigma
+from oracles import from_time, offset_dft, round_trip_leakage
 
 
 def _rand_full(grid, rng):
@@ -52,6 +55,25 @@ class TestTransform:
         mismatch = np.linalg.norm(p - target) / np.linalg.norm(target)
         assert mismatch <= 0.05
         assert mismatch == pytest.approx(0.023063, abs=3e-4)
+
+
+class TestInPlaceTransforms:
+    @pytest.mark.parametrize("k_dim", [1, 8])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_match_out_of_place_oracle(self, k_dim, inverse, rng):
+        grid = make_grid(256, 20.0, k_dim)
+        f = rng.normal(size=(256, k_dim)) + 1j * rng.normal(size=(256, k_dim))
+        before = f.copy()
+        f.setflags(write=False)  # a write to the input would raise
+        transform = _tau_to_sigma if inverse else _sigma_to_tau
+        want = offset_dft(grid, f, inverse)
+        got = transform(grid, f)
+        assert np.array_equal(f, before)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # written over its own input, the same numbers come out
+        buf = before.copy()
+        assert transform(grid, buf, out=buf) is buf
+        assert np.array_equal(buf, got)
 
 
 class TestProjections:
@@ -186,3 +208,16 @@ class TestGuardBand:
         assert 0.0 <= leak <= 1.0
         assert guard_band_leakage(hardy_part(f)) <= 1.0
         assert guard_band_leakage(f * 0.0) == 0.0
+
+    def test_hardy_state_read_off_its_amplitudes(self, dense_grid, rng):
+        # the HARDY_PLUS route reads the state's own samples; the round
+        # trip through the full line agrees, guarded or not
+        guarded = apply_omega(random_guarded_state(dense_grid, rng))
+        states = [guarded]
+        for k_dim in (1, 8):
+            grid = make_grid(64, 20.0, k_dim)
+            states.append(hardy_part(_rand_full(grid, rng)))
+        for h in states:
+            assert abs(guard_band_leakage(h) - round_trip_leakage(h)) <= 1e-14
+        assert guard_band_leakage(guarded) <= 1e-8
+        assert min(guard_band_leakage(h) for h in states[1:]) >= 0.01

@@ -152,6 +152,19 @@ class TestExpectationCurve:
         for k, e in zip(ks, curve.expectations):
             assert e == pytest.approx(tail[k], rel=1e-10, abs=1e-15)
 
+    def test_curve_is_one_fft(self, dense_grid, rng, monkeypatch):
+        # the forward image is the only transform: the leakage is read off it
+        psi = random_guarded_state(dense_grid, rng)
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        lyapunov_curve(psi, np.arange(0, 64, 8) * dense_grid.delta_tau)
+        assert calls == {"fft": 1, "ifft": 0}
+
     def test_monotone_for_guarded_states(self, dense_grid, rng):
         psi = random_guarded_state(dense_grid, rng)
         ks = np.arange(0, 200, 7)
