@@ -53,20 +53,21 @@ DEFAULT_CONFIG = {
 # matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve 48 B (61 MB at
 # 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
 # Dense term: bytes per n_dense^2 entry at every k_dim, at n_dense 512 / 1024 /
-# 2048 / 4096: projection-family (40, five real n x n: the defect, its
-# products, one panel, the halves, eigvalsh) 43.3 / 63.1 / 149.2 / 424.7 MB,
-# and 43.3 / 71.1 / 156.6 / 487.0 MB over the half window (t_max = n_dense /
-# 32), then 37.4 / 52.1 / 108.3 / 295.5 MB and 41.4 / 67.7 / 171.5 / 485.7 MB
-# once the defect build freed its parts early (at 2048 over the half window,
-# heap memory that glibc keeps; 148.0 MB with MALLOC_TRIM_THRESHOLD_ 1 MB);
-# matrix-element (16) 40.9 / 49.4 / 81.8 / 198.8 MB, semigroup-norms (16)
-# 41.6 / 50.5 / 82.6 / 205.4 MB; none for lyapunov-curve and convergence (no
-# dense model), the most for a command not named.  Blocks of states: n_dense
-# * k_dim rows, up to 256 columns (at k_dim 8, 2000 steps: matrix-element
-# 101.2, semigroup-norms 97.4, projection-family 43.2 MB).
+# 2048 / 4096: projection-family (24, the defect and its build from the halves,
+# plus 16 per E^2 entry for the two real E x E blocks of its residual loop, E =
+# min(round(t_max sigma_max / pi), n_dense) the last row end) 37.7 / 52.0 /
+# 108.1 / 295.6 MB at the default times and 41.5 / 68.0 / 171.5 / 485.8 MB over
+# the half window (t_max = n_dense / 32; at 2048, heap memory that glibc keeps:
+# 148.0 MB with MALLOC_TRIM_THRESHOLD_ 1 MB); matrix-element (16) 40.9 / 49.4 /
+# 81.8 / 198.8 MB, semigroup-norms (16) 41.6 / 50.5 / 82.6 / 205.4 MB; none for
+# lyapunov-curve and convergence (no dense model); projection-family's for a
+# command not named.  Blocks of states: n_dense * k_dim rows, up to 256 columns
+# (at k_dim 8, 2000 steps: matrix-element 101.2, semigroup-norms 97.4,
+# projection-family 43.2 MB).
 _BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
-_DENSE_BYTES = {"projection-family": 40, "matrix-element": 16, "semigroup-norms": 16,
+_DENSE_BYTES = {"projection-family": 24, "matrix-element": 16, "semigroup-norms": 16,
                 "lyapunov-curve": 0, "convergence": 0}
+_RESIDUAL_BYTES = 16  # per E^2 entry, projection-family only
 _SELFTEST_DENSE_MATRICES = 5
 _STATE_BLOCKS = 8
 _FFT_TABLES = 4  # complex n_sigma vectors at any k_dim
@@ -251,17 +252,23 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
     Returns the bytes and the field whose term dominates them: the FFT tier
     (``grid.n_sigma``), the dense tier (``dense.n_dense``: the command's
     matrices and blocks of states) or the per-time rows (``times.n_steps``).
-    It bounds the command's measured peaks; others are charged the most.
+    It bounds the command's measured peaks; others are charged as
+    ``projection-family``, the costliest.
     """
     k_dim, n_steps = cfg["grid"]["k_dim"], cfg["times"]["n_steps"]
     n_dense = cfg["dense"]["n_dense"]
-    per_entry = _DENSE_BYTES.get(command, max(_DENSE_BYTES.values()))
+    command = command if command in _DENSE_BYTES else "projection-family"
+    per_entry = _DENSE_BYTES[command]
+    # projection-family's last row end E, the lattice index of t_max
+    rows = min(round(cfg["times"]["t_max"] * cfg["grid"]["sigma_max"] / math.pi), n_dense)
+    residual = _RESIDUAL_BYTES * rows**2 if command == "projection-family" else 0
     # one block of states, on the dense tier only
     block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS) if per_entry else 0
     terms = {
         "grid.n_sigma": (_FFT_TABLES + _FFT_VECTORS * k_dim) * _COMPLEX_BYTES
         * cfg["grid"]["n_sigma"],
-        "dense.n_dense": per_entry * n_dense**2 + _COMPLEX_BYTES * _STATE_BLOCKS * block,
+        "dense.n_dense": per_entry * n_dense**2 + residual
+        + _COMPLEX_BYTES * _STATE_BLOCKS * block,
         "times.n_steps": _BYTES_PER_STEP * n_steps,
     }
     return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)

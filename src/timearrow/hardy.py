@@ -34,6 +34,7 @@ from .spaces import (
     SpaceMismatchError,
     StateVector,
     _freeze,
+    embed,
 )
 
 __all__ = [
@@ -275,20 +276,17 @@ def guard_band_leakage(x) -> float:
     """
     if not isinstance(x, (StateVector, TimeProfile)):
         raise TypeError("expected a StateVector or TimeProfile")
-    tau = x.grid.tau()
-    if isinstance(x, TimeProfile):
+    if isinstance(x, TimeProfile) or x.space is Space.HARDY_PLUS:
         samples = x.fibered()
-    elif x.space is Space.HARDY_PLUS:
-        samples, tau = x.fibered(), tau[x.grid.n_half():]
-    elif x.space is Space.FULL_LINE:
-        samples = to_time(x).fibered()
-    else:
-        from .spaces import embed
+    else:  # a half-line state is embedded first
+        samples = to_time(x if x.space is Space.FULL_LINE else embed(x)).fibered()
+    return _power_leakage(x.grid, np.sum(np.abs(samples) ** 2, axis=1))
 
-        samples = to_time(embed(x)).fibered()
-    power = np.sum(np.abs(samples) ** 2, axis=1)
+
+def _power_leakage(grid: GridSpec, power: np.ndarray) -> float:
+    """The leakage of a power per time bin, on all bins or the ``tau >= 0`` half."""
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    outer = np.abs(tau) >= 0.9 * (x.grid.t_window / 2.0)
+    outer = np.abs(grid.tau()[-power.size:]) >= 0.9 * (grid.t_window / 2.0)
     return float(np.sum(power[outer]) / total)

@@ -130,6 +130,19 @@ def _persymmetric(e: np.ndarray, o: np.ndarray, phase: complex = 1.0) -> np.ndar
     return out
 
 
+def _isometry_defect(r: ProlateOp) -> np.ndarray:
+    """``D* R R^H D - I = D R^H R D* - I``, real and read-only: ``Q^T Q`` is
+    block diagonal by parity, so both are ``R``'s dense form with parts ``e e``
+    and ``o o`` and no phases, minus ``I``; ``Z(0) = R^H R``."""
+    e, o = r._parts()
+    e = e @ e  # each part is freed once its square exists
+    o = o @ o
+    d = _persymmetric(e, o)
+    d.flat[:: d.shape[0] + 1] -= 1.0
+    d.setflags(write=False)
+    return d
+
+
 @dataclass(frozen=True)
 class IrreversibleModel:
     """Matched factorization of the forward map ``omega`` on one grid.

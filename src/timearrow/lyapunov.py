@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import _hardy_scale, _sigma_to_tau, guard_band_leakage
+from .hardy import _hardy_scale, _power_leakage, _sigma_to_tau
 from .spaces import GridSpec, LinOp, Space, SpaceMismatchError, StateVector, norm
 from .evolution import _semigroup_index
 
@@ -117,26 +117,18 @@ def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
     The forward image ``b = omega psi`` is the curve's one FFT; the
     expectation at lattice index ``k`` is its tail power ``sum_{j >= k}
     |b_j|^2 delta_sigma`` (zero once ``k`` reaches the half window), read off
-    one reverse cumulative sum, and the guard-band leakage is read off ``b``
-    too.  ``norms`` is ``|psi|`` at every time: the evolution
-    group is unitary.
+    one reverse cumulative sum; the guard-band leakage reads the same squared
+    image.  ``norms`` is ``|psi|`` at every time: the evolution is unitary.
     """
     times = np.asarray(time_grid, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     ks = _semigroup_index(psi.grid, times)
-    b = apply_omega(psi)
-    leakage = guard_band_leakage(b)  # read off b: no transform
-    power = (np.abs(b.fibered()) ** 2 * psi.grid.delta_sigma).sum(axis=1)
+    sq = np.abs(apply_omega(psi).fibered()) ** 2  # one squared image for both
+    leakage = _power_leakage(psi.grid, np.sum(sq, axis=1))
+    power = (sq * psi.grid.delta_sigma).sum(axis=1)
     tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
     expectations = tail[np.minimum(ks, power.size)]
+    violation = float(np.diff(expectations).max(initial=0.0).clip(min=0.0))
     norms = np.full(times.size, norm(psi))
-    diffs = np.diff(expectations)
-    violation = float(diffs.max(initial=0.0).clip(min=0.0))
-    return TrajectoryReport(
-        times=times,
-        expectations=expectations,
-        norms=norms,
-        guard_band_leakage=leakage,
-        max_monotonicity_violation=violation,
-    )
+    return TrajectoryReport(times, expectations, norms, leakage, violation)

@@ -17,14 +17,15 @@ shift at ``t = k * delta_tau``:
 Their dense matrices are built on request.  The family's numbers need none
 of them, nor ``R``: only ``G = R R^H``, through the real defect ``D* G D -
 I`` (``D`` the unit phases of ``R = gamma D Q C Q^T D``; norms, traces and
-leading-block spectra do not see ``D``).  :meth:`ProjectionFamily.residuals`
-reads it, with ranks certified by Weyl's inequality.  As ``spec(XY) =
-spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the midpoint weights)
-has the spectrum of ``M^(1/2) G M^(1/2)``: that of its first ``E`` rows and
-columns (``E`` the last row end), and ``n - E`` zeros.  On the full space
-each matrix is ``kron(block, I_k)``: ranks and spectra repeat ``k_dim``
-times, and Frobenius norms grow by ``sqrt(k_dim)``, as ``<kron(A, I),
-kron(B, I)> = k_dim <A, B>``.
+leading-block spectra do not see ``D``; its norm is also ``|R^H R - I|``),
+built from the model's halves by :mod:`timearrow.lambda_transform`.
+:meth:`ProjectionFamily.residuals` reads it, with Weyl-certified ranks.  As
+``spec(XY) = spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the
+midpoint weights) has the spectrum of ``M^(1/2) G M^(1/2)``: that of its
+first ``E`` rows and columns (``E`` the last row end), and ``n - E`` zeros.
+On the full space each matrix is ``kron(block, I_k)``: ranks and spectra
+repeat ``k_dim`` times, and Frobenius norms grow by ``sqrt(k_dim)``, as
+``<kron(A, I), kron(B, I)> = k_dim <A, B>``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import _column_chunks, _semigroup_index, _unitary_block
-from .lambda_transform import IrreversibleModel, ProlateOp, _persymmetric, _z_block
+from .lambda_transform import IrreversibleModel, ProlateOp, _isometry_defect, _z_block
 from .lyapunov import _omega_block
 from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
 
@@ -120,16 +121,8 @@ class ProjectionFamily:
 
     @cached_property
     def defect(self) -> np.ndarray:
-        """``D* R R^H D - I``, real and read-only, formed once per family:
-        ``Q^T Q`` is block diagonal by parity, so ``D* R R^H D`` is ``R``'s
-        dense form with parts ``e e`` and ``o o`` and no phases."""
-        e, o = self.isometry._parts()
-        e = e @ e  # each part is freed once its square exists
-        o = o @ o
-        d = _persymmetric(e, o)
-        d.flat[:: d.shape[0] + 1] -= 1.0
-        d.setflags(write=False)
-        return d
+        """``D* R R^H D - I``, formed once per family (``_isometry_defect``)."""
+        return _isometry_defect(self.isometry)
 
     def residuals(self) -> list[tuple[int, float, float, float]]:
         """``(rank, idempotency, nesting, complement)`` of each projection.

@@ -8,9 +8,10 @@ refinement, at pinned grids).  :data:`CHECKS` is their table, one
 dense-tier model (the continuum checks ignore it) and returns ``(passed,
 details)``, the measured residuals; :func:`run_all` times and wraps each in a
 :class:`CheckResult`.  The CLI ``selftest`` command and the acceptance tests
-drive exactly this table.  Criterion 6 reads the projection family's
-residuals, as ``projection-family`` does, and criteria 4, 5, 7 and 12 act on
-blocks of states or times; the dense routes to those facts are test oracles.
+drive exactly this table.  Criteria 3, 5 and 6 read the unitarity of ``R``
+off the real defect that ``projection-family`` reads (criterion 6 through the
+family's residuals), and criteria 4, 5, 7 and 12 act on blocks of states or
+times; the complex and dense routes to those facts are test oracles.
 Thresholds are fixed contracts of the model, not configuration.
 """
 
@@ -36,6 +37,7 @@ from .hardy import (
 )
 from .lambda_transform import (
     IrreversibleModel,
+    _isometry_defect,
     _z_block,
     build_model,
     intertwining_residual,
@@ -97,6 +99,11 @@ def _guarded_set(grid, seed: int, count: int):
 
 def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def _isometry_defect_norm(model: IrreversibleModel) -> float:
+    """``|R^H R - I| = |R R^H - I| = |Z(0) - I|``, lifted as criterion 6's is."""
+    return _frob(_isometry_defect(model.isometry)) * np.sqrt(model.grid.k_dim)
 
 
 def _relative_gap(grid, a: np.ndarray, b: np.ndarray) -> float:
@@ -164,24 +171,19 @@ def check_lyapunov_operator(model: IrreversibleModel) -> tuple[bool, dict]:
 
 
 def check_polar_factorization(model: IrreversibleModel) -> tuple[bool, dict]:
-    """Criterion 3: square root squares back, the polar factor is unitary,
-    and the factorization reassembles the forward map."""
+    """Criterion 3: square root squares back, the polar factor is unitary (the
+    real defect), and the factorization reassembles the forward map."""
     lam = model.lam.matrix
-    r = model.isometry.matrix
-    om = build_omega(model.grid).matrix
-    eye = np.eye(lam.shape[0], dtype=np.complex128)
+    defect = _isometry_defect_norm(model)
     details = {
         "sqrt_residual": _frob(lam @ lam - build_m_f(model.grid).matrix),
-        "isometry_left": _frob(r.conj().T @ r - eye),
-        "isometry_right": _frob(r @ r.conj().T - eye),
-        "polar_residual": _frob(r @ lam - om),
+        "isometry_left": defect,
+        "isometry_right": defect,
+        "polar_residual": _frob(model.isometry.matrix @ lam
+                                - build_omega(model.grid).matrix),
     }
-    passed = (
-        details["sqrt_residual"] <= 1e-10
-        and details["isometry_left"] <= 1e-10
-        and details["isometry_right"] <= 1e-10
-        and details["polar_residual"] <= 1e-8
-    )
+    passed = (details["sqrt_residual"] <= 1e-10 and defect <= 1e-10
+              and details["polar_residual"] <= 1e-8)
     return passed, details
 
 
@@ -213,9 +215,9 @@ def check_intertwining(model: IrreversibleModel) -> tuple[bool, dict]:
 
 
 def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
-    """Criterion 5: semigroup identity/composition laws, and the isometric
-    adjoint legs, on guard-banded states: dense ``Z(t)`` products for the
-    laws, the state set as one block per time for the co-isometries."""
+    """Criterion 5: semigroup identity (the real defect) and composition laws
+    (dense ``Z(t)`` products), and the isometric adjoint legs on guard-banded
+    states, the state set as one block per time."""
     grid = model.grid
     dt = grid.delta_tau
     psi = np.column_stack(
@@ -225,14 +227,9 @@ def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
     # Z's co-isometry, like the adjoint intertwining, lives on states that
     # are guard-banded in the transported representation: the range of lam.
     chi = model.lam._act(psi)
-    identity_resid = _frob(z_matrix(model, 0.0) - np.eye(psi.shape[0]))
-    law = max(
-        _frob(
-            z_matrix(model, a * dt) @ z_matrix(model, b * dt)
-            - z_matrix(model, (a + b) * dt)
-        )
-        for a, b in [(1, 2), (3, 5), (8, 13), (16, 21), (20, 44), (32, 32)]
-    )
+    law = max(_frob(z_matrix(model, a * dt) @ z_matrix(model, b * dt)
+                    - z_matrix(model, (a + b) * dt))
+              for a, b in [(1, 2), (3, 5), (8, 13), (16, 21), (20, 44), (32, 32)])
     zz = tt = 0.0
     for k in (1, 5, 16, 44, _SWEEP_MAX_SHIFT):
         back = _z_block(model, _z_block(model, chi, -k), k)  # Z(t) Z*(t) chi
@@ -240,7 +237,7 @@ def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
         tt = max(tt, _relative_gap(
             grid, _toeplitz_block(grid, _toeplitz_block(grid, h, -k), k), h))
     details = {
-        "z_identity": identity_resid,
+        "z_identity": _isometry_defect_norm(model),
         "z_composition": law,
         "z_coisometry": zz,
         "toeplitz_coisometry": tt,

@@ -23,6 +23,13 @@ production route against them.  Each is the literal form of its fact:
 * :func:`round_trip_leakage` is the guard-band leakage of a HARDY_PLUS
   state's full time profile, embedded and transformed back, where the
   library reads it off the state's own amplitudes.
+* :func:`complex_isometry_defects` is ``|R^H R - I|``, ``|R R^H - I|`` and
+  ``|Z(0) - I|`` from complex products of the dense ``R`` on the full space
+  and from ``z_matrix``, where the selftest reads the norm of the real
+  defect ``D* R R^H D - I``, lifted by ``sqrt(k_dim)``.
+* :func:`two_pass_curve` is the guard-band leakage and the expectations of
+  ``lyapunov_curve``, each squaring the forward image on its own, where the
+  library squares it once for both.
 * :func:`dense_polar_factors` assembles the dense ``lam`` and ``R`` per bin
   from the model's eigenvector halves, with ``lam``'s phases ``conj(d_i) d_j
   = i^(i - j)`` set exactly, where the library applies both as factored
@@ -47,6 +54,7 @@ from timearrow import (
     restrict,
     to_time,
     toeplitz_step,
+    z_matrix,
 )
 from timearrow.evolution import _semigroup_index, _toeplitz_block
 from timearrow.hardy import TimeProfile, _phase_factors, _tau_to_sigma
@@ -123,6 +131,29 @@ def dense_polar_factors(model: IrreversibleModel) -> tuple[np.ndarray, np.ndarra
         for b in range(4):
             lam[a::4, b::4] *= 1j ** ((a - b) % 4)
     return lam, r
+
+
+def complex_isometry_defects(model: IrreversibleModel) -> tuple[float, float, float]:
+    """``(|R^H R - I|, |R R^H - I|, |Z(0) - I|)``, Frobenius norms of complex
+    ``N x N`` matrices on the full space."""
+    r = model.isometry.matrix
+    eye = np.eye(r.shape[0])
+    products = (r.conj().T @ r, r @ r.conj().T, z_matrix(model, 0.0))
+    return tuple(float(np.linalg.norm(m - eye)) for m in products)
+
+
+def two_pass_curve(psi: StateVector, ks: np.ndarray) -> tuple[float, np.ndarray]:
+    """Guard-band leakage and expectations at lattice indices ``ks`` of the
+    forward image ``b`` (a nonzero state's): its power per time bin ``tau >=
+    0`` in the outer 10% of the window, over the total, for the one, and
+    ``|b|^2 delta_sigma`` per bin, summed in reverse, for the other."""
+    grid, b = psi.grid, apply_omega(psi).fibered()
+    profile = np.sum(np.abs(b) ** 2, axis=1)
+    outer = np.abs(grid.tau()[grid.n_half():]) >= 0.9 * (grid.t_window / 2.0)
+    leakage = float(np.sum(profile[outer]) / float(np.sum(profile)))
+    power = (np.abs(b) ** 2 * grid.delta_sigma).sum(axis=1)
+    tail = np.append(np.cumsum(power[::-1])[::-1], 0.0)
+    return leakage, tail[np.minimum(ks, power.size)]
 
 
 def lyapunov_expectation(psi: StateVector, t: float) -> float:

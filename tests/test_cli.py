@@ -243,7 +243,9 @@ class TestSemigroupNormsCommand:
 
 
 @pytest.mark.parametrize("stem, command", [("matrix_element", "matrix-element"),
-                                           ("semigroup_norms", "semigroup-norms")])
+                                           ("semigroup_norms", "semigroup-norms"),
+                                           ("lyapunov_curve", "lyapunov-curve"),
+                                           ("convergence", "convergence")])
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
     # block products must give the same bytes on one and on two BLAS threads
     import timearrow

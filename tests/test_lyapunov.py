@@ -29,7 +29,9 @@ from timearrow import (
     zero_state,
 )
 from timearrow.lyapunov import _omega_block
-from oracles import adjoint, apply_omega_adjoint, f_m_membership, lyapunov_expectation
+from oracles import (
+    adjoint, apply_omega_adjoint, f_m_membership, lyapunov_expectation, two_pass_curve,
+)
 
 
 def _rand_half(grid, rng):
@@ -288,3 +290,27 @@ class TestDensitySurrogate:
             resids.append(np.linalg.norm(r) / np.linalg.norm(target))
         assert all(b < a for a, b in zip(resids, resids[1:]))
         assert resids[-1] < 0.25 * resids[0]
+
+
+@pytest.mark.parametrize("n_sigma, k_dim, kind", [
+    (1024, 1, "guarded"), (1024, 4, "compact"), (65536, 1, "guarded"),
+    (4096, 8, "guarded"), (256, 1, "witness"),
+])
+def test_curve_squares_the_image_once(n_sigma, k_dim, kind):
+    # the leakage and the tail powers from one squared image, bit for bit
+    # those of squaring it once for each; the restricted witness carries
+    # leakage well above rounding
+    grid = make_grid(n_sigma, 100.0 if n_sigma > 256 else 20.0, k_dim)
+    rng = np.random.default_rng(n_sigma + k_dim)
+    if kind == "witness":
+        psi = restrict(hardy_embed(kernel_witness(grid, -1j, 8 * grid.delta_tau)))
+    else:
+        make = random_guarded_state if kind == "guarded" else compact_profile_state
+        psi = make(grid, rng)
+    ks = np.round(np.linspace(0, grid.n_half() + 3, 129)).astype(int)
+    report = lyapunov_curve(psi, ks * grid.delta_tau)
+    leakage, expectations = two_pass_curve(psi, ks)
+    assert report.guard_band_leakage == leakage
+    assert np.array_equal(report.expectations, expectations)
+    if kind == "witness":
+        assert leakage > 1e-6

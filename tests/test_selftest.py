@@ -1,6 +1,8 @@
 """Selftest checks against the dense and per-state routes they replaced.
 
-Criterion 6 reads the projection family's residuals; its former dense body
+Criteria 3 and 5 read the unitarity of ``R`` as the norm of the real defect
+``D* R R^H D - I``; the complex ``R^H R``, ``R R^H`` and ``Z(0)`` they formed
+are oracles (``oracles.complex_isometry_defects``).  Criterion 6 reads the projection family's residuals; its former dense body
 (every projection, nesting product and increment spectrum as an N x N
 matrix) and its nesting over all pairs of times are kept here as oracles.
 Criteria 5 and 12 act on blocks; their per-state loops through the
@@ -32,13 +34,17 @@ from timearrow import (
     z_evolve,
 )
 from timearrow import lambda_transform, ordering, selftest
+from timearrow.lambda_transform import ProlateOp, _isometry_defect
 from timearrow.selftest import (
     check_decay_surrogates,
+    check_polar_factorization,
     check_projection_algebra,
     check_projection_family,
     check_semigroup_laws,
 )
-from oracles import lyapunov_expectation, perturbed_model, toeplitz_adjoint
+from oracles import (
+    complex_isometry_defects, lyapunov_expectation, perturbed_model, toeplitz_adjoint,
+)
 
 
 def _family_ks(model):
@@ -258,3 +264,76 @@ class TestBlockForms:
         assert details["expectation_ratio"] == pytest.approx(lyap, rel=1e-12)
         assert details["toeplitz_norm_ratio"] == pytest.approx(toep, rel=1e-12)
         assert details["z_norm_ratio"] == pytest.approx(zdec, rel=1e-6, abs=1e-14)
+
+
+class _Tagged(np.ndarray):
+    """A dense operator that logs the operand tags of every product it enters;
+    conjugates, transposes and slices keep the tag."""
+
+    products = []
+
+    def __array_finalize__(self, obj):
+        self.tag = getattr(obj, "tag", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        tags = [getattr(x, "tag", None) for x in inputs]
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is np.matmul:
+            _Tagged.products.append(tuple(tags))
+        elif ufunc is np.conjugate:
+            out = out.view(_Tagged)
+            out.tag = tags[0]
+        return out
+
+
+class TestIsometryDefect:
+    def test_criteria_3_and_5_form_no_gram_of_R(self, model, monkeypatch):
+        # criterion 3 multiplies R only into lam (the polar residual) and
+        # criterion 5 builds Z(t) only for the six composition laws: 18 calls
+        matrix = ProlateOp.matrix.fget
+
+        def tagged(op):
+            out = matrix(op).view(_Tagged)
+            out.tag = "lam" if op.hermitian else "R"
+            return out
+
+        calls = collections.Counter()
+
+        def counted(*args):
+            calls["z_matrix"] += 1
+            return z_matrix(*args)
+
+        z_matrix = selftest.z_matrix
+        monkeypatch.setattr(ProlateOp, "matrix", property(tagged))
+        monkeypatch.setattr(selftest, "z_matrix", counted)
+        monkeypatch.setattr(_Tagged, "products", [])
+        passed3, polar = check_polar_factorization(model)
+        passed5, laws = check_semigroup_laws(model)
+        assert passed3 and passed5
+        assert sorted(_Tagged.products) == [("R", "lam"), ("lam", "lam")]
+        assert calls["z_matrix"] == 18
+        # four report keys, one number: criterion 6's complement residual
+        _, family = check_projection_family(model)
+        real = np.linalg.norm(_isometry_defect(model.isometry))
+        assert (polar["isometry_left"] == polar["isometry_right"] == laws["z_identity"]
+                == family["complementarity"] == real)
+
+    @pytest.mark.parametrize("eps", [0.0, 3e-6, 1e-6])
+    @pytest.mark.parametrize("k_dim", [1, 4])
+    @pytest.mark.parametrize("n_dense", [4, 64, 512])
+    def test_complex_routes_match_the_real_defect(self, n_dense, k_dim, eps):
+        # |R^H R - I|, |R R^H - I| and |Z(0) - I| on the full space are the
+        # real defect's norm times sqrt(k_dim): off unitarity (eps > 0) to a
+        # relative 1e-10 (worst seen 3.9e-12); on the built model, where both
+        # sides are rounding (4e-16 to 1.2e-13), to a relative 0.1 (worst seen
+        # 6.0e-2 at n_dense 4, 2.8e-2 at 64, 1.5e-2 at 512)
+        model = build_model(make_grid(2 * n_dense, 100.0, k_dim))
+        if eps:
+            model = perturbed_model(model, eps)
+        real = selftest._isometry_defect_norm(model)
+        assert real == np.linalg.norm(_isometry_defect(model.isometry)) * np.sqrt(k_dim)
+        bound = dict(rel=1e-10, abs=0.0) if eps else dict(rel=0.1, abs=1e-16)
+        for value in complex_isometry_defects(model):
+            assert value == pytest.approx(real, **bound)
+        if eps:  # well above rounding
+            assert real > 1e-6
