@@ -5,10 +5,11 @@ A config has five required sections — ``grid``, ``dense``, ``times``,
 :data:`DEFAULT_CONFIG`.  Validation is strict and total: every problem in
 the file is collected and reported with its field path (missing fields,
 unknown keys, wrong types, out-of-range values), so a bad config never
-half-runs an experiment.  A run whose estimated peak memory exceeds the
-machine's physical memory is rejected the same way, naming the field that
-drives the estimate; ``selftest`` has its own estimate
-(:func:`selftest_memory_estimate`), checked by :func:`check_selftest_memory`.
+half-runs an experiment.  Every command, the built-in default config
+included, is admitted here and only here: a run whose estimated peak memory
+(:func:`peak_memory_estimate`, one model for all six commands, charging each
+only for the config fields it reads) exceeds the machine's physical memory
+is rejected the same way, naming the field that drives the estimate.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .evolution import _BLOCK_COLUMNS
 __all__ = [
     "ConfigError",
     "DEFAULT_CONFIG",
-    "check_selftest_memory",
     "load_config",
     "peak_memory_estimate",
-    "selftest_memory_estimate",
     "validate_config",
 ]
 
@@ -44,45 +43,40 @@ DEFAULT_CONFIG = {
 }
 
 
-# Peak-memory model of the scenario commands, fitted with headroom to peak
-# RSS measured with one BLAS thread (x86-64 Linux, Python 3.11, numpy 2.4.6,
-# OpenBLAS): lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20 57.1 / 77.2 /
-# 117.2 MB at k_dim 1 and 111.2 / 185.1 / 333.3 MB at k_dim 8 (FFT tier: the
-# phase table and the time grid whatever k_dim, and per fibre the transform
-# buffer, the state and its power); per time step (CSV rows streamed to disk)
-# matrix-element 120 B, semigroup-norms 52 B, lyapunov-curve 48 B (61 MB at
-# 200000 steps and n_dense 64, 49 MB, 82 MB at 10^6 steps).
-# Dense term: bytes per n_dense^2 entry at every k_dim, at n_dense 512 / 1024 /
-# 2048 / 4096: projection-family (24, the defect and its build from the halves,
-# plus 16 per E^2 entry for the two real E x E blocks of its residual loop, E =
-# min(round(t_max sigma_max / pi), n_dense) the last row end) 37.7 / 52.0 /
-# 108.1 / 295.6 MB at the default times and 41.5 / 68.0 / 171.5 / 485.8 MB over
-# the half window (t_max = n_dense / 32; at 2048, heap memory that glibc keeps:
-# 148.0 MB with MALLOC_TRIM_THRESHOLD_ 1 MB); matrix-element (16) 40.9 / 49.4 /
-# 81.8 / 198.8 MB, semigroup-norms (16) 41.6 / 50.5 / 82.6 / 205.4 MB; none for
-# lyapunov-curve and convergence (no dense model); projection-family's for a
-# command not named.  Blocks of states: n_dense * k_dim rows, up to 256 columns
-# (at k_dim 8, 2000 steps: matrix-element 101.2, semigroup-norms 97.4,
-# projection-family 43.2 MB).
-_BASE_BYTES = 40 * 2**20  # interpreter, numpy and click
-_DENSE_BYTES = {"projection-family": 24, "matrix-element": 16, "semigroup-norms": 16,
-                "lyapunov-curve": 0, "convergence": 0}
-_RESIDUAL_BYTES = 16  # per E^2 entry, projection-family only
-_SELFTEST_DENSE_MATRICES = 5
-_STATE_BLOCKS = 8
+# Peak-memory model: a base (interpreter, numpy and click) plus, per command,
+# the terms of only the config fields that the command reads, in bytes per
+# unit of each term (columns of _CHARGES):
+#   fft       per entry of the FFT tier's complex n_sigma vectors: the phase
+#             table and the time grid at any k_dim, and per fibre the
+#             transform buffer, the state and its power
+#   dense     per n_dense^2 entry at any k_dim (the model, its forms and
+#             products; selftest's criteria at k_dim 1)
+#   residual  per E^2 entry, E = min(round(t_max sigma_max / pi), n_dense) the
+#             last row end: projection-family's two real E x E blocks
+#   blocks    per entry of the blocks of states, n_dense k_dim rows and up to
+#             _BLOCK_COLUMNS columns each (projection-family holds no state)
+#   steps     per time step: per-time arrays, CSV rows streamed to disk
+#   floor     least charge of the dense term: the fixed grids of selftest's
+#             criteria 8 and 11, whatever n_dense
+# The values bound peak RSS measured with one BLAS thread; the measured peaks
+# and the bounds held to them are in tests/test_config.py.
+_BASE_BYTES = 40 * 2**20
 _FFT_TABLES = 4  # complex n_sigma vectors at any k_dim
 _FFT_VECTORS = 3  # complex n_sigma vectors per fibre
-_BYTES_PER_STEP = 256  # per-time arrays of times and results
-_COMPLEX_BYTES = 16
-# selftest criterion 1 holds about six complex full-line matrices of
-# (2 n_dense)^2 entries (tracemalloc peak 96 MB at n_dense 512) next to the
-# dense forms.  Criteria 8 and 11 run on fixed grids whatever n_dense: 4096
-# bins, and 1024 bins with 1024 x 1024 real and complex quadrature kernels
-# (criterion 11 adds 40 MB of RSS).  Peak RSS of selftest through the CLI,
-# measured as above: 80.8 MB at n_dense 16 and 76.4 MB at 128 (criterion 11
-# sets both), 78-84 MB at 256, 133 MB at 512 (criterion 1).
-_FULL_LINE_MATRICES = 10
-_FIXED_GRID_BYTES = 48 * 2**20
+_SCENARIO_CHARGES = {
+    #                    fft dense residual blocks steps floor
+    "lyapunov-curve":    (16, 0, 0, 0, 256, 0),
+    "semigroup-norms":   (16, 16, 0, 128, 256, 0),
+    "projection-family": (0, 24, 16, 0, 256, 0),
+    "matrix-element":    (0, 16, 0, 128, 256, 0),
+    "convergence":       (0, 0, 0, 0, 0, 0),
+}
+_CHARGES = {
+    **_SCENARIO_CHARGES,
+    "selftest": (0, 480, 0, 0, 0, 48 * 2**20),
+    # no command named: the largest of each term over the scenario commands
+    None: tuple(map(max, *_SCENARIO_CHARGES.values())),
+}
 
 
 class ConfigError(ValueError):
@@ -247,29 +241,25 @@ def validate_config(cfg) -> list[str]:
 
 
 def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, str]:
-    """Estimated peak bytes of the scenario ``command`` on a valid config.
+    """Estimated peak bytes of ``command`` on a valid config.
 
     Returns the bytes and the field whose term dominates them: the FFT tier
     (``grid.n_sigma``), the dense tier (``dense.n_dense``: the command's
     matrices and blocks of states) or the per-time rows (``times.n_steps``).
-    It bounds the command's measured peaks; others are charged as
-    ``projection-family``, the costliest.
+    Each command is charged only for the fields it reads; ``None`` is
+    charged the largest term of any scenario command.
     """
-    k_dim, n_steps = cfg["grid"]["k_dim"], cfg["times"]["n_steps"]
-    n_dense = cfg["dense"]["n_dense"]
-    command = command if command in _DENSE_BYTES else "projection-family"
-    per_entry = _DENSE_BYTES[command]
+    fft, dense, residual, blocks, steps, floor = _CHARGES[command]
+    grid, n_dense, times = cfg["grid"], cfg["dense"]["n_dense"], cfg["times"]
     # projection-family's last row end E, the lattice index of t_max
-    rows = min(round(cfg["times"]["t_max"] * cfg["grid"]["sigma_max"] / math.pi), n_dense)
-    residual = _RESIDUAL_BYTES * rows**2 if command == "projection-family" else 0
-    # one block of states, on the dense tier only
-    block = n_dense * k_dim * min(n_steps, _BLOCK_COLUMNS) if per_entry else 0
+    rows = round(min(times["t_max"] * grid["sigma_max"] / math.pi, n_dense))
+    block = n_dense * grid["k_dim"] * min(times["n_steps"], _BLOCK_COLUMNS)
     terms = {
-        "grid.n_sigma": (_FFT_TABLES + _FFT_VECTORS * k_dim) * _COMPLEX_BYTES
-        * cfg["grid"]["n_sigma"],
-        "dense.n_dense": per_entry * n_dense**2 + residual
-        + _COMPLEX_BYTES * _STATE_BLOCKS * block,
-        "times.n_steps": _BYTES_PER_STEP * n_steps,
+        "grid.n_sigma": fft * (_FFT_TABLES + _FFT_VECTORS * grid["k_dim"])
+        * grid["n_sigma"],
+        "dense.n_dense": max(dense * n_dense**2, floor) + residual * rows**2
+        + blocks * block,
+        "times.n_steps": steps * times["n_steps"],
     }
     return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)
 
@@ -278,60 +268,32 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _memory_problem(need: int, field: str, what: str) -> list[str]:
-    have = _physical_memory()
-    if need <= have:
-        return []
-    return [
-        f"{field}: {what} needs about {need / 2**20:.4g} MB at peak "
-        f"(estimated), more than the {have / 2**20:.4g} MB of physical memory"
-    ]
-
-
-def selftest_memory_estimate(cfg: dict) -> int:
-    """Estimated peak bytes of ``selftest`` on a valid config.
-
-    ``selftest`` ignores the grid and time sections and works at
-    ``k_dim = 1``: the dense n_dense x n_dense matrices of its criteria, plus
-    the larger of criterion 1's full-line projection matrices and the fixed
-    grids of criteria 8 and 11.
-    """
-    rows = cfg["dense"]["n_dense"]
-    full_line = _COMPLEX_BYTES * _FULL_LINE_MATRICES * (2 * rows) ** 2
-    return (
-        _BASE_BYTES + _COMPLEX_BYTES * _SELFTEST_DENSE_MATRICES * rows**2
-        + max(full_line, _FIXED_GRID_BYTES)
-    )
-
-
-def check_selftest_memory(cfg: dict) -> None:
-    """Raise :class:`ConfigError` naming ``dense.n_dense`` when
-    :func:`selftest_memory_estimate` exceeds physical memory."""
-    need = selftest_memory_estimate(cfg)
-    problems = _memory_problem(need, "dense.n_dense", "selftest")
-    if problems:
-        raise ConfigError(problems)
-
-
 def load_config(path: str | None, command: str | None = None) -> dict:
-    """Load and validate a config file; ``None`` returns the default config.
+    """Load and validate a config file; ``None`` loads the default config.
 
     Raises :class:`ConfigError` with the full problem list on any failure,
     including a valid config whose :func:`peak_memory_estimate` for
     ``command`` exceeds physical memory.
     """
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError([f"config: file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config: invalid JSON: {exc}"]) from None
-    problems = validate_config(cfg) or _memory_problem(
-        *peak_memory_estimate(cfg, command), "the run"
-    )
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError([f"config: file not found: {path}"]) from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"config: invalid JSON: {exc}"]) from None
+    problems = validate_config(cfg)
+    if not problems:
+        need, field = peak_memory_estimate(cfg, command)
+        have = _physical_memory()
+        if need > have:
+            problems = [
+                f"{field}: the run needs about {need / 2**20:.4g} MB at peak "
+                f"(estimated), more than the {have / 2**20:.4g} MB of physical memory"
+            ]
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -20,7 +20,6 @@ from timearrow._config import (
     ConfigError,
     load_config,
     peak_memory_estimate,
-    selftest_memory_estimate,
 )
 from timearrow.cli import main
 
@@ -30,6 +29,17 @@ OVERSIZED = [
     ("grid", "k_dim", 10**6, "dense.n_dense"),
     ("grid", "n_sigma", 2**40, "grid.n_sigma"),
 ]
+
+# the size fields each command reads, and a value of each too large to run
+READS = {
+    "lyapunov-curve": ("grid.n_sigma", "times.n_steps"),
+    "semigroup-norms": ("grid.n_sigma", "dense.n_dense", "times.n_steps"),
+    "projection-family": ("dense.n_dense", "times.n_steps"),
+    "matrix-element": ("dense.n_dense", "times.n_steps"),
+    "selftest": ("dense.n_dense",),
+    "convergence": (),
+}
+HUGE = {"grid.n_sigma": 2**40, "dense.n_dense": 2**20, "times.n_steps": 10**12}
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -57,15 +67,16 @@ def test_oversized_config_rejected_with_dotted_path(tmp_path, section, field,
 @pytest.mark.parametrize("section, field, value, named", OVERSIZED)
 def test_oversized_config_exits_2(tmp_path, monkeypatch, section, field, value,
                                   named):
-    # the dense-tier sizes go to projection-family, with build_model stubbed
-    # so a missed rejection fails the test instead of allocating; convergence
-    # pins its own grids, so a missed n_sigma rejection would run small
-    def must_not_run(grid):
-        raise AssertionError("the model was built past the memory check")
+    # the dense-tier sizes go to matrix-element and n_sigma to
+    # lyapunov-curve, with the model, the state and the curve stubbed so a
+    # missed rejection fails the test instead of allocating
+    def must_not_run(*args):
+        raise AssertionError("the command ran past the memory check")
 
-    monkeypatch.setattr(timearrow.cli, "build_model", must_not_run)
-    command, stem = (("convergence", "convergence") if named == "grid.n_sigma"
-                     else ("projection-family", "projection_family"))
+    for name in ("build_model", "_build_state", "lyapunov_curve"):
+        monkeypatch.setattr(timearrow.cli, name, must_not_run)
+    command, stem = (("lyapunov-curve", "lyapunov_curve") if named == "grid.n_sigma"
+                     else ("matrix-element", "matrix_element"))
     path = _write(tmp_path, _with(section, field, value))
     res = CliRunner().invoke(main, [command, "--config", path,
                                     "--out", str(tmp_path)])
@@ -74,27 +85,65 @@ def test_oversized_config_exits_2(tmp_path, monkeypatch, section, field, value,
     assert not (tmp_path / f"{stem}.csv").exists()
 
 
-# peak RSS in MB of each command at n_dense 512 / 1024 / 2048 / 4096, one BLAS
-# thread, default config otherwise (the peaks in _config's comment);
-# projection-family's from a child spawned by a parent without numpy, as the
-# child's ru_maxrss starts from its parent's peak
+@pytest.mark.parametrize("command, field", [
+    (command, field) for command, fields in READS.items() for field in fields
+])
+def test_command_rejects_oversized_field_it_reads(tmp_path, command, field):
+    path = _write(tmp_path, _with(*field.split("."), HUGE[field]))
+    with pytest.raises(ConfigError) as info:
+        load_config(path, command)
+    [problem] = info.value.problems
+    assert problem.startswith(f"{field}: the run needs about ")
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, field) for command, fields in READS.items() for field in HUGE
+    if field not in fields
+])
+def test_command_admits_oversized_field_it_ignores(tmp_path, command, field):
+    cfg = _with(*field.split("."), HUGE[field])
+    assert load_config(_write(tmp_path, cfg), command) == cfg
+
+
+def test_row_end_past_the_float_range_is_estimated(tmp_path):
+    # t_max * sigma_max overflows to inf; the row end is clipped to n_dense
+    # before rounding, so every command is estimated and projection-family's
+    # own time check rejects the run
+    cfg = _with("times", "t_max", 1e300)
+    cfg["grid"]["sigma_max"] = 1e300
+    path = _write(tmp_path, cfg)
+    for command in [*READS, None]:
+        assert load_config(path, command) == cfg
+    res = CliRunner().invoke(main, ["projection-family", "--config", path,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "has no dual-lattice index" in res.output
+
+
+# The measured peaks below are the one record of the memory model's fit: peak
+# RSS in MB, the child's ru_maxrss with one BLAS thread; x86-64 Linux, Python
+# 3.11, numpy 2.4.6 with OpenBLAS; default config otherwise.  A child's
+# ru_maxrss starts from its parent's peak, so projection-family's, selftest's
+# and the k_dim 8 and per-step peaks come from a parent without numpy.
+# Each command at n_dense 512 / 1024 / 2048 / 4096:
 MEASURED_PEAKS_MB = {
     "projection-family": (37.7, 52.0, 108.1, 295.6),
     "matrix-element": (40.9, 49.4, 81.8, 198.8),
     "semigroup-norms": (41.6, 50.5, 82.6, 205.4),
 }
 # projection-family over the full half window, t_max = n_dense / 32, where the
-# residual loop's E x E blocks are n_dense x n_dense
+# residual loop's E x E blocks are n_dense x n_dense (at 2048, heap memory that
+# glibc keeps: 148.0 MB with MALLOC_TRIM_THRESHOLD_ 1 MB)
 FULL_WINDOW_PEAKS_MB = (41.5, 68.0, 171.5, 485.8)
 
 
 @pytest.mark.parametrize("command, n_dense, t_max, measured_mb", [
-    pytest.param(command, n_dense, None, mb, id=f"{n_dense}-{mb}")
+    pytest.param(command, n_dense, None, mb, id=f"{command}-{n_dense}")
     for command, peaks in MEASURED_PEAKS_MB.items()
     for n_dense, mb in zip((512, 1024, 2048, 4096), peaks)
 ] + [
     pytest.param("projection-family", n_dense, n_dense / 32, mb,
-                 id=f"{n_dense}-full-window-{mb}")
+                 id=f"projection-family-{n_dense}-full-window")
     for n_dense, mb in zip((512, 1024, 2048, 4096), FULL_WINDOW_PEAKS_MB)
 ])
 def test_estimate_bounds_measured_peaks(command, n_dense, t_max, measured_mb):
@@ -106,13 +155,12 @@ def test_estimate_bounds_measured_peaks(command, n_dense, t_max, measured_mb):
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
 
-# peak RSS in MB of lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20, one BLAS
-# thread, default config otherwise, per k_dim (the peaks in _config's comment)
+# lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20, per k_dim
 CURVE_PEAKS_MB = {1: (57.1, 77.2, 117.2), 8: (111.2, 185.1, 333.3)}
 
 
 @pytest.mark.parametrize("k_dim, n_sigma, measured_mb", [
-    pytest.param(k_dim, n_sigma, mb, id=f"k{k_dim}-{n_sigma}-{mb}")
+    pytest.param(k_dim, n_sigma, mb, id=f"lyapunov-curve-{n_sigma}-k{k_dim}")
     for k_dim, peaks in CURVE_PEAKS_MB.items()
     for n_sigma, mb in zip((2**18, 2**19, 2**20), peaks)
 ])
@@ -127,9 +175,10 @@ def test_estimate_bounds_measured_curve_peaks(k_dim, n_sigma, measured_mb):
 def test_estimate_is_per_command(tmp_path, monkeypatch):
     # with 400 MiB of memory, n_dense 4096 fits the one complex n x n of
     # matrix-element and semigroup-norms (313 MiB estimated), not the real
-    # defect of projection-family and its build (442 MiB), which a command
-    # not named is charged too; lyapunov-curve and convergence build no dense
-    # model, so they are charged nothing for it at any n_dense
+    # defect of projection-family and its build (425 MiB), whose 24 bytes an
+    # entry a command not named is charged too (442 MiB); lyapunov-curve and
+    # convergence build no dense model, so they are charged nothing for it at
+    # any n_dense
     monkeypatch.setattr(_config, "_physical_memory", lambda: 400 * 2**20)
     path = _write(tmp_path, _with("dense", "n_dense", 4096))
     for command in ("matrix-element", "semigroup-norms", "lyapunov-curve",
@@ -143,10 +192,9 @@ def test_estimate_is_per_command(tmp_path, monkeypatch):
         assert load_config(path, command)["dense"]["n_dense"] == 2**20
 
 
-@pytest.mark.parametrize("command", ["matrix-element", "semigroup-norms",
-                                     "projection-family", "lyapunov-curve"])
-def test_each_command_checks_its_own_estimate(tmp_path, monkeypatch, command):
-    # the estimate is stubbed to exceed any memory, so nothing runs
+def _stub_estimate(monkeypatch):
+    """Stub the estimate to exceed any memory, so nothing runs; returns the
+    list of commands it was asked about."""
     seen = []
 
     def estimate(cfg, command=None):
@@ -154,6 +202,14 @@ def test_each_command_checks_its_own_estimate(tmp_path, monkeypatch, command):
         return 2**62, "dense.n_dense"
 
     monkeypatch.setattr(_config, "peak_memory_estimate", estimate)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["matrix-element", "semigroup-norms",
+                                     "projection-family", "lyapunov-curve",
+                                     "selftest", "convergence"])
+def test_each_command_checks_its_own_estimate(tmp_path, monkeypatch, command):
+    seen = _stub_estimate(monkeypatch)
     path = _write(tmp_path, DEFAULT_CONFIG)
     res = CliRunner().invoke(main, [command, "--config", path,
                                     "--out", str(tmp_path)])
@@ -161,19 +217,71 @@ def test_each_command_checks_its_own_estimate(tmp_path, monkeypatch, command):
     assert seen == [command]
 
 
-@pytest.mark.parametrize("n_steps, measured_mb", [(33, 59.0), (2000, 148.0)])
-def test_estimate_bounds_measured_peaks_at_k_dim_8(n_steps, measured_mb):
-    # the largest peak RSS of projection-family, matrix-element and
-    # semigroup-norms at n_dense 512 and k_dim 8, one BLAS thread, measured
-    # while the model still held dense matrices (the estimate bounds the
-    # peaks in _config's comment too), against the estimate of
-    # a command not named: the model acts on every fibre alike, and only the
-    # blocks of states grow with k_dim
+@pytest.mark.parametrize("command", list(READS))
+def test_default_config_is_checked_too(tmp_path, monkeypatch, command):
+    # with no --config the built-in defaults pass the same memory check
+    seen = _stub_estimate(monkeypatch)
+    res = CliRunner().invoke(main, [command, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "config error: dense.n_dense: the run needs about " in res.output
+    assert seen == [command]
+    assert not any(tmp_path.iterdir())
+
+
+def test_no_command_bounds_every_scenario_command():
+    # a call with no command is charged the largest of each term
+    for cfg in (DEFAULT_CONFIG, _with("grid", "n_sigma", 2**20),
+                _with("grid", "k_dim", 8), _with("times", "n_steps", 10**6)):
+        need = peak_memory_estimate(cfg)[0]
+        for command in READS:
+            if command != "selftest":
+                assert need >= peak_memory_estimate(cfg, command)[0], command
+
+
+# projection-family, matrix-element and semigroup-norms at n_dense 512 and
+# k_dim 8, per n_steps: the model acts on every fibre alike, and only the
+# blocks of states grow with k_dim, which projection-family does not hold
+K_DIM_8_PEAKS_MB = {
+    "projection-family": {33: 37.5, 2000: 37.8},
+    "matrix-element": {33: 47.6, 2000: 101.1},
+    "semigroup-norms": {33: 48.0, 2000: 97.2},
+}
+
+
+@pytest.mark.parametrize("command, n_steps, measured_mb", [
+    pytest.param(command, n_steps, mb, id=f"{command}-512-k8-{n_steps}-steps")
+    for command, peaks in K_DIM_8_PEAKS_MB.items()
+    for n_steps, mb in peaks.items()
+])
+def test_estimate_bounds_measured_peaks_at_k_dim_8(command, n_steps, measured_mb):
     cfg = _with("grid", "k_dim", 8)
     cfg["times"]["n_steps"] = n_steps
-    need, field = peak_memory_estimate(cfg)
+    need, field = peak_memory_estimate(cfg, command)
     assert field == "dense.n_dense"
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+
+
+# each command that reads times at n_dense 64 over many steps, where the
+# per-step rows dominate; the estimate charges all of them the 256 bytes a
+# step of matrix-element, so it is not held to 2x here
+STEP_PEAKS_MB = {
+    "matrix-element": (200_000, 66.1),
+    "semigroup-norms": (200_000, 50.7),
+    "projection-family": (200_000, 41.2),
+    "lyapunov-curve": (1_000_000, 84.3),
+}
+
+
+@pytest.mark.parametrize("command, n_steps, measured_mb", [
+    pytest.param(command, n_steps, mb, id=f"{command}-{n_steps}-steps")
+    for command, (n_steps, mb) in STEP_PEAKS_MB.items()
+])
+def test_estimate_bounds_measured_step_peaks(command, n_steps, measured_mb):
+    cfg = _with("dense", "n_dense", 64)
+    cfg["times"]["n_steps"] = n_steps
+    need, field = peak_memory_estimate(cfg, command)
+    assert field == "times.n_steps"
+    assert measured_mb * 2**20 <= need
 
 
 def test_default_config_is_valid(tmp_path):
@@ -206,32 +314,40 @@ def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
             assert load_config(_write(tmp_path, cfg)) == cfg, (name, j)
 
 
-@pytest.mark.parametrize("n_dense, measured_mb", [(256, 79.0), (512, 175.0),
-                                                  (16, 80.8), (128, 76.4)])
+# selftest at k_dim 1 whatever the config: criterion 11's fixed 1024-bin
+# quadrature grid sets the peak up to n_dense 256, the dense criteria above
+# (at 2048 the run exits 1 on criterion 7)
+SELFTEST_PEAKS_MB = {16: 73.2, 128: 75.4, 256: 81.3, 512: 133.0, 1024: 431.6,
+                     2048: 1617.8}
+
+
+@pytest.mark.parametrize("n_dense, measured_mb", [
+    pytest.param(n_dense, mb, id=f"selftest-{n_dense}")
+    for n_dense, mb in SELFTEST_PEAKS_MB.items()
+])
 def test_selftest_estimate_bounds_measured_peaks(n_dense, measured_mb):
-    # peak RSS of selftest, one BLAS thread: at 256 and 512 when criterion 1
-    # still held its dense 0/1 diagonals, at 16 and 128 through the CLI,
-    # where the fixed 1024-bin quadrature grid of criterion 11 sets the peak;
-    # the current peaks are in _config's comment, and the estimate bounds
-    # them too
-    need = selftest_memory_estimate(_with("dense", "n_dense", n_dense))
-    assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+    need, field = peak_memory_estimate(_with("dense", "n_dense", n_dense),
+                                       "selftest")
+    assert field == "dense.n_dense"
+    assert measured_mb * 2**20 <= need <= 1.5 * measured_mb * 2**20
 
 
 def test_oversized_selftest_exits_2(tmp_path, monkeypatch):
-    # with 1 GiB of memory, n_dense 2048 passes the scenario estimate but
-    # not the selftest one; run_all is stubbed so a missed rejection fails
-    # the test instead of allocating
+    # with 1 GiB of memory, n_dense 2048 fits every scenario command but not
+    # selftest; run_all is stubbed so a missed rejection fails the test
+    # instead of allocating
     monkeypatch.setattr(_config, "_physical_memory", lambda: 2**30)
 
     def must_not_run(**kwargs):
         raise AssertionError("selftest ran past the memory check")
 
     monkeypatch.setattr(timearrow.cli, "run_all", must_not_run)
-    path = _write(tmp_path, _with("dense", "n_dense", 2048))
+    cfg = _with("dense", "n_dense", 2048)
+    path = _write(tmp_path, cfg)
     assert load_config(path)["dense"]["n_dense"] == 2048
+    assert peak_memory_estimate(cfg, "selftest")[0] > 2**30
     res = CliRunner().invoke(main, ["selftest", "--config", path,
                                     "--out", str(tmp_path)])
     assert res.exit_code == 2
-    assert "config error: dense.n_dense: selftest needs about " in res.output
+    assert "config error: dense.n_dense: the run needs about " in res.output
     assert not (tmp_path / "selftest.json").exists()
