@@ -54,7 +54,8 @@ DEFAULT_CONFIG = {
 #   residual  per E^2 entry, E = min(round(t_max sigma_max / pi), n_dense) the
 #             last row end: projection-family's two real E x E blocks
 #   blocks    per entry of the blocks of states, n_dense k_dim rows and up to
-#             _BLOCK_COLUMNS columns each (projection-family holds no state)
+#             _BLOCK_COLUMNS columns each (projection-family holds no state,
+#             and no array longer than n_dense: its spectrum is one fibre's)
 #   steps     per time step: per-time arrays, CSV rows streamed to disk
 #   floor     least charge of the dense term: the fixed grids of selftest's
 #             criteria 8 and 11, whatever n_dense
@@ -247,8 +248,11 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
     (``grid.n_sigma``), the dense tier (``dense.n_dense``: the command's
     matrices and blocks of states) or the per-time rows (``times.n_steps``).
     Each command is charged only for the fields it reads; ``None`` is
-    charged the largest term of any scenario command.
+    charged the largest term of any scenario command.  A command whose terms
+    are all zero names ``config``; a name that is no command is a ValueError.
     """
+    if command not in _CHARGES:
+        raise ValueError(f"unknown command {command!r}")
     fft, dense, residual, blocks, steps, floor = _CHARGES[command]
     grid, n_dense, times = cfg["grid"], cfg["dense"]["n_dense"], cfg["times"]
     # projection-family's last row end E, the lattice index of t_max
@@ -261,7 +265,8 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
         + blocks * block,
         "times.n_steps": steps * times["n_steps"],
     }
-    return _BASE_BYTES + sum(terms.values()), max(terms, key=terms.get)
+    field = max(terms, key=terms.get) if any(terms.values()) else "config"
+    return _BASE_BYTES + sum(terms.values()), field
 
 
 def _physical_memory() -> int:
@@ -273,7 +278,7 @@ def load_config(path: str | None, command: str | None = None) -> dict:
 
     Raises :class:`ConfigError` with the full problem list on any failure,
     including a valid config whose :func:`peak_memory_estimate` for
-    ``command`` exceeds physical memory.
+    ``command`` (a CLI command name, or ``None``) exceeds physical memory.
     """
     if path is None:
         cfg = copy.deepcopy(DEFAULT_CONFIG)

@@ -319,7 +319,8 @@ def projection_family_cmd(cfg, out_dir):
         )
     times = ks * dense.delta_tau
     family = spectral_measure(model, times)
-    spectrum = family.ordering_spectrum()
+    # the extremes of T's spectrum, held once rather than k_dim times
+    spectrum = family.fibre_ordering_spectrum()
     data = family.residuals()
     rows = (
         (_fmt(t), str(rank), _fmt(idem), _fmt(nest), _fmt(comp), "algebraic")

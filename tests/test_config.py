@@ -8,6 +8,7 @@ import copy
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,16 +31,25 @@ OVERSIZED = [
     ("grid", "n_sigma", 2**40, "grid.n_sigma"),
 ]
 
-# the size fields each command reads, and a value of each too large to run
+# the size fields each command's memory grows with, and a value of each too
+# large to run
 READS = {
-    "lyapunov-curve": ("grid.n_sigma", "times.n_steps"),
-    "semigroup-norms": ("grid.n_sigma", "dense.n_dense", "times.n_steps"),
+    "lyapunov-curve": ("grid.n_sigma", "grid.k_dim", "times.n_steps"),
+    "semigroup-norms": ("grid.n_sigma", "grid.k_dim", "dense.n_dense",
+                        "times.n_steps"),
     "projection-family": ("dense.n_dense", "times.n_steps"),
-    "matrix-element": ("dense.n_dense", "times.n_steps"),
+    "matrix-element": ("grid.k_dim", "dense.n_dense", "times.n_steps"),
     "selftest": ("dense.n_dense",),
     "convergence": (),
 }
-HUGE = {"grid.n_sigma": 2**40, "dense.n_dense": 2**20, "times.n_steps": 10**12}
+HUGE = {"grid.n_sigma": 2**40, "grid.k_dim": 10**9, "dense.n_dense": 2**20,
+        "times.n_steps": 10**12}
+# the commands each oversized field of OVERSIZED is run with
+EXITS_2_ON = {
+    "dense.n_dense": ("projection-family", "matrix-element"),
+    "grid.k_dim": ("matrix-element", "semigroup-norms"),
+    "grid.n_sigma": ("lyapunov-curve",),
+}
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -67,22 +77,29 @@ def test_oversized_config_rejected_with_dotted_path(tmp_path, section, field,
 @pytest.mark.parametrize("section, field, value, named", OVERSIZED)
 def test_oversized_config_exits_2(tmp_path, monkeypatch, section, field, value,
                                   named):
-    # the dense-tier sizes go to matrix-element and n_sigma to
-    # lyapunov-curve, with the model, the state and the curve stubbed so a
-    # missed rejection fails the test instead of allocating
+    # each size goes to the commands of EXITS_2_ON, with the model, the state
+    # and the curve stubbed so a missed rejection fails the test instead of
+    # allocating
     def must_not_run(*args):
         raise AssertionError("the command ran past the memory check")
 
     for name in ("build_model", "_build_state", "lyapunov_curve"):
         monkeypatch.setattr(timearrow.cli, name, must_not_run)
-    command, stem = (("lyapunov-curve", "lyapunov_curve") if named == "grid.n_sigma"
-                     else ("matrix-element", "matrix_element"))
     path = _write(tmp_path, _with(section, field, value))
-    res = CliRunner().invoke(main, [command, "--config", path,
-                                    "--out", str(tmp_path)])
-    assert res.exit_code == 2
-    assert f"config error: {named}: " in res.output
-    assert not (tmp_path / f"{stem}.csv").exists()
+    for command in EXITS_2_ON[f"{section}.{field}"]:
+        res = CliRunner().invoke(main, [command, "--config", path,
+                                        "--out", str(tmp_path)])
+        assert res.exit_code == 2, command
+        assert f"config error: {named}: " in res.output
+        assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
+
+
+def _named(command, field):
+    """The field an oversized ``field`` is named by: itself, but k_dim scales
+    the FFT tier of lyapunov-curve and the blocks of states elsewhere."""
+    if field != "grid.k_dim":
+        return field
+    return "grid.n_sigma" if command == "lyapunov-curve" else "dense.n_dense"
 
 
 @pytest.mark.parametrize("command, field", [
@@ -93,7 +110,7 @@ def test_command_rejects_oversized_field_it_reads(tmp_path, command, field):
     with pytest.raises(ConfigError) as info:
         load_config(path, command)
     [problem] = info.value.problems
-    assert problem.startswith(f"{field}: the run needs about ")
+    assert problem.startswith(f"{_named(command, field)}: the run needs about ")
 
 
 @pytest.mark.parametrize("command, field", [
@@ -103,6 +120,39 @@ def test_command_rejects_oversized_field_it_reads(tmp_path, command, field):
 def test_command_admits_oversized_field_it_ignores(tmp_path, command, field):
     cfg = _with(*field.split("."), HUGE[field])
     assert load_config(_write(tmp_path, cfg), command) == cfg
+
+
+def test_projection_family_memory_does_not_grow_with_k_dim(tmp_path):
+    # k_dim only scales its ranks and norms: the ordering spectrum it reports
+    # is one fibre's, not repeated k_dim times (2 MB per copy at k_dim 4096)
+    peaks = []
+    for k_dim in (1, 4096):
+        cfg = _with("dense", "n_dense", 64)
+        cfg["grid"]["k_dim"] = k_dim
+        out = tmp_path / str(k_dim)
+        tracemalloc.start()
+        try:
+            res = CliRunner().invoke(main, [
+                "projection-family", "--config", _write(tmp_path, cfg),
+                "--out", str(out)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0, res.output
+    assert peaks[1] <= peaks[0] + 2**18
+
+
+def test_unknown_command_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown command 'projection'"):
+        peak_memory_estimate(DEFAULT_CONFIG, "projection")
+
+
+def test_command_charged_only_the_base_names_config(tmp_path, monkeypatch):
+    # convergence reads no size field, so only a machine smaller than the
+    # base rejects it, naming no field it does not read
+    monkeypatch.setattr(_config, "_physical_memory", lambda: 2**20)
+    with pytest.raises(ConfigError, match="^config: the run needs about "):
+        load_config(None, "convergence")
 
 
 def test_row_end_past_the_float_range_is_estimated(tmp_path):
