@@ -66,10 +66,10 @@ _FFT_TABLES = 4  # complex n_sigma vectors at any k_dim
 _FFT_VECTORS = 3  # complex n_sigma vectors per fibre
 _SCENARIO_CHARGES = {
     #                    fft dense residual blocks steps floor
-    "lyapunov-curve":    (16, 0, 0, 0, 256, 0),
-    "semigroup-norms":   (16, 16, 0, 128, 256, 0),
-    "projection-family": (0, 24, 16, 0, 256, 0),
-    "matrix-element":    (0, 16, 0, 128, 256, 0),
+    "lyapunov-curve":    (16, 0, 0, 0, 64, 0),
+    "semigroup-norms":   (16, 16, 0, 128, 80, 0),
+    "projection-family": (0, 24, 16, 0, 64, 0),
+    "matrix-element":    (0, 16, 0, 128, 160, 0),
     "convergence":       (0, 0, 0, 0, 0, 0),
 }
 _CHARGES = {

@@ -114,7 +114,10 @@ def _build_state(grid: GridSpec, cfg):
             f = hardy_part(rational_hardy(grid, poles))
             return restrict(hardy_embed(f))
     rng = np.random.default_rng(cfg["state"]["seed"])
-    return random_guarded_state(grid, rng, n_terms=params["n_terms"])
+    try:
+        return random_guarded_state(grid, rng, n_terms=params["n_terms"])
+    except ValueError as exc:  # sigma_max below 40, or bins wider than packets
+        raise ConfigError([f"grid.sigma_max: {exc}"]) from None
 
 
 def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
@@ -274,10 +277,11 @@ def semigroup_norms_cmd(cfg, out_dir):
     """Norm decay under the compressed semigroup and its transported form."""
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
+    psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
     t_b = _lattice_times(grid, cfg) * grid.delta_tau
     tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
     model = build_model(dense)
-    l_psi = model.lam.apply(_build_state(dense, cfg)).amplitudes
+    l_psi = model.lam.apply(psi).amplitudes
     ks = _lattice_times(dense, cfg)
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
@@ -362,8 +366,8 @@ def projection_family_cmd(cfg, out_dir):
 def matrix_element_cmd(cfg, out_dir):
     """Observable matrix elements in the reversible and irreversible pictures."""
     dense = _dense_grid(cfg)
-    model = build_model(dense)
     psi = _build_state(dense, cfg)
+    model = build_model(dense)
     half = Space.HALF_LINE_POS
     energy = dense.sigma_pos() / dense.sigma_max  # per bin: every fibre alike
     observables = {

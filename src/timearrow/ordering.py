@@ -172,7 +172,8 @@ class ProjectionFamily:
 
     def fibre_ordering_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of one fibre's block of ``T``, without ``T``:
-        ``S (I + defect) S`` on the first ``E`` rows (``S^2 = M``), and zeros."""
+        ``S (I + defect) S`` on the first ``E`` rows (``S^2 = M``), and zeros.
+        :func:`assemble_T`'s spectrum is these, each ``k_dim`` times."""
         e, d = self.row_ends[-1], self.defect
         mids = 0.5 * (self.times[1:] + self.times[:-1])
         w = np.repeat(mids, np.diff(self.row_ends))
@@ -182,11 +183,6 @@ class ProjectionFamily:
         m.flat[:: e + 1] += w
         vals = np.concatenate([np.linalg.eigvalsh(m), np.zeros(d.shape[0] - e)])
         return np.sort(vals)
-
-    def ordering_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of :func:`assemble_T`'s ``T``: those of
-        :meth:`fibre_ordering_spectrum`, each ``k_dim`` times."""
-        return np.repeat(self.fibre_ordering_spectrum(), self.isometry.grid.k_dim)
 
 
 def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:

@@ -12,8 +12,8 @@ Every state is a small sum of Gaussian wavepackets
     a * exp(-(sigma - c)^2 / (4 w^2)) * exp(i tau0 sigma),
 
 i.e. an energy-space Gaussian of width ``w`` centered at ``c`` whose time
-profile is centered at ``tau0`` with width ``~1/w``.  The parameter boxes
-guarantee the guard-band and cut-clearance margins.
+profile is centered at ``tau0`` with width ``~1/w``.  The two guarded
+families share one packet rule and differ only in their profile window.
 """
 
 from __future__ import annotations
@@ -22,29 +22,37 @@ import numpy as np
 
 from .spaces import GridSpec, Space, StateVector
 
-__all__ = [
-    "random_guarded_state",
-    "compact_profile_state",
-    "smooth_oracle_state",
-]
+__all__ = ["random_guarded_state", "compact_profile_state", "smooth_oracle_state"]
 
 
-def _packet_sum(
-    sigma: np.ndarray,
-    k_dim: int,
-    rng: np.random.Generator,
-    n_terms: int,
-    width_lo: float,
-    width_hi: float,
-    center_lo,
-    center_hi,
-    tau0_lo: float,
-    tau0_hi: float,
-) -> np.ndarray:
-    out = np.zeros((sigma.size, k_dim), dtype=np.complex128)
+def _on_fibres(packet: np.ndarray, rng: np.random.Generator, k_dim: int) -> np.ndarray:
+    """``packet`` along a random unit fibre vector, as an (n, k_dim) array;
+    none is drawn at ``k_dim == 1``."""
+    if k_dim == 1:
+        return packet[:, None]
+    v = rng.standard_normal(k_dim) + 1j * rng.standard_normal(k_dim)
+    v /= np.linalg.norm(v)
+    return packet[:, None] * v[None, :]
+
+
+def _packets(grid: GridSpec, rng, n_terms: int, tau0_lo, tau0_hi) -> StateVector:
+    """Unit-norm sum of ``n_terms`` guarded packets on the positive half-line.
+
+    Widths in [0.5, 2], energy centers ``10 w`` clear of both ends of the
+    half-line, profile centers in ``[tau0_lo, tau0_hi]``.  ValueError if
+    ``sigma_max < 40`` (the box at ``w = 2``, empty for every seed) or if
+    the packets vanish on the grid (bins far wider than the packets).
+    """
+    if not grid.sigma_max >= 40.0:
+        raise ValueError(
+            "guarded packets need sigma_max >= 40 (centers 10 w clear of both "
+            f"ends, widths up to 2), got {grid.sigma_max:g}"
+        )
+    sigma = grid.sigma_pos()
+    out = np.zeros((sigma.size, grid.k_dim), dtype=np.complex128)
     for _ in range(n_terms):
-        w = rng.uniform(width_lo, width_hi)
-        c = rng.uniform(center_lo(w), center_hi(w))
+        w = rng.uniform(0.5, 2.0)
+        c = rng.uniform(10.0 * w, grid.sigma_max - 10.0 * w)
         tau0 = rng.uniform(tau0_lo, tau0_hi)
         a = rng.standard_normal() + 1j * rng.standard_normal()
         # a * exp(i tau0 sigma) * gaussian, built in one complex buffer
@@ -52,19 +60,16 @@ def _packet_sum(
         np.exp(packet, out=packet)
         packet *= np.exp(-((sigma - c) ** 2) / (4.0 * w * w))
         np.multiply(a, packet, out=packet)
-        if k_dim == 1:
-            out[:, 0] += packet
-        else:
-            v = rng.standard_normal(k_dim) + 1j * rng.standard_normal(k_dim)
-            v /= np.linalg.norm(v)
-            out += packet[:, None] * v[None, :]
-    return out
-
-
-def _normalized(grid: GridSpec, space: Space, amps: np.ndarray) -> StateVector:
-    flat = amps.reshape(-1)
+        out += _on_fibres(packet, rng, grid.k_dim)
+        del packet  # not held through the norm's temporaries below
+    flat = out.reshape(-1)
     scale = np.sqrt(np.sum(np.abs(flat) ** 2) * grid.delta_sigma)
-    return StateVector(grid, space, flat / scale)
+    if not scale > 0:
+        raise ValueError(
+            f"the packets vanish on the grid: its bins, {grid.delta_sigma:g} "
+            f"wide at sigma_max {grid.sigma_max:g}, miss packets 0.5 to 2 wide"
+        )
+    return StateVector(grid, Space.HALF_LINE_POS, flat / scale)
 
 
 def random_guarded_state(
@@ -72,25 +77,11 @@ def random_guarded_state(
 ) -> StateVector:
     """Unit-norm half-line state with a guard-banded time profile.
 
-    Packet widths in [0.5, 2]; energy centers keep ``10 w`` clearance from
-    both ends of the positive half-line, and profile centers stay within
-    ``t_window/20`` of zero, leaving the outer band of the window empty to
-    ~1e-16 of the norm.
+    Profile centers stay within ``t_window/20`` of zero, leaving the outer
+    band of the window empty to ~1e-16 of the norm.  ValueError if
+    ``sigma_max < 40`` or if the bins are too wide to see the packets.
     """
-    sigma = grid.sigma_pos()
-    amps = _packet_sum(
-        sigma,
-        grid.k_dim,
-        rng,
-        n_terms,
-        0.5,
-        2.0,
-        lambda w: 10.0 * w,
-        lambda w: grid.sigma_max - 10.0 * w,
-        -grid.t_window / 20.0,
-        grid.t_window / 20.0,
-    )
-    return _normalized(grid, Space.HALF_LINE_POS, amps)
+    return _packets(grid, rng, n_terms, -grid.t_window / 20.0, grid.t_window / 20.0)
 
 
 def compact_profile_state(
@@ -98,26 +89,13 @@ def compact_profile_state(
 ) -> StateVector:
     """Guard-banded half-line state whose profile sits at small positive time.
 
-    Same construction as :func:`random_guarded_state` but with profile
-    centers in ``[t_window/40, t_window/20]``, so essentially all of the
-    forward image's time support lies in a short early stretch of the
-    window — the family used for decay-to-zero checks, which need the
-    profile gone long before the half-window horizon.
+    The packets of :func:`random_guarded_state` with profile centers in
+    ``[t_window/40, t_window/20]``, so essentially all of the forward
+    image's time support lies in a short early stretch of the window — the
+    family used for decay-to-zero checks, which need the profile gone long
+    before the half-window horizon.
     """
-    sigma = grid.sigma_pos()
-    amps = _packet_sum(
-        sigma,
-        grid.k_dim,
-        rng,
-        n_terms,
-        0.5,
-        2.0,
-        lambda w: 10.0 * w,
-        lambda w: grid.sigma_max - 10.0 * w,
-        grid.t_window / 40.0,
-        grid.t_window / 20.0,
-    )
-    return _normalized(grid, Space.HALF_LINE_POS, amps)
+    return _packets(grid, rng, n_terms, grid.t_window / 40.0, grid.t_window / 20.0)
 
 
 def smooth_oracle_state(grid: GridSpec, rng: np.random.Generator) -> StateVector:
@@ -136,10 +114,5 @@ def smooth_oracle_state(grid: GridSpec, rng: np.random.Generator) -> StateVector
     tau0 = rng.uniform(1.8, 2.8)
     a = (0.5 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
     packet = a * np.exp(-((sigma - c) ** 2) / (4.0 * w * w)) * np.exp(1j * tau0 * sigma)
-    if grid.k_dim == 1:
-        amps = packet[:, None]
-    else:
-        v = rng.standard_normal(grid.k_dim) + 1j * rng.standard_normal(grid.k_dim)
-        v /= np.linalg.norm(v)
-        amps = packet[:, None] * v[None, :]
+    amps = _on_fibres(packet, rng, grid.k_dim)
     return StateVector(grid, Space.FULL_LINE, amps.reshape(-1))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timearrow import make_grid
+from timearrow import DEFAULT_CONFIG, make_grid
 from timearrow.cli import _atomic_write, main
 
 SMALL = {
@@ -124,6 +124,24 @@ class TestConfigHandling:
         assert res.exit_code == 2
         assert f"config error: {section}.{field}:" in _stderr(res)
         assert not (tmp_path / "lyapunov_curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["lyapunov-curve", "semigroup-norms",
+                                         "matrix-element"])
+    @pytest.mark.parametrize("sigma_max", [39.0, 1e6],
+                             ids=["box-empty", "packets-vanish"])
+    def test_sigma_max_the_random_state_cannot_use_exits_2(self, tmp_path,
+                                                           command, sigma_max):
+        # the default config but for sigma_max: below 40 the packet box is
+        # empty, and at 1e6 the bins are wider than the packets (a 0/0 state)
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        cfg["grid"]["sigma_max"] = sigma_max
+        out = tmp_path / "out"
+        res = _run([command, "--config", _write_cfg(tmp_path, cfg),
+                    "--out", str(out)])
+        assert res.exit_code == 2
+        assert _stderr(res).startswith("config error: grid.sigma_max: ")
+        assert "Traceback" not in res.output
+        assert not out.exists()
 
     def test_defaults_used_without_config_flag(self, tmp_path):
         # no --config: the built-in default config drives the run

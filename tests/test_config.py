@@ -21,6 +21,7 @@ from timearrow._config import (
     ConfigError,
     load_config,
     peak_memory_estimate,
+    validate_config,
 )
 from timearrow.cli import main
 
@@ -312,26 +313,94 @@ def test_estimate_bounds_measured_peaks_at_k_dim_8(command, n_steps, measured_mb
 
 
 # each command that reads times at n_dense 64 over many steps, where the
-# per-step rows dominate; the estimate charges all of them the 256 bytes a
-# step of matrix-element, so it is not held to 2x here
+# per-step rows dominate: the child's peak at four step counts, from which
+# each command's bytes per step were fitted (147 / 65 / 48 / 50 for
+# matrix-element / semigroup-norms / projection-family / lyapunov-curve);
+# matrix-element exits 1 there (times past the half window), after writing
 STEP_PEAKS_MB = {
-    "matrix-element": (200_000, 66.1),
-    "semigroup-norms": (200_000, 50.7),
-    "projection-family": (200_000, 41.2),
-    "lyapunov-curve": (1_000_000, 84.3),
+    "matrix-element": {50_000: 45.2, 100_000: 52.0, 200_000: 66.1, 400_000: 94.2},
+    "semigroup-norms": {50_000: 41.5, 100_000: 44.9, 200_000: 51.1,
+                        400_000: 63.4},
+    "projection-family": {50_000: 34.2, 100_000: 36.6, 200_000: 41.2,
+                          400_000: 50.3},
+    "lyapunov-curve": {250_000: 48.7, 500_000: 60.5, 1_000_000: 84.2,
+                       2_000_000: 131.9},
 }
 
 
 @pytest.mark.parametrize("command, n_steps, measured_mb", [
     pytest.param(command, n_steps, mb, id=f"{command}-{n_steps}-steps")
-    for command, (n_steps, mb) in STEP_PEAKS_MB.items()
+    for command, peaks in STEP_PEAKS_MB.items()
+    for n_steps, mb in peaks.items()
 ])
 def test_estimate_bounds_measured_step_peaks(command, n_steps, measured_mb):
     cfg = _with("dense", "n_dense", 64)
     cfg["times"]["n_steps"] = n_steps
     need, field = peak_memory_estimate(cfg, command)
     assert field == "times.n_steps"
-    assert measured_mb * 2**20 <= need
+    assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
+
+
+# one bad value per validation rule: (dotted path, value, today's message);
+# a path into state.parameters may carry the state kind it needs first
+_WITNESS = {"kind": "witness", "parameters": {"mu": [25.0, -1.0], "t0": 1.0}}
+_RATIONAL = {"kind": "rational", "parameters": {"poles": [[25.0, -1.0, 1]]}}
+INVALID = [
+    ("grid.extra", 1, "grid.extra: unknown field"),
+    ("times.t_max", None, "times.t_max: missing required field"),
+    ("grid.k_dim", True, "grid.k_dim: expected an integer >= 1, got True"),
+    ("state.kind", "gaussian",
+     "state.kind: expected one of rational|witness|random, got 'gaussian'"),
+    ("state.seed", 2**64,
+     f"state.seed: expected an integer in [0, 2^64), got {2**64}"),
+    ("state.parameters.mu", [25.0],
+     "state.parameters.mu: expected [re, im] pair of numbers"),
+    ("state.parameters.mu", [25.0, 0.0],
+     "state.parameters.mu: Im(mu) must be negative, got 0.0"),
+    ("state.parameters.poles", [[25.0, -1.0]],
+     "state.parameters.poles[0]: expected [re, im, order] with integer order"),
+    ("state.parameters.poles", [[25.0, -1.0, 3]],
+     "state.parameters.poles[0]: order must be 1 or 2, got 3"),
+    ("state.parameters.poles", [[25.0, 0.5, 1]],
+     "state.parameters.poles[0]: Im(mu) must be negative, got 0.5"),
+    ("state.parameters.n_terms", 0,
+     "state.parameters.n_terms: expected an integer >= 1, got 0"),
+    ("times.snap_times", 1, "times.snap_times: expected true/false, got 1"),
+]
+
+
+def _set(cfg, path, value):
+    """``cfg`` with the dotted ``path`` set to ``value`` (``None`` deletes it)."""
+    *sections, field = path.split(".")
+    if path.startswith("state.parameters.") and field != "n_terms":
+        cfg["state"].update(copy.deepcopy(_WITNESS if field == "mu" else _RATIONAL))
+    for name in sections:
+        cfg = cfg[name]
+    if value is None:
+        del cfg[field]
+    else:
+        cfg[field] = value
+
+
+@pytest.mark.parametrize("path, value, message", INVALID,
+                         ids=[message.split(":")[0] + f"={value!r}"
+                              for _, value, message in INVALID])
+def test_validate_config_names_each_bad_field(path, value, message):
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    _set(cfg, path, value)
+    assert validate_config(cfg) == [message]
+
+
+def test_validate_config_reports_every_problem():
+    # one config with a problem in every section but the state's kind (a kind
+    # validates only its own parameters)
+    several = ("grid.extra", "grid.k_dim", "times.t_max", "times.snap_times",
+               "state.seed", "state.parameters.n_terms")
+    cases = [case for case in INVALID if case[0] in several]
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for path, value, _ in cases:
+        _set(cfg, path, value)
+    assert sorted(validate_config(cfg)) == sorted(message for *_, message in cases)
 
 
 def test_default_config_is_valid(tmp_path):

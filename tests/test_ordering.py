@@ -267,7 +267,7 @@ class TestSpectralMeasure:
         monkeypatch.setattr(ProlateOp, "_entries", property(counted))
         fam = spectral_measure(model, np.array([0, 8, 40, 64]) * model.grid.delta_tau)
         fam.residuals()
-        fam.ordering_spectrum()
+        fam.fibre_ordering_spectrum()
         assert calls["_entries"] == 0
         fam.projection(1)  # the dense routes build it on request
         assert calls["_entries"] == 1
@@ -369,7 +369,7 @@ class TestKroneckerOracle:
             assert min(row[3] for row in got) > _CLUSTER_GAP
         w = np.zeros(r.shape[0])
         w[: ks[-1] * k_dim] = np.repeat(0.5 * (times[1:] + times[:-1]), np.diff(ks) * k_dim)
-        spectrum = per_bin.ordering_spectrum()
+        spectrum = np.repeat(per_bin.fibre_ordering_spectrum(), k_dim)
         dense = np.linalg.eigvalsh((r.conj().T * w) @ r)
         assert spectrum.shape == dense.shape
         assert np.abs(spectrum - dense).max() <= 1e-12
@@ -401,7 +401,7 @@ class TestKroneckerOracle:
         model = build_model(grid)
         fam = spectral_measure(model, ks * grid.delta_tau)
         ranks = [row[0] for row in fam.residuals()]
-        fam.ordering_spectrum()
+        fam.fibre_ordering_spectrum()
         psi = _rand_half(grid, rng)
         energy = LinOp(grid, half, half, grid.sigma_pos(), hermitian=True)
         observables = [identity_op(grid, half), energy, _hermitian_op(grid, rng)]
@@ -439,7 +439,7 @@ class TestOrderingOperator:
         m = request.getfixturevalue(fixture)
         fam = spectral_measure(m, np.array(ks) * m.grid.delta_tau)
         dense = np.linalg.eigvalsh(assemble_T(fam).matrix)
-        vals = fam.ordering_spectrum()
+        vals = np.repeat(fam.fibre_ordering_spectrum(), m.grid.k_dim)
         assert vals.shape == dense.shape
         assert np.max(np.abs(vals - dense)) <= 1e-10
 
