@@ -374,7 +374,9 @@ def matrix_element_cmd(cfg, out_dir):
         "identity": identity_op(dense, half),
         "energy": LinOp(dense, half, half, energy, hermitian=True),
     }
-    times = _lattice_times(dense, cfg) * dense.delta_tau
+    ks = _lattice_times(dense, cfg)
+    past = int(np.count_nonzero(ks >= dense.n_half()))  # Z(t) = 0 from there on
+    times = ks * dense.delta_tau
     rev, irr, diffs = irreversible_matrix_element(
         model, psi, psi, list(observables.values()), times
     )
@@ -399,17 +401,22 @@ def matrix_element_cmd(cfg, out_dir):
         rows,
         cfg,
         "matrix-element",
+        diagnostics={"times_past_half_window": past},
     )
     click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm
     worst = float(diffs.max())
     if worst > tol * scale:
-        _violation(
-            f"picture mismatch {worst:.3e} exceeds {tol:g} x state scale "
-            "(a state with guard-band leakage, e.g. a witness restricted to "
-            "the half-line, sets a leakage floor here)"
+        cause = (
+            f"{past} of the times reach the half window t = {dense.t_window / 2:.6g}, "
+            "past which Z(t) is zero while the unitary evolution recurs"
+            if past else
+            "a state with guard-band leakage, e.g. a witness restricted to "
+            "the half-line, sets a leakage floor here"
         )
+        _violation(f"picture mismatch {worst:.3e} exceeds {tol:g} x state scale "
+                   f"({cause})")
 
 
 @main.command("convergence")

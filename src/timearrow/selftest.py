@@ -8,10 +8,10 @@ refinement, at pinned grids).  :data:`CHECKS` is their table, one
 dense-tier model (the continuum checks ignore it) and returns ``(passed,
 details)``, the measured residuals; :func:`run_all` times and wraps each in a
 :class:`CheckResult`.  The CLI ``selftest`` command and the acceptance tests
-drive exactly this table.  Criteria 3, 5 and 6 read the unitarity of ``R``
-off the real defect that ``projection-family`` reads (criterion 6 through the
-family's residuals), and criteria 4, 5, 7 and 12 act on blocks of states or
-times; the complex and dense routes to those facts are test oracles.
+drive exactly this table.  Criteria 3, 5 and 6 read ``R``'s unitarity (5 its
+composition laws too, as blocks; 6 through the family's residuals) off the
+real defect that ``projection-family`` reads, and criteria 4, 5, 7 and 12 act
+on blocks of states or times; the complex and dense routes are test oracles.
 Thresholds are fixed contracts of the model, not configuration.
 """
 
@@ -41,7 +41,6 @@ from .lambda_transform import (
     _z_block,
     build_model,
     intertwining_residual,
-    z_matrix,
 )
 from .lyapunov import _omega_block, apply_omega, build_m_f, build_omega, lyapunov_curve
 from .ordering import correspondence_check, spectral_measure
@@ -56,6 +55,7 @@ __all__ = ["CheckResult", "run_all", "refinement_series", "CHECKS"]
 _SWEEP_MAX_SHIFT = 64
 _SWEEP_TIMES = 20
 _SWEEP_STATES = 20
+_LAW_PAIRS = ((1, 2), (3, 5), (8, 13), (16, 21), (20, 44), (32, 32))  # criterion 5
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,14 @@ def _frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _isometry_defect_norm(model: IrreversibleModel) -> float:
-    """``|R^H R - I| = |R R^H - I| = |Z(0) - I|``, lifted as criterion 6's is."""
-    return _frob(_isometry_defect(model.isometry)) * np.sqrt(model.grid.k_dim)
+def _defect_norms(model: IrreversibleModel) -> tuple[float, list[float]]:
+    """``|R^H R - I| = |Z(0) - I|`` and, per pair of :data:`_LAW_PAIRS`,
+    ``|Z(a)Z(b) - Z(a+b)| = |R[:n-a]^H G[a:, :n-b] R[b:]|``, ``G = R R^H - I``:
+    norms of the real defect ``D* G D`` and of its blocks (unitary legs drop
+    out; empty once ``b >= n``), lifted as criterion 6's are."""
+    d, lift = _isometry_defect(model.isometry), np.sqrt(model.grid.k_dim)
+    laws = [_frob(d[a:, : max(len(d) - b, 0)]) * lift for a, b in _LAW_PAIRS]
+    return _frob(d) * lift, laws
 
 
 def _relative_gap(grid, a: np.ndarray, b: np.ndarray) -> float:
@@ -174,7 +179,7 @@ def check_polar_factorization(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 3: square root squares back, the polar factor is unitary (the
     real defect), and the factorization reassembles the forward map."""
     lam = model.lam.matrix
-    defect = _isometry_defect_norm(model)
+    defect, _ = _defect_norms(model)
     details = {
         "sqrt_residual": _frob(lam @ lam - build_m_f(model.grid).matrix),
         "isometry_left": defect,
@@ -215,21 +220,16 @@ def check_intertwining(model: IrreversibleModel) -> tuple[bool, dict]:
 
 
 def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
-    """Criterion 5: semigroup identity (the real defect) and composition laws
-    (dense ``Z(t)`` products), and the isometric adjoint legs on guard-banded
-    states, the state set as one block per time."""
+    """Criterion 5: semigroup identity and composition laws off the real defect,
+    and the co-isometries of ``Z`` and ``T`` on a guarded block, one per time."""
     grid = model.grid
-    dt = grid.delta_tau
-    psi = np.column_stack(
-        [p.amplitudes for p in _guarded_set(grid, seed=402, count=_SWEEP_STATES)]
-    )
+    states = _guarded_set(grid, seed=402, count=_SWEEP_STATES)
+    psi = np.column_stack([p.amplitudes for p in states])
     h = _omega_block(grid, psi)
     # Z's co-isometry, like the adjoint intertwining, lives on states that
     # are guard-banded in the transported representation: the range of lam.
     chi = model.lam._act(psi)
-    law = max(_frob(z_matrix(model, a * dt) @ z_matrix(model, b * dt)
-                    - z_matrix(model, (a + b) * dt))
-              for a, b in [(1, 2), (3, 5), (8, 13), (16, 21), (20, 44), (32, 32)])
+    identity, laws = _defect_norms(model)
     zz = tt = 0.0
     for k in (1, 5, 16, 44, _SWEEP_MAX_SHIFT):
         back = _z_block(model, _z_block(model, chi, -k), k)  # Z(t) Z*(t) chi
@@ -237,8 +237,8 @@ def check_semigroup_laws(model: IrreversibleModel) -> tuple[bool, dict]:
         tt = max(tt, _relative_gap(
             grid, _toeplitz_block(grid, _toeplitz_block(grid, h, -k), k), h))
     details = {
-        "z_identity": _isometry_defect_norm(model),
-        "z_composition": law,
+        "z_identity": identity,
+        "z_composition": max(laws),
         "z_coisometry": zz,
         "toeplitz_coisometry": tt,
     }

@@ -27,6 +27,11 @@ production route against them.  Each is the literal form of its fact:
   ``|Z(0) - I|`` from complex products of the dense ``R`` on the full space
   and from ``z_matrix``, where the selftest reads the norm of the real
   defect ``D* R R^H D - I``, lifted by ``sqrt(k_dim)``.
+* :func:`composition_law` is ``Z(a delta_tau) Z(b delta_tau) - Z((a + b)
+  delta_tau)`` from three dense ``z_matrix`` calls and one complex product,
+  where the selftest reads the norm of the block ``[a:, :n-b]`` of the real
+  defect, lifted by ``sqrt(k_dim)``; the two agree exactly when ``R`` is
+  unitary.
 * :func:`two_pass_curve` is the guard-band leakage and the expectations of
   ``lyapunov_curve``, each squaring the forward image on its own, where the
   library squares it once for both.
@@ -140,6 +145,14 @@ def complex_isometry_defects(model: IrreversibleModel) -> tuple[float, float, fl
     eye = np.eye(r.shape[0])
     products = (r.conj().T @ r, r @ r.conj().T, z_matrix(model, 0.0))
     return tuple(float(np.linalg.norm(m - eye)) for m in products)
+
+
+def composition_law(model: IrreversibleModel, a: int, b: int) -> np.ndarray:
+    """``Z(a) Z(b) - Z(a + b)`` at lattice indices ``a`` and ``b``, as a dense
+    matrix on the full space."""
+    dt = model.grid.delta_tau
+    two = z_matrix(model, a * dt) @ z_matrix(model, b * dt)
+    return two - z_matrix(model, (a + b) * dt)
 
 
 def two_pass_curve(psi: StateVector, ks: np.ndarray) -> tuple[float, np.ndarray]:

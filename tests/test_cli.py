@@ -343,6 +343,24 @@ class TestMatrixElementCommand:
         assert observables == {"identity", "energy"}
         for r in rows:
             assert float(r[6]) <= 1e-8
+        meta = json.loads((tmp_path / "matrix_element.meta.json").read_text())
+        assert meta["diagnostics"] == {"times_past_half_window": 0}
+
+    def test_times_past_the_half_window_are_counted_and_named(self, tmp_path):
+        # n_dense 64 at sigma_max 50: the half window is t = 64 pi / 50 = 4.02.
+        # Past it Z(t) is zero while the unitary evolution recurs, so the
+        # pictures cannot agree; the exit names that, not guard-band leakage
+        cfg = copy.deepcopy(SMALL)
+        cfg["dense"] = {"n_dense": 64}
+        cfg["times"]["t_max"] = 2000.0
+        path = _write_cfg(tmp_path, cfg)
+        res = _run(["matrix-element", "--config", path, "--out", str(tmp_path)])
+        assert res.exit_code == 1
+        meta = json.loads((tmp_path / "matrix_element.meta.json").read_text())
+        assert meta["diagnostics"] == {"times_past_half_window": 4}
+        err = _stderr(res)
+        assert "4 of the times reach the half window t = 4.02124" in err
+        assert "leakage" not in err
 
     def test_witness_state_reports_leakage_floor(self, tmp_path):
         # restriction of the witness loses ~0.6% of its mass below the cut;
@@ -358,6 +376,7 @@ class TestMatrixElementCommand:
         res = _run(["matrix-element", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 1
         assert "exceeds" in _stderr(res)
+        assert "leakage floor" in _stderr(res)
         # outputs are still written for inspection
         assert (tmp_path / "matrix_element.csv").exists()
 

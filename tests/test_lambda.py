@@ -25,7 +25,7 @@ from timearrow import (
 )
 from timearrow.lambda_transform import _prolate_halves, _z_block
 from timearrow.lyapunov import _dft_lookup
-from oracles import dense_polar_factors, fiberize
+from oracles import composition_law, dense_polar_factors, fiberize, perturbed_model
 
 
 # Oracles of build_model: the square root from the eigendecomposition of the
@@ -353,6 +353,25 @@ class TestContractionSemigroup:
             two = z_matrix(model, k1 * dt) @ z_matrix(model, k2 * dt)
             one = z_matrix(model, (k1 + k2) * dt)
             assert np.linalg.norm(two - one) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [3e-6, 1e-6])
+    @pytest.mark.parametrize("k_dim", [1, 4])
+    @pytest.mark.parametrize("n_dense", [4, 32, 64])
+    def test_composition_law_is_a_block_of_the_defect(self, n_dense, k_dim, eps):
+        # Z(a)Z(b) - Z(a+b) = R[:n-a]^H G[a:, :n-b] R[b:], G = R R^H - I, for
+        # any R: on perturbed halves, as matrices, to a relative 1e-10; at
+        # n_dense 32 the pair (20, 44) has a < n <= b and both sides are 0
+        model = perturbed_model(build_model(make_grid(2 * n_dense, 100.0, k_dim)), eps)
+        r = model.isometry._entries
+        g = r @ r.conj().T - np.eye(n_dense)
+        for a, b in ((1, 2), (3, 5), (8, 13), (16, 21), (20, 44), (32, 32)):
+            dense = composition_law(model, a, b)
+            m = max(n_dense - b, 0)
+            block = fiberize(r[: max(n_dense - a, 0)].conj().T @ g[a:, :m] @ r[b:],
+                             k_dim)
+            if a < n_dense <= b:
+                assert not dense.any() and not block.any()
+            assert np.linalg.norm(dense - block) <= 1e-10 * np.linalg.norm(block)
 
     def test_norms_never_increase(self, model, rng):
         psi = _rand_half(model.grid, rng)
