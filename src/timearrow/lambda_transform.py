@@ -13,8 +13,9 @@ into sample ``j``.  Every operator here acts on each fibre alike (see
 bin ``j``, and ``Z(t) = R[:n-k]^H R[k:]`` on every fibre.  ``_z_block`` is
 the one place that composes the two legs of ``R`` with the slices of
 :mod:`timearrow.evolution` between them; :func:`z_evolve`, :func:`z_adjoint`
-and every block of states or times use it.  ``lam`` and ``R`` act from the
-real halves of ``Q`` (below); their dense matrices are built on request.
+and every block of states or times use it.  ``lam`` and ``R`` act from one
+real matrix ``v`` that holds both halves of ``Q`` (below); their dense
+matrices are built on request.
 
 Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
@@ -23,7 +24,10 @@ here inverts ``lam``, forms ``M^(-1/2)`` or takes an SVD.  The scalar map is
 DFT block; ``E`` commutes with a real tridiagonal ``T`` (the discrete
 prolate structure of Slepian and Grünbaum) whose eigenvectors ``q_k``, in
 descending order, alternate in parity and satisfy ``E q_k = (-i)^k sigma_k
-q_k``, all from one half-size eigenproblem (:func:`_prolate_halves`).  So
+q_k``, all from one half-size eigenproblem (:func:`_prolate_vectors`).  Its
+eigenvectors ``v``, in ascending order, are the model's one stored matrix:
+``Q = [[v J, S v], [J v J, -J S v]] / sqrt(2)``, with ``J`` the reversal and
+``S = diag((-1)^j)`` the parity signs, both exact.  So
 ``R = gamma D Q diag((-i)^k) Q^T D`` takes its phases from the parity rule,
 not from ``omega q_k / sigma_k``: unitary and symmetric (as ``omega`` is) even
 where ``sigma_k`` is rounding noise, and ``lam = conj(D) Q diag(sigma) Q^T D``
@@ -54,17 +58,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProlateOp:
-    """``left * Q diag(c) Q^T (right * x)`` on every fibre, ``Q = [[Y_e, Y_o],
-    [J Y_e, -J Y_o]] / sqrt(2)``, ``c`` real times ``phase`` on its odd half.
+    """``left * Q diag(c) Q^T (right * x)`` on every fibre, ``Q = [[v J, S v],
+    [J v J, -J S v]] / sqrt(2)``, ``c`` real times ``phase`` on its odd half.
     Blocks are ``n x (k_dim m)`` views, as for :class:`~timearrow.spaces.LinOp`;
     each real product takes their real and imaginary parts at once (3x faster
-    than numpy's real-times-complex one).  The adjoint conjugates ``phase``,
-    ``left`` and ``right``; ``_entries`` and ``matrix`` are built on request."""
+    than numpy's real-times-complex one), and ``S`` and ``J`` act on those
+    blocks, never on ``v``.  The adjoint conjugates ``phase``, ``left`` and
+    ``right``; ``_entries`` and ``matrix`` are built on request."""
 
     grid: GridSpec
     domain: Space
     codomain: Space
-    halves: tuple
+    v: np.ndarray
     c: np.ndarray
     phase: complex
     left: np.ndarray
@@ -80,17 +85,22 @@ class ProlateOp:
         left, right, phase = self.left, self.right, self.phase
         if adjoint:
             left, right, phase = right.conj(), left.conj(), np.conj(phase)
-        y_even, y_odd = self.halves
-        h = y_even.shape[0]
+        v = self.v
+        h = v.shape[0]
+        s = _parity_signs(h)[:, None]
         b = a.reshape(2 * h, self.grid.k_dim, -1)
         x = np.multiply(b, right[:, None, None], order="C").reshape(2 * h, -1)
-        # Q^T folds the halves as top +- J bottom
-        even = real_product(y_even.T, x[:h] + x[h:][::-1])
-        odd = real_product(y_odd.T, x[:h] - x[h:][::-1])
+        # Q^T folds the halves as top +- J bottom; the even half's rows come
+        # in v's ascending order, so c_e is read reversed
+        even = real_product(v.T, x[:h] + x[h:][::-1])
+        odd = x[:h] - x[h:][::-1]
         del x
-        even *= 0.5 * self.c[:h, None]
+        odd *= s
+        odd = real_product(v.T, odd)
+        even *= 0.5 * self.c[h - 1 :: -1, None]
         odd *= (0.5 * phase) * self.c[h:, None]
-        even, odd = real_product(y_even, even), real_product(y_odd, odd)
+        even, odd = real_product(v, even), real_product(v, odd)
+        odd *= s
         out = np.empty((2 * h, even.shape[1]), dtype=np.complex128)
         np.add(even, odd, out=out[:h])
         np.subtract(even, odd, out=out[h:][::-1])
@@ -98,8 +108,14 @@ class ProlateOp:
         return out.reshape(a.shape)
 
     def _parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real ``h x h`` parts ``Y_e c_e Y_e^T`` and ``Y_o c_o Y_o^T``."""
-        return tuple((y * c) @ y.T for y, c in zip(self.halves, np.split(self.c, 2)))
+        """The real ``h x h`` parts ``Y_e c_e Y_e^T`` and ``Y_o c_o Y_o^T =
+        S v c_o v^T S``, the even one through the reversed view of ``v``."""
+        y, (c_e, c_o) = self.v[:, ::-1], np.split(self.c, 2)
+        s = _parity_signs(y.shape[0])
+        odd = (self.v * c_o) @ self.v.T
+        odd *= s[:, None]
+        odd *= s
+        return (y * c_e) @ y.T, odd
 
     @property
     def _entries(self) -> np.ndarray:
@@ -147,9 +163,10 @@ def _isometry_defect(r: ProlateOp) -> np.ndarray:
 class IrreversibleModel:
     """Matched factorization of the forward map ``omega`` on one grid.
 
-    Stored: the real halves ``(Y_e, Y_o)`` of one eigenbasis (module note),
-    the singular values ``sigma`` in its order, the phases ``d`` and ``gamma``;
-    ``omega`` and the Lyapunov operator are not.  ``lam`` and ``isometry`` are
+    Stored: the one real matrix ``v`` of the eigenbasis ``Q = [[v J, S v],
+    [J v J, -J S v]] / sqrt(2)`` (module note), the singular values ``sigma``
+    in ``Q``'s order, the phases ``d`` and ``gamma``; ``omega`` and the
+    Lyapunov operator are not.  ``lam`` and ``isometry`` are
     :class:`ProlateOp` views built on each access, so ``isometry @ lam =
     omega`` and the intertwining relations hold at machine precision.
     ``singular_values``: sorted descending, repeated on every fibre; the
@@ -157,19 +174,19 @@ class IrreversibleModel:
     """
 
     grid: GridSpec
-    halves: tuple
+    v: np.ndarray
     sigma: np.ndarray
     d: np.ndarray
     gamma: complex
 
     def __post_init__(self):
-        for a in (*self.halves, self.sigma, self.d):
+        for a in (self.v, self.sigma, self.d):
             a.setflags(write=False)
 
     @property
     def lam(self) -> ProlateOp:
         half = Space.HALF_LINE_POS
-        return ProlateOp(self.grid, half, half, self.halves, self.sigma, 1.0,
+        return ProlateOp(self.grid, half, half, self.v, self.sigma, 1.0,
                          self.d.conj(), self.d, hermitian=True)
 
     @property
@@ -177,24 +194,30 @@ class IrreversibleModel:
         # (-i)^k on q_k: +-1 alternating on the even and -i times that on the odd
         alt = np.tile((-1.0) ** np.arange(self.sigma.size // 2), 2)
         return ProlateOp(self.grid, Space.HALF_LINE_POS, Space.HARDY_PLUS,
-                         self.halves, alt, -1j, self.gamma * self.d, self.d)
+                         self.v, alt, -1j, self.gamma * self.d, self.d)
 
     @property
     def singular_values(self) -> np.ndarray:
         return np.repeat(np.sort(self.sigma)[::-1], self.grid.k_dim)
 
 
-def _prolate_halves(n_sigma: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvector halves of the tridiagonal that commutes with ``E``.
+def _parity_signs(h: int) -> np.ndarray:
+    """The diagonal of ``S = diag((-1)^j)``, ``j = 0 .. h-1``."""
+    return (-1.0) ** np.arange(h)
+
+
+def _prolate_vectors(n_sigma: int) -> np.ndarray:
+    """Eigenvectors of the tridiagonal that commutes with ``E``, as one matrix.
 
     ``T`` has zero diagonal and off-diagonal ``sin(pi j / n) sin(pi (N - j)
     / n)``, ``j = 1 .. N-1``.  It is persymmetric, so its eigenvectors are
     ``[y; J y] / sqrt(2)`` (even) and ``[y; -J y] / sqrt(2)`` (odd), with
     ``y`` an eigenvector of the leading ``N/2`` block ``A_+`` or ``A_-``:
     plus or minus the coupling entry in its last diagonal place.  ``A_- = -S
-    A_+ S`` exactly, ``S = diag((-1)^j)``, so the odd ``y`` in descending
-    order are ``S`` times the even ones in ascending order.  Returns both as
-    C-ordered columns in descending order of eigenvalue.
+    A_+ S`` exactly (:func:`_parity_signs`), so with ``v`` the eigenvectors of
+    ``A_+`` in ascending order, the even half in descending order is ``Y_e =
+    v J`` (its columns reversed) and the odd half is ``Y_o = S v``.  Returns
+    ``v``, C-ordered, the one matrix from which both halves are read.
     """
     nh = n_sigma // 2
     j = np.arange(1, nh // 2 + 1)
@@ -202,8 +225,7 @@ def _prolate_halves(n_sigma: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.diag(off[:-1], 1)
     a += a.T
     a[-1, -1] = off[-1]
-    v = np.linalg.eigh(a)[1]
-    return np.ascontiguousarray(v[:, ::-1]), v * (-1.0) ** j[:, None]
+    return np.linalg.eigh(a)[1]
 
 
 def build_model(grid: GridSpec) -> IrreversibleModel:
@@ -211,14 +233,16 @@ def build_model(grid: GridSpec) -> IrreversibleModel:
     for both halves of the commuting tridiagonal (see the module note) and two
     half-size real products for the singular values; no SVD, no dense matrix."""
     n, nh = grid.n_sigma, grid.n_half()
-    y_even, y_odd = halves = _prolate_halves(n)
-    # sigma_k = |E q_k|: C = Re and S = -Im of E's leading quarter act on the
-    # even / odd halves, each gathered from its part of the lookup table
+    v = _prolate_vectors(n)
+    # sigma_k = |E q_k|: Re and -Im of E's leading quarter act on the even /
+    # odd halves (v reversed, S v), each gathered from the lookup table
     index, table = _dft_lookup(n, 2 * np.arange(nh // 2) + 1 - nh)
-    s = 2.0 * np.concatenate([np.linalg.norm(table.real[index] @ y_even, axis=0),
-                              np.linalg.norm(table.imag[index] @ y_odd, axis=0)])
+    even = np.linalg.norm(table.real[index] @ v, axis=0)[::-1]
+    odd = table.imag[index]
+    odd *= _parity_signs(nh // 2)
+    s = 2.0 * np.concatenate([even, np.linalg.norm(odd @ v, axis=0)])
     d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
-    return IrreversibleModel(grid, halves, s, d, np.exp(-0.25j * np.pi * nh))
+    return IrreversibleModel(grid, v, s, d, np.exp(-0.25j * np.pi * nh))
 
 
 def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:

@@ -18,7 +18,8 @@ Their dense matrices are built on request.  The family's numbers need none
 of them, nor ``R``: only ``G = R R^H``, through the real defect ``D* G D -
 I`` (``D`` the unit phases of ``R = gamma D Q C Q^T D``; norms, traces and
 leading-block spectra do not see ``D``; its norm is also ``|R^H R - I|``),
-built from the model's halves by :mod:`timearrow.lambda_transform`.
+built from the model's one eigenvector matrix ``v`` by
+:mod:`timearrow.lambda_transform`.
 :meth:`ProjectionFamily.residuals` reads it, with Weyl-certified ranks.  As
 ``spec(XY) = spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the
 midpoint weights) has the spectrum of ``M^(1/2) G M^(1/2)``: that of its

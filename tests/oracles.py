@@ -36,13 +36,16 @@ production route against them.  Each is the literal form of its fact:
   ``lyapunov_curve``, each squaring the forward image on its own, where the
   library squares it once for both.
 * :func:`dense_polar_factors` assembles the dense ``lam`` and ``R`` per bin
-  from the model's eigenvector halves, with ``lam``'s phases ``conj(d_i) d_j
-  = i^(i - j)`` set exactly, where the library applies both as factored
+  from the two eigenvector halves, which it reads off the model's one matrix
+  ``v`` by the parity rule itself (the even half ``v`` with its columns
+  reversed, the odd half ``S v``), with ``lam``'s phases ``conj(d_i) d_j =
+  i^(i - j)`` set exactly, where the library applies both as factored
   operators and builds their dense forms from floating-point phase vectors.
 
 :func:`perturbed_model` is not an oracle but a test input: a model whose
-halves are moved off orthogonality, so that the residuals that vanish to
-rounding on the built model have digits to compare.
+eigenvector matrix ``v`` is moved off orthogonality, so that the residuals
+that vanish to rounding on the built model have digits to compare.  Both
+halves are read off the one moved ``v``, so they move together.
 """
 
 import numpy as np
@@ -72,12 +75,12 @@ def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
 
 
 def perturbed_model(model: IrreversibleModel, eps: float) -> IrreversibleModel:
-    """``model`` with each eigenvector half moved by ``eps`` times a seeded
-    real normal matrix: ``R`` and ``lam`` stay factored, but ``R R^H - I`` is
-    of order ``eps``."""
+    """``model`` with its eigenvector matrix ``v`` moved by ``eps`` times a
+    seeded real normal matrix: ``R`` and ``lam`` stay factored, but ``R R^H -
+    I`` is of order ``eps``."""
     rng = np.random.default_rng(31)
-    halves = tuple(y + eps * rng.normal(size=y.shape) for y in model.halves)
-    return IrreversibleModel(model.grid, halves, model.sigma, model.d, model.gamma)
+    v = model.v + eps * rng.normal(size=model.v.shape)
+    return IrreversibleModel(model.grid, v, model.sigma, model.d, model.gamma)
 
 
 def toeplitz_adjoint(f: StateVector, t: float) -> StateVector:
@@ -107,11 +110,13 @@ def past_projection(model: IrreversibleModel, t: float) -> LinOp:
 def dense_polar_factors(model: IrreversibleModel) -> tuple[np.ndarray, np.ndarray]:
     """``(lam, R)`` as dense ``n x n`` matrices from the halves ``y`` and the
     singular values that the model stores: each block of the persymmetric
-    ``Q diag(c) Q^T`` from half-size real products, then the phases.  ``lam``
-    is Hermitian bit for bit: its real blocks are symmetrized and its phases
-    are the exact powers of ``i``."""
-    y_even, y_odd = model.lam.halves
-    h = y_even.shape[0]
+    ``Q diag(c) Q^T`` from half-size real products, then the phases.  The
+    halves are copies made by the parity rule: ``v`` reversed and ``S v``,
+    ``S = diag((-1)^j)``.  ``lam`` is Hermitian bit for bit: its real blocks
+    are symmetrized and its phases are the exact powers of ``i``."""
+    h = model.v.shape[0]
+    y_even = np.ascontiguousarray(model.v[:, ::-1])
+    y_odd = model.v * ((-1.0) ** np.arange(h))[:, None]
     nh = 2 * h
     s_even, s_odd = model.lam.c[:h], model.lam.c[h:]
     alt = (-1.0) ** np.arange(h)

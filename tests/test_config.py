@@ -178,14 +178,14 @@ def test_row_end_past_the_float_range_is_estimated(tmp_path):
 # and the k_dim 8 and per-step peaks come from a parent without numpy.
 # Each command at n_dense 512 / 1024 / 2048 / 4096:
 MEASURED_PEAKS_MB = {
-    "projection-family": (37.7, 52.0, 108.1, 295.6),
+    "projection-family": (37.5, 51.8, 108.1, 263.5),
     "matrix-element": (40.9, 49.4, 81.8, 198.8),
     "semigroup-norms": (41.6, 50.5, 82.6, 205.4),
 }
 # projection-family over the full half window, t_max = n_dense / 32, where the
-# residual loop's E x E blocks are n_dense x n_dense (at 2048, heap memory that
-# glibc keeps: 148.0 MB with MALLOC_TRIM_THRESHOLD_ 1 MB)
-FULL_WINDOW_PEAKS_MB = (41.5, 68.0, 171.5, 485.8)
+# residual loop's E x E blocks are n_dense x n_dense (at 2048, 140.0 MB with
+# MALLOC_TRIM_THRESHOLD_ 1 MB: glibc keeps no freed heap at the peak)
+FULL_WINDOW_PEAKS_MB = (39.6, 60.0, 139.7, 453.8)
 
 
 @pytest.mark.parametrize("command, n_dense, t_max, measured_mb", [
@@ -436,8 +436,8 @@ def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
 # selftest at k_dim 1 whatever the config: criterion 11's fixed 1024-bin
 # quadrature grid sets the peak up to n_dense 256, the dense criteria above
 # (at 2048 the run exits 1 on criterion 7)
-SELFTEST_PEAKS_MB = {16: 73.2, 128: 75.4, 256: 81.3, 512: 133.0, 1024: 431.6,
-                     2048: 1617.8}
+SELFTEST_PEAKS_MB = {16: 73.2, 128: 75.4, 256: 81.3, 512: 132.0, 1024: 423.8,
+                     2048: 1585.7}
 
 
 @pytest.mark.parametrize("n_dense, measured_mb", [

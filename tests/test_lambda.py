@@ -1,6 +1,7 @@
 """Square-root factor, polar isometry, and the contraction semigroup Z."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
-from timearrow.lambda_transform import _prolate_halves, _z_block
+from timearrow.lambda_transform import _prolate_vectors, _z_block
 from timearrow.lyapunov import _dft_lookup
 from oracles import composition_law, dense_polar_factors, fiberize, perturbed_model
 
@@ -218,17 +219,18 @@ class TestStructuredFactorization:
     def test_odd_block_is_a_signed_copy_of_the_even_block(self, n_dense):
         # the halves solve the leading block A plus (A_+) or minus (A_-) the
         # coupling in its last diagonal place, and A_- = -S A_+ S exactly,
-        # S = diag((-1)^j); so the odd half, built from the even one, solves
-        # A_- with its eigenvalues descending
+        # S = diag((-1)^j); so from the one matrix v of A_+'s eigenvectors,
+        # ascending, the parity rule reads the even half as v reversed and the
+        # odd half as S v, which solves A_-: both with eigenvalues descending
         t = _commuting_tridiagonal(make_grid(2 * n_dense, 20.0, 1))
         h = n_dense // 2
         a_plus, a_minus = t[:h, :h].copy(), t[:h, :h].copy()
         a_plus[-1, -1], a_minus[-1, -1] = t[h - 1, h], -t[h - 1, h]
         s = (-1.0) ** np.arange(h)
         assert np.array_equal(a_minus, -(s[:, None] * a_plus * s))
-        y_even, y_odd = _prolate_halves(2 * n_dense)
-        for a, y in ((a_plus, y_even), (a_minus, y_odd)):
-            assert y.flags.c_contiguous
+        v = _prolate_vectors(2 * n_dense)
+        assert v.flags.c_contiguous and v.dtype == np.float64
+        for a, y in ((a_plus, v[:, ::-1]), (a_minus, s[:, None] * v)):
             mu = np.einsum("jk,jk->k", y, a @ y)
             assert np.all(np.diff(mu) < 0)
             assert np.abs(a @ y - y * mu).max() <= 1e-13
@@ -292,8 +294,9 @@ def _held_bytes(obj, seen=None) -> int:
 
 
 class TestFactoredModel:
-    """``lam`` and ``R`` act from the two real eigenvector halves; their dense
-    forms are built on request and agree with the dense assembly."""
+    """``lam`` and ``R`` act from the one real eigenvector matrix ``v``, which
+    holds both halves; their dense forms are built on request and agree with
+    the dense assembly."""
 
     @pytest.mark.parametrize("n_dense, k_dim", [(8, 1), (8, 2), (64, 1), (64, 2),
                                                 (512, 1), (512, 2)])
@@ -320,24 +323,42 @@ class TestFactoredModel:
     @pytest.mark.parametrize("n_dense", [4, 64, 512])
     def test_singular_values_match_the_complex_block_route(self, n_dense):
         # the even / odd singular values from the real and imaginary parts of
-        # the complex quarter of E, as one array: the same digits
+        # the complex quarter of E, on the halves the parity rule reads off v
+        # (v reversed, S v), as one array: the same digits
         n, h = 2 * n_dense, n_dense // 2
         index, table = _dft_lookup(n, 2 * np.arange(h) + 1 - n_dense)
         e = table[index]
-        y_even, y_odd = _prolate_halves(n)
+        v = _prolate_vectors(n)
+        y_even = np.ascontiguousarray(v[:, ::-1])
+        y_odd = v * ((-1.0) ** np.arange(h))[:, None]
         want = np.concatenate([2.0 * np.linalg.norm(e.real @ y_even, axis=0),
                                2.0 * np.linalg.norm(e.imag @ y_odd, axis=0)])
         assert np.array_equal(build_model(make_grid(n, 20.0, 1)).lam.c, want)
 
-    def test_model_holds_two_real_halves(self, model):
-        # n_dense 512: two real h x h halves shared by lam and R, plus O(N)
-        # vectors; no n x n matrix, real or complex
+    def test_model_holds_one_real_matrix(self, model):
+        # n_dense 512: one real h x h matrix v shared by lam and R, plus O(N)
+        # vectors; no second half, no n x n matrix, real or complex
         n, h = model.grid.n_half(), model.grid.n_half() // 2
-        y_even, y_odd = model.lam.halves
-        assert model.isometry.halves is model.lam.halves
-        assert y_even.shape == y_odd.shape == (h, h)
-        assert y_even.dtype == y_odd.dtype == np.float64
-        assert _held_bytes(model) <= 2 * h * h * 8 + 128 * n
+        v = model.lam.v
+        assert model.isometry.v is v
+        assert v.shape == (h, h)
+        assert v.dtype == np.float64 and v.flags.c_contiguous
+        assert _held_bytes(model) <= h * h * 8 + 128 * n
+
+    def test_apply_copies_no_half_size_matrix(self, model, rng):
+        # S and the column reversal act on the n x 4 block, so an apply and
+        # its adjoint allocate O(n) columns, never an h x h copy of v
+        n, h = model.grid.n_half(), model.grid.n_half() // 2
+        block = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        for op in (model.lam, model.isometry):
+            for adjoint in (False, True):
+                tracemalloc.start()
+                try:
+                    op._act(block, adjoint=adjoint)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < h * h * 8 // 2
 
 
 class TestContractionSemigroup:
@@ -359,7 +380,7 @@ class TestContractionSemigroup:
     @pytest.mark.parametrize("n_dense", [4, 32, 64])
     def test_composition_law_is_a_block_of_the_defect(self, n_dense, k_dim, eps):
         # Z(a)Z(b) - Z(a+b) = R[:n-a]^H G[a:, :n-b] R[b:], G = R R^H - I, for
-        # any R: on perturbed halves, as matrices, to a relative 1e-10; at
+        # any R: on a perturbed v, as matrices, to a relative 1e-10; at
         # n_dense 32 the pair (20, 44) has a < n <= b and both sides are 0
         model = perturbed_model(build_model(make_grid(2 * n_dense, 100.0, k_dim)), eps)
         r = model.isometry._entries

@@ -63,7 +63,7 @@ def _hermitian_op(grid, rng):
 
 def _perturbed_family(grid, eps, ks):
     """Family at lattice indices ``ks`` whose R is moved off unitarity by
-    ``eps`` through the model's halves."""
+    ``eps`` through the model's eigenvector matrix ``v``."""
     return spectral_measure(perturbed_model(build_model(grid), eps), ks * grid.delta_tau)
 
 
@@ -243,7 +243,7 @@ class TestSpectralMeasure:
     ])
     def test_defect_is_the_phased_complex_gram(self, n_dense, k_dim, eps):
         # D* R R^H D - I from the complex dense R at full size, D the phases
-        # on R's rows, against the real defect from the halves, lifted
+        # on R's rows, against the real defect from v, lifted
         model = build_model(make_grid(2 * n_dense, 100.0, k_dim))
         if eps:
             model = perturbed_model(model, eps)
@@ -385,7 +385,7 @@ class TestKroneckerOracle:
             _dense_residuals(grid, fiberize(fam.isometry._entries, k_dim), ks * k_dim)
 
     def test_structure_at_k_dim_8(self, monkeypatch, rng):
-        # the model stays two h x h halves, the family and the matrix elements
+        # the model stays one h x h matrix, the family and the matrix elements
         # n x n: no Kronecker form is built unless a dense matrix is asked for
         calls = collections.Counter()
         kron = np.kron
@@ -407,9 +407,11 @@ class TestKroneckerOracle:
         observables = [identity_op(grid, half), energy, _hermitian_op(grid, rng)]
         irreversible_matrix_element(model, psi, psi, observables, ks * grid.delta_tau)
         assert calls["kron"] == 0
-        # stored: the two real h x h eigenvector halves, shared by lam and R
-        assert model.isometry.halves is model.lam.halves
-        assert [y.shape for y in model.lam.halves] == [(nh // 2, nh // 2)] * 2
+        # stored: the one real h x h eigenvector matrix, shared by lam and R
+        v = model.lam.v
+        assert model.isometry.v is v
+        assert v.shape == (nh // 2, nh // 2)
+        assert v.dtype == np.float64 and v.flags.c_contiguous
         assert fam.defect.shape == (nh, nh)
         assert ranks == list(8 * ks)
         assert model.isometry.matrix.shape == (8 * nh, 8 * nh)

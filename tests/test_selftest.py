@@ -10,7 +10,7 @@ projection family's residuals; its former dense body
 matrix) and its nesting over all pairs of times are kept here as oracles.
 Criteria 5 and 12 act on blocks; their per-state loops through the
 single-vector functions (and ``oracles.lyapunov_expectation``) are oracles too.
-A model whose eigenvector halves are moved off orthogonality
+A model whose eigenvector matrix is moved off orthogonality
 (``oracles.perturbed_model``, as in ``tests/test_ordering.py``) puts the
 residuals well above rounding, so the comparisons have digits to check.
 """
@@ -126,9 +126,12 @@ def _assert_same_check(got, want, rel=1e-6, abs_floor=1e-14):
 
 @pytest.fixture(scope="module")
 def perturbed_small(small_grid):
-    # halves 3e-6 off orthogonality: |G - I| = 1.53e-4, residuals near 1e-4,
-    # every rank decided by the cluster test rather than the Weyl certificate
-    return perturbed_model(build_model(small_grid), 3e-6)
+    # v 3e-6 off orthogonality: |G - I| = 1.28e-4, residuals near 1e-4,
+    # every rank decided by the cluster test rather than the Weyl certificate,
+    # which |G - I| above the cluster gap rules out
+    model = perturbed_model(build_model(small_grid), 3e-6)
+    assert np.linalg.norm(_isometry_defect(model.isometry)) > ordering._CLUSTER_GAP
+    return model
 
 
 class TestProjectionFamilyCheck:
@@ -346,7 +349,7 @@ class TestIsometryDefect:
         if eps:  # well above rounding
             assert real > 1e-6
 
-    # Criterion 5's law blocks on perturbed halves, where the laws fail by
+    # Criterion 5's law blocks on a perturbed model, where the laws fail by
     # O(eps); k_dim 4 only up to n_dense 64, to keep the suite fast.
     _LAW_CASES = pytest.mark.parametrize(
         "n_dense, k_dim",
