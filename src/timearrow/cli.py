@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 import click
@@ -37,7 +38,7 @@ from .evolution import (
     lattice_index,
 )
 from .hardy import hardy_embed, hardy_part, rational_hardy
-from .lambda_transform import _z_block, build_model
+from .lambda_transform import _assemble, _z_block, build_model
 from .lyapunov import lyapunov_curve
 from .ordering import irreversible_matrix_element, spectral_measure
 from .selftest import refinement_series, run_all
@@ -51,18 +52,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Stream ``chunks`` (strings) into a temp file, then rename it to ``path``;
-    on any failure the temp file is removed and ``path`` is left untouched."""
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """A binary temp file beside ``path``, renamed to it after the body; on any
+    failure the temp file is removed and ``path`` is left untouched."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Stream ``chunks`` (strings) into ``path`` as UTF-8, atomically."""
+    with _atomic_file(path) as fh:
+        fh.writelines(chunk.encode() for chunk in chunks)
 
 
 def _csv_lines(header, rows):
@@ -84,6 +92,47 @@ def _write_outputs(out_dir, stem, header, rows, cfg, command, diagnostics=None):
         [json.dumps(meta, sort_keys=True, indent=2) + "\n"],
     )
     return out / f"{stem}.csv"
+
+
+def _cache_key() -> str:
+    """The package and numpy versions and a CRC-32 of the package's sources."""
+    crc = 0
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        crc = zlib.crc32(source.read_bytes(), crc)
+    return f"timearrow {__version__} numpy {np.__version__} sources {crc:08x}"
+
+
+def _cached_model(grid: GridSpec):
+    """``build_model(grid)``, its ``v`` and ``sigma`` loaded from the file of its
+    size if that holds this build's key and finite float64 arrays of their
+    shapes, else built and saved; prints which.  Never changes the exit code."""
+    h = grid.n_half() // 2
+    try:
+        key = _cache_key()
+        cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+        path = Path(cache, "timearrow", f"model-{grid.n_sigma}.npz")
+    except (OSError, RuntimeError) as exc:  # unreadable sources, or no home
+        click.echo(f"model: built (not cached: {exc})")
+        return build_model(grid)
+    stored = ()
+    with contextlib.suppress(Exception):  # whatever the file holds costs a rebuild
+        with np.load(path, allow_pickle=False) as f:
+            if f["key"].item() == key:
+                stored = f["v"], f["sigma"]
+    if stored and all(a.dtype == np.float64 and a.shape == shape
+                      and np.isfinite(a).all()
+                      for a, shape in zip(stored, ((h, h), (2 * h,)))):
+        click.echo(f"model: loaded {path}")
+        return _assemble(grid, *stored)
+    model = build_model(grid)
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with _atomic_file(path) as fh:
+            np.savez(fh, key=np.array(key), v=model.v, sigma=model.sigma)
+        click.echo(f"model: built, saved {path}")
+    except OSError as exc:
+        click.echo(f"model: built (not cached: {exc})")
+    return model
 
 
 def _scenario_grid(cfg) -> GridSpec:
@@ -280,7 +329,7 @@ def semigroup_norms_cmd(cfg, out_dir):
     psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
     t_b = _lattice_times(grid, cfg) * grid.delta_tau
     tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
-    model = build_model(dense)
+    model = _cached_model(dense)
     l_psi = model.lam.apply(psi).amplitudes
     ks = _lattice_times(dense, cfg)
     znorms = np.empty(ks.size)
@@ -312,7 +361,7 @@ def semigroup_norms_cmd(cfg, out_dir):
 def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
-    model = build_model(dense)
+    model = _cached_model(dense)
     ks = np.sort(_lattice_times(dense, cfg))
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
@@ -367,7 +416,7 @@ def matrix_element_cmd(cfg, out_dir):
     """Observable matrix elements in the reversible and irreversible pictures."""
     dense = _dense_grid(cfg)
     psi = _build_state(dense, cfg)
-    model = build_model(dense)
+    model = _cached_model(dense)
     half = Space.HALF_LINE_POS
     energy = dense.sigma_pos() / dense.sigma_max  # per bin: every fibre alike
     observables = {

@@ -228,21 +228,31 @@ def _prolate_vectors(n_sigma: int) -> np.ndarray:
     return np.linalg.eigh(a)[1]
 
 
-def build_model(grid: GridSpec) -> IrreversibleModel:
-    """Factor the forward map once: one half-size real symmetric eigenproblem
-    for both halves of the commuting tridiagonal (see the module note) and two
-    half-size real products for the singular values; no SVD, no dense matrix."""
-    n, nh = grid.n_sigma, grid.n_half()
-    v = _prolate_vectors(n)
+def _factors(n_sigma: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's ``v`` and ``sigma``, which depend on the grid size alone: one
+    half-size real symmetric eigenproblem for both halves of the commuting
+    tridiagonal (module note), two half-size real products for ``sigma``."""
+    nh = n_sigma // 2
+    v = _prolate_vectors(n_sigma)
     # sigma_k = |E q_k|: Re and -Im of E's leading quarter act on the even /
     # odd halves (v reversed, S v), each gathered from the lookup table
-    index, table = _dft_lookup(n, 2 * np.arange(nh // 2) + 1 - nh)
+    index, table = _dft_lookup(n_sigma, 2 * np.arange(nh // 2) + 1 - nh)
     even = np.linalg.norm(table.real[index] @ v, axis=0)[::-1]
     odd = table.imag[index]
     odd *= _parity_signs(nh // 2)
-    s = 2.0 * np.concatenate([even, np.linalg.norm(odd @ v, axis=0)])
+    return v, 2.0 * np.concatenate([even, np.linalg.norm(odd @ v, axis=0)])
+
+
+def _assemble(grid: GridSpec, v: np.ndarray, sigma: np.ndarray) -> IrreversibleModel:
+    """The model of ``grid``: :func:`_factors` of its size, phases in closed form."""
+    nh = grid.n_half()
     d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
-    return IrreversibleModel(grid, v, s, d, np.exp(-0.25j * np.pi * nh))
+    return IrreversibleModel(grid, v, sigma, d, np.exp(-0.25j * np.pi * nh))
+
+
+def build_model(grid: GridSpec) -> IrreversibleModel:
+    """Factor the forward map once; no SVD, no dense matrix, no file."""
+    return _assemble(grid, *_factors(grid.n_sigma))
 
 
 def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:

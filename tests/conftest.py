@@ -6,6 +6,10 @@ module that needs matrices, and tests that run a dense SVD as an oracle
 reuse it too.  So is one run of the acceptance
 battery, read by the per-criterion tests and by the ``selftest`` command's
 report-stability test.
+
+Every run of the command line, in process or as a subprocess, keeps its
+model cache in one directory of the session: ``XDG_CACHE_HOME`` points there
+before any test runs, so the suite never reads or writes the user's cache.
 """
 
 import numpy as np
@@ -13,6 +17,13 @@ import pytest
 
 from timearrow import build_model, make_grid
 from timearrow.selftest import run_all
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_model_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timearrow import DEFAULT_CONFIG, make_grid
-from timearrow.cli import _atomic_write, main
+from timearrow import DEFAULT_CONFIG, build_model, make_grid
+from timearrow.cli import _atomic_write, _cached_model, main
 
 SMALL = {
     "grid": {"n_sigma": 256, "sigma_max": 50.0, "k_dim": 1},
@@ -23,6 +23,11 @@ SMALL = {
     "state": {"kind": "random", "parameters": {"n_terms": 4}, "seed": 7},
     "tolerances": {"algebraic": 1.0e-8, "continuum": 0.05},
 }
+
+# the commands that factor the model, and their output stems
+DENSE_STEMS = {"matrix-element": "matrix_element",
+               "projection-family": "projection_family",
+               "semigroup-norms": "semigroup_norms"}
 
 _SCI = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -265,21 +270,133 @@ class TestSemigroupNormsCommand:
                                            ("lyapunov_curve", "lyapunov-curve"),
                                            ("convergence", "convergence")])
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
-    # block products must give the same bytes on one and on two BLAS threads
+    # block products must give the same bytes on one and on two BLAS threads;
+    # each count has its own empty model cache, so both runs build the model
     import timearrow
 
     cfg = _write_cfg(tmp_path, SMALL)
     src = str(Path(timearrow.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   XDG_CACHE_HOME=str(tmp_path / f"cache{threads}"))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"blas{threads}"
-        subprocess.run([sys.executable, "-c", "from timearrow.cli import main; main()",
-                        command, "--config", cfg, "--out", str(out)],
-                       env=env, check=True, capture_output=True)
+        run = subprocess.run([sys.executable, "-c",
+                              "from timearrow.cli import main; main()",
+                              command, "--config", cfg, "--out", str(out)],
+                             env=env, check=True, capture_output=True)
+        assert (b"model: built, saved" in run.stdout) == (stem in DENSE_STEMS.values())
         outputs.append((out / f"{stem}.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+class TestModelCache:
+    """The dense commands read the model's ``v`` and ``sigma`` from
+    ``$XDG_CACHE_HOME/timearrow/model-<n_sigma>.npz``; whatever that file
+    holds, or wherever it cannot be written, their outputs and exit codes are
+    those of a fresh build."""
+
+    @staticmethod
+    def _run_in(cache, cfg, out, command="matrix-element"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("XDG_CACHE_HOME", str(cache))
+            res = _run([command, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0
+        stem = DENSE_STEMS[command]
+        return res.output, [(out / f"{stem}{ext}").read_bytes()
+                            for ext in (".csv", ".meta.json")]
+
+    @pytest.mark.parametrize("k_dim", [1, 8])
+    @pytest.mark.parametrize("command", sorted(DENSE_STEMS))
+    def test_cold_and_hot_runs_are_byte_identical(self, tmp_path, command, k_dim):
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        cfg["grid"]["k_dim"] = k_dim
+        path = _write_cfg(tmp_path, cfg)
+        cache = tmp_path / "cache"
+        file = cache / "timearrow" / f"model-{2 * cfg['dense']['n_dense']}.npz"
+        cold, cold_bytes = self._run_in(cache, path, tmp_path / "cold", command)
+        hot, hot_bytes = self._run_in(cache, path, tmp_path / "hot", command)
+        assert cold.splitlines()[0] == f"model: built, saved {file}"
+        assert hot.splitlines()[0] == f"model: loaded {file}"
+        assert hot_bytes == cold_bytes
+
+    def test_loaded_factors_equal_the_built_ones(self, tmp_path, monkeypatch,
+                                                 dense_grid, model):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _cached_model(dense_grid)
+        hot = _cached_model(dense_grid)
+        assert np.array_equal(hot.v, model.v) and hot.v.flags.c_contiguous
+        assert np.array_equal(hot.sigma, model.sigma)
+        assert np.array_equal(hot.d, model.d) and hot.gamma == model.gamma
+
+    @staticmethod
+    def _rewrite(file, **arrays):
+        with np.load(file) as f:
+            stored = {name: f[name] for name in f.files}
+        np.savez(file, **{**stored, **arrays})
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "wrong_shape", "float32", "nan", "other_key"])
+    def test_a_damaged_file_is_rebuilt(self, tmp_path, damage):
+        cfg = _write_cfg(tmp_path, SMALL)
+        cache = tmp_path / "cache"
+        _, want = self._run_in(cache, cfg, tmp_path / "cold")
+        (file,) = (cache / "timearrow").iterdir()
+        with np.load(file) as f:
+            v = f["v"]
+        if damage == "truncated":
+            file.write_bytes(file.read_bytes()[: file.stat().st_size // 2])
+        elif damage == "wrong_shape":
+            self._rewrite(file, v=v[:-1])
+        elif damage == "float32":
+            self._rewrite(file, v=v.astype(np.float32))
+        elif damage == "nan":
+            v[3, 5] = np.nan
+            self._rewrite(file, v=v)
+        else:
+            self._rewrite(file, key=np.array("another build"))
+        output, got = self._run_in(cache, cfg, tmp_path / "again")
+        assert output.startswith(f"model: built, saved {file}\n")
+        assert got == want
+        output, got = self._run_in(cache, cfg, tmp_path / "hot")
+        assert output.startswith(f"model: loaded {file}\n")
+        assert got == want
+
+    def test_an_unwritable_location_still_succeeds(self, tmp_path):
+        cfg = _write_cfg(tmp_path, SMALL)
+        _, want = self._run_in(tmp_path / "cache", cfg, tmp_path / "cold")
+        not_a_dir = tmp_path / "plain-file"
+        not_a_dir.write_text("")
+        for run in ("first", "second"):
+            output, got = self._run_in(not_a_dir, cfg, tmp_path / run)
+            assert output.startswith("model: built (not cached: ")
+            assert got == want
+
+    def test_a_key_change_leaves_one_file_per_size(self, tmp_path, monkeypatch):
+        cfg = _write_cfg(tmp_path, SMALL)
+        cache = tmp_path / "cache"
+        self._run_in(cache, cfg, tmp_path / "a")
+        monkeypatch.setattr("timearrow.cli._cache_key", lambda: "edited sources")
+        output, _ = self._run_in(cache, cfg, tmp_path / "b")
+        assert output.startswith("model: built, saved ")
+        name = f"model-{2 * SMALL['dense']['n_dense']}.npz"
+        assert [p.name for p in (cache / "timearrow").iterdir()] == [name]
+        with np.load(cache / "timearrow" / name) as f:
+            assert f["key"].item() == "edited sources"
+
+    def test_build_model_opens_no_file(self, monkeypatch, small_grid):
+        # the library itself never reads or writes the cache
+        opened = []
+
+        def refuse(*args, **kwargs):
+            opened.append(args)
+            raise OSError("no file may be opened here")
+
+        monkeypatch.setattr("builtins.open", refuse)
+        monkeypatch.setattr("os.open", refuse)
+        model = build_model(small_grid)
+        assert opened == [] and model.v.shape == (16, 16)
 
 
 def test_atomic_write_failing_mid_stream_leaves_nothing(tmp_path):

@@ -175,11 +175,13 @@ def test_row_end_past_the_float_range_is_estimated(tmp_path):
 # RSS in MB, the child's ru_maxrss with one BLAS thread; x86-64 Linux, Python
 # 3.11, numpy 2.4.6 with OpenBLAS; default config otherwise.  A child's
 # ru_maxrss starts from its parent's peak, so projection-family's, selftest's
-# and the k_dim 8 and per-step peaks come from a parent without numpy.
-# Each command at n_dense 512 / 1024 / 2048 / 4096:
+# and the k_dim 8 and per-step peaks come from a parent without numpy.  The
+# dense commands run with an empty model cache: the estimate prices that cold
+# build, and a run that loads the model peaks lower (matrix-element: 38.4 /
+# 41.0 / 49.0 / 77.0 MB).  Each command at n_dense 512 / 1024 / 2048 / 4096:
 MEASURED_PEAKS_MB = {
     "projection-family": (37.5, 51.8, 108.1, 263.5),
-    "matrix-element": (40.9, 49.4, 81.8, 198.8),
+    "matrix-element": (40.8, 49.4, 81.5, 204.8),
     "semigroup-norms": (41.6, 50.5, 82.6, 205.4),
 }
 # projection-family over the full half window, t_max = n_dense / 32, where the
