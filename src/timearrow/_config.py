@@ -4,8 +4,8 @@ A config has five required sections — ``grid``, ``dense``, ``times``,
 ``state``, ``tolerances`` — with the field layout shown in
 :data:`DEFAULT_CONFIG`.  Validation is strict and total: every problem in
 the file is collected and reported with its field path (missing fields,
-unknown keys, wrong types, out-of-range values), so a bad config never
-half-runs an experiment.  Every command, the built-in default config
+unknown keys, wrong types, ``null``, out-of-range values), so a bad config
+never half-runs an experiment.  Every command, the built-in default config
 included, is admitted here and only here: a run whose estimated peak memory
 (:func:`peak_memory_estimate`, one model for all six commands, charging each
 only for the config fields it reads) exceeds the machine's physical memory
@@ -97,148 +97,108 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _rule(ok, phrase):
+    """A field's rule: ``expected <phrase>, got <value>`` unless ``ok(value)``."""
+    return lambda path, x: [] if ok(x) else [f"{path}: expected {phrase}, got {x!r}"]
 
 
-def _check_keys(section: dict, path: str, required, optional=(), *, out=None):
-    for key in required:
-        if key not in section:
-            out.append(f"{path}.{key}: missing required field")
-    for key in section:
-        if key not in required and key not in optional:
-            out.append(f"{path}.{key}: unknown field")
+def _power_of_two_from(least: int):
+    return _rule(lambda n: _is_int(n) and n >= least and n & (n - 1) == 0,
+                 f"a power of two >= {least}")
 
 
-def _validate_state_parameters(kind: str, params: dict, out: list[str]) -> None:
-    path = "state.parameters"
-    if kind == "witness":
-        _check_keys(params, path, ("mu", "t0"), out=out)
-        mu = params.get("mu")
-        if mu is not None:
-            if (
-                not isinstance(mu, (list, tuple))
-                or len(mu) != 2
-                or not all(_is_number(x) for x in mu)
-            ):
-                out.append(f"{path}.mu: expected [re, im] pair of numbers")
-            elif not mu[1] < 0:
-                out.append(f"{path}.mu: Im(mu) must be negative, got {mu[1]}")
-        t0 = params.get("t0")
-        if t0 is not None and (not _is_number(t0) or not t0 > 0):
-            out.append(f"{path}.t0: expected a positive number, got {t0!r}")
-    elif kind == "rational":
-        _check_keys(params, path, ("poles",), out=out)
-        poles = params.get("poles")
-        if poles is not None:
-            if not isinstance(poles, list) or not poles:
-                out.append(f"{path}.poles: expected a non-empty list")
-            else:
-                for i, pole in enumerate(poles):
-                    if (
-                        not isinstance(pole, (list, tuple))
-                        or len(pole) != 3
-                        or not all(_is_number(x) for x in pole[:2])
-                        or not _is_int(pole[2])
-                    ):
-                        out.append(
-                            f"{path}.poles[{i}]: expected [re, im, order] with "
-                            "integer order"
-                        )
-                        continue
-                    if not pole[1] < 0:
-                        out.append(
-                            f"{path}.poles[{i}]: Im(mu) must be negative, got {pole[1]}"
-                        )
-                    if pole[2] not in (1, 2):
-                        out.append(
-                            f"{path}.poles[{i}]: order must be 1 or 2, got {pole[2]}"
-                        )
-    elif kind == "random":
-        _check_keys(params, path, ("n_terms",), out=out)
-        n_terms = params.get("n_terms")
-        if n_terms is not None and (not _is_int(n_terms) or n_terms < 1):
-            out.append(f"{path}.n_terms: expected an integer >= 1, got {n_terms!r}")
+def _int_from(least: int):
+    return _rule(lambda n: _is_int(n) and n >= least, f"an integer >= {least}")
+
+
+_positive = _rule(lambda x: _is_number(x) and x > 0, "a positive number")
+
+
+def _mu(path: str, mu) -> list[str]:
+    if (not isinstance(mu, (list, tuple)) or len(mu) != 2
+            or not all(_is_number(x) for x in mu)):
+        return [f"{path}: expected [re, im] pair of numbers"]
+    return [] if mu[1] < 0 else [f"{path}: Im(mu) must be negative, got {mu[1]}"]
+
+
+def _poles(path: str, poles) -> list[str]:
+    if not isinstance(poles, list) or not poles:
+        return [f"{path}: expected a non-empty list"]
+    out = []
+    for at, pole in ((f"{path}[{i}]", pole) for i, pole in enumerate(poles)):
+        if (not isinstance(pole, (list, tuple)) or len(pole) != 3
+                or not all(_is_number(x) for x in pole[:2]) or not _is_int(pole[2])):
+            out.append(f"{at}: expected [re, im, order] with integer order")
+            continue
+        if not pole[1] < 0:
+            out.append(f"{at}: Im(mu) must be negative, got {pole[1]}")
+        if pole[2] not in (1, 2):
+            out.append(f"{at}: order must be 1 or 2, got {pole[2]}")
+    return out
+
+
+# state.parameters: one table per state kind
+_PARAMETERS = {
+    "rational": {"poles": _poles},
+    "witness": {"mu": _mu, "t0": _positive},
+    "random": {"n_terms": _int_from(1)},
+}
+# Every section of DEFAULT_CONFIG, its fields in the same order, each with its
+# rule, or with a table of its own where the field is an object.
+_FIELDS = {
+    "grid": {
+        "n_sigma": _power_of_two_from(8),
+        "sigma_max": _positive,
+        "k_dim": _int_from(1),
+    },
+    "dense": {"n_dense": _power_of_two_from(4)},
+    "times": {
+        "t_max": _positive,
+        "n_steps": _int_from(2),
+        "snap_times": _rule(lambda x: isinstance(x, bool), "true/false"),
+    },
+    "state": {
+        # a tuple compares by ==, so a list (unhashable) is only a wrong kind
+        "kind": _rule(lambda x: x in tuple(_PARAMETERS),
+                      "one of rational|witness|random"),
+        "parameters": _PARAMETERS,
+        "seed": _rule(lambda x: _is_int(x) and 0 <= x < 2**64,
+                      "an integer in [0, 2^64)"),
+    },
+    "tolerances": {"algebraic": _positive, "continuum": _positive},
+}
+
+
+def _check(obj: dict, table: dict, path: str = "") -> list[str]:
+    """``obj``'s problems against ``table``: missing fields, unknown fields,
+    each present field's rule in table order, then object fields that are not
+    objects, then the others' contents.  A present field is always checked."""
+    prefix = f"{path}." if path else ""
+    out = [f"{path or 'config'}.{key}: missing required field"
+           for key in table if key not in obj]
+    out += [f"{path or 'config'}.{key}: unknown field"
+            for key in obj if key not in table]
+    present = [key for key in table if key in obj]
+    for key in present:
+        if callable(table[key]):
+            out += table[key](prefix + key, obj[key])
+    objects = [key for key in present if not callable(table[key])]
+    out += [f"{prefix}{key}: expected an object"
+            for key in objects if not isinstance(obj[key], dict)]
+    for key in objects:
+        sub = table[key]
+        if sub is _PARAMETERS:  # the table of the state's kind, if it has one
+            sub = next((t for kind, t in sub.items() if kind == obj.get("kind")), None)
+        if sub is not None and isinstance(obj[key], dict):
+            out += _check(obj[key], sub, prefix + key)
+    return out
 
 
 def validate_config(cfg) -> list[str]:
     """Return a list of problems (empty when the config is valid)."""
-    out: list[str] = []
     if not isinstance(cfg, dict):
         return ["config: expected a JSON object at top level"]
-    _check_keys(cfg, "config", ("grid", "dense", "times", "state", "tolerances"), out=out)
-    for name in ("grid", "dense", "times", "state", "tolerances"):
-        if name in cfg and not isinstance(cfg[name], dict):
-            out.append(f"{name}: expected an object")
-
-    grid = cfg.get("grid")
-    if isinstance(grid, dict):
-        _check_keys(grid, "grid", ("n_sigma", "sigma_max", "k_dim"), out=out)
-        n_sigma = grid.get("n_sigma")
-        if n_sigma is not None and (
-            not _is_int(n_sigma) or n_sigma < 8 or not _power_of_two(n_sigma)
-        ):
-            out.append(
-                f"grid.n_sigma: expected a power of two >= 8, got {n_sigma!r}"
-            )
-        sigma_max = grid.get("sigma_max")
-        if sigma_max is not None and (not _is_number(sigma_max) or not sigma_max > 0):
-            out.append(f"grid.sigma_max: expected a positive number, got {sigma_max!r}")
-        k_dim = grid.get("k_dim")
-        if k_dim is not None and (not _is_int(k_dim) or k_dim < 1):
-            out.append(f"grid.k_dim: expected an integer >= 1, got {k_dim!r}")
-
-    dense = cfg.get("dense")
-    if isinstance(dense, dict):
-        _check_keys(dense, "dense", ("n_dense",), out=out)
-        n_dense = dense.get("n_dense")
-        if n_dense is not None and (
-            not _is_int(n_dense) or n_dense < 4 or not _power_of_two(n_dense)
-        ):
-            out.append(
-                f"dense.n_dense: expected a power of two >= 4, got {n_dense!r}"
-            )
-
-    times = cfg.get("times")
-    if isinstance(times, dict):
-        _check_keys(times, "times", ("t_max", "n_steps", "snap_times"), out=out)
-        t_max = times.get("t_max")
-        if t_max is not None and (not _is_number(t_max) or not t_max > 0):
-            out.append(f"times.t_max: expected a positive number, got {t_max!r}")
-        n_steps = times.get("n_steps")
-        if n_steps is not None and (not _is_int(n_steps) or n_steps < 2):
-            out.append(f"times.n_steps: expected an integer >= 2, got {n_steps!r}")
-        snap = times.get("snap_times")
-        if snap is not None and not isinstance(snap, bool):
-            out.append(f"times.snap_times: expected true/false, got {snap!r}")
-
-    state = cfg.get("state")
-    if isinstance(state, dict):
-        _check_keys(state, "state", ("kind", "parameters", "seed"), out=out)
-        kind = state.get("kind")
-        if kind is not None and kind not in ("rational", "witness", "random"):
-            out.append(
-                f"state.kind: expected one of rational|witness|random, got {kind!r}"
-            )
-        seed = state.get("seed")
-        if seed is not None and (not _is_int(seed) or seed < 0 or seed > 2**64 - 1):
-            out.append(f"state.seed: expected an integer in [0, 2^64), got {seed!r}")
-        params = state.get("parameters")
-        if params is not None and not isinstance(params, dict):
-            out.append("state.parameters: expected an object")
-        elif isinstance(params, dict) and kind in ("rational", "witness", "random"):
-            _validate_state_parameters(kind, params, out)
-
-    tolerances = cfg.get("tolerances")
-    if isinstance(tolerances, dict):
-        _check_keys(tolerances, "tolerances", ("algebraic", "continuum"), out=out)
-        for field in ("algebraic", "continuum"):
-            val = tolerances.get(field)
-            if val is not None and (not _is_number(val) or not val > 0):
-                out.append(
-                    f"tolerances.{field}: expected a positive number, got {val!r}"
-                )
-    return out
+    return _check(cfg, _FIELDS)
 
 
 def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, str]:

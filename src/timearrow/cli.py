@@ -361,15 +361,16 @@ def semigroup_norms_cmd(cfg, out_dir):
 def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
-    model = _cached_model(dense)
     ks = np.sort(_lattice_times(dense, cfg))
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
-    if ks.size < 2 or ks[0] != 0:
-        raise OffLatticeTimeError(
-            "times must start at 0 and contain at least two distinct lattice "
-            "points after snapping"
-        )
+    if ks.size < 2:
+        raise ConfigError([
+            f"times.t_max: {cfg['times']['t_max']} snaps every time to 0 "
+            f"(delta_tau = {dense.delta_tau}); a projection family needs two "
+            "distinct lattice times"
+        ])
+    model = _cached_model(dense)
     times = ks * dense.delta_tau
     family = spectral_measure(model, times)
     # the extremes of T's spectrum, held once rather than k_dim times

@@ -148,6 +148,29 @@ class TestConfigHandling:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, command", [
+        (path, command) for path, commands in (
+            ("state.seed", ("lyapunov-curve", "semigroup-norms", "matrix-element")),
+            ("tolerances.algebraic", ("lyapunov-curve", "semigroup-norms",
+                                      "projection-family", "matrix-element")),
+            ("grid.n_sigma", ("lyapunov-curve", "semigroup-norms")),
+        ) for command in commands
+    ])
+    def test_null_field_exits_2_and_names_it(self, tmp_path, path, command):
+        # a field the command reads, null: nothing runs (a null seed would
+        # draw fresh entropy, a null tolerance fail after writing)
+        cfg = copy.deepcopy(SMALL)
+        section, field = path.split(".")
+        cfg[section][field] = None
+        out = tmp_path / "out"
+        res = _run([command, "--config", _write_cfg(tmp_path, cfg),
+                    "--out", str(out)])
+        assert res.exit_code == 2
+        assert re.fullmatch(rf"config error: {re.escape(path)}: expected [^\n]*, "
+                            r"got None\n", _stderr(res))
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     def test_defaults_used_without_config_flag(self, tmp_path):
         # no --config: the built-in default config drives the run
         res = _run(["lyapunov-curve", "--out", str(tmp_path)])
@@ -447,6 +470,20 @@ class TestProjectionFamilyCommand:
         ks = np.rint(np.array([float(r[0]) for r in rows]) / dense.delta_tau)
         assert [int(r[1]) for r in rows] == list(4 * ks.astype(int))
         assert ks[-1] > 0
+
+    def test_too_few_lattice_times_exit_2_and_name_t_max(self, tmp_path):
+        # t_max 0.01 is below half of delta_tau (0.031 at the default grid),
+        # so every time snaps to 0: the command stops before the model
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        cfg["times"]["t_max"] = 0.01
+        out = tmp_path / "out"
+        res = _run(["projection-family", "--config", _write_cfg(tmp_path, cfg),
+                    "--out", str(out)])
+        assert res.exit_code == 2
+        assert _stderr(res).startswith("config error: times.t_max: 0.01 ")
+        assert "delta_tau" in _stderr(res)
+        assert "model:" not in res.output
+        assert not out.exists()
 
 
 class TestMatrixElementCommand:

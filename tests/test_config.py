@@ -343,8 +343,18 @@ def test_estimate_bounds_measured_step_peaks(command, n_steps, measured_mb):
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
 
-# one bad value per validation rule: (dotted path, value, today's message);
-# a path into state.parameters may carry the state kind it needs first
+class _Null:
+    """JSON ``null`` as a value of INVALID, where ``None`` deletes the field."""
+
+    def __repr__(self):
+        return "null"
+
+
+NULL = _Null()
+
+# one bad value per validation rule, and a null in each field: (dotted path,
+# value, today's message); the path "config" is the whole config, and a path
+# into state.parameters may carry the state kind it needs first
 _WITNESS = {"kind": "witness", "parameters": {"mu": [25.0, -1.0], "t0": 1.0}}
 _RATIONAL = {"kind": "rational", "parameters": {"poles": [[25.0, -1.0, 1]]}}
 INVALID = [
@@ -368,29 +378,93 @@ INVALID = [
     ("state.parameters.n_terms", 0,
      "state.parameters.n_terms: expected an integer >= 1, got 0"),
     ("times.snap_times", 1, "times.snap_times: expected true/false, got 1"),
+    ("grid.n_sigma", 12, "grid.n_sigma: expected a power of two >= 8, got 12"),
+    ("grid.sigma_max", 0, "grid.sigma_max: expected a positive number, got 0"),
+    ("dense.n_dense", 2, "dense.n_dense: expected a power of two >= 4, got 2"),
+    ("times.t_max", -1, "times.t_max: expected a positive number, got -1"),
+    ("times.n_steps", 1, "times.n_steps: expected an integer >= 2, got 1"),
+    ("tolerances.continuum", 0,
+     "tolerances.continuum: expected a positive number, got 0"),
+    ("state.parameters.t0", 0,
+     "state.parameters.t0: expected a positive number, got 0"),
+    ("state.parameters", "x", "state.parameters: expected an object"),
+    ("grid", 3, "grid: expected an object"),
+    ("config", [], "config: expected a JSON object at top level"),
+    ("state.parameters.poles", [], "state.parameters.poles: expected a non-empty list"),
+    *[(path, NULL, f"{path}: expected {phrase}, got None") for path, phrase in (
+        ("grid.n_sigma", "a power of two >= 8"),
+        ("grid.sigma_max", "a positive number"),
+        ("grid.k_dim", "an integer >= 1"),
+        ("dense.n_dense", "a power of two >= 4"),
+        ("times.t_max", "a positive number"),
+        ("times.n_steps", "an integer >= 2"),
+        ("times.snap_times", "true/false"),
+        ("state.kind", "one of rational|witness|random"),
+        ("state.seed", "an integer in [0, 2^64)"),
+        ("tolerances.algebraic", "a positive number"),
+        ("tolerances.continuum", "a positive number"),
+        ("state.parameters.n_terms", "an integer >= 1"),
+        ("state.parameters.t0", "a positive number"),
+    )],
+    ("state.parameters", NULL, "state.parameters: expected an object"),
+    ("state.parameters.mu", NULL,
+     "state.parameters.mu: expected [re, im] pair of numbers"),
+    ("state.parameters.poles", NULL,
+     "state.parameters.poles: expected a non-empty list"),
 ]
 
 
 def _set(cfg, path, value):
-    """``cfg`` with the dotted ``path`` set to ``value`` (``None`` deletes it)."""
+    """``cfg`` with the dotted ``path`` set to ``value`` (``None`` deletes it,
+    NULL sets JSON null), or ``value`` itself where ``path`` is "config"."""
+    if path == "config":
+        return value
     *sections, field = path.split(".")
     if path.startswith("state.parameters.") and field != "n_terms":
-        cfg["state"].update(copy.deepcopy(_WITNESS if field == "mu" else _RATIONAL))
+        witness = field in ("mu", "t0")
+        cfg["state"].update(copy.deepcopy(_WITNESS if witness else _RATIONAL))
+    section = cfg
     for name in sections:
-        cfg = cfg[name]
+        section = section[name]
     if value is None:
-        del cfg[field]
+        del section[field]
     else:
-        cfg[field] = value
+        section[field] = None if value is NULL else value
+    return cfg
 
 
 @pytest.mark.parametrize("path, value, message", INVALID,
                          ids=[message.split(":")[0] + f"={value!r}"
                               for _, value, message in INVALID])
 def test_validate_config_names_each_bad_field(path, value, message):
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    _set(cfg, path, value)
+    cfg = _set(copy.deepcopy(DEFAULT_CONFIG), path, value)
     assert validate_config(cfg) == [message]
+
+
+@pytest.mark.parametrize("path", sorted({path for path, value, _ in INVALID
+                                         if value is NULL}))
+def test_null_in_any_field_exits_2(tmp_path, path):
+    # null passes no rule: semigroup-norms, which reads every section, stops
+    # at the config check without a traceback or an output file
+    cfg = _set(copy.deepcopy(DEFAULT_CONFIG), path, NULL)
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["semigroup-norms", "--config",
+                                    _write(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"config error: {path}: expected " in res.output
+    assert not out.exists()
+
+
+def test_field_table_has_default_config_layout():
+    # every section and field of the default config, in its order, has a rule,
+    # and the default state's parameters are its kind's table
+    fields, state = _config._FIELDS, DEFAULT_CONFIG["state"]
+    assert {name: list(section) for name, section in DEFAULT_CONFIG.items()} == {
+        name: list(table) for name, table in fields.items()}
+    assert list(DEFAULT_CONFIG) == list(fields)
+    assert list(state["parameters"]) == list(
+        fields["state"]["parameters"][state["kind"]])
 
 
 def test_validate_config_reports_every_problem():
@@ -398,10 +472,10 @@ def test_validate_config_reports_every_problem():
     # validates only its own parameters)
     several = ("grid.extra", "grid.k_dim", "times.t_max", "times.snap_times",
                "state.seed", "state.parameters.n_terms")
-    cases = [case for case in INVALID if case[0] in several]
+    cases = [next(case for case in INVALID if case[0] == path) for path in several]
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for path, value, _ in cases:
-        _set(cfg, path, value)
+        cfg = _set(cfg, path, value)
     assert sorted(validate_config(cfg)) == sorted(message for *_, message in cases)
 
 
