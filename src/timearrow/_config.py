@@ -55,7 +55,7 @@ DEFAULT_CONFIG = {
 #             last row end: projection-family's two real E x E blocks
 #   blocks    per entry of the blocks of states, n_dense k_dim rows and up to
 #             _BLOCK_COLUMNS columns each (projection-family holds no state,
-#             and no array longer than n_dense: its spectrum is one fibre's)
+#             and no array longer than n_dense: T's extremes are its weights)
 #   steps     per time step: per-time arrays, CSV rows streamed to disk
 #   floor     least charge of the dense term: the fixed grids of selftest's
 #             criteria 8 and 11, whatever n_dense

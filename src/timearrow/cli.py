@@ -373,8 +373,7 @@ def projection_family_cmd(cfg, out_dir):
     model = _cached_model(dense)
     times = ks * dense.delta_tau
     family = spectral_measure(model, times)
-    # the extremes of T's spectrum, held once rather than k_dim times
-    spectrum = family.fibre_ordering_spectrum()
+    lowest, highest = family.ordering_extremes()
     data = family.residuals()
     rows = (
         (_fmt(t), str(rank), _fmt(idem), _fmt(nest), _fmt(comp), "algebraic")
@@ -395,8 +394,8 @@ def projection_family_cmd(cfg, out_dir):
         cfg,
         "projection-family",
         diagnostics={
-            "ordering_spectrum_min": float(spectrum.min()),
-            "ordering_spectrum_max": float(spectrum.max()),
+            "ordering_spectrum_min": lowest,
+            "ordering_spectrum_max": highest,
             "truncation_time": float(times[-1]),
         },
     )

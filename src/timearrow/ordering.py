@@ -22,16 +22,17 @@ built from the model's one eigenvector matrix ``v`` by
 :mod:`timearrow.lambda_transform`.
 :meth:`ProjectionFamily.residuals` reads it, with Weyl-certified ranks.  As
 ``spec(XY) = spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the
-midpoint weights) has the spectrum of ``M^(1/2) G M^(1/2)``: that of its
-first ``E`` rows and columns (``E`` the last row end), and ``n - E`` zeros.
-On the full space each matrix is ``kron(block, I_k)``: ranks and spectra
-repeat ``k_dim`` times, and Frobenius norms grow by ``sqrt(k_dim)``, as
+midpoint weights) has the spectrum of ``M + M^(1/2) D M^(1/2)`` on its
+first ``E`` rows (``E`` the last row end), and ``n - E`` zeros: by Weyl's
+inequality, the weights and zeros to within ``max(M) |D|``.  On the full
+space each matrix is ``kron(block, I_k)``: ranks and spectra repeat
+``k_dim`` times, and Frobenius norms grow by ``sqrt(k_dim)``, as
 ``<kron(A, I), kron(B, I)> = k_dim <A, B>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,10 +87,11 @@ def future_projection(model: IrreversibleModel, t: float) -> LinOp:
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """Increasing family of past projections, held as row ends of ``R``.
+    """Increasing family of past projections: the model's ``R`` and its times.
 
-    ``isometry`` is the model's factored ``R``, and ``row_ends`` count its
-    per-bin rows: ``row_ends[i] = k_i`` for ``times[i] = k_i * delta_tau``.
+    ``isometry`` is the model's factored ``R``; :attr:`row_ends` count its
+    per-bin rows, ``row_ends[i] = min(k_i, n)`` for ``times[i] = k_i *
+    delta_tau`` (past the half window the past projection is the identity).
     :meth:`projection` ``(i)`` is the past projection ``R[:e_i]^H R[:e_i]``
     at ``times[i]``; :meth:`increment` ``(i)`` is the measure of the
     half-open interval ``(times[i], times[i+1]]``, the row block
@@ -100,19 +102,20 @@ class ProjectionFamily:
 
     isometry: ProlateOp
     times: np.ndarray
-    row_ends: np.ndarray
+    row_ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = _freeze(self, "times", np.float64)
-        ends = _freeze(self, "row_ends", np.int64)
+        grid = self.isometry.grid
+        ends = np.minimum(_semigroup_index(grid, t), grid.n_half())
+        object.__setattr__(self, "row_ends", ends)
+        _freeze(self, "row_ends", np.int64)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a projection family needs at least two times")
         if abs(t[0]) > 1e-12:
             raise ValueError(f"family must start at t = 0, got {t[0]}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("family times must be strictly increasing")
-        if ends.shape != t.shape or np.any(np.diff(ends) < 0):
-            raise ValueError("row ends inconsistent with the time grid")
 
     def projection(self, i: int) -> LinOp:
         return _row_weighted(self.isometry, 0, self.row_ends[i])
@@ -171,45 +174,39 @@ class ProjectionFamily:
             q = e
         return out
 
-    def fibre_ordering_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of one fibre's block of ``T``, without ``T``:
-        ``S (I + defect) S`` on the first ``E`` rows (``S^2 = M``), and zeros.
-        :func:`assemble_T`'s spectrum is these, each ``k_dim`` times."""
-        e, d = self.row_ends[-1], self.defect
+    @property
+    def weights(self) -> np.ndarray:
+        """``T``'s weight on each of the first ``E`` rows: its interval's midpoint."""
         mids = 0.5 * (self.times[1:] + self.times[:-1])
-        w = np.repeat(mids, np.diff(self.row_ends))
-        s = np.sqrt(w)
-        m = s[:, None] * d[:e, :e]
-        m *= s
-        m.flat[:: e + 1] += w
-        vals = np.concatenate([np.linalg.eigvalsh(m), np.zeros(d.shape[0] - e)])
-        return np.sort(vals)
+        return np.repeat(mids, np.diff(self.row_ends))
+
+    def ordering_extremes(self) -> tuple[float, float]:
+        """``T``'s least and greatest eigenvalue to within ``times[-1]`` times
+        the complement residual: 0 (the smallest weight once ``E = n``) and
+        the largest weight."""
+        w = self.weights
+        full = w.size == self.isometry.grid.n_half()
+        return float(w.min()) if full else 0.0, float(w.max())
 
 
 def spectral_measure(model: IrreversibleModel, time_grid) -> ProjectionFamily:
     """Past-projection family and interval increments on a lattice time grid.
 
-    The grid must increase strictly from 0.  Only the row end of each time
-    is computed here, capped at the row count once the shift has crossed
-    the half window, where the past projection is the identity.
+    The grid must increase strictly from 0; no projection is formed here.
     """
-    times = np.asarray(time_grid, dtype=np.float64)
-    ks = np.minimum(_semigroup_index(model.grid, times), model.grid.n_half())
-    return ProjectionFamily(model.isometry, times, ks)
+    return ProjectionFamily(model.isometry, time_grid)
 
 
 def assemble_T(family: ProjectionFamily) -> LinOp:
     """Assemble the ordering operator ``T = R^H diag(m) R`` from a family.
 
-    ``m`` is the midpoint of interval ``i`` on the rows of increment ``i``
-    and 0 on the rows at or past the last time, so ``T`` is the sum of
-    midpoint times increment.  It commutes with every projection in the
-    family and its eigenvalues are exactly the interval midpoints, each with
-    multiplicity equal to its increment's rank, inside ``[0, times[-1]]``.
+    ``m`` is :attr:`ProjectionFamily.weights` on the first ``E`` rows and 0
+    after, so ``T`` is the sum of midpoint times increment.  It commutes with
+    every projection in the family.  Its eigenvalues are the midpoints, each
+    as often as its increment's rank, and zeros: exactly for a unitary ``R``,
+    else within ``times[-1]`` times the complement residual.
     """
-    ends = family.row_ends
-    mids = 0.5 * (family.times[1:] + family.times[:-1])
-    return _row_weighted(family.isometry, 0, ends[-1], np.repeat(mids, np.diff(ends)))
+    return _row_weighted(family.isometry, 0, family.row_ends[-1], family.weights)
 
 
 def projection_rank(p: LinOp) -> int:

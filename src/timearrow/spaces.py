@@ -20,6 +20,7 @@ alike stores only the block ``A`` of ``kron(A, I_k)``, applied in one product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,6 +119,13 @@ class GridSpec:
         return bins * self.k_dim
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def make_grid(n_sigma: int, sigma_max: float, k_dim: int = 1) -> GridSpec:
     """Build a :class:`GridSpec`, validating the discretization parameters.
 
@@ -126,27 +134,22 @@ def make_grid(n_sigma: int, sigma_max: float, k_dim: int = 1) -> GridSpec:
     n_sigma : int
         Must be a power of two and at least 8.
     sigma_max : float
-        Must be positive.
+        Must be positive and finite.
     k_dim : int
         Must be at least 1.
     """
+    n_sigma, k_dim = _integer("n_sigma", n_sigma), _integer("k_dim", k_dim)
     if n_sigma < 8 or (n_sigma & (n_sigma - 1)) != 0:
         raise ValueError(f"n_sigma must be a power of two >= 8, got {n_sigma}")
-    if not (sigma_max > 0):
-        raise ValueError(f"sigma_max must be positive, got {sigma_max}")
+    if not (0 < sigma_max < np.inf):
+        raise ValueError(f"sigma_max must be positive and finite, got {sigma_max}")
     if k_dim < 1:
         raise ValueError(f"k_dim must be >= 1, got {k_dim}")
     delta_sigma = 2.0 * sigma_max / n_sigma
     t_window = 2.0 * np.pi / delta_sigma
-    delta_tau = t_window / n_sigma
-    return GridSpec(
-        n_sigma=n_sigma,
-        sigma_max=float(sigma_max),
-        k_dim=k_dim,
-        delta_sigma=delta_sigma,
-        t_window=t_window,
-        delta_tau=delta_tau,
-    )
+    return GridSpec(n_sigma=n_sigma, sigma_max=float(sigma_max), k_dim=k_dim,
+                    delta_sigma=delta_sigma, t_window=t_window,
+                    delta_tau=t_window / n_sigma)
 
 
 def _freeze(obj, field: str, dtype=np.complex128) -> np.ndarray:

@@ -32,6 +32,11 @@ production route against them.  Each is the literal form of its fact:
   where the selftest reads the norm of the block ``[a:, :n-b]`` of the real
   defect, lifted by ``sqrt(k_dim)``; the two agree exactly when ``R`` is
   unitary.
+* :func:`fibre_ordering_spectrum` is the spectrum of one fibre's block of
+  ``T`` from one ``E x E`` eigensolve of ``S (I + D) S`` (``S^2`` the
+  midpoint weights, ``D`` the real defect), where ``projection-family``
+  reads ``T``'s extremes off the midpoints, within the Weyl radius
+  ``times[-1] |D|``.
 * :func:`two_pass_curve` is the guard-band leakage and the expectations of
   ``lyapunov_curve``, each squaring the forward image on its own, where the
   library squares it once for both.
@@ -67,6 +72,7 @@ from timearrow import (
 from timearrow.evolution import _semigroup_index, _toeplitz_block
 from timearrow.hardy import TimeProfile, _phase_factors, _tau_to_sigma
 from timearrow.lambda_transform import IrreversibleModel
+from timearrow.ordering import ProjectionFamily
 
 
 def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
@@ -158,6 +164,21 @@ def composition_law(model: IrreversibleModel, a: int, b: int) -> np.ndarray:
     dt = model.grid.delta_tau
     two = z_matrix(model, a * dt) @ z_matrix(model, b * dt)
     return two - z_matrix(model, (a + b) * dt)
+
+
+def fibre_ordering_spectrum(family: ProjectionFamily) -> np.ndarray:
+    """Ascending eigenvalues of one fibre's block of ``T``, without ``T``:
+    ``S (I + defect) S`` on the first ``E`` rows (``S^2 = M``), and zeros.
+    :func:`assemble_T`'s spectrum is these, each ``k_dim`` times."""
+    e, d = family.row_ends[-1], family.defect
+    mids = 0.5 * (family.times[1:] + family.times[:-1])
+    w = np.repeat(mids, np.diff(family.row_ends))
+    s = np.sqrt(w)
+    m = s[:, None] * d[:e, :e]
+    m *= s
+    m.flat[:: e + 1] += w
+    vals = np.concatenate([np.linalg.eigvalsh(m), np.zeros(d.shape[0] - e)])
+    return np.sort(vals)
 
 
 def two_pass_curve(psi: StateVector, ks: np.ndarray) -> tuple[float, np.ndarray]:

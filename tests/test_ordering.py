@@ -42,6 +42,7 @@ from timearrow.ordering import _CLUSTER_GAP, _row_weighted
 from oracles import (
     adjoint,
     fiberize,
+    fibre_ordering_spectrum,
     lyapunov_expectation,
     past_projection,
     perturbed_model,
@@ -267,7 +268,7 @@ class TestSpectralMeasure:
         monkeypatch.setattr(ProlateOp, "_entries", property(counted))
         fam = spectral_measure(model, np.array([0, 8, 40, 64]) * model.grid.delta_tau)
         fam.residuals()
-        fam.fibre_ordering_spectrum()
+        fam.ordering_extremes()
         assert calls["_entries"] == 0
         fam.projection(1)  # the dense routes build it on request
         assert calls["_entries"] == 1
@@ -280,6 +281,14 @@ class TestSpectralMeasure:
             spectral_measure(model, np.array([0.0, 2 * dt, dt]))
         with pytest.raises(ValueError):
             spectral_measure(model, np.array([0.0]))
+
+    def test_row_ends_follow_the_times(self, model):
+        # one row per lattice step, capped at the row count past the window
+        dt, nh = model.grid.delta_tau, model.grid.n_half()
+        assert spectral_measure(model, [0.0, dt]).row_ends.tolist() == [0, 1]
+        fam = spectral_measure(model, np.array([0, 3, nh, nh + 5]) * dt)
+        assert fam.row_ends.tolist() == [0, 3, nh, nh]
+        assert not fam.row_ends.flags.writeable
 
     def test_rank_guard_rejects_non_projection(self, model):
         half = LinOp(model.grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
@@ -369,7 +378,7 @@ class TestKroneckerOracle:
             assert min(row[3] for row in got) > _CLUSTER_GAP
         w = np.zeros(r.shape[0])
         w[: ks[-1] * k_dim] = np.repeat(0.5 * (times[1:] + times[:-1]), np.diff(ks) * k_dim)
-        spectrum = np.repeat(per_bin.fibre_ordering_spectrum(), k_dim)
+        spectrum = np.repeat(fibre_ordering_spectrum(per_bin), k_dim)
         dense = np.linalg.eigvalsh((r.conj().T * w) @ r)
         assert spectrum.shape == dense.shape
         assert np.abs(spectrum - dense).max() <= 1e-12
@@ -401,7 +410,7 @@ class TestKroneckerOracle:
         model = build_model(grid)
         fam = spectral_measure(model, ks * grid.delta_tau)
         ranks = [row[0] for row in fam.residuals()]
-        fam.fibre_ordering_spectrum()
+        fam.ordering_extremes()
         psi = _rand_half(grid, rng)
         energy = LinOp(grid, half, half, grid.sigma_pos(), hermitian=True)
         observables = [identity_op(grid, half), energy, _hermitian_op(grid, rng)]
@@ -441,9 +450,33 @@ class TestOrderingOperator:
         m = request.getfixturevalue(fixture)
         fam = spectral_measure(m, np.array(ks) * m.grid.delta_tau)
         dense = np.linalg.eigvalsh(assemble_T(fam).matrix)
-        vals = np.repeat(fam.fibre_ordering_spectrum(), m.grid.k_dim)
+        vals = np.repeat(fibre_ordering_spectrum(fam), m.grid.k_dim)
         assert vals.shape == dense.shape
         assert np.max(np.abs(vals - dense)) <= 1e-10
+
+    @pytest.mark.parametrize("k_dim", [1, 4])
+    @pytest.mark.parametrize("eps", [0.0, 3e-6])
+    @pytest.mark.parametrize("ks", [
+        [0, 4, 9, 20],  # E < n: T has a kernel
+        [0, 5, 20, 32],  # E = n
+        [0, 5, 20, 32, 40, 48],  # past the half window: two empty intervals
+    ])
+    def test_extremes_within_the_weyl_radius(self, k_dim, eps, ks):
+        # the midpoints against the dense T's eigensolve, within
+        # times[-1] * |D| >= max(weight) * |D|_2
+        grid = make_grid(64, 20.0, k_dim)
+        model = build_model(grid)
+        if eps:  # a defect well above rounding
+            model = perturbed_model(model, eps)
+        fam = spectral_measure(model, np.array(ks) * grid.delta_tau)
+        lowest, highest = fam.ordering_extremes()
+        mids = 0.5 * (fam.times[1:] + fam.times[:-1])
+        assert highest == mids[np.diff(fam.row_ends) > 0].max()
+        assert lowest == (mids[0] if fam.row_ends[-1] == grid.n_half() else 0.0)
+        vals = np.linalg.eigvalsh(assemble_T(fam).matrix)
+        radius = fam.times[-1] * fam.residuals()[-1][3]
+        assert abs(vals[0] - lowest) <= radius
+        assert abs(vals[-1] - highest) <= radius
 
     def test_commutes_with_family(self, model):
         dt = model.grid.delta_tau
@@ -494,13 +527,6 @@ class TestOrderingOperator:
         vals = np.linalg.eigvalsh(op.matrix)
         assert vals.min() >= -1e-8
         assert vals.max() <= fam.times[-1] + 1e-8
-
-    def test_degenerate_family_rejected(self, model):
-        dt = model.grid.delta_tau
-        fam = spectral_measure(model, np.array([0.0, 16 * dt]))
-        with pytest.raises(ValueError):
-            type(fam)(isometry=fam.isometry, times=fam.times,
-                      row_ends=fam.row_ends[:1])
 
 
 class TestMatrixElements:

@@ -46,6 +46,14 @@ class TestGrid:
             make_grid(64, 0.0)
         with pytest.raises(ValueError):
             make_grid(64, 50.0, k_dim=0)
+        with pytest.raises(ValueError, match="sigma_max"):
+            make_grid(64, np.inf)
+        with pytest.raises(ValueError, match="k_dim"):
+            make_grid(64, 50.0, 1.5)
+        with pytest.raises(ValueError, match="n_sigma"):
+            make_grid(64.0, 50.0)
+        grid = make_grid(np.int64(64), 50.0, np.int32(2))  # numpy integers pass
+        assert (grid.n_sigma, grid.k_dim) == (64, 2)
 
     def test_lattice_relations(self):
         g = make_grid(64, 20.0, 2)
