@@ -18,14 +18,12 @@ from .evolution import (
     unitary_evolve,
 )
 from .hardy import (
-    TimeProfile,
     guard_band_leakage,
     hardy_embed,
     hardy_part,
     hardy_project,
     hardy_project_oracle,
     rational_hardy,
-    to_time,
 )
 from .lambda_transform import (
     IrreversibleModel,
@@ -62,7 +60,6 @@ from .spaces import (
     identity_op,
     inner,
     make_grid,
-    make_state,
     norm,
     restrict,
     zero_state,
@@ -88,19 +85,16 @@ __all__ = [
     "identity_op",
     "inner",
     "make_grid",
-    "make_state",
     "norm",
     "restrict",
     "zero_state",
     # Hardy subspace machinery
-    "TimeProfile",
     "guard_band_leakage",
     "hardy_embed",
     "hardy_part",
     "hardy_project",
     "hardy_project_oracle",
     "rational_hardy",
-    "to_time",
     # evolution and the compressed semigroup
     "OffLatticeTimeError",
     "OffLatticeWarning",

@@ -248,7 +248,10 @@ def load_config(path: str | None, command: str | None = None) -> dict:
                 cfg = json.load(fh)
         except FileNotFoundError:
             raise ConfigError([f"config: file not found: {path}"]) from None
-        except json.JSONDecodeError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError([f"config: cannot read {path}: {reason}"]) from None
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ConfigError([f"config: invalid JSON: {exc}"]) from None
     problems = validate_config(cfg)
     if not problems:

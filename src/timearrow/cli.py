@@ -109,7 +109,9 @@ def _cached_model(grid: GridSpec):
     h = grid.n_half() // 2
     try:
         key = _cache_key()
-        cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+        cache = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(cache):  # unset, empty or relative: not a valid base
+            cache = Path.home() / ".cache"
         path = Path(cache, "timearrow", f"model-{grid.n_sigma}.npz")
     except (OSError, RuntimeError) as exc:  # unreadable sources, or no home
         click.echo(f"model: built (not cached: {exc})")

@@ -19,12 +19,13 @@ offset DFT: with ``alpha = (1 - N)/2`` and ``w_m = exp(-2 pi i alpha m / N)``,
     g = c * s * w ⊙ FFT(w ⊙ f),      c = delta_sigma/sqrt(2 pi),
                                       s = exp(-2 pi i alpha^2 / N),
 
-and the pair is exactly unitary (Parseval holds to machine precision).
+and the pair is exactly unitary (Parseval holds to machine precision).  The
+pair stays private (``_sigma_to_tau`` and ``_tau_to_sigma``, on blocks of
+samples): every public function here takes and returns states, and a time
+profile is read only through them, as by :func:`guard_band_leakage`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +34,10 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     StateVector,
-    _freeze,
     embed,
 )
 
 __all__ = [
-    "TimeProfile",
-    "to_time",
     "hardy_project",
     "hardy_part",
     "hardy_embed",
@@ -86,47 +84,6 @@ def _tau_to_sigma(grid: GridSpec, g: np.ndarray, out=None) -> np.ndarray:
     np.fft.ifft(out, axis=0, out=out)
     np.multiply(w, out, out=out)
     return np.multiply(1.0 / (c * s), out, out=out)
-
-
-@dataclass(frozen=True)
-class TimeProfile:
-    """Samples of a state's transform on the dual time lattice.
-
-    ``samples`` is the C-order flattening of an ``(n_sigma, k_dim)`` array
-    over the bins ``tau_k = (k + 1/2 - n_sigma/2) * delta_tau``.  The squared
-    norm ``sum(|samples|^2) * delta_tau`` equals the squared norm of the
-    originating state (Parseval).
-    """
-
-    grid: GridSpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        a = _freeze(self, "samples")
-        expected = self.grid.n_sigma * self.grid.k_dim
-        if a.shape != (expected,):
-            raise ValueError(
-                f"sample length {a.shape} does not match grid (expected ({expected},))"
-            )
-
-    def fibered(self) -> np.ndarray:
-        return self.samples.reshape(-1, self.grid.k_dim)
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.delta_tau)
-        )
-
-    def tau(self) -> np.ndarray:
-        return self.grid.tau()
-
-
-def to_time(f: StateVector) -> TimeProfile:
-    """Unitary transform of a full-line state onto the dual time lattice."""
-    if f.space is not Space.FULL_LINE:
-        raise SpaceMismatchError("to_time acts on FULL_LINE states")
-    g = _sigma_to_tau(f.grid, f.fibered())
-    return TimeProfile(f.grid, g.reshape(-1))
 
 
 def hardy_project(f: StateVector, half: str = "plus") -> StateVector:
@@ -260,7 +217,7 @@ def rational_hardy(
     return StateVector(grid, Space.FULL_LINE, amps.reshape(-1))
 
 
-def guard_band_leakage(x) -> float:
+def guard_band_leakage(x: StateVector) -> float:
     """Fraction of time-profile power in the outer 10% of the time window.
 
     Shift-based identities are exact only up to circular wrap-around, whose
@@ -268,18 +225,18 @@ def guard_band_leakage(x) -> float:
     ``|tau| >= 0.9 * t_window/2``.  Test states are required to keep this
     fraction below 1e-8.
 
-    Accepts a :class:`TimeProfile` or a StateVector of any space tag.  A
-    HARDY_PLUS state is read as it stands: its amplitudes are its ``tau >= 0``
-    samples times one factor, which cancels in the fraction.  Other states
-    are transformed (embedded first if half-line).  Returns 0 for the zero
-    state.
+    Accepts a StateVector of any space tag.  A HARDY_PLUS state is read as
+    it stands: its amplitudes are its ``tau >= 0`` samples times one factor,
+    which cancels in the fraction.  Other states are transformed (embedded
+    first if half-line).  Returns 0 for the zero state.
     """
-    if not isinstance(x, (StateVector, TimeProfile)):
-        raise TypeError("expected a StateVector or TimeProfile")
-    if isinstance(x, TimeProfile) or x.space is Space.HARDY_PLUS:
+    if not isinstance(x, StateVector):
+        raise TypeError("expected a StateVector")
+    if x.space is Space.HARDY_PLUS:
         samples = x.fibered()
     else:  # a half-line state is embedded first
-        samples = to_time(x if x.space is Space.FULL_LINE else embed(x)).fibered()
+        f = x if x.space is Space.FULL_LINE else embed(x)
+        samples = _sigma_to_tau(f.grid, f.fibered())
     return _power_leakage(x.grid, np.sum(np.abs(samples) ** 2, axis=1))
 
 

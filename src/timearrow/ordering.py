@@ -14,11 +14,12 @@ shift at ``t = k * delta_tau``:
 * the increment over ``(t_i, t_{i+1}]`` is the row block ``R[e_i:e_{i+1}]``,
   and the ordering operator ``T`` weights each block with its midpoint.
 
-Their dense matrices are built on request.  The family's numbers need none
-of them, nor ``R``: only ``G = R R^H``, through the real defect ``D* G D -
-I`` (``D`` the unit phases of ``R = gamma D Q C Q^T D``; norms, traces and
-leading-block spectra do not see ``D``; its norm is also ``|R^H R - I|``),
-built from the model's one eigenvector matrix ``v`` by
+:func:`future_projection` and :func:`assemble_T` build their dense matrices
+on request; a family holds only ``R`` and its times.  The family's numbers
+need no dense matrix, nor ``R``: only ``G = R R^H``, through the real
+defect ``D* G D - I`` (``D`` the unit phases of ``R = gamma D Q C Q^T D``;
+norms, traces and leading-block spectra do not see ``D``; its norm is also
+``|R^H R - I|``), built from the model's one eigenvector matrix ``v`` by
 :mod:`timearrow.lambda_transform`.
 :meth:`ProjectionFamily.residuals` reads it, with Weyl-certified ranks.  As
 ``spec(XY) = spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the
@@ -92,12 +93,12 @@ class ProjectionFamily:
     ``isometry`` is the model's factored ``R``; :attr:`row_ends` count its
     per-bin rows, ``row_ends[i] = min(k_i, n)`` for ``times[i] = k_i *
     delta_tau`` (past the half window the past projection is the identity).
-    :meth:`projection` ``(i)`` is the past projection ``R[:e_i]^H R[:e_i]``
-    at ``times[i]``; :meth:`increment` ``(i)`` is the measure of the
-    half-open interval ``(times[i], times[i+1]]``, the row block
-    ``R[e_i:e_{i+1}]``.  Matrices are built only when asked for.  The family
-    starts at ``times[0] = 0`` with the zero projection and is nested:
-    earlier projections absorb into later ones.
+    The past projection at ``times[i]`` is ``R[:e_i]^H R[:e_i]`` and the
+    measure of the half-open interval ``(times[i], times[i+1]]`` is the row
+    block ``R[e_i:e_{i+1}]``; the family forms neither, only their
+    residuals (:meth:`residuals`) and ``T``'s weights.  It starts at
+    ``times[0] = 0`` with the zero projection and is nested: earlier
+    projections absorb into later ones.
     """
 
     isometry: ProlateOp
@@ -116,12 +117,6 @@ class ProjectionFamily:
             raise ValueError(f"family must start at t = 0, got {t[0]}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("family times must be strictly increasing")
-
-    def projection(self, i: int) -> LinOp:
-        return _row_weighted(self.isometry, 0, self.row_ends[i])
-
-    def increment(self, i: int) -> LinOp:
-        return _row_weighted(self.isometry, self.row_ends[i], self.row_ends[i + 1])
 
     @cached_property
     def defect(self) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "LinOp",
     "SpaceMismatchError",
     "make_grid",
-    "make_state",
     "zero_state",
     "inner",
     "norm",
@@ -105,10 +104,6 @@ class GridSpec:
         """Time bin centers over the full window ``(-t_window/2, t_window/2)``."""
         k = np.arange(self.n_sigma)
         return (k + 0.5 - self.n_sigma / 2) * self.delta_tau
-
-    def tau_pos(self) -> np.ndarray:
-        """Time bin centers on the positive half of the window."""
-        return self.tau()[self.n_sigma // 2 :]
 
     def n_half(self) -> int:
         return self.n_sigma // 2
@@ -209,11 +204,6 @@ class StateVector:
         return StateVector(self.grid, self.space, self.amplitudes * scalar)
 
     __rmul__ = __mul__
-
-
-def make_state(grid: GridSpec, space: Space, amplitudes: np.ndarray) -> StateVector:
-    """Construct a :class:`StateVector` (convenience wrapper)."""
-    return StateVector(grid=grid, space=space, amplitudes=np.asarray(amplitudes))
 
 
 def zero_state(grid: GridSpec, space: Space) -> StateVector:
@@ -317,18 +307,14 @@ class LinOp:
         m = self._entries if self._entries.ndim == 2 else np.diag(self._entries)
         return m if self._fibres == 1 else np.kron(m, np.eye(self.grid.k_dim))
 
-    def _act(self, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Amplitudes of the image of a vector, or of each column of a block,
-        under the operator or (``adjoint``, dense only) its adjoint as ``(a^H
-        m)^H``, so no conjugate of ``m`` is copied.  Entries stored per bin act
-        on the ``n_bins x (k_dim m)`` view of a block of ``N`` rows."""
+    def _act(self, a: np.ndarray) -> np.ndarray:
+        """Amplitudes of the image of a vector, or of each column of a block.
+        Entries stored per bin act on the ``n_bins x (k_dim m)`` view of a
+        block of ``N`` rows."""
         m = self._entries
-        f = a.shape[0] // m.shape[0 if adjoint else -1]
+        f = a.shape[0] // m.shape[-1]
         b = a if f == 1 else a.reshape(a.shape[0] // f, -1)
-        if adjoint:
-            out = (b.conj().T @ m).conj().T
-        else:
-            out = m @ b if m.ndim == 2 else (m * b.T).T
+        out = m @ b if m.ndim == 2 else (m * b.T).T
         return out if f == 1 else out.reshape(-1, *a.shape[1:])
 
     def apply(self, f: StateVector) -> StateVector:
@@ -338,20 +324,6 @@ class LinOp:
                 f"{f.space.value} state (or grids differ)"
             )
         return StateVector(self.grid, self.codomain, self._act(f.amplitudes))
-
-    def __matmul__(self, other: "LinOp") -> "LinOp":
-        if not isinstance(other, LinOp):
-            return NotImplemented
-        if self.grid != other.grid or other.codomain is not self.domain:
-            raise SpaceMismatchError(
-                f"cannot compose {self.domain.value} <- {other.codomain.value}"
-            )
-        # stored sizes differ: the right factor is lifted, and a left factor
-        # stored per bin acts on it by the fibre rule
-        b = other._entries if self._fibres == other._fibres else other.matrix
-        # a diagonal on the right scales the columns of the left factor
-        m = self._entries * b if b.ndim == 1 else self._act(b)
-        return LinOp(self.grid, other.domain, self.codomain, m)
 
     @classmethod
     def _hermitian_by_construction(cls, grid: GridSpec, space: Space, matrix):

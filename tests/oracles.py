@@ -20,6 +20,12 @@ production route against them.  Each is the literal form of its fact:
 * :func:`offset_dft` is the sigma <-> tau transform pair written out of
   place, one new array per step, where the library transforms one buffer
   in place.
+* :func:`time_samples` and :func:`from_time` are that pair on a state's
+  flat array of time samples, where every public function of the library
+  takes and returns states.
+* :func:`projection` and :func:`increment` are a family's past projection
+  and interval measure as dense matrices on rows of ``R``, where the library
+  reads the family's residuals off the real defect and forms neither.
 * :func:`round_trip_leakage` is the guard-band leakage of a HARDY_PLUS
   state's full time profile, embedded and transformed back, where the
   library reads it off the state's own amplitudes.
@@ -65,14 +71,13 @@ from timearrow import (
     hardy_embed,
     norm,
     restrict,
-    to_time,
     toeplitz_step,
     z_matrix,
 )
 from timearrow.evolution import _semigroup_index, _toeplitz_block
-from timearrow.hardy import TimeProfile, _phase_factors, _tau_to_sigma
+from timearrow.hardy import _phase_factors, _sigma_to_tau, _tau_to_sigma
 from timearrow.lambda_transform import IrreversibleModel
-from timearrow.ordering import ProjectionFamily
+from timearrow.ordering import ProjectionFamily, _row_weighted
 
 
 def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
@@ -239,10 +244,30 @@ def project_halfline(f: StateVector, side: str) -> StateVector:
     return StateVector(f.grid, Space.FULL_LINE, a.reshape(-1))
 
 
-def from_time(p: TimeProfile) -> StateVector:
-    """Inverse of :func:`timearrow.to_time`."""
-    f = _tau_to_sigma(p.grid, p.fibered())
-    return StateVector(p.grid, Space.FULL_LINE, f.reshape(-1))
+def time_samples(f: StateVector) -> np.ndarray:
+    """A full-line state's samples on the dual time lattice, the C-order
+    flattening of an ``(n_sigma, k_dim)`` array over the bins ``tau_k``; the
+    squared norm is ``sum(|samples|^2) delta_tau`` (Parseval)."""
+    if f.space is not Space.FULL_LINE:
+        raise SpaceMismatchError("time_samples acts on FULL_LINE states")
+    return _sigma_to_tau(f.grid, f.fibered()).reshape(-1)
+
+
+def from_time(grid, samples: np.ndarray) -> StateVector:
+    """Inverse of :func:`time_samples`."""
+    f = _tau_to_sigma(grid, np.reshape(samples, (-1, grid.k_dim)))
+    return StateVector(grid, Space.FULL_LINE, f.reshape(-1))
+
+
+def projection(family: ProjectionFamily, i: int) -> LinOp:
+    """The family's past projection ``R[:e_i]^H R[:e_i]`` at ``times[i]``."""
+    return _row_weighted(family.isometry, 0, family.row_ends[i])
+
+
+def increment(family: ProjectionFamily, i: int) -> LinOp:
+    """The family's measure of ``(times[i], times[i+1]]``, ``R[e_i:e_{i+1}]^H
+    R[e_i:e_{i+1}]``."""
+    return _row_weighted(family.isometry, family.row_ends[i], family.row_ends[i + 1])
 
 
 def adjoint(op: LinOp) -> LinOp:
@@ -266,4 +291,4 @@ def round_trip_leakage(h: StateVector) -> float:
     embedding and back: one IFFT and one FFT."""
     if h.space is not Space.HARDY_PLUS:
         raise SpaceMismatchError("round_trip_leakage acts on HARDY_PLUS states")
-    return guard_band_leakage(to_time(hardy_embed(h)))
+    return guard_band_leakage(hardy_embed(h))

@@ -78,6 +78,22 @@ class TestConfigHandling:
                     "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("content, problem", [
+        (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON: maximum recursion depth"),
+    ], ids=["undecodable", "nested-too-deep"])
+    def test_unreadable_config_exits_2_without_a_traceback(self, tmp_path, content,
+                                                           problem):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        out.mkdir()
+        res = _run(["lyapunov-curve", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 2
+        assert _stderr(res).startswith("config error: config: " + problem.format(path=path))
+        assert "Traceback" not in _stderr(res)
+        assert not any(out.iterdir())
+
     def test_off_lattice_times_exit_2_when_snapping_disabled(self, tmp_path):
         cfg = copy.deepcopy(SMALL)
         cfg["times"]["snap_times"] = False
@@ -413,6 +429,19 @@ class TestModelCache:
         assert [p.name for p in (cache / "timearrow").iterdir()] == [name]
         with np.load(cache / "timearrow" / name) as f:
             assert f["key"].item() == "edited sources"
+
+    def test_a_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # the XDG spec: a relative path is invalid, so ~/.cache is used
+        home, work = tmp_path / "home", tmp_path / "work"
+        work.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+        monkeypatch.chdir(work)
+        _cached_model(make_grid(64, 20.0))
+        file = home / ".cache" / "timearrow" / "model-64.npz"
+        assert capsys.readouterr().out == f"model: built, saved {file}\n"
+        assert file.is_file() and not any(work.iterdir())
 
     def test_build_model_opens_no_file(self, monkeypatch, small_grid):
         # the library itself never reads or writes the cache

@@ -483,6 +483,26 @@ def test_default_config_is_valid(tmp_path):
     assert load_config(_write(tmp_path, DEFAULT_CONFIG)) == DEFAULT_CONFIG
 
 
+def test_unreadable_paths_raise_config_errors(tmp_path, monkeypatch):
+    # a directory, an unreadable file (faked: root reads any mode) and
+    # undecodable bytes: each a ConfigError naming the path, not an OSError
+    with pytest.raises(ConfigError, match=r"config: cannot read .*: Is a directory"):
+        load_config(str(tmp_path))
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match=r"config: cannot read .*utf16\.json: 'utf-8'"):
+        load_config(str(undecodable))
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(_config, "open", denied, raising=False)
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, DEFAULT_CONFIG))
+    assert info.value.problems == [
+        f"config: cannot read {tmp_path / 'config.json'}: Permission denied"]
+
+
 def _perfbench(name, monkeypatch):
     """``perfbench/<name>.py`` loaded as a module (read, never edited)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

@@ -12,13 +12,13 @@ from timearrow import (
     OffLatticeTimeError,
     OffLatticeWarning,
     Space,
+    StateVector,
     hardy_embed,
     hardy_part,
     inner,
     kernel_witness,
     lattice_index,
     make_grid,
-    make_state,
     norm,
     toeplitz_step,
     unitary_evolve,
@@ -63,7 +63,7 @@ def _slice_loop_block(h, ks):
 
 def _rand_state(grid, space, rng):
     n = grid.dim(space)
-    return make_state(grid, space, rng.normal(size=n) + 1j * rng.normal(size=n))
+    return StateVector(grid, space, rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 class TestUnitaryGroup:
@@ -256,7 +256,7 @@ class TestToeplitzSemigroup:
         nh = small_grid.n_half()
         b = np.zeros(nh, dtype=np.complex128)
         b[: nh // 2] = rng.normal(size=nh // 2) + 1j * rng.normal(size=nh // 2)
-        h = make_state(small_grid, Space.HARDY_PLUS, b)
+        h = StateVector(small_grid, Space.HARDY_PLUS, b)
         for k in (1, 6, nh // 2 - 1):
             t = k * small_grid.delta_tau
             back = toeplitz_step(toeplitz_adjoint(h, t), t)
@@ -276,7 +276,7 @@ class TestToeplitzSemigroup:
         # support well inside the window: the right shift loses nothing
         b = np.zeros(small_grid.n_half(), dtype=np.complex128)
         b[:8] = rng.normal(size=8) + 1j * rng.normal(size=8)
-        h = make_state(small_grid, Space.HARDY_PLUS, b)
+        h = StateVector(small_grid, Space.HARDY_PLUS, b)
         t = 4 * small_grid.delta_tau
         assert norm(toeplitz_adjoint(h, t)) == pytest.approx(norm(h), rel=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 
 from timearrow import (
     Space,
-    TimeProfile,
+    StateVector,
     apply_omega,
     guard_band_leakage,
     hardy_embed,
@@ -14,34 +14,30 @@ from timearrow import (
     hardy_project_oracle,
     inner,
     make_grid,
-    make_state,
     norm,
     random_guarded_state,
     rational_hardy,
     smooth_oracle_state,
-    to_time,
 )
 from timearrow.hardy import _sigma_to_tau, _tau_to_sigma
-from oracles import from_time, offset_dft, round_trip_leakage
+from oracles import from_time, offset_dft, round_trip_leakage, time_samples
 
 
 def _rand_full(grid, rng):
     n = grid.dim(Space.FULL_LINE)
-    return make_state(grid, Space.FULL_LINE, rng.normal(size=n) + 1j * rng.normal(size=n))
+    return StateVector(grid, Space.FULL_LINE, rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 class TestTransform:
     def test_round_trip(self, small_grid, rng):
         f = _rand_full(small_grid, rng)
-        assert norm(from_time(to_time(f)) - f) <= 1e-12 * norm(f)
+        assert norm(from_time(small_grid, time_samples(f)) - f) <= 1e-12 * norm(f)
 
     def test_parseval(self, small_grid, rng):
         f = _rand_full(small_grid, rng)
-        assert to_time(f).norm() == pytest.approx(norm(f), rel=1e-12)
-
-    def test_profile_length_validated(self, small_grid):
-        with pytest.raises(ValueError):
-            TimeProfile(small_grid, np.zeros(3))
+        p = time_samples(f)
+        time_norm = np.sqrt(np.sum(np.abs(p) ** 2) * small_grid.delta_tau)
+        assert time_norm == pytest.approx(norm(f), rel=1e-12)
 
     def test_simple_pole_gives_exponential_profile(self, big_grid):
         # 1/(sigma + i) transforms to a one-sided exponential; the stored
@@ -51,7 +47,7 @@ class TestTransform:
         target = np.sqrt(2 * np.pi) * np.where(
             tau >= 0, -1j * np.exp(-np.where(tau >= 0, tau, 0.0)), 0.0
         )
-        p = to_time(f).samples
+        p = time_samples(f)
         mismatch = np.linalg.norm(p - target) / np.linalg.norm(target)
         assert mismatch <= 0.05
         assert mismatch == pytest.approx(0.023063, abs=3e-4)
@@ -97,12 +93,12 @@ class TestProjections:
         n = small_grid.n_sigma
         samples = np.zeros(n, dtype=np.complex128)
         samples[: n // 2] = rng.normal(size=n // 2)
-        f = from_time(TimeProfile(small_grid, samples))
+        f = from_time(small_grid, samples)
         assert norm(hardy_project(f, "plus")) <= 1e-14 * norm(f)
 
     def test_plus_projection_support(self, small_grid, rng):
         f = _rand_full(small_grid, rng)
-        p = to_time(hardy_project(f, "plus")).samples
+        p = time_samples(hardy_project(f, "plus"))
         assert np.all(np.abs(p[: small_grid.n_sigma // 2]) <= 1e-13 * np.abs(p).max())
 
     def test_part_embed_round_trip(self, small_grid, rng):
@@ -192,7 +188,7 @@ class TestGuardBand:
         samples = np.zeros(n, dtype=np.complex128)
         # content confined to the middle half of the window
         samples[n // 4 : 3 * n // 4] = rng.normal(size=n // 2)
-        f = from_time(TimeProfile(small_grid, samples))
+        f = from_time(small_grid, samples)
         # exact zero up to FFT round-off dust (amplitudes ~1e-16, squared)
         assert guard_band_leakage(f) <= 1e-25
 
@@ -200,7 +196,7 @@ class TestGuardBand:
         n = small_grid.n_sigma
         samples = np.zeros(n, dtype=np.complex128)
         samples[-1] = 1.0  # rightmost tau bin, deep in the guard band
-        assert guard_band_leakage(TimeProfile(small_grid, samples)) == pytest.approx(1.0)
+        assert guard_band_leakage(from_time(small_grid, samples)) == pytest.approx(1.0)
 
     def test_accepts_all_tags(self, small_grid, rng):
         f = _rand_full(small_grid, rng)

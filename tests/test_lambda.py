@@ -9,6 +9,7 @@ import pytest
 from timearrow import (
     LinOp,
     Space,
+    StateVector,
     build_m_f,
     build_model,
     build_omega,
@@ -16,7 +17,6 @@ from timearrow import (
     inner,
     intertwining_residual,
     make_grid,
-    make_state,
     norm,
     random_guarded_state,
     unitary_evolve,
@@ -56,8 +56,8 @@ def build_isometry(omega, lam):
 
 def _rand_half(grid, rng):
     n = grid.dim(Space.HALF_LINE_POS)
-    return make_state(grid, Space.HALF_LINE_POS,
-                      rng.normal(size=n) + 1j * rng.normal(size=n))
+    return StateVector(grid, Space.HALF_LINE_POS,
+                       rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 class TestSquareRoot:
@@ -432,7 +432,7 @@ class TestContractionSemigroup:
 
     def test_space_tag_enforced(self, model, rng):
         n = model.grid.dim(Space.FULL_LINE)
-        f = make_state(model.grid, Space.FULL_LINE, np.ones(n))
+        f = StateVector(model.grid, Space.FULL_LINE, np.ones(n))
         with pytest.raises(Exception):
             z_evolve(model, f, 0.0)
 

@@ -6,6 +6,7 @@ import pytest
 from timearrow import (
     OffLatticeWarning,
     Space,
+    StateVector,
     TrajectoryReport,
     apply_omega,
     build_m_f,
@@ -19,7 +20,6 @@ from timearrow import (
     lattice_index,
     lyapunov_curve,
     make_grid,
-    make_state,
     norm,
     random_guarded_state,
     restrict,
@@ -36,8 +36,8 @@ from oracles import (
 
 def _rand_half(grid, rng):
     n = grid.dim(Space.HALF_LINE_POS)
-    return make_state(grid, Space.HALF_LINE_POS,
-                      rng.normal(size=n) + 1j * rng.normal(size=n))
+    return StateVector(grid, Space.HALF_LINE_POS,
+                       rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 def _fft_omega_block(grid):
@@ -71,8 +71,8 @@ class TestForwardMap:
         om = build_omega(small_grid)
         psi = _rand_half(small_grid, rng)
         assert norm(apply_omega(psi) - om.apply(psi)) <= 1e-13 * norm(psi)
-        h = make_state(small_grid, Space.HARDY_PLUS,
-                       rng.normal(size=small_grid.n_half()))
+        h = StateVector(small_grid, Space.HARDY_PLUS,
+                        rng.normal(size=small_grid.n_half()))
         assert norm(apply_omega_adjoint(h) - adjoint(om).apply(h)) <= 1e-13 * norm(h)
 
     @pytest.mark.parametrize("k_dim", [1, 2])
@@ -91,14 +91,14 @@ class TestForwardMap:
     def test_contractive_both_ways(self, small_grid, rng):
         psi = _rand_half(small_grid, rng)
         assert norm(apply_omega(psi)) <= norm(psi) * (1 + 1e-13)
-        h = make_state(small_grid, Space.HARDY_PLUS,
-                       rng.normal(size=small_grid.n_half()) + 0j)
+        h = StateVector(small_grid, Space.HARDY_PLUS,
+                        rng.normal(size=small_grid.n_half()) + 0j)
         assert norm(apply_omega_adjoint(h)) <= norm(h) * (1 + 1e-13)
 
     def test_adjoint_pairing(self, small_grid, rng):
         psi = _rand_half(small_grid, rng)
-        h = make_state(small_grid, Space.HARDY_PLUS,
-                       rng.normal(size=small_grid.n_half()) + 1j * rng.normal(size=small_grid.n_half()))
+        h = StateVector(small_grid, Space.HARDY_PLUS,
+                        rng.normal(size=small_grid.n_half()) + 1j * rng.normal(size=small_grid.n_half()))
         assert inner(h, apply_omega(psi)) == pytest.approx(
             inner(apply_omega_adjoint(h), psi), abs=1e-12
         )

@@ -11,6 +11,7 @@ from timearrow import (
     OffLatticeTimeError,
     OffLatticeWarning,
     Space,
+    StateVector,
     apply_omega,
     assemble_T,
     build_m_f,
@@ -25,7 +26,6 @@ from timearrow import (
     kernel_witness,
     lyapunov_curve,
     make_grid,
-    make_state,
     norm,
     projection_rank,
     random_guarded_state,
@@ -43,16 +43,18 @@ from oracles import (
     adjoint,
     fiberize,
     fibre_ordering_spectrum,
+    increment,
     lyapunov_expectation,
     past_projection,
     perturbed_model,
+    projection,
 )
 
 
 def _rand_half(grid, rng):
     n = grid.dim(Space.HALF_LINE_POS)
-    return make_state(grid, Space.HALF_LINE_POS,
-                      rng.normal(size=n) + 1j * rng.normal(size=n))
+    return StateVector(grid, Space.HALF_LINE_POS,
+                       rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 def _hermitian_op(grid, rng):
@@ -136,7 +138,7 @@ class TestProjectionPair:
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.array([0.0, 16 * dt, 48 * dt]))
         q = future_projection(model, 48 * dt)
-        total = fam.projection(2).matrix + q.matrix
+        total = projection(fam, 2).matrix + q.matrix
         assert np.linalg.norm(total - np.eye(model.grid.n_half())) <= 1e-10
 
     def test_range_of_z_adjoint_is_forward_subspace(self, model):
@@ -171,34 +173,35 @@ class TestSpectralMeasure:
         fam = spectral_measure(model, ks * dt)
         nh = model.grid.n_half()
         for i, k in enumerate(ks):
-            p = fam.projection(i)
+            p = projection(fam, i)
             assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= 1e-10
             assert projection_rank(p) == k
             assert np.trace(p.matrix).real == pytest.approx(k, abs=1e-8)
         for i in range(1, ks.size):
-            later, earlier = fam.projection(i), fam.projection(i - 1)
+            later, earlier = projection(fam, i), projection(fam, i - 1)
             prod = earlier.matrix @ later.matrix
             assert np.linalg.norm(prod - earlier.matrix) <= 1e-10
-        increments = [fam.increment(i) for i in range(ks.size - 1)]
+        increments = [increment(fam, i) for i in range(ks.size - 1)]
         for inc in increments:
             vals = np.linalg.eigvalsh(inc.matrix)
             assert vals.min() >= -1e-10
             assert vals.max() <= 1 + 1e-10
         telescoped = sum(i.matrix for i in increments)
-        assert np.linalg.norm(telescoped - fam.projection(ks.size - 1).matrix) <= 1e-10
+        last = projection(fam, ks.size - 1).matrix
+        assert np.linalg.norm(telescoped - last) <= 1e-10
 
     def test_additivity_under_refinement(self, model):
         dt = model.grid.delta_tau
         fine = spectral_measure(model, np.arange(0, 33, 4) * dt)
         coarse = spectral_measure(model, np.array([0, 16, 32]) * dt)
-        merged = sum(fine.increment(i).matrix for i in range(4))
-        assert np.linalg.norm(merged - coarse.increment(0).matrix) <= 1e-10
+        merged = sum(increment(fine, i).matrix for i in range(4))
+        assert np.linalg.norm(merged - increment(coarse, 0).matrix) <= 1e-10
 
     def test_exhausts_for_full_window(self, model):
         dt = model.grid.delta_tau
         nh = model.grid.n_half()
         fam = spectral_measure(model, np.array([0, nh // 2, nh]) * dt)
-        assert np.linalg.norm(fam.projection(2).matrix - np.eye(nh)) <= 1e-10
+        assert np.linalg.norm(projection(fam, 2).matrix - np.eye(nh)) <= 1e-10
 
     def test_residuals_match_dense_route(self, small_grid):
         # a slightly non-unitary R gives residuals well above rounding, so
@@ -208,10 +211,10 @@ class TestSpectralMeasure:
         r = fam.isometry.matrix
         eye = np.eye(small_grid.n_half())
         for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
-            p = fam.projection(i).matrix
+            p = projection(fam, i).matrix
             future = r[ks[i]:].conj().T @ r[ks[i]:]
-            q = fam.projection(i - 1).matrix if i else np.zeros_like(p)
-            assert rank == projection_rank(fam.projection(i)) == ks[i]
+            q = projection(fam, i - 1).matrix if i else np.zeros_like(p)
+            assert rank == projection_rank(projection(fam, i)) == ks[i]
             assert idem == pytest.approx(np.linalg.norm(p @ p - p), rel=1e-6, abs=1e-14)
             assert nest == pytest.approx(np.linalg.norm(q @ p - q), rel=1e-6, abs=1e-14)
             assert comp == pytest.approx(np.linalg.norm(p + future - eye), rel=1e-6)
@@ -224,17 +227,17 @@ class TestSpectralMeasure:
         ks = np.array([0, 4, 9, 20, 32])
         fam = _perturbed_family(small_grid, 3e-6, ks)
         for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
-            p = fam.projection(i).matrix
-            q = fam.projection(i - 1).matrix if i else np.zeros_like(p)
+            p = projection(fam, i).matrix
+            q = projection(fam, i - 1).matrix if i else np.zeros_like(p)
             assert comp > _CLUSTER_GAP
-            assert rank == projection_rank(fam.projection(i)) == ks[i]
+            assert rank == projection_rank(projection(fam, i)) == ks[i]
             assert idem == pytest.approx(np.linalg.norm(p @ p - p), rel=1e-6, abs=1e-14)
             assert nest == pytest.approx(np.linalg.norm(q @ p - q), rel=1e-6, abs=1e-14)
 
     def test_residuals_reject_what_projection_rank_rejects(self, small_grid):
         fam = _perturbed_family(small_grid, 1e-3, np.array([0, 4, 9, 20, 32]))
         with pytest.raises(ValueError, match="not clustered"):
-            projection_rank(fam.projection(1))
+            projection_rank(projection(fam, 1))
         with pytest.raises(ValueError, match="not clustered"):
             fam.residuals()
 
@@ -270,7 +273,7 @@ class TestSpectralMeasure:
         fam.residuals()
         fam.ordering_extremes()
         assert calls["_entries"] == 0
-        fam.projection(1)  # the dense routes build it on request
+        projection(fam, 1)  # the oracle builds it on request
         assert calls["_entries"] == 1
 
     def test_grid_validation(self, model):
@@ -326,11 +329,11 @@ class TestFibredDenseOracle:
         psi = _rand_half(fibred.grid, rng)
         scale = norm(psi)
         assert norm(z_evolve(fibred, psi, t)
-                    - make_state(fibred.grid, Space.HALF_LINE_POS,
-                                 z @ psi.amplitudes)) <= 1e-12 * scale
+                    - StateVector(fibred.grid, Space.HALF_LINE_POS,
+                                  z @ psi.amplitudes)) <= 1e-12 * scale
         assert norm(z_adjoint(fibred, psi, t)
-                    - make_state(fibred.grid, Space.HALF_LINE_POS,
-                                 zh @ psi.amplitudes)) <= 1e-12 * scale
+                    - StateVector(fibred.grid, Space.HALF_LINE_POS,
+                                  zh @ psi.amplitudes)) <= 1e-12 * scale
 
     def test_family_increments_ranks_and_T(self, fibred):
         ks = np.array([0, 3, 8, 20, 32])
@@ -342,12 +345,12 @@ class TestFibredDenseOracle:
             z = self._z_oracle(fibred, k)
             past.append(eye - z.conj().T @ z)
         for i, k in enumerate(ks):
-            assert np.linalg.norm(fam.projection(i).matrix - past[i]) <= 1e-12
-            assert projection_rank(fam.projection(i)) == 2 * k
+            assert np.linalg.norm(projection(fam, i).matrix - past[i]) <= 1e-12
+            assert projection_rank(projection(fam, i)) == 2 * k
         t_oracle = np.zeros_like(past[0])
         for i in range(ks.size - 1):
             inc = past[i + 1] - past[i]
-            assert np.linalg.norm(fam.increment(i).matrix - inc) <= 1e-12
+            assert np.linalg.norm(increment(fam, i).matrix - inc) <= 1e-12
             t_oracle += 0.5 * (ks[i] + ks[i + 1]) * dt * inc
         assert np.linalg.norm(assemble_T(fam).matrix - t_oracle) <= 1e-12
         assert [row[0] for row in fam.residuals()] == list(2 * ks)
@@ -483,7 +486,7 @@ class TestOrderingOperator:
         fam = spectral_measure(model, np.arange(0, 49, 16) * dt)
         op = assemble_T(fam).matrix
         for i in range(1, fam.times.size):
-            p = fam.projection(i)
+            p = projection(fam, i)
             comm = op @ p.matrix - p.matrix @ op
             assert np.linalg.norm(comm) <= 1e-10
 
@@ -497,7 +500,7 @@ class TestOrderingOperator:
         for j in (1, 2, 3):
             sel = (vals > 1e-10) & (vals <= mids[j - 1] + 1e-10)
             rebuilt = vecs[:, sel] @ vecs[:, sel].conj().T
-            assert np.linalg.norm(rebuilt - fam.projection(j).matrix) <= 1e-6
+            assert np.linalg.norm(rebuilt - projection(fam, j).matrix) <= 1e-6
 
     def test_single_interval_is_scaled_projection(self, small_grid):
         from timearrow import build_model
@@ -610,9 +613,9 @@ class TestMatrixElementOracle:
         for t, got in zip(times, irr):
             p = future_projection(m, t).matrix
             z = z_matrix(m, t)
-            a = make_state(m.grid, Space.HALF_LINE_POS, p @ lam @ phi.amplitudes)
-            b = make_state(m.grid, Space.HALF_LINE_POS,
-                           z.conj().T @ x.matrix @ z @ p @ lam @ psi.amplitudes)
+            a = StateVector(m.grid, Space.HALF_LINE_POS, p @ lam @ phi.amplitudes)
+            b = StateVector(m.grid, Space.HALF_LINE_POS,
+                            z.conj().T @ x.matrix @ z @ p @ lam @ psi.amplitudes)
             assert abs(got - inner(a, b)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("which", ["model", "fibred"])
@@ -627,14 +630,14 @@ class TestMatrixElementOracle:
         (rev,), _, _ = irreversible_matrix_element(m, phi, psi, [x], times)
         dressed = m.lam.matrix @ x.matrix @ m.lam.matrix
         for t, got in zip(times, rev):
-            b = make_state(m.grid, Space.HALF_LINE_POS,
-                           dressed @ unitary_evolve(psi, t).amplitudes)
+            b = StateVector(m.grid, Space.HALF_LINE_POS,
+                            dressed @ unitary_evolve(psi, t).amplitudes)
             assert abs(got - inner(unitary_evolve(phi, t), b)) <= 1e-12 * scale
 
     def test_shared_state_matches_separate_copy(self, model, rng):
         # phi is psi reuses the psi side; an equal copy recomputes it
         psi = _rand_half(model.grid, rng)
-        twin = make_state(model.grid, Space.HALF_LINE_POS, psi.amplitudes.copy())
+        twin = StateVector(model.grid, Space.HALF_LINE_POS, psi.amplitudes.copy())
         x = _hermitian_op(model.grid, rng)
         scale = norm(psi) ** 2 * np.linalg.norm(x.matrix, 2)
         times = np.array([0, 5, 40]) * model.grid.delta_tau
@@ -807,7 +810,7 @@ class TestCorrespondence:
 
     def test_requires_half_line_state(self, model, rng):
         n = model.grid.dim(Space.FULL_LINE)
-        f = make_state(model.grid, Space.FULL_LINE, np.ones(n))
+        f = StateVector(model.grid, Space.FULL_LINE, np.ones(n))
         with pytest.raises(ValueError):
             correspondence_check(model, f, 0.0)
 

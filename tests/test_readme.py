@@ -15,6 +15,9 @@ def _quick_start() -> str:
 
 
 def test_quick_start_runs():
+    code = _quick_start()
     namespace = {}
-    exec(compile(_quick_start(), str(README), "exec"), namespace)
-    assert projection_rank(namespace["p_past"]) == 40
+    exec(compile(code, str(README), "exec"), namespace)
+    n_half, k = map(int, re.search(r"rank (\d+) − (\d+)", code).groups())
+    assert namespace["grid"].n_half() == n_half
+    assert projection_rank(namespace["p_future"]) == n_half - k

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from timearrow import (
-    ProjectionFamily,
     Space,
     apply_omega,
     build_model,
@@ -46,8 +45,8 @@ from timearrow.selftest import (
     check_semigroup_laws,
 )
 from oracles import (
-    complex_isometry_defects, composition_law, lyapunov_expectation, perturbed_model,
-    toeplitz_adjoint,
+    complex_isometry_defects, composition_law, increment, lyapunov_expectation,
+    perturbed_model, projection, toeplitz_adjoint,
 )
 
 
@@ -66,7 +65,7 @@ def _dense_projection_family(model):
     unitarity twice at ``t = 0``, where it is ``(R^H R)^2``.
     """
     family = spectral_measure(model, _family_ks(model) * model.grid.delta_tau)
-    projections = [family.projection(i) for i in range(family.times.size)]
+    projections = [projection(family, i) for i in range(family.times.size)]
     eye = np.eye(model.grid.dim(Space.HALF_LINE_POS))
     idem = comp = nest = 0.0
     for p, t in zip(projections, family.times):
@@ -77,7 +76,7 @@ def _dense_projection_family(model):
         nest = max(nest, np.linalg.norm(pi @ pj - pi))
     ranks = [projection_rank(p) for p in projections]
     spectra = np.concatenate([
-        np.linalg.eigvalsh(family.increment(i).matrix)
+        np.linalg.eigvalsh(increment(family, i).matrix)
         for i in range(family.times.size - 1)
     ])
     inc_eig_lo, inc_eig_hi = spectra.min(), spectra.max()
@@ -169,9 +168,6 @@ class TestProjectionFamilyCheck:
                 if hasattr(module, name):
                     fn = getattr(module, name)
                     monkeypatch.setattr(module, name, counted(name, fn))
-        for name in ("projection", "increment"):
-            monkeypatch.setattr(ProjectionFamily, name,
-                                counted(name, getattr(ProjectionFamily, name)))
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
