@@ -50,9 +50,8 @@ DEFAULT_CONFIG = {
 #             table and the time grid at any k_dim, and per fibre the
 #             transform buffer, the state and its power
 #   dense     per n_dense^2 entry at any k_dim (the model, its forms and
-#             products; selftest's criteria at k_dim 1)
-#   residual  per E^2 entry, E = min(round(t_max sigma_max / pi), n_dense) the
-#             last row end: projection-family's two real E x E blocks
+#             products, projection-family's real defect; selftest's
+#             criteria at k_dim 1)
 #   blocks    per entry of the blocks of states, n_dense k_dim rows and up to
 #             _BLOCK_COLUMNS columns each (projection-family holds no state,
 #             and no array longer than n_dense: T's extremes are its weights)
@@ -65,16 +64,16 @@ _BASE_BYTES = 40 * 2**20
 _FFT_TABLES = 4  # complex n_sigma vectors at any k_dim
 _FFT_VECTORS = 3  # complex n_sigma vectors per fibre
 _SCENARIO_CHARGES = {
-    #                    fft dense residual blocks steps floor
-    "lyapunov-curve":    (16, 0, 0, 0, 64, 0),
-    "semigroup-norms":   (16, 16, 0, 128, 80, 0),
-    "projection-family": (0, 24, 16, 0, 64, 0),
-    "matrix-element":    (0, 16, 0, 128, 160, 0),
-    "convergence":       (0, 0, 0, 0, 0, 0),
+    #                    fft dense blocks steps floor
+    "lyapunov-curve":    (16, 0, 0, 64, 0),
+    "semigroup-norms":   (16, 16, 128, 80, 0),
+    "projection-family": (0, 24, 0, 64, 0),
+    "matrix-element":    (0, 16, 128, 160, 0),
+    "convergence":       (0, 0, 0, 0, 0),
 }
 _CHARGES = {
     **_SCENARIO_CHARGES,
-    "selftest": (0, 480, 0, 0, 0, 48 * 2**20),
+    "selftest": (0, 480, 0, 0, 48 * 2**20),
     # no command named: the largest of each term over the scenario commands
     None: tuple(map(max, *_SCENARIO_CHARGES.values())),
 }
@@ -213,16 +212,13 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
     """
     if command not in _CHARGES:
         raise ValueError(f"unknown command {command!r}")
-    fft, dense, residual, blocks, steps, floor = _CHARGES[command]
+    fft, dense, blocks, steps, floor = _CHARGES[command]
     grid, n_dense, times = cfg["grid"], cfg["dense"]["n_dense"], cfg["times"]
-    # projection-family's last row end E, the lattice index of t_max
-    rows = round(min(times["t_max"] * grid["sigma_max"] / math.pi, n_dense))
     block = n_dense * grid["k_dim"] * min(times["n_steps"], _BLOCK_COLUMNS)
     terms = {
         "grid.n_sigma": fft * (_FFT_TABLES + _FFT_VECTORS * grid["k_dim"])
         * grid["n_sigma"],
-        "dense.n_dense": max(dense * n_dense**2, floor) + residual * rows**2
-        + blocks * block,
+        "dense.n_dense": max(dense * n_dense**2, floor) + blocks * block,
         "times.n_steps": steps * times["n_steps"],
     }
     field = max(terms, key=terms.get) if any(terms.values()) else "config"

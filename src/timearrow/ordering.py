@@ -20,10 +20,10 @@ need no dense matrix, nor ``R``: only ``G = R R^H``, through the real
 defect ``D* G D - I`` (``D`` the unit phases of ``R = gamma D Q C Q^T D``;
 norms, traces and leading-block spectra do not see ``D``; its norm is also
 ``|R^H R - I|``), built from the model's one eigenvector matrix ``v`` by
-:mod:`timearrow.lambda_transform`.
-:meth:`ProjectionFamily.residuals` reads it, with Weyl-certified ranks.  As
-``spec(XY) = spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)`` (``M`` the
-midpoint weights) has the spectrum of ``M + M^(1/2) D M^(1/2)`` on its
+:mod:`timearrow.lambda_transform`.  :meth:`ProjectionFamily.residuals`
+reads the norms of its leading blocks in one pass, with Weyl-certified
+ranks.  As ``spec(XY) = spec(YX)``, ``T = (R^H M^(1/2)) (M^(1/2) R)``
+(``M`` the midpoint weights) has the spectrum of ``M + M^(1/2) D M^(1/2)`` on its
 first ``E`` rows (``E`` the last row end), and ``n - E`` zeros: by Weyl's
 inequality, the weights and zeros to within ``max(M) |D|``.  On the full
 space each matrix is ``kron(block, I_k)``: ranks and spectra repeat
@@ -33,15 +33,16 @@ space each matrix is ``kron(block, I_k)``: ranks and spectra repeat
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .evolution import _column_chunks, _semigroup_index, _unitary_block
+from .evolution import _BLOCK_COLUMNS, _column_chunks, _semigroup_index, _unitary_block
 from .lambda_transform import IrreversibleModel, ProlateOp, _isometry_defect, _z_block
 from .lyapunov import _omega_block
-from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, norm
+from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, _frobenius, norm
 
 __all__ = [
     "ProjectionFamily",
@@ -126,48 +127,44 @@ class ProjectionFamily:
     def residuals(self) -> list[tuple[int, float, float, float]]:
         """``(rank, idempotency, nesting, complement)`` of each projection.
 
-        The Frobenius residuals ``|P^2 - P|``, ``|Q P - Q|`` (``Q`` the
-        previous projection) and ``|P + P_future - I|`` of the dense
-        matrices, without forming any.  ``P = A^H A`` with ``A = R[:e]``, and
-        ``A A^H = G_e`` is the leading block of ``G``.  Let ``D`` be
-        :attr:`defect` (``G - I``, whose phases cancel from every quantity
-        here), ``F = D[:q, :e]`` (``q`` the previous row end) and ``C_j = D +
-        D[:, :e_j] D[:e_j, :]``, updated in place on the first ``E`` rows and
-        columns by one panel product ``D[:, q:e] D[q:e, :]`` per time.  Then
-        ``|P^2 - P| = |D_e G_e| = |C_j[:e, :e]|``, ``|Q P - Q|^2 = tr(F^H G_q
-        F G_e)`` is the inner product of ``C_{j-1}[:q, :e] = G_q F`` and
-        ``C_j[:q, :e] = F G_e``, and since ``P + P_future = R^H R``, the
-        complement residual is ``|D|``.  Weyl's inequality puts the spectrum
-        of ``G_e`` within ``|D|`` of 1, so if ``|D| <= 1e-4`` the rank is
-        ``e``; otherwise :func:`projection_rank`'s cluster test runs on ``G_e``
-        (``ValueError`` if it does not cluster at ``{0, 1}``).  Ranks and
-        residuals are lifted to the full space.
-        """
-        def inner(a, b):  # <a, b> of two real views, copying neither
-            return np.einsum("ij,ij->", a, b)
+        Norms of blocks of :attr:`defect` ``D = G - I`` (``G = R R^H``; its
+        phases drop out), lifted to the full space.  With ``e`` the row end
+        and ``q`` the previous one (0 first): idempotency ``|D[:e, :e]| =
+        |R[:e] R[:e]^H - I|``, zero iff ``P = R[:e]^H R[:e]`` is an orthogonal
+        projection of rank ``e``; nesting ``|D[:q, :e]| = |R[:q] R[:e]^H - [I
+        0]|``; complement ``|D| = |R^H R - I| = |P + P_future - I|``.
 
+        The dense residuals are the first two times a factor in ``1 +-
+        |D|_2``: with ``A = R[:e]``, ``B = R[:q]`` and ``F = D[:q, :e]``,
+        ``P^2 - P = A^H D[:e, :e] A`` and ``Q P - Q = B^H F A`` (``Q = B^H
+        B``), so ``|P^2 - P| = |D[:e, :e] G_e|`` and ``|Q P - Q| = |G_q^(1/2)
+        F G_e^(1/2)|``, and ``G_e = G[:e, :e]``, a compression of ``I + D``,
+        has its spectrum within ``|D|_2 <= |D|`` of 1.  So if ``|D| <= 1e-4``
+        the rank is ``e``; otherwise :func:`projection_rank`'s cluster test
+        runs on ``G_e`` (``ValueError`` if it does not cluster at ``{0, 1}``).
+
+        One pass over ``D[:E, :E]`` (``E`` the last row end), in panels of at
+        most ``_BLOCK_COLUMNS`` rows, sums squares into a table over the
+        distinct row ends, whose 2-d cumulative sum holds every ``|D[:a,
+        :b]|^2``: nesting <= idempotency, which never decreases, exactly.  No
+        sum goes through BLAS, so no residual moves with its thread count.
+        """
         d, fibres = self.defect, self.isometry.grid.k_dim
         lift = np.sqrt(fibres)
-        complement = float(np.linalg.norm(d) * lift)
-        big_e = self.row_ends[-1]
-        c = d[:big_e, :big_e].copy()  # C_j, updated in place
-        out = []
-        q = 0
-        for e in self.row_ends:
-            before = c[:q, :e]  # C_{j-1}
-            panel = d[:big_e, q:e] @ d[q:e, :big_e]
-            nest_sq = inner(before, before) + inner(before, panel[:q, :e])
-            c += panel
-            del panel
-            nest = float(np.sqrt(max(nest_sq, 0.0)) * lift)
-            if complement <= _CLUSTER_GAP:
-                rank = int(e)
-            else:
-                rank = _cluster_rank(np.linalg.eigvalsh(d[:e, :e]) + 1.0)
-            idem = float(np.sqrt(inner(c[:e, :e], c[:e, :e])) * lift)
-            out.append((rank * fibres, idem, nest, complement))
-            q = e
-        return out
+        complement = float(_frobenius(d) * lift)
+        ends = self.row_ends  # nondecreasing; np.unique would import numpy.ma
+        cuts = ends[np.append(True, ends[1:] != ends[:-1])]  # distinct: 0 < ... < E
+        table = np.zeros((cuts.size, cuts.size))  # row and column 0: empty
+        for a, (lo, hi) in enumerate(itertools.pairwise(cuts), 1):
+            for top in range(lo, hi, _BLOCK_COLUMNS):
+                panel = d[top : min(top + _BLOCK_COLUMNS, hi), : cuts[-1]]
+                table[a, 1:] += np.add.reduceat((panel * panel).sum(axis=0), cuts[:-1])
+        prefix = np.sqrt(table.cumsum(axis=0).cumsum(axis=1)) * lift
+        ranks = ends if complement <= _CLUSTER_GAP else [
+            _cluster_rank(np.linalg.eigvalsh(d[:e, :e]) + 1.0) for e in ends]
+        at = np.searchsorted(cuts, ends)  # each row end's place in cuts
+        return [(int(r) * fibres, float(prefix[e, e]), float(prefix[q, e]), complement)
+                for r, q, e in zip(ranks, np.append(0, at[:-1]), at)]
 
     @property
     def weights(self) -> np.ndarray:

@@ -44,7 +44,7 @@ from .lambda_transform import (
 )
 from .lyapunov import _omega_block, apply_omega, build_m_f, build_omega, lyapunov_curve
 from .ordering import correspondence_check, spectral_measure
-from .spaces import _column_norms, make_grid, norm
+from .spaces import _column_norms, _frobenius, make_grid, norm
 from .states import compact_profile_state, random_guarded_state, smooth_oracle_state
 
 __all__ = ["CheckResult", "run_all", "refinement_series", "CHECKS"]
@@ -97,18 +97,15 @@ def _guarded_set(grid, seed: int, count: int):
     return [random_guarded_state(grid, rng) for _ in range(count)]
 
 
-def _frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def _defect_norms(model: IrreversibleModel) -> tuple[float, list[float]]:
     """``|R^H R - I| = |Z(0) - I|`` and, per pair of :data:`_LAW_PAIRS`,
     ``|Z(a)Z(b) - Z(a+b)| = |R[:n-a]^H G[a:, :n-b] R[b:]|``, ``G = R R^H - I``:
     norms of the real defect ``D* G D`` and of its blocks (unitary legs drop
-    out; empty once ``b >= n``), lifted as criterion 6's are."""
+    out; empty once ``b >= n``), each summed on its own in the fixed order of
+    ``_frobenius``, lifted as criterion 6's are."""
     d, lift = _isometry_defect(model.isometry), np.sqrt(model.grid.k_dim)
-    laws = [_frob(d[a:, : max(len(d) - b, 0)]) * lift for a, b in _LAW_PAIRS]
-    return _frob(d) * lift, laws
+    laws = [_frobenius(d[a:, : max(len(d) - b, 0)]) * lift for a, b in _LAW_PAIRS]
+    return _frobenius(d) * lift, laws
 
 
 def _relative_gap(grid, a: np.ndarray, b: np.ndarray) -> float:
@@ -128,21 +125,14 @@ def check_projection_algebra(model: IrreversibleModel) -> tuple[bool, dict]:
     p_minus = _tau_to_sigma(grid, np.where(mask, 0.0, stack))
     d_pos = (grid.sigma() >= 0.0).astype(np.float64)
     d_neg = 1.0 - d_pos
+    hardy, halfline = (p_plus, p_minus), (d_pos, d_neg)
     details = {
-        "hardy_idempotency": max(
-            _frob(p_plus @ p_plus - p_plus), _frob(p_minus @ p_minus - p_minus)
-        ),
-        "hardy_hermiticity": max(
-            _frob(p_plus - p_plus.conj().T), _frob(p_minus - p_minus.conj().T)
-        ),
-        "hardy_complementarity": _frob(p_plus + p_minus - eye),
-        "halfline_idempotency": max(
-            _frob(d_pos * d_pos - d_pos), _frob(d_neg * d_neg - d_neg)
-        ),
-        "halfline_hermiticity": max(
-            _frob(d_pos - d_pos.conj()), _frob(d_neg - d_neg.conj())
-        ),
-        "halfline_complementarity": _frob(d_pos + d_neg - 1.0),
+        "hardy_idempotency": max(_frobenius(p @ p - p) for p in hardy),
+        "hardy_hermiticity": max(_frobenius(p - p.conj().T) for p in hardy),
+        "hardy_complementarity": _frobenius(p_plus + p_minus - eye),
+        "halfline_idempotency": max(_frobenius(d * d - d) for d in halfline),
+        "halfline_hermiticity": max(_frobenius(d - d.conj()) for d in halfline),
+        "halfline_complementarity": _frobenius(d_pos + d_neg - 1.0),
     }
     return all(v <= 1e-12 for v in details.values()), details
 
@@ -155,10 +145,10 @@ def check_lyapunov_operator(model: IrreversibleModel) -> tuple[bool, dict]:
     vals = np.linalg.eigvalsh(m)
     s = model.singular_values
     details = {
-        "hermiticity": _frob(m - m.conj().T),
+        "hermiticity": _frobenius(m - m.conj().T),
         "eig_min": float(vals.min()),
         "eig_max": float(vals.max()),
-        "factorization": _frob(m - om.conj().T @ om),
+        "factorization": _frobenius(m - om.conj().T @ om),
         "singular_min": float(s.min()),
         "singular_max": float(s.max()),
         "rank_deficiency": float(s.size - np.count_nonzero(s > 0.0)),
@@ -181,11 +171,11 @@ def check_polar_factorization(model: IrreversibleModel) -> tuple[bool, dict]:
     lam = model.lam.matrix
     defect, _ = _defect_norms(model)
     details = {
-        "sqrt_residual": _frob(lam @ lam - build_m_f(model.grid).matrix),
+        "sqrt_residual": _frobenius(lam @ lam - build_m_f(model.grid).matrix),
         "isometry_left": defect,
         "isometry_right": defect,
-        "polar_residual": _frob(model.isometry.matrix @ lam
-                                - build_omega(model.grid).matrix),
+        "polar_residual": _frobenius(model.isometry.matrix @ lam
+                                     - build_omega(model.grid).matrix),
     }
     passed = (details["sqrt_residual"] <= 1e-10 and defect <= 1e-10
               and details["polar_residual"] <= 1e-8)

@@ -225,6 +225,13 @@ def _column_norms(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=0) * grid.delta_sigma)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a 1-d or 2-d array, without a copy or BLAS (whose
+    ``dot`` orders its sum by thread count): ``einsum``'s one fixed order."""
+    parts = map(np.atleast_2d, (a.real, a.imag) if np.iscomplexobj(a) else (a,))
+    return float(np.sqrt(sum(np.einsum("ij,ij->", p, p) for p in parts)))
+
+
 def embed(psi: StateVector) -> StateVector:
     """Isometric inclusion of the positive half-line into the full line."""
     if psi.space is not Space.HALF_LINE_POS:

@@ -26,6 +26,11 @@ production route against them.  Each is the literal form of its fact:
 * :func:`projection` and :func:`increment` are a family's past projection
   and interval measure as dense matrices on rows of ``R``, where the library
   reads the family's residuals off the real defect and forms neither.
+* :func:`gram_panel_residuals` is the dense residuals ``|P^2 - P|`` and
+  ``|Q P - Q|`` of a family's consecutive projections, exactly, from the
+  real defect ``D`` by one panel product per time (``O(E^3)`` work and two
+  ``E x E`` arrays), where the library reads the norms of ``D``'s leading
+  blocks, which are within a relative ``|D|_2`` of them.
 * :func:`round_trip_leakage` is the guard-band leakage of a HARDY_PLUS
   state's full time profile, embedded and transformed back, where the
   library reads it off the state's own amplitudes.
@@ -77,7 +82,9 @@ from timearrow import (
 from timearrow.evolution import _semigroup_index, _toeplitz_block
 from timearrow.hardy import _phase_factors, _sigma_to_tau, _tau_to_sigma
 from timearrow.lambda_transform import IrreversibleModel
-from timearrow.ordering import ProjectionFamily, _row_weighted
+from timearrow.ordering import (
+    _CLUSTER_GAP, ProjectionFamily, _cluster_rank, _row_weighted,
+)
 
 
 def fiberize(block: np.ndarray, k_dim: int) -> np.ndarray:
@@ -268,6 +275,44 @@ def increment(family: ProjectionFamily, i: int) -> LinOp:
     """The family's measure of ``(times[i], times[i+1]]``, ``R[e_i:e_{i+1}]^H
     R[e_i:e_{i+1}]``."""
     return _row_weighted(family.isometry, family.row_ends[i], family.row_ends[i + 1])
+
+
+def gram_panel_residuals(family: ProjectionFamily) -> list[tuple]:
+    """``(rank, |P^2 - P|, |Q P - Q|, |P + P_future - I|)`` of each
+    projection (``Q`` the previous one), lifted to the full space, from the
+    real defect ``D`` with no dense projection.  ``P = A^H A`` with ``A =
+    R[:e]`` and ``A A^H = G_e = I + D[:e, :e]``; with ``F = D[:q, :e]`` (``q``
+    the previous row end) and ``C_j = D + D[:, :e_j] D[:e_j, :]``, updated in
+    place on the first ``E`` rows and columns by one panel product ``D[:,
+    q:e] D[q:e, :]`` per time, ``|P^2 - P| = |D_e G_e| = |C_j[:e, :e]|`` and
+    ``|Q P - Q|^2 = tr(F^H G_q F G_e)`` is the inner product of ``C_{j-1}[:q,
+    :e] = G_q F`` and ``C_j[:q, :e] = F G_e``; ``P + P_future = R^H R``, so
+    the complement residual is ``|D|``.  Ranks as the library's."""
+    def inner(a, b):  # <a, b> of two real views, copying neither
+        return np.einsum("ij,ij->", a, b)
+
+    d, fibres = family.defect, family.isometry.grid.k_dim
+    lift = np.sqrt(fibres)
+    complement = float(np.linalg.norm(d) * lift)
+    big_e = family.row_ends[-1]
+    c = d[:big_e, :big_e].copy()  # C_j, updated in place
+    out = []
+    q = 0
+    for e in family.row_ends:
+        before = c[:q, :e]  # C_{j-1}
+        panel = d[:big_e, q:e] @ d[q:e, :big_e]
+        nest_sq = inner(before, before) + inner(before, panel[:q, :e])
+        c += panel
+        del panel
+        nest = float(np.sqrt(max(nest_sq, 0.0)) * lift)
+        if complement <= _CLUSTER_GAP:
+            rank = int(e)
+        else:
+            rank = _cluster_rank(np.linalg.eigvalsh(d[:e, :e]) + 1.0)
+        idem = float(np.sqrt(inner(c[:e, :e], c[:e, :e])) * lift)
+        out.append((rank * fibres, idem, nest, complement))
+        q = e
+    return out
 
 
 def adjoint(op: LinOp) -> LinOp:

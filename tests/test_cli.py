@@ -308,18 +308,18 @@ class TestSemigroupNormsCommand:
                                            ("semigroup_norms", "semigroup-norms"),
                                            ("lyapunov_curve", "lyapunov-curve"),
                                            ("convergence", "convergence"),
-                                           ("projection_family", "projection-family")])
+                                           ("projection_family", "projection-family"),
+                                           ("selftest", "selftest")])
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
     # block products must give the same bytes on one and on two BLAS threads;
     # each count has its own empty model cache, so both runs build the model.
-    # projection-family is compared by its .meta.json at the default config:
-    # its CSV's complement_residual still moves in the last digits with the
-    # thread count (ROADMAP item 16)
+    # projection-family and selftest run at the default config.  Open
+    # remainder: criterion 2's eig_min and eig_max come from eigvalsh and
+    # move in the last digits with the thread count, so they are masked
     import timearrow
 
-    family = command == "projection-family"
-    cfg = _write_cfg(tmp_path, DEFAULT_CONFIG if family else SMALL)
-    output = f"{stem}.meta.json" if family else f"{stem}.csv"
+    default = command in ("projection-family", "selftest")
+    cfg = _write_cfg(tmp_path, DEFAULT_CONFIG if default else SMALL)
     src = str(Path(timearrow.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -332,7 +332,16 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
                               command, "--config", cfg, "--out", str(out)],
                              env=env, check=True, capture_output=True)
         assert (b"model: built, saved" in run.stdout) == (stem in DENSE_STEMS.values())
-        outputs.append((out / output).read_bytes())
+        if command == "selftest":
+            report = json.loads((out / "selftest.json").read_text())
+            assert report["all_passed"]
+            lyapunov = next(r for r in report["results"] if r["criterion"] == 2)
+            for key in ("eig_min", "eig_max"):
+                lyapunov["details"][key] = None
+            outputs.append(report)
+        else:
+            outputs.append([(out / f"{stem}{ext}").read_bytes()
+                            for ext in (".csv", ".meta.json")])
     assert outputs[0] == outputs[1]
 
 

@@ -157,9 +157,9 @@ def test_command_charged_only_the_base_names_config(tmp_path, monkeypatch):
 
 
 def test_row_end_past_the_float_range_is_estimated(tmp_path):
-    # t_max * sigma_max overflows to inf; the row end is clipped to n_dense
-    # before rounding, so every command is estimated and projection-family's
-    # own time check rejects the run
+    # t_max * sigma_max overflows to inf; no charge reads the row end, so
+    # every command is estimated and projection-family's own time check
+    # rejects the run
     cfg = _with("times", "t_max", 1e300)
     cfg["grid"]["sigma_max"] = 1e300
     path = _write(tmp_path, cfg)
@@ -180,14 +180,14 @@ def test_row_end_past_the_float_range_is_estimated(tmp_path):
 # build, and a run that loads the model peaks lower (matrix-element: 38.4 /
 # 41.0 / 49.0 / 77.0 MB).  Each command at n_dense 512 / 1024 / 2048 / 4096:
 MEASURED_PEAKS_MB = {
-    "projection-family": (37.5, 51.8, 108.1, 279.1),
+    "projection-family": (37.5, 51.9, 108.8, 278.9),
     "matrix-element": (40.8, 49.4, 81.5, 204.8),
     "semigroup-norms": (41.6, 50.5, 82.6, 205.4),
 }
 # projection-family over the full half window, t_max = n_dense / 32, where the
-# residual loop's E x E blocks are n_dense x n_dense (at 2048, 140.0 MB with
-# MALLOC_TRIM_THRESHOLD_ 1 MB: glibc keeps no freed heap at the peak)
-FULL_WINDOW_PEAKS_MB = (39.6, 60.0, 139.7, 468.2)
+# last row end is n_dense: the residuals' pass over the real defect holds one
+# panel of squares at a time, so the cold build sets the peak, as above
+FULL_WINDOW_PEAKS_MB = (37.6, 51.9, 108.8, 278.9)
 
 
 @pytest.mark.parametrize("command, n_dense, t_max, measured_mb", [
@@ -228,8 +228,8 @@ def test_estimate_bounds_measured_curve_peaks(k_dim, n_sigma, measured_mb):
 def test_estimate_is_per_command(tmp_path, monkeypatch):
     # with 400 MiB of memory, n_dense 4096 fits the one complex n x n of
     # matrix-element and semigroup-norms (313 MiB estimated), not the real
-    # defect of projection-family and its build (425 MiB), whose 24 bytes an
-    # entry a command not named is charged too (442 MiB); lyapunov-curve and
+    # defect of projection-family and its build (424 MiB), whose 24 bytes an
+    # entry a command not named is charged too (441 MiB); lyapunov-curve and
     # convergence build no dense model, so they are charged nothing for it at
     # any n_dense
     monkeypatch.setattr(_config, "_physical_memory", lambda: 400 * 2**20)

@@ -43,6 +43,7 @@ from oracles import (
     adjoint,
     fiberize,
     fibre_ordering_spectrum,
+    gram_panel_residuals,
     increment,
     lyapunov_expectation,
     past_projection,
@@ -210,7 +211,9 @@ class TestSpectralMeasure:
         fam = _perturbed_family(small_grid, 1e-6, ks)
         r = fam.isometry.matrix
         eye = np.eye(small_grid.n_half())
-        for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
+        oracle = gram_panel_residuals(fam)
+        assert [row[0] for row in fam.residuals()] == [row[0] for row in oracle]
+        for i, (rank, idem, nest, comp) in enumerate(oracle):
             p = projection(fam, i).matrix
             future = r[ks[i]:].conj().T @ r[ks[i]:]
             q = projection(fam, i - 1).matrix if i else np.zeros_like(p)
@@ -218,19 +221,21 @@ class TestSpectralMeasure:
             assert idem == pytest.approx(np.linalg.norm(p @ p - p), rel=1e-6, abs=1e-14)
             assert nest == pytest.approx(np.linalg.norm(q @ p - q), rel=1e-6, abs=1e-14)
             assert comp == pytest.approx(np.linalg.norm(p + future - eye), rel=1e-6)
-        assert max(row[1] for row in fam.residuals()) > 1e-7
+        assert max(row[1] for row in oracle) > 1e-7
 
     def test_residuals_fall_back_to_the_cluster_test(self, small_grid):
         # at 3e-6 |G - I| = 1.53e-4 is above the Weyl certificate's bound,
         # yet every eigenvalue of each G_e is within 5.7e-5 of 1: the ranks
-        # come from the cluster test and agree with projection_rank
+        # come from the cluster test and agree with projection_rank; the
+        # oracle's dense residuals match the dense products
         ks = np.array([0, 4, 9, 20, 32])
         fam = _perturbed_family(small_grid, 3e-6, ks)
-        for i, (rank, idem, nest, comp) in enumerate(fam.residuals()):
+        got = fam.residuals()
+        for i, (rank, idem, nest, comp) in enumerate(gram_panel_residuals(fam)):
             p = projection(fam, i).matrix
             q = projection(fam, i - 1).matrix if i else np.zeros_like(p)
             assert comp > _CLUSTER_GAP
-            assert rank == projection_rank(projection(fam, i)) == ks[i]
+            assert rank == got[i][0] == projection_rank(projection(fam, i)) == ks[i]
             assert idem == pytest.approx(np.linalg.norm(p @ p - p), rel=1e-6, abs=1e-14)
             assert nest == pytest.approx(np.linalg.norm(q @ p - q), rel=1e-6, abs=1e-14)
 
@@ -300,6 +305,68 @@ class TestSpectralMeasure:
             projection_rank(half)
         assert projection_rank(identity_op(model.grid, Space.HALF_LINE_POS)) \
             == model.grid.n_half()
+
+
+class TestResidualBlocks:
+    """The family's columns are norms of blocks of ``R R^H - I`` on the full
+    space, and within a relative ``|D|_2`` of the dense residuals ``|P^2 -
+    P|`` and ``|Q P - Q|`` (``oracles.gram_panel_residuals``), on the built
+    model and off unitarity, with the last row end short of, at and past the
+    half window (32 bins)."""
+
+    _CASES = pytest.mark.parametrize("ks", [
+        pytest.param([0, 4, 9, 20], id="inside"),
+        pytest.param([0, 4, 9, 20, 32], id="full"),
+        pytest.param([0, 4, 9, 20, 32, 40], id="past"),
+    ])
+
+    @staticmethod
+    def _family(k_dim, eps, ks):
+        grid = make_grid(64, 20.0, k_dim)
+        model = build_model(grid)
+        if eps:
+            model = perturbed_model(model, eps)
+        return spectral_measure(model, np.array(ks) * grid.delta_tau)
+
+    @_CASES
+    @pytest.mark.parametrize("k_dim", [1, 4])
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 3e-6])
+    def test_columns_are_block_norms_of_the_complex_gram(self, eps, k_dim, ks):
+        # |R[:e] R[:e]^H - I|, |R[:q] R[:e]^H - [I 0]| and |R^H R - I| from
+        # the complex dense R at full size, to a relative 1e-10 (worst seen
+        # 2.6e-11) or 5e-15 (worst seen 7.2e-16, on values of 1e-14 at eps 0)
+        fam = self._family(k_dim, eps, ks)
+        r = fiberize(fam.isometry._entries, k_dim)
+        whole = np.linalg.norm(r.conj().T @ r - np.eye(r.shape[0]))
+        rows = fam.residuals()
+        q = 0
+        for (rank, idem, nest, comp), e in zip(rows, fam.row_ends * k_dim):
+            want = (np.linalg.norm(r[:e] @ r[:e].conj().T - np.eye(e)),
+                    np.linalg.norm(r[:q] @ r[:e].conj().T - np.eye(q, e)), whole)
+            assert rank == e
+            assert (idem, nest, comp) == pytest.approx(want, rel=1e-10, abs=5e-15)
+            q = e
+        if eps:  # well above rounding
+            assert min(row[1] for row in rows[1:]) > 1e-6
+            assert min(row[2] for row in rows[2:]) > 1e-6
+
+    @_CASES
+    @pytest.mark.parametrize("k_dim", [1, 4])
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 3e-6])
+    def test_columns_are_the_dense_residuals_to_a_relative_defect(self, eps, k_dim, ks):
+        # each dense residual is its block's norm times a factor in 1 +- |D|_2
+        # (the residuals docstring): seen at most 0.42 |D|_2 off unitarity and
+        # 0.70 |D|_2 = 2.8e-15 on the built model, where rounding adds to it
+        fam = self._family(k_dim, eps, ks)
+        spectral = np.linalg.norm(fam.defect, 2)
+        rows = fam.residuals()
+        for got, old in zip(rows, gram_panel_residuals(fam)):
+            assert got[0] == old[0]
+            assert got[1:] == pytest.approx(old[1:], rel=spectral, abs=1e-15)
+        # from one table of prefix sums: exact orderings
+        idem, nest, comp = (np.array(col) for col in list(zip(*rows))[1:])
+        assert np.all(nest <= idem) and np.all(np.diff(idem) >= 0)
+        assert np.all(idem <= comp * (1 + 1e-12))
 
 
 class TestFibredDenseOracle:
@@ -374,11 +441,15 @@ class TestKroneckerOracle:
         times = ks * grid.delta_tau
         per_bin = spectral_measure(model, times)
         r = fiberize(model.isometry._entries, k_dim)
-        got, want = per_bin.residuals(), _dense_residuals(grid, r, ks * k_dim)
-        assert [row[0] for row in got] == [row[0] for row in want] == list(ks * k_dim)
+        got, want = gram_panel_residuals(per_bin), _dense_residuals(grid, r, ks * k_dim)
+        assert [row[0] for row in per_bin.residuals()] == [row[0] for row in got] \
+            == [row[0] for row in want] == list(ks * k_dim)
         assert np.abs(np.array(got)[:, 1:] - np.array(want)[:, 1:]).max() <= 1e-12
         if eps:
             assert min(row[3] for row in got) > _CLUSTER_GAP
+        else:  # at rounding level the block norms are the dense residuals too
+            got = per_bin.residuals()
+            assert np.abs(np.array(got)[:, 1:] - np.array(want)[:, 1:]).max() <= 1e-12
         w = np.zeros(r.shape[0])
         w[: ks[-1] * k_dim] = np.repeat(0.5 * (times[1:] + times[:-1]), np.diff(ks) * k_dim)
         spectrum = np.repeat(fibre_ordering_spectrum(per_bin), k_dim)

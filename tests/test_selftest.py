@@ -7,7 +7,10 @@ composition laws as blocks of that defect; the dense ``Z(a) Z(b) - Z(a + b)``
 it formed is an oracle (``oracles.composition_law``).  Criterion 6 reads the
 projection family's residuals; its former dense body
 (every projection, nesting product and increment spectrum as an N x N
-matrix) and its nesting over all pairs of times are kept here as oracles.
+matrix) and its nesting over all pairs of times are kept here as oracles,
+reading the family's block norms of ``R R^H - I`` or, against
+``oracles.gram_panel_residuals``, the dense ``|P^2 - P|`` and ``|P_i P_j -
+P_i|``.
 Criteria 5 and 12 act on blocks; their per-state loops through the
 single-vector functions (and ``oracles.lyapunov_expectation``) are oracles too.
 A model whose eigenvector matrix is moved off orthogonality
@@ -37,6 +40,7 @@ from timearrow import (
 )
 from timearrow import lambda_transform, ordering, selftest
 from timearrow.lambda_transform import ProlateOp, _isometry_defect
+from timearrow.spaces import _frobenius
 from timearrow.selftest import (
     check_decay_surrogates,
     check_polar_factorization,
@@ -45,8 +49,8 @@ from timearrow.selftest import (
     check_semigroup_laws,
 )
 from oracles import (
-    complex_isometry_defects, composition_law, increment, lyapunov_expectation,
-    perturbed_model, projection, toeplitz_adjoint,
+    complex_isometry_defects, composition_law, gram_panel_residuals, increment,
+    lyapunov_expectation, perturbed_model, projection, toeplitz_adjoint,
 )
 
 
@@ -55,9 +59,12 @@ def _family_ks(model):
     return np.arange(0, nh + 1, max(nh // 8, 1))
 
 
-def _dense_projection_family(model):
+def _dense_projection_family(model, dense_residuals=False):
     """Criterion 6 by dense N x N products, with the same pass rule.
 
+    Idempotency and nesting are the family's definitions, ``|R[:e] R[:e]^H -
+    I|`` and ``|R[:e_i] R[:e_j]^H - [I 0]|`` over every pair ``i < j``, or
+    with ``dense_residuals`` the dense ``|P^2 - P|`` and ``|P_i P_j - P_i|``.
     The complement is taken against the future projection as the row block
     ``R[e:]^H R[e:]`` (:func:`future_projection`), so ``P + P_future = R^H
     R`` at every time.  The dense ``Z(t)^H Z(t) = R[e:]^H G[:N-e, :N-e]
@@ -67,13 +74,20 @@ def _dense_projection_family(model):
     family = spectral_measure(model, _family_ks(model) * model.grid.delta_tau)
     projections = [projection(family, i) for i in range(family.times.size)]
     eye = np.eye(model.grid.dim(Space.HALF_LINE_POS))
+    r, ends = model.isometry.matrix, family.row_ends * model.grid.k_dim
     idem = comp = nest = 0.0
-    for p, t in zip(projections, family.times):
+    for p, t, e in zip(projections, family.times, ends):
         m = p.matrix
-        idem = max(idem, np.linalg.norm(m @ m - m))
+        idem = max(idem, np.linalg.norm(m @ m - m) if dense_residuals
+                   else np.linalg.norm(r[:e] @ r[:e].conj().T - eye[:e, :e]))
         comp = max(comp, np.linalg.norm(m + future_projection(model, t).matrix - eye))
-    for pi, pj in itertools.combinations([p.matrix for p in projections], 2):
-        nest = max(nest, np.linalg.norm(pi @ pj - pi))
+    for i, j in itertools.combinations(range(len(ends)), 2):
+        if dense_residuals:
+            pi, pj = projections[i].matrix, projections[j].matrix
+            nest = max(nest, np.linalg.norm(pi @ pj - pi))
+        else:
+            a, b = ends[i], ends[j]
+            nest = max(nest, np.linalg.norm(r[:a] @ r[:b].conj().T - eye[:a, :b]))
     ranks = [projection_rank(p) for p in projections]
     spectra = np.concatenate([
         np.linalg.eigvalsh(increment(family, i).matrix)
@@ -141,18 +155,35 @@ class TestProjectionFamilyCheck:
 
     def test_nesting_is_the_worst_of_all_pairs(self, model):
         # the criterion reads the consecutive pairs that residuals() gives;
-        # on the shared model the worst of all 36 pairs is the same number
-        # (bit for bit on x86-64 with OpenBLAS, and at rounding level)
+        # on the shared model both are rounding (5.5e-14 and 5.4e-14), within
+        # approx's default absolute 1e-12
         family = spectral_measure(model, _family_ks(model) * model.grid.delta_tau)
         _, details = check_projection_family(model)
         assert details["nesting"] == pytest.approx(_all_pairs_nesting(family),
                                                    rel=1e-12)
 
-    def test_matches_dense_route_off_unitarity(self, perturbed_small):
+    def test_matches_dense_route_off_unitarity(self, perturbed_small, monkeypatch):
         got = check_projection_family(perturbed_small)
         _assert_same_check(got, _dense_projection_family(perturbed_small))
         details = got[1]
         assert details["idempotency"] > 1e-6 and details["nesting"] > 1e-6
+        # the dense residuals against the oracle's, at the same bound
+        monkeypatch.setattr(ordering.ProjectionFamily, "residuals", gram_panel_residuals)
+        _assert_same_check(check_projection_family(perturbed_small),
+                           _dense_projection_family(perturbed_small, dense_residuals=True))
+
+    def test_nesting_is_the_worst_block_of_all_pairs_off_unitarity(self, perturbed_small):
+        # |D[:e_i, :e_j]| grows with both row ends, so the last consecutive
+        # pair is the worst of all 36: against the complex G's blocks, well
+        # above rounding (seen 1.8e-13 relative)
+        family = spectral_measure(perturbed_small,
+                                  _family_ks(perturbed_small) * perturbed_small.grid.delta_tau)
+        r = family.isometry._entries
+        g = r @ r.conj().T
+        worst = max(np.linalg.norm(g[:a, :b] - np.eye(a, b))
+                    for a, b in itertools.combinations(family.row_ends, 2))
+        _, details = check_projection_family(perturbed_small)
+        assert details["nesting"] == pytest.approx(worst, rel=1e-10, abs=0.0)
 
     def test_forms_no_dense_projection_or_spectrum(self, model, monkeypatch):
         calls = collections.Counter()
@@ -319,11 +350,15 @@ class TestIsometryDefect:
         assert passed3 and passed5
         assert sorted(_Tagged.products) == [("R", "lam"), ("lam", "lam")]
         assert calls["z_matrix"] == 0
-        # four report keys, one number: criterion 6's complement residual
+        # four report keys, one number: criterion 6's complement residual,
+        # the real defect's norm summed in one fixed order, which BLAS's
+        # reordered sum matches to rounding
         _, family = check_projection_family(model)
-        real = np.linalg.norm(_isometry_defect(model.isometry))
+        real = _frobenius(_isometry_defect(model.isometry))
         assert (polar["isometry_left"] == polar["isometry_right"] == laws["z_identity"]
                 == family["complementarity"] == real)
+        assert real == pytest.approx(np.linalg.norm(_isometry_defect(model.isometry)),
+                                     rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("eps", [0.0, 3e-6, 1e-6])
     @pytest.mark.parametrize("k_dim", [1, 4])
@@ -338,7 +373,7 @@ class TestIsometryDefect:
         if eps:
             model = perturbed_model(model, eps)
         real = selftest._defect_norms(model)[0]
-        assert real == np.linalg.norm(_isometry_defect(model.isometry)) * np.sqrt(k_dim)
+        assert real == _frobenius(_isometry_defect(model.isometry)) * np.sqrt(k_dim)
         bound = dict(rel=1e-10, abs=0.0) if eps else dict(rel=0.1, abs=1e-16)
         for value in complex_isometry_defects(model):
             assert value == pytest.approx(real, **bound)
