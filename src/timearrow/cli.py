@@ -48,10 +48,6 @@ from .spaces import (
 from .states import random_guarded_state
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 @contextlib.contextmanager
 def _atomic_file(path: Path):
     """A binary temp file beside ``path``, renamed to it after the body; on any
@@ -73,25 +69,33 @@ def _atomic_write(path: Path, chunks) -> None:
         fh.writelines(chunk.encode() for chunk in chunks)
 
 
+def _write_json(path: Path, data) -> None:
+    _atomic_write(path, [json.dumps(data, sort_keys=True, indent=2) + "\n"])
+
+
 def _csv_lines(header, rows):
+    """The header, then each row: a float cell as ``%.16e`` (17 significant
+    digits, so it reads back to the same float), any other cell as ``str``.
+    (``%`` formats a numpy float as fast as a Python one; an f-string does not.)"""
     yield ",".join(header) + "\n"
     for row in rows:
-        yield ",".join(str(cell) for cell in row) + "\n"
+        yield ",".join("%.16e" % c if isinstance(c, float) else str(c) for c in row) + "\n"
 
 
-def _write_outputs(out_dir, stem, header, rows, cfg, command, diagnostics=None):
-    """Write ``rows`` (any iterable, consumed once) as the CSV, then the meta."""
+def _write_outputs(out_dir, header, rows, cfg, diagnostics=None):
+    """Write ``rows`` (any iterable, consumed once) as ``<stem>.csv``, then
+    ``<stem>.meta.json``, and print the CSV's path; the stem is the running
+    command's name with ``-`` as ``_``."""
+    command = click.get_current_context().command.name
+    stem = command.replace("-", "_")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / f"{stem}.csv", _csv_lines(header, rows))
     meta = {"command": command, "config": cfg, "version": __version__}
     if diagnostics is not None:
         meta["diagnostics"] = diagnostics
-    _atomic_write(
-        out / f"{stem}.meta.json",
-        [json.dumps(meta, sort_keys=True, indent=2) + "\n"],
-    )
-    return out / f"{stem}.csv"
+    _write_json(out / f"{stem}.meta.json", meta)
+    click.echo(f"wrote: {out / stem}.csv")
 
 
 def _cache_key() -> str:
@@ -281,9 +285,7 @@ def selftest_cmd(cfg, out_dir):
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(
-        out / "selftest.json", [json.dumps(report, sort_keys=True, indent=2) + "\n"]
-    )
+    _write_json(out / "selftest.json", report)
     click.echo(f"report: {out / 'selftest.json'}")
     if not report["all_passed"]:
         sys.exit(1)
@@ -298,22 +300,19 @@ def lyapunov_curve_cmd(cfg, out_dir):
     psi = _build_state(grid, cfg)
     report = lyapunov_curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
     rows = (
-        (_fmt(t), _fmt(e), _fmt(nv), "algebraic")
+        (t, e, nv, "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
     )
-    path = _write_outputs(
+    _write_outputs(
         out_dir,
-        "lyapunov_curve",
         ("t", "expectation", "norm", "tolerance_class"),
         rows,
         cfg,
-        "lyapunov-curve",
         diagnostics={
             "guard_band_leakage": float(report.guard_band_leakage),
             "max_monotonicity_violation": float(report.max_monotonicity_violation),
         },
     )
-    click.echo(f"wrote: {path}")
     if report.max_monotonicity_violation > cfg["tolerances"]["algebraic"]:
         _violation(
             f"expectation curve increases by "
@@ -338,18 +337,15 @@ def semigroup_norms_cmd(cfg, out_dir):
     for cols in _column_chunks(ks.size):
         znorms[cols] = _column_norms(dense, _z_block(model, l_psi, ks[cols]))
     rows = (
-        (_fmt(tb), _fmt(tn), _fmt(td), _fmt(zn), "algebraic")
-        for tb, tn, td, zn in zip(t_b, tnorms, ks * dense.delta_tau, znorms)
+        (*columns, "algebraic")
+        for columns in zip(t_b, tnorms, ks * dense.delta_tau, znorms)
     )
-    path = _write_outputs(
+    _write_outputs(
         out_dir,
-        "semigroup_norms",
         ("t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"),
         rows,
         cfg,
-        "semigroup-norms",
     )
-    click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
     if np.any(np.diff(tnorms) > tol):
         _violation("compressed-semigroup norms increase along the time grid")
@@ -377,13 +373,9 @@ def projection_family_cmd(cfg, out_dir):
     family = spectral_measure(model, times)
     lowest, highest = family.ordering_extremes()
     data = family.residuals()
-    rows = (
-        (_fmt(t), str(rank), _fmt(idem), _fmt(nest), _fmt(comp), "algebraic")
-        for t, (rank, idem, nest, comp) in zip(times, data)
-    )
-    path = _write_outputs(
+    rows = ((t, *residuals, "algebraic") for t, residuals in zip(times, data))
+    _write_outputs(
         out_dir,
-        "projection_family",
         (
             "t",
             "rank",
@@ -394,14 +386,12 @@ def projection_family_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        "projection-family",
         diagnostics={
             "ordering_spectrum_min": lowest,
             "ordering_spectrum_max": highest,
             "truncation_time": float(times[-1]),
         },
     )
-    click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
     ranks = [d[0] for d in data]
     worst = max(max(d[1:]) for d in data)
@@ -432,13 +422,12 @@ def matrix_element_cmd(cfg, out_dir):
         model, psi, psi, list(observables.values()), times
     )
     rows = (
-        (name, *map(_fmt, (t, r.real, r.imag, z.real, z.imag, d)), "algebraic")
+        (name, t, r.real, r.imag, z.real, z.imag, d, "algebraic")
         for name, *columns in zip(observables, rev, irr, diffs)
         for t, r, z, d in zip(times, *columns)
     )
-    path = _write_outputs(
+    _write_outputs(
         out_dir,
-        "matrix_element",
         (
             "observable",
             "t",
@@ -451,10 +440,8 @@ def matrix_element_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        "matrix-element",
         diagnostics={"times_past_half_window": past},
     )
-    click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm
     worst = float(diffs.max())
@@ -476,13 +463,8 @@ def matrix_element_cmd(cfg, out_dir):
 def convergence_cmd(cfg, out_dir):
     """Continuum-tier residuals across the standard refinement ladder."""
     series = refinement_series()
-    rows = [
-        (str(n), _fmt(ell), _fmt(simple), _fmt(double), _fmt(ratio), "continuum")
-        for n, ell, simple, double, ratio in series
-    ]
-    path = _write_outputs(
+    _write_outputs(
         out_dir,
-        "convergence",
         (
             "n_sigma",
             "sigma_max",
@@ -491,11 +473,9 @@ def convergence_cmd(cfg, out_dir):
             "witness_ratio_t1",
             "tolerance_class",
         ),
-        rows,
+        [(*row, "continuum") for row in series],
         cfg,
-        "convergence",
     )
-    click.echo(f"wrote: {path}")
     tol = cfg["tolerances"]["continuum"]
     for label, column in (("simple-pole", 2), ("double-pole", 3), ("witness-ratio", 4)):
         values = [row[column] for row in series]

@@ -285,7 +285,7 @@ class TestBlockForms:
         if name != "model":
             assert zz > 1e-8  # well above rounding
         assert details["z_coisometry"] == pytest.approx(zz, rel=1e-6, abs=1e-14)
-        assert details["toeplitz_coisometry"] == pytest.approx(tt, rel=1e-12)
+        assert details["toeplitz_coisometry"] == pytest.approx(tt, rel=1e-12, abs=0.0)
 
     def test_decay_ratios_match_per_state_route(self, block_model):
         name, m = block_model
@@ -295,8 +295,8 @@ class TestBlockForms:
             assert zdec > 1e-8
         # the curve's reverse cumulative sum against the oracle's slice norm:
         # the same powers summed in another order, so equal to rounding only
-        assert details["expectation_ratio"] == pytest.approx(lyap, rel=1e-12)
-        assert details["toeplitz_norm_ratio"] == pytest.approx(toep, rel=1e-12)
+        assert details["expectation_ratio"] == pytest.approx(lyap, rel=1e-12, abs=0.0)
+        assert details["toeplitz_norm_ratio"] == pytest.approx(toep, rel=1e-12, abs=0.0)
         assert details["z_norm_ratio"] == pytest.approx(zdec, rel=1e-6, abs=1e-14)
 
 
