@@ -46,9 +46,9 @@ DEFAULT_CONFIG = {
 # Peak-memory model: a base (interpreter, numpy and click) plus, per command,
 # the terms of only the config fields that the command reads, in bytes per
 # unit of each term (columns of _CHARGES):
-#   fft       per entry of the FFT tier's complex n_sigma vectors: the phase
-#             table and the time grid at any k_dim, and per fibre the
-#             transform buffer, the state and its power
+#   fft       per entry of the FFT tier's complex n_sigma vectors: a phase
+#             table and the time grid, and per fibre a buffer, the state and
+#             its power, as a witness state's full-line build needs
 #   dense     per n_dense^2 entry at any k_dim (the model, its forms and
 #             products, projection-family's real defect; selftest's
 #             criteria at k_dim 1)

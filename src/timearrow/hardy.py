@@ -19,10 +19,11 @@ offset DFT: with ``alpha = (1 - N)/2`` and ``w_m = exp(-2 pi i alpha m / N)``,
     g = c * s * w ⊙ FFT(w ⊙ f),      c = delta_sigma/sqrt(2 pi),
                                       s = exp(-2 pi i alpha^2 / N),
 
-and the pair is exactly unitary (Parseval holds to machine precision).  The
-pair stays private (``_sigma_to_tau`` and ``_tau_to_sigma``, on blocks of
-samples): every public function here takes and returns states, and a time
-profile is read only through them, as by :func:`guard_band_leakage`.
+and the pair is exactly unitary (Parseval holds to machine precision).  No
+phase angle exceeds pi: ``w_m = (-1)^m exp(-i pi m / N)`` and, ``N/2`` being
+even, ``s = -exp(-i pi / (2N))``.  The pair stays private (``_sigma_to_tau``
+and ``_tau_to_sigma``, on blocks of samples): public functions take and return
+states, and read a time profile only through them (:func:`guard_band_leakage`).
 """
 
 from __future__ import annotations
@@ -47,16 +48,18 @@ __all__ = [
 ]
 
 
+def _half_bin(n: int, j) -> np.ndarray:
+    """The half-bin phase ``exp(-i pi j / n)``, its angle within pi for ``|j|
+    <= n``; a complex array ``j`` is overwritten with it."""
+    phase = np.asarray(j, dtype=np.complex128)
+    phase *= -1j * np.pi / n
+    return np.exp(phase, out=phase)
+
+
 def _phase_factors(grid: GridSpec):
-    n = grid.n_sigma
-    alpha = (1.0 - n) / 2.0
-    w = np.arange(n, dtype=np.complex128)
-    np.multiply(-2j * np.pi * alpha, w, out=w)
-    w /= n
-    np.exp(w, out=w)
-    s = np.exp(-2j * np.pi * alpha * alpha / n)
-    c = grid.delta_sigma / np.sqrt(2.0 * np.pi)
-    return w, s, c
+    w = _half_bin(grid.n_sigma, np.arange(grid.n_sigma, dtype=np.complex128))
+    np.negative(w[1::2], out=w[1::2])  # w_m = (-1)^m exp(-i pi m / n)
+    return w, -_half_bin(grid.n_sigma, 0.5), grid.delta_sigma / np.sqrt(2.0 * np.pi)
 
 
 # The transforms below hold one (n_sigma, m) array: the phased input, the FFT

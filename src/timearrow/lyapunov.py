@@ -1,11 +1,11 @@
 """Forward quasi-affine map, Lyapunov operator, and expectation curves.
 
 The map ``omega`` sends a half-line state to the positive-Hardy component of
-its zero-padded extension; the Lyapunov operator is ``M = omega* omega``.
+its extension by zero; the Lyapunov operator is ``M = omega* omega``.
 Expectation values ``(psi_t, M psi_t)`` along a unitary trajectory equal
 ``|T_u(t) omega psi|^2``.  ``T_u(t)`` is a truncated slice of the time
 samples, so at lattice time ``k * delta_tau`` this is the power of
-``omega psi`` in the time bins ``j >= k``: a whole curve is one forward FFT
+``omega psi`` in the time bins ``j >= k``: a whole curve is one forward map
 and one reverse cumulative sum.  The dense matrices built here are only
 needed for spectra and for the polar decomposition downstream.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import _hardy_scale, _power_leakage, _sigma_to_tau
+from .hardy import _half_bin, _power_leakage
 from .spaces import GridSpec, LinOp, Space, SpaceMismatchError, StateVector, norm
 from .evolution import _semigroup_index
 
@@ -30,8 +30,8 @@ __all__ = [
 
 
 def apply_omega(psi: StateVector) -> StateVector:
-    """Matrix-free forward map: zero-pad to the full line, keep the positive-
-    Hardy part.  Contractive; HALF_LINE_POS -> HARDY_PLUS."""
+    """Matrix-free forward map, on the half line: the positive-Hardy part of
+    the zero extension.  Contractive; HALF_LINE_POS -> HARDY_PLUS."""
     if psi.space is not Space.HALF_LINE_POS:
         raise SpaceMismatchError("the forward map acts on HALF_LINE_POS states")
     b = _omega_block(psi.grid, psi.amplitudes[:, None])[:, 0]
@@ -39,14 +39,21 @@ def apply_omega(psi: StateVector) -> StateVector:
 
 
 def _omega_block(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Hardy amplitudes of ``omega`` applied to each column of an ``N x m``
-    block of half-line amplitudes: one FFT of the zero-padded block, whose
-    time samples at ``tau >= 0`` are kept (fibres and columns share it)."""
-    nh, m = grid.n_half(), a.shape[1]
-    full = np.zeros((grid.n_sigma, grid.k_dim * m), dtype=np.complex128)
-    full[nh:] = a.reshape(nh, -1)
-    kept = _sigma_to_tau(grid, full, out=full)[nh:]
-    return np.multiply(kept, _hardy_scale(grid), out=kept).reshape(-1, m)
+    """``omega`` on each column of a block of half-line amplitudes, a pruned
+    FFT: with ``x_j = a_j exp(-i pi j / n)``, bins ``2q`` and ``2q + 1`` are
+    entry ``q`` of ``FFT(x)`` and ``FFT(x exp(-2 pi i j / n))`` times ``exp(-i
+    pi (p + 1/2) / n) / sqrt(n)``; one half-line buffer serves both FFTs."""
+    n, nh, m = grid.n_sigma, grid.n_half(), a.shape[1]
+    a, w = a.reshape(nh, -1), _half_bin(n, np.arange(nh, dtype=np.complex128))[:, None]
+    out = np.empty(a.shape, dtype=np.complex128)
+    buf = np.multiply(w, a)
+    out[0::2] = np.fft.fft(buf, axis=0, out=buf)[: nh // 2]
+    np.multiply(w, a, out=buf)
+    buf *= w
+    buf *= w  # x exp(-2 pi i j / n), as three products: no second table
+    out[1::2] = np.fft.fft(buf, axis=0, out=buf)[: nh // 2]
+    w *= _half_bin(n, 0.5) / np.sqrt(n)  # now exp(-i pi (p + 1/2) / n) / sqrt(n)
+    return np.multiply(w, out, out=out).reshape(-1, m)
 
 
 def _dft_lookup(n_sigma: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +121,7 @@ class TrajectoryReport:
 def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
     """Evaluate the expectation curve on a lattice time grid.
 
-    The forward image ``b = omega psi`` is the curve's one FFT; the
+    The forward image ``b = omega psi`` is the curve's one transform; the
     expectation at lattice index ``k`` is its tail power ``sum_{j >= k}
     |b_j|^2 delta_sigma`` (zero once ``k`` reaches the half window), read off
     one reverse cumulative sum; the guard-band leakage reads the same squared

@@ -20,6 +20,10 @@ production route against them.  Each is the literal form of its fact:
 * :func:`offset_dft` is the sigma <-> tau transform pair written out of
   place, one new array per step, where the library transforms one buffer
   in place.
+* :func:`exact_dft_rows` is rows of the offset DFT kernel with each phase
+  reduced exactly in integers and each sum carried in long double, where the
+  library runs FFTs: the sigma <-> tau pair on the full line, and the forward
+  map as two half-length FFTs on the half line.
 * :func:`time_samples` and :func:`from_time` are that pair on a state's
   flat array of time samples, where every public function of the library
   takes and returns states.
@@ -329,6 +333,19 @@ def offset_dft(grid, f: np.ndarray, inverse: bool = False) -> np.ndarray:
         wc = np.conj(w)[:, None]
         return (1.0 / (c * s)) * (wc * np.fft.ifft(wc * f, axis=0))
     return (c * s) * (w[:, None] * np.fft.fft(w[:, None] * f, axis=0))
+
+
+def exact_dft_rows(n_sigma: int, rows, cols, a: np.ndarray) -> np.ndarray:
+    """Rows ``p`` of ``sum_j exp(-2 pi i p j / (4 n_sigma)) a_j /
+    sqrt(n_sigma)`` for odd integers ``p`` in ``rows`` and ``j`` in ``cols``,
+    one row per column block of ``a``: each phase is reduced exactly in
+    integers into the ``4 n_sigma`` roots of unity, as ``build_omega`` does,
+    and each sum is carried in long double."""
+    roots = np.exp(-0.5j * np.pi / n_sigma * np.arange(4 * n_sigma)) / np.sqrt(n_sigma)
+    a = np.asarray(a, dtype=np.clongdouble)
+    out = [roots[p * np.asarray(cols) % (4 * n_sigma)].astype(np.clongdouble) @ a
+           for p in rows]
+    return np.array(out).astype(np.complex128)
 
 
 def round_trip_leakage(h: StateVector) -> float:

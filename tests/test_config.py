@@ -208,14 +208,22 @@ def test_estimate_bounds_measured_peaks(command, n_dense, t_max, measured_mb):
     assert measured_mb * 2**20 <= need <= 2 * measured_mb * 2**20
 
 
-# lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20, per k_dim
-CURVE_PEAKS_MB = {1: (57.1, 77.2, 117.2), 8: (111.2, 185.1, 333.3)}
+# lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20, per k_dim, from the default
+# random state: the forward map holds one half-length buffer and its output
+# per fibre.  A witness state (mu 50 - i, t0 1) is built by full-line
+# transforms and peaks higher at 2^20, per k_dim; it keeps the FFT tier's
+# charge at full-length vectors.
+CURVE_PEAKS_MB = {1: (49.1, 61.1, 85.1), 8: (97.3, 157.3, 277.3)}
+WITNESS_CURVE_PEAKS_MB = {1: 135.0, 8: 407.1}
 
 
 @pytest.mark.parametrize("k_dim, n_sigma, measured_mb", [
     pytest.param(k_dim, n_sigma, mb, id=f"lyapunov-curve-{n_sigma}-k{k_dim}")
     for k_dim, peaks in CURVE_PEAKS_MB.items()
     for n_sigma, mb in zip((2**18, 2**19, 2**20), peaks)
+] + [
+    pytest.param(k_dim, 2**20, mb, id=f"lyapunov-curve-{2**20}-k{k_dim}-witness")
+    for k_dim, mb in WITNESS_CURVE_PEAKS_MB.items()
 ])
 def test_estimate_bounds_measured_curve_peaks(k_dim, n_sigma, measured_mb):
     cfg = _with("grid", "n_sigma", n_sigma)

@@ -20,7 +20,9 @@ from timearrow import (
     smooth_oracle_state,
 )
 from timearrow.hardy import _sigma_to_tau, _tau_to_sigma
-from oracles import from_time, offset_dft, round_trip_leakage, time_samples
+from oracles import (
+    exact_dft_rows, from_time, offset_dft, round_trip_leakage, time_samples,
+)
 
 
 def _rand_full(grid, rng):
@@ -70,6 +72,28 @@ class TestInPlaceTransforms:
         buf = before.copy()
         assert transform(grid, buf, out=buf) is buf
         assert np.array_equal(buf, got)
+
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_rows_match_the_exact_kernel(self, inverse):
+        # sigma -> tau is c sqrt(n) times the offset DFT with odd indices
+        # 2m + 1 - n, and tau -> sigma is its inverse, the conjugate kernel
+        # over c sqrt(n): against phases reduced exactly in integers, at a
+        # size where the phases' large angles cost the unreduced form 1e-11
+        n = 2**16
+        grid = make_grid(n, 100.0, 1)
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        rows = np.unique(np.r_[0:4, n - 4:n, rng.integers(0, n, 40)])
+        odd = 2 * np.arange(n) + 1 - n
+        scale = grid.delta_sigma / np.sqrt(2 * np.pi) * np.sqrt(n)
+        if inverse:
+            got = _tau_to_sigma(grid, f)[rows]
+            want = np.conj(exact_dft_rows(n, odd[rows], odd, np.conj(f))) / scale
+        else:
+            got = _sigma_to_tau(grid, f)[rows]
+            want = scale * exact_dft_rows(n, odd[rows], odd, f)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestProjections:

@@ -30,7 +30,8 @@ from timearrow import (
 )
 from timearrow.lyapunov import _omega_block
 from oracles import (
-    adjoint, apply_omega_adjoint, f_m_membership, lyapunov_expectation, two_pass_curve,
+    adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, lyapunov_expectation,
+    two_pass_curve,
 )
 
 
@@ -77,16 +78,33 @@ class TestForwardMap:
 
     @pytest.mark.parametrize("k_dim", [1, 2])
     def test_block_columns_match_the_embed_route(self, rng, k_dim):
-        # hardy_part(embed(psi)) is the route apply_omega took before it
-        # became the block's one-column case: bit for bit there, and within
-        # rounding for every column of a wider block
+        # the block against the exact kernel (integer-reduced phases) and
+        # against hardy_part(embed(psi)), the full-line route it prunes
         grid = make_grid(64, 20.0, k_dim)
+        om = build_omega(grid)
         states = [_rand_half(grid, rng) for _ in range(3)]
         block = _omega_block(grid, np.stack([s.amplitudes for s in states], axis=1))
         for j, psi in enumerate(states):
+            assert np.array_equal(apply_omega(psi).amplitudes, block[:, j])
+            exact = om.apply(psi).amplitudes
+            assert np.abs(block[:, j] - exact).max() <= 1e-14 * norm(psi)
             oracle = hardy_part(embed(psi)).amplitudes
-            assert np.array_equal(apply_omega(psi).amplitudes, oracle)
             assert np.abs(block[:, j] - oracle).max() <= 1e-14 * norm(psi)
+
+    @pytest.mark.parametrize("n_sigma, k_dim", [(2**16, 1), (4096, 8)])
+    def test_block_rows_match_the_exact_kernel(self, n_sigma, k_dim):
+        # selected rows of the image against phases reduced exactly in
+        # integers and summed in long double: only the block's own rounding
+        # is left (the zero-padded full-line route was off by 1e-11 at 2^16)
+        grid = make_grid(n_sigma, 100.0, k_dim)
+        nh = grid.n_half()
+        rng = np.random.default_rng(n_sigma + k_dim)
+        a = rng.normal(size=(nh * k_dim, 2)) + 1j * rng.normal(size=(nh * k_dim, 2))
+        rows = np.unique(np.r_[0:4, nh - 4:nh, rng.integers(0, nh, 40)])
+        got = _omega_block(grid, a).reshape(nh, -1)[rows]
+        odd = 2 * np.arange(nh) + 1
+        want = exact_dft_rows(n_sigma, odd[rows], odd, a.reshape(nh, -1))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_contractive_both_ways(self, small_grid, rng):
         psi = _rand_half(small_grid, rng)
@@ -154,18 +172,20 @@ class TestExpectationCurve:
         for k, e in zip(ks, curve.expectations):
             assert e == pytest.approx(tail[k], rel=1e-10, abs=1e-15)
 
-    def test_curve_is_one_fft(self, dense_grid, rng, monkeypatch):
-        # the forward image is the only transform: the leakage is read off it
+    def test_curve_is_two_half_length_ffts(self, dense_grid, rng, monkeypatch):
+        # the forward image is the only transform, two FFTs on the half
+        # line: the leakage is read off it
         psi = random_guarded_state(dense_grid, rng)
-        calls = {"fft": 0, "ifft": 0}
+        calls = {"fft": [], "ifft": []}
         for name in calls:
-            def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+            def counted(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
+                calls[_name].append(np.shape(a)[kwargs.get("axis", -1)])
+                return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         lyapunov_curve(psi, np.arange(0, 64, 8) * dense_grid.delta_tau)
-        assert calls == {"fft": 1, "ifft": 0}
+        nh = dense_grid.n_half()
+        assert calls == {"fft": [nh, nh], "ifft": []}
 
     def test_monotone_for_guarded_states(self, dense_grid, rng):
         psi = random_guarded_state(dense_grid, rng)
