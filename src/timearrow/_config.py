@@ -46,9 +46,9 @@ DEFAULT_CONFIG = {
 # Peak-memory model: a base (interpreter, numpy and click) plus, per command,
 # the terms of only the config fields that the command reads, in bytes per
 # unit of each term (columns of _CHARGES):
-#   fft       per entry of the FFT tier's complex n_sigma vectors: a phase
-#             table and the time grid, and per fibre a buffer, the state and
-#             its power, as a witness state's full-line build needs
+#   fft       per entry of complex half-line vectors: at any k_dim, the full-
+#             line build of a witness or rational state's scalar profile; per
+#             fibre, the state, its forward image and a quarter-length buffer
 #   dense     per n_dense^2 entry at any k_dim (the model, its forms and
 #             products, projection-family's real defect; selftest's
 #             criteria at k_dim 1)
@@ -61,8 +61,8 @@ DEFAULT_CONFIG = {
 # The values bound peak RSS measured with one BLAS thread; the measured peaks
 # and the bounds held to them are in tests/test_config.py.
 _BASE_BYTES = 40 * 2**20
-_FFT_TABLES = 4  # complex n_sigma vectors at any k_dim
-_FFT_VECTORS = 3  # complex n_sigma vectors per fibre
+_FFT_TABLES = 8  # complex half-line vectors at any k_dim
+_FFT_VECTORS = 3  # complex half-line vectors per fibre
 _SCENARIO_CHARGES = {
     #                    fft dense blocks steps floor
     "lyapunov-curve":    (16, 0, 0, 64, 0),
@@ -217,7 +217,7 @@ def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, st
     block = n_dense * grid["k_dim"] * min(times["n_steps"], _BLOCK_COLUMNS)
     terms = {
         "grid.n_sigma": fft * (_FFT_TABLES + _FFT_VECTORS * grid["k_dim"])
-        * grid["n_sigma"],
+        * (grid["n_sigma"] // 2),
         "dense.n_dense": max(dense * n_dense**2, floor) + blocks * block,
         "times.n_steps": steps * times["n_steps"],
     }

@@ -37,13 +37,13 @@ from .evolution import (
     kernel_witness,
     lattice_index,
 )
-from .hardy import hardy_embed, hardy_part, rational_hardy
+from .hardy import hardy_part, rational_hardy
 from .lambda_transform import _assemble, _z_block, build_model
-from .lyapunov import lyapunov_curve
+from .lyapunov import _omega_adjoint_block, lyapunov_curve
 from .ordering import irreversible_matrix_element, spectral_measure
 from .selftest import refinement_series, run_all
 from .spaces import (
-    GridSpec, LinOp, Space, _column_norms, identity_op, make_grid, norm, restrict
+    GridSpec, LinOp, Space, StateVector, _column_norms, identity_op, make_grid, norm
 )
 from .states import random_guarded_state
 
@@ -92,7 +92,7 @@ def _write_outputs(out_dir, header, rows, cfg, diagnostics=None):
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / f"{stem}.csv", _csv_lines(header, rows))
     meta = {"command": command, "config": cfg, "version": __version__}
-    if diagnostics is not None:
+    if diagnostics:
         meta["diagnostics"] = diagnostics
     _write_json(out / f"{stem}.meta.json", meta)
     click.echo(f"wrote: {out / stem}.csv")
@@ -152,27 +152,41 @@ def _dense_grid(cfg) -> GridSpec:
 
 
 def _build_state(grid: GridSpec, cfg):
-    """HALF_LINE_POS initial state from the config's state section."""
+    """HALF_LINE_POS initial state from the config's state section; a witness or
+    rational state is its scalar Hardy profile through omega*, on fibre 0."""
     kind = cfg["state"]["kind"]
     params = cfg["state"]["parameters"]
+    if kind == "random":
+        rng = np.random.default_rng(cfg["state"]["seed"])
+        try:
+            return random_guarded_state(grid, rng, n_terms=params["n_terms"])
+        except ValueError as exc:  # sigma_max below 40, or bins wider than packets
+            raise ConfigError([f"grid.sigma_max: {exc}"]) from None
+    scalar = make_grid(grid.n_sigma, grid.sigma_max, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OffLatticeWarning)
         if kind == "witness":
             mu = complex(params["mu"][0], params["mu"][1])
             try:
-                f = kernel_witness(grid, mu, params["t0"], snap=True)
+                h = kernel_witness(scalar, mu, params["t0"], snap=True)
             except ValueError as exc:  # t0 rounds to index 0 or has none
                 raise ConfigError([f"state.parameters.t0: {exc}"]) from None
-            return restrict(hardy_embed(f))
-        if kind == "rational":
+        else:
             poles = [(complex(p[0], p[1]), int(p[2])) for p in params["poles"]]
-            f = hardy_part(rational_hardy(grid, poles))
-            return restrict(hardy_embed(f))
-    rng = np.random.default_rng(cfg["state"]["seed"])
-    try:
-        return random_guarded_state(grid, rng, n_terms=params["n_terms"])
-    except ValueError as exc:  # sigma_max below 40, or bins wider than packets
-        raise ConfigError([f"grid.sigma_max: {exc}"]) from None
+            h = hardy_part(rational_hardy(scalar, poles))
+    a = np.pad(_omega_adjoint_block(grid, h.fibered()), [(0, 0), (0, grid.k_dim - 1)])
+    return StateVector(grid, Space.HALF_LINE_POS, a.reshape(-1))
+
+
+def _state_notes(grid: GridSpec, cfg) -> dict:
+    """Meta diagnostics of a witness: its requested and its lattice ``t0``."""
+    if cfg["state"]["kind"] != "witness":
+        return {}
+    t0 = cfg["state"]["parameters"]["t0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OffLatticeWarning)
+        used = lattice_index(grid, t0, snap=True) * grid.delta_tau
+    return {"t0_requested": float(t0), "t0_used": used}
 
 
 def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
@@ -309,6 +323,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
         rows,
         cfg,
         diagnostics={
+            **_state_notes(grid, cfg),
             "guard_band_leakage": float(report.guard_band_leakage),
             "max_monotonicity_violation": float(report.max_monotonicity_violation),
         },
@@ -345,6 +360,7 @@ def semigroup_norms_cmd(cfg, out_dir):
         ("t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"),
         rows,
         cfg,
+        diagnostics=_state_notes(grid, cfg),  # the lattice of both grids
     )
     tol = cfg["tolerances"]["algebraic"]
     if np.any(np.diff(tnorms) > tol):
@@ -440,7 +456,7 @@ def matrix_element_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        diagnostics={"times_past_half_window": past},
+        diagnostics={**_state_notes(dense, cfg), "times_past_half_window": past},
     )
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hardy import hardy_embed, hardy_part
-from .spaces import GridSpec, Space, SpaceMismatchError, StateVector
+from .spaces import GridSpec, Space, SpaceMismatchError, StateVector, make_grid
 
 __all__ = [
     "OffLatticeTimeError",
@@ -201,7 +201,7 @@ def kernel_witness(
     sigma = grid.sigma()
     scalar = (1.0 - np.exp(1j * sigma * t0) * np.exp(-1j * mu * t0)) / (sigma - mu)
     scalar /= np.sqrt(2.0 * np.pi)
-    full = StateVector(
-        grid, Space.FULL_LINE, (scalar[:, None] * v[None, :]).reshape(-1)
-    )
-    return hardy_part(full)
+    # one transform of the scalar profile, lifted onto the fibres last
+    line = make_grid(grid.n_sigma, grid.sigma_max, 1)
+    h = hardy_part(StateVector(line, Space.FULL_LINE, scalar)).fibered() * v
+    return StateVector(grid, Space.HARDY_PLUS, h.reshape(-1))

@@ -68,19 +68,18 @@ def _phase_factors(grid: GridSpec):
 # differently, and this order gives the bits of the out-of-place form.
 
 
-def _sigma_to_tau(grid: GridSpec, f: np.ndarray, out=None) -> np.ndarray:
-    """(n_sigma, m) energy samples -> (n_sigma, m) time samples, written
-    to ``out`` (a new array by default; ``f`` itself is allowed)."""
+def _sigma_to_tau(grid: GridSpec, f: np.ndarray) -> np.ndarray:
+    """(n_sigma, m) energy samples -> (n_sigma, m) time samples, a new array."""
     w, s, c = _phase_factors(grid)
     w = w[:, None]
-    out = np.multiply(w, f, out=out)
+    out = np.multiply(w, f)
     np.fft.fft(out, axis=0, out=out)
     np.multiply(w, out, out=out)
     return np.multiply(c * s, out, out=out)
 
 
 def _tau_to_sigma(grid: GridSpec, g: np.ndarray, out=None) -> np.ndarray:
-    """Inverse of :func:`_sigma_to_tau`, with the same ``out`` rule."""
+    """Inverse of :func:`_sigma_to_tau`, into ``out`` if given (``g`` may be it)."""
     w, s, c = _phase_factors(grid)
     w = np.conj(w, out=w)[:, None]
     out = np.multiply(w, g, out=out)
@@ -248,5 +247,5 @@ def _power_leakage(grid: GridSpec, power: np.ndarray) -> float:
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    outer = np.abs(grid.tau()[-power.size:]) >= 0.9 * (grid.t_window / 2.0)
+    outer = np.abs(grid.tau(grid.n_sigma - power.size)) >= 0.9 * (grid.t_window / 2.0)
     return float(np.sum(power[outer]) / total)

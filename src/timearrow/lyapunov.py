@@ -38,22 +38,42 @@ def apply_omega(psi: StateVector) -> StateVector:
     return StateVector(psi.grid, Space.HARDY_PLUS, b)
 
 
-def _omega_block(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """``omega`` on each column of a block of half-line amplitudes, a pruned
-    FFT: with ``x_j = a_j exp(-i pi j / n)``, bins ``2q`` and ``2q + 1`` are
-    entry ``q`` of ``FFT(x)`` and ``FFT(x exp(-2 pi i j / n))`` times ``exp(-i
-    pi (p + 1/2) / n) / sqrt(n)``; one half-line buffer serves both FFTs."""
-    n, nh, m = grid.n_sigma, grid.n_half(), a.shape[1]
-    a, w = a.reshape(nh, -1), _half_bin(n, np.arange(nh, dtype=np.complex128))[:, None]
-    out = np.empty(a.shape, dtype=np.complex128)
-    buf = np.multiply(w, a)
-    out[0::2] = np.fft.fft(buf, axis=0, out=buf)[: nh // 2]
-    np.multiply(w, a, out=buf)
-    buf *= w
-    buf *= w  # x exp(-2 pi i j / n), as three products: no second table
-    out[1::2] = np.fft.fft(buf, axis=0, out=buf)[: nh // 2]
-    w *= _half_bin(n, 0.5) / np.sqrt(n)  # now exp(-i pi (p + 1/2) / n) / sqrt(n)
-    return np.multiply(w, out, out=out).reshape(-1, m)
+def _omega_block(grid: GridSpec, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``omega`` (``omega*`` if ``adjoint``) on each column of a block of
+    half-line amplitudes, a pruned FFT: with ``q = n / 4`` and ``w_j = exp(-i
+    pi j / n)``, bin ``4 s + r`` is entry ``s`` of ``FFT(w_j^(2r+1) (a_j + c_r
+    a_(j+q)))`` times ``w_s^4 exp(-i pi (2r + 1) / (2n)) / sqrt(n)``, ``c_r =
+    exp(-i pi (2r + 1) / 4)``: four FFTs through one quarter-length buffer,
+    their input phases from one quarter-length table of ``w``, and the output
+    phases from one of ``w_s^4``.  ``omega* = conj omega conj``."""
+    n, m, q = grid.n_sigma, a.shape[1], grid.n_sigma // 4
+    a, p = a.reshape(2 * q, -1), _half_bin(n, np.arange(q, dtype=complex))[:, None]
+    buf, out = np.empty((q, a.shape[1]), complex), np.empty(a.shape, complex)
+    # p is w, conj(w), conj(w)^3, w^3 in turn, in place: w_j^8 = exp(-2 pi i j
+    # / q) moves an FFT one entry on, so w^5 and w^7 read conj(w)^3, conj(w)
+    for r in (0, 3, 2, 1):
+        if r == 2:
+            np.power(p, 3, out=p)
+        elif r:
+            np.conjugate(p, out=p)
+        c = _half_bin(-4 if adjoint else 4, (1, 3, -3, -1)[r])  # c_r, or conj
+        np.add(a[:q], np.multiply(c, a[q:], out=buf), out=buf)
+        if adjoint:
+            np.conjugate(buf, out=buf)
+        np.multiply(p, buf, out=buf)
+        out[r::4] = np.fft.fft(buf, axis=0, out=buf)[r // 2 : r // 2 + q // 2]
+    del p, buf
+    w4 = _half_bin(n, 4 * np.arange(q // 2, dtype=complex))[:, None]  # w_s^4
+    ends = _half_bin(2 * n, np.arange(1, 8, 2, dtype=complex)) / np.sqrt(n)
+    bins = out.reshape(q // 2, 4, -1)  # [s, r] is bin 4 s + r
+    np.multiply(w4[:, :, None], bins, out=bins)
+    np.multiply(ends[:, None], bins, out=bins)
+    return (np.conjugate(out, out=out) if adjoint else out).reshape(-1, m)
+
+
+def _omega_adjoint_block(grid: GridSpec, h: np.ndarray) -> np.ndarray:
+    """``omega*`` on each column of a block of Hardy amplitudes."""
+    return _omega_block(grid, h, adjoint=True)
 
 
 def _dft_lookup(n_sigma: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

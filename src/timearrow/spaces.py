@@ -91,18 +91,18 @@ class GridSpec:
     t_window: float
     delta_tau: float
 
-    def sigma(self) -> np.ndarray:
-        """Energy bin centers over the full interval."""
-        j = np.arange(self.n_sigma)
+    def sigma(self, start: int = 0) -> np.ndarray:
+        """Energy bin centers over the full interval, from bin ``start``."""
+        j = np.arange(start, self.n_sigma)
         return (j + 0.5 - self.n_sigma / 2) * self.delta_sigma
 
     def sigma_pos(self) -> np.ndarray:
         """Energy bin centers restricted to the positive half-line."""
-        return self.sigma()[self.n_sigma // 2 :]
+        return self.sigma(self.n_sigma // 2)
 
-    def tau(self) -> np.ndarray:
-        """Time bin centers over the full window ``(-t_window/2, t_window/2)``."""
-        k = np.arange(self.n_sigma)
+    def tau(self, start: int = 0) -> np.ndarray:
+        """Time bin centers over ``(-t_window/2, t_window/2)``, from bin ``start``."""
+        k = np.arange(start, self.n_sigma)
         return (k + 0.5 - self.n_sigma / 2) * self.delta_tau
 
     def n_half(self) -> int:

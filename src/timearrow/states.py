@@ -40,36 +40,40 @@ def _packets(grid: GridSpec, rng, n_terms: int, tau0_lo, tau0_hi) -> StateVector
 
     Widths in [0.5, 2], energy centers ``10 w`` clear of both ends of the
     half-line, profile centers in ``[tau0_lo, tau0_hi]``.  ValueError if
-    ``sigma_max < 40`` (the box at ``w = 2``, empty for every seed) or if
-    the packets vanish on the grid (bins far wider than the packets).
+    ``sigma_max < 40`` (the box at ``w = 2``, empty for every seed) or if the
+    bins are wider than ``pi w`` at ``w = 0.5``: the half window ``pi /
+    delta_sigma`` must hold the narrowest profile ``exp(-w^2 tau^2)`` to ``1/w``.
     """
     if not grid.sigma_max >= 40.0:
         raise ValueError(
             "guarded packets need sigma_max >= 40 (centers 10 w clear of both "
             f"ends, widths up to 2), got {grid.sigma_max:g}"
         )
+    if not grid.delta_sigma <= np.pi * 0.5:
+        raise ValueError(
+            "guarded packets need bins at most pi x 0.5 wide (the half window then "
+            f"holds the narrowest profile): at n_sigma {grid.n_sigma}, sigma_max "
+            f"at most {np.pi * grid.n_sigma / 4:g}, got {grid.sigma_max:g}"
+        )
     sigma = grid.sigma_pos()
     out = np.zeros((sigma.size, grid.k_dim), dtype=np.complex128)
+    packet, gauss = np.empty(sigma.size, dtype=np.complex128), np.empty(sigma.size)
     for _ in range(n_terms):
         w = rng.uniform(0.5, 2.0)
         c = rng.uniform(10.0 * w, grid.sigma_max - 10.0 * w)
         tau0 = rng.uniform(tau0_lo, tau0_hi)
         a = rng.standard_normal() + 1j * rng.standard_normal()
-        # a * exp(i tau0 sigma) * gaussian, built in one complex buffer
-        packet = np.multiply(1j * tau0, sigma)
-        np.exp(packet, out=packet)
-        packet *= np.exp(-((sigma - c) ** 2) / (4.0 * w * w))
+        # a * exp(i tau0 sigma) * exp(-(sigma - c)^2 / (4 w^2)) in the two buffers
+        np.square(np.subtract(sigma, c, out=gauss), out=gauss)
+        np.exp(np.divide(gauss, -4.0 * w * w, out=gauss), out=gauss)
+        np.exp(np.multiply(1j * tau0, sigma, out=packet), out=packet)
+        packet *= gauss
         np.multiply(a, packet, out=packet)
-        out += _on_fibres(packet, rng, grid.k_dim)
-        del packet  # not held through the norm's temporaries below
-    flat = out.reshape(-1)
-    scale = np.sqrt(np.sum(np.abs(flat) ** 2) * grid.delta_sigma)
-    if not scale > 0:
-        raise ValueError(
-            f"the packets vanish on the grid: its bins, {grid.delta_sigma:g} "
-            f"wide at sigma_max {grid.sigma_max:g}, miss packets 0.5 to 2 wide"
-        )
-    return StateVector(grid, Space.HALF_LINE_POS, flat / scale)
+        out += _on_fibres(packet, rng, grid.k_dim)  # an (n, k_dim) product at k_dim > 1
+    del packet, gauss  # not held through the norm's squares
+    sq = np.abs(out)
+    out /= np.sqrt(np.sum(np.square(sq, out=sq)) * grid.delta_sigma)
+    return StateVector(grid, Space.HALF_LINE_POS, out.reshape(-1))
 
 
 def random_guarded_state(

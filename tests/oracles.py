@@ -23,7 +23,7 @@ production route against them.  Each is the literal form of its fact:
 * :func:`exact_dft_rows` is rows of the offset DFT kernel with each phase
   reduced exactly in integers and each sum carried in long double, where the
   library runs FFTs: the sigma <-> tau pair on the full line, and the forward
-  map as two half-length FFTs on the half line.
+  map and its adjoint as four quarter-length FFTs on the half line.
 * :func:`time_samples` and :func:`from_time` are that pair on a state's
   flat array of time samples, where every public function of the library
   takes and returns states.

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from timearrow import DEFAULT_CONFIG, build_model, make_grid
-from timearrow.cli import _atomic_write, _cached_model, main
+from timearrow import (
+    DEFAULT_CONFIG, build_model, hardy_embed, hardy_part, kernel_witness, make_grid,
+    rational_hardy, restrict,
+)
+from timearrow.cli import _atomic_write, _build_state, _cached_model, main
 
 SMALL = {
     "grid": {"n_sigma": 256, "sigma_max": 50.0, "k_dim": 1},
@@ -148,12 +151,13 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["lyapunov-curve", "semigroup-norms",
                                          "matrix-element"])
-    @pytest.mark.parametrize("sigma_max", [39.0, 1e6],
-                             ids=["box-empty", "packets-vanish"])
+    @pytest.mark.parametrize("sigma_max", [39.0, 1e4, 1e6],
+                             ids=["box-empty", "bins-too-wide", "packets-vanish"])
     def test_sigma_max_the_random_state_cannot_use_exits_2(self, tmp_path,
                                                            command, sigma_max):
         # the default config but for sigma_max: below 40 the packet box is
-        # empty, and at 1e6 the bins are wider than the packets (a 0/0 state)
+        # empty; at 1e4 the bins are 20 wide, far wider than pi times the
+        # narrowest packet width, and at 1e6 the packets would vanish
         cfg = copy.deepcopy(DEFAULT_CONFIG)
         cfg["grid"]["sigma_max"] = sigma_max
         out = tmp_path / "out"
@@ -246,6 +250,49 @@ class TestLyapunovCurveCommand:
         _, rows = _read_csv(tmp_path / "lyapunov_curve.csv")
         e0, e2 = float(rows[0][1]), float(rows[-1][1])
         assert e2 <= 1e-3 * e0
+
+
+class TestWitnessAndRationalStates:
+    @pytest.mark.parametrize("command", ["lyapunov-curve", "semigroup-norms",
+                                         "matrix-element"])
+    def test_witness_meta_names_the_requested_and_the_used_t0(self, tmp_path,
+                                                              command):
+        # t0 = 1 is off the lattice (delta_tau = pi / sigma_max on every grid)
+        # and snaps; the meta names both times, a random state's neither
+        cfg = copy.deepcopy(SMALL)
+        _run([command, "--config", _write_cfg(tmp_path, cfg),
+              "--out", str(tmp_path / "random")])
+        cfg["state"] = {"kind": "witness",
+                        "parameters": {"mu": [25.0, -1.0], "t0": 1.0}, "seed": 7}
+        res = _run([command, "--config", _write_cfg(tmp_path, cfg),
+                    "--out", str(tmp_path)])
+        assert res.exit_code in (0, 1)  # matrix-element flags the leakage floor
+        stem = command.replace("-", "_")
+        notes = json.loads((tmp_path / f"{stem}.meta.json").read_text())["diagnostics"]
+        dt = make_grid(256, 50.0).delta_tau
+        assert notes["t0_requested"] == 1.0
+        assert notes["t0_used"] == round(1.0 / dt) * dt != 1.0
+        meta = json.loads((tmp_path / "random" / f"{stem}.meta.json").read_text())
+        assert "t0_used" not in meta.get("diagnostics", {})
+
+    @pytest.mark.parametrize("kind", ["witness", "rational"])
+    def test_state_lifted_last_is_the_per_fibre_route(self, kind):
+        # one scalar Hardy profile through omega* on the half line, lifted
+        # onto the first fibre, against restrict(hardy_embed(.)) of the
+        # state built on every fibre, at k_dim 8
+        grid = make_grid(1024, 100.0, 8)
+        cfg = copy.deepcopy(SMALL)
+        if kind == "witness":
+            t0 = 64 * grid.delta_tau
+            cfg["state"] = {"kind": kind, "parameters": {"mu": [50.0, -1.0], "t0": t0}}
+            f = kernel_witness(grid, 50.0 - 1j, t0)
+        else:
+            poles = [[50.0, -1.0, 1], [30.0, -2.0, 2]]
+            cfg["state"] = {"kind": kind, "parameters": {"poles": poles}}
+            f = hardy_part(rational_hardy(grid, [(50.0 - 1j, 1), (30.0 - 2j, 2)]))
+        want = restrict(hardy_embed(f)).amplitudes
+        got = _build_state(grid, cfg).amplitudes
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestSemigroupNormsCommand:

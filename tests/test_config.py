@@ -209,12 +209,14 @@ def test_estimate_bounds_measured_peaks(command, n_dense, t_max, measured_mb):
 
 
 # lyapunov-curve at n_sigma 2^18 / 2^19 / 2^20, per k_dim, from the default
-# random state: the forward map holds one half-length buffer and its output
-# per fibre.  A witness state (mu 50 - i, t0 1) is built by full-line
-# transforms and peaks higher at 2^20, per k_dim; it keeps the FFT tier's
-# charge at full-length vectors.
-CURVE_PEAKS_MB = {1: (49.1, 61.1, 85.1), 8: (97.3, 157.3, 277.3)}
-WITNESS_CURVE_PEAKS_MB = {1: 135.0, 8: 407.1}
+# random state, built on the half line: the state, its forward image and the
+# forward map's one quarter-length FFT buffer per fibre set the peak.  A
+# witness (mu 50 - i, t0 1) or rational state (poles 50 - i of order 1 and
+# 30 - 2i of order 2) builds one scalar profile on the full line at any
+# k_dim and takes it through omega* on the half line; at 2^20 per k_dim:
+CURVE_PEAKS_MB = {1: (45.2, 53.2, 69.2), 8: (83.3, 129.3, 221.4)}
+STATE_CURVE_PEAKS_MB = {"witness": {1: 119.1, 8: 215.6},
+                        "rational": {1: 111.0, 8: 215.4}}
 
 
 @pytest.mark.parametrize("k_dim, n_sigma, measured_mb", [
@@ -222,8 +224,9 @@ WITNESS_CURVE_PEAKS_MB = {1: 135.0, 8: 407.1}
     for k_dim, peaks in CURVE_PEAKS_MB.items()
     for n_sigma, mb in zip((2**18, 2**19, 2**20), peaks)
 ] + [
-    pytest.param(k_dim, 2**20, mb, id=f"lyapunov-curve-{2**20}-k{k_dim}-witness")
-    for k_dim, mb in WITNESS_CURVE_PEAKS_MB.items()
+    pytest.param(k_dim, 2**20, mb, id=f"lyapunov-curve-{2**20}-k{k_dim}-{kind}")
+    for kind, peaks in STATE_CURVE_PEAKS_MB.items()
+    for k_dim, mb in peaks.items()
 ])
 def test_estimate_bounds_measured_curve_peaks(k_dim, n_sigma, measured_mb):
     cfg = _with("grid", "n_sigma", n_sigma)

@@ -356,6 +356,21 @@ class TestKernelWitness:
         assert w.space is Space.HARDY_PLUS
         assert norm(w) > 0
 
+    def test_lift_after_the_transform_is_the_per_fibre_route(self):
+        # the scalar profile is transformed once and lifted onto the fibres
+        # last; the per-fibre route transforms the lifted full-line samples
+        grid = make_grid(4096, 100.0, 8)
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        mu, t0 = 50.0 - 1j, 64 * grid.delta_tau
+        sigma = grid.sigma()
+        scalar = (1.0 - np.exp(1j * sigma * t0) * np.exp(-1j * mu * t0)) / (sigma - mu)
+        full = StateVector(grid, Space.FULL_LINE,
+                           np.outer(scalar / np.sqrt(2 * np.pi), v).reshape(-1))
+        want = hardy_part(full).amplitudes
+        got = kernel_witness(grid, mu, t0, v).amplitudes
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestBlocks:
     """Blocks along a time grid: column ``i`` is the single-state result at ``t_i``."""

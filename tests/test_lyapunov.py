@@ -28,7 +28,7 @@ from timearrow import (
     unitary_evolve,
     zero_state,
 )
-from timearrow.lyapunov import _omega_block
+from timearrow.lyapunov import _omega_adjoint_block, _omega_block
 from oracles import (
     adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, lyapunov_expectation,
     two_pass_curve,
@@ -91,20 +91,44 @@ class TestForwardMap:
             oracle = hardy_part(embed(psi)).amplitudes
             assert np.abs(block[:, j] - oracle).max() <= 1e-14 * norm(psi)
 
+    @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("n_sigma, k_dim", [(2**16, 1), (4096, 8)])
-    def test_block_rows_match_the_exact_kernel(self, n_sigma, k_dim):
-        # selected rows of the image against phases reduced exactly in
-        # integers and summed in long double: only the block's own rounding
-        # is left (the zero-padded full-line route was off by 1e-11 at 2^16)
+    def test_block_rows_match_the_exact_kernel(self, n_sigma, k_dim, adjoint):
+        # selected rows of the image (of omega* if adjoint: the conjugate of
+        # the symmetric kernel) against phases reduced exactly in integers
+        # and summed in long double: only the block's own rounding is left
+        # (the zero-padded full-line route was off by 1e-11 at 2^16)
         grid = make_grid(n_sigma, 100.0, k_dim)
         nh = grid.n_half()
         rng = np.random.default_rng(n_sigma + k_dim)
         a = rng.normal(size=(nh * k_dim, 2)) + 1j * rng.normal(size=(nh * k_dim, 2))
         rows = np.unique(np.r_[0:4, nh - 4:nh, rng.integers(0, nh, 40)])
-        got = _omega_block(grid, a).reshape(nh, -1)[rows]
+        got = _omega_block(grid, a, adjoint).reshape(nh, -1)[rows]
         odd = 2 * np.arange(nh) + 1
-        want = exact_dft_rows(n_sigma, odd[rows], odd, a.reshape(nh, -1))
+        if adjoint:
+            want = np.conj(exact_dft_rows(n_sigma, odd[rows], odd,
+                                          np.conj(a.reshape(nh, -1))))
+        else:
+            want = exact_dft_rows(n_sigma, odd[rows], odd, a.reshape(nh, -1))
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n_sigma, k_dim", [(8, 1), (64, 2), (1024, 3)])
+    def test_adjoint_block_pairs_with_the_block(self, n_sigma, k_dim):
+        # <omega a, h> = <a, omega* h> column by column, and omega* equals
+        # its embed route restrict(hardy_embed(h)) on every column
+        grid = make_grid(n_sigma, 20.0, k_dim)
+        rng = np.random.default_rng(n_sigma)
+        size = (grid.n_half() * k_dim, 3)
+        a = rng.normal(size=size) + 1j * rng.normal(size=size)
+        h = rng.normal(size=size) + 1j * rng.normal(size=size)
+        forward, back = _omega_block(grid, a), _omega_adjoint_block(grid, h)
+        for j in range(3):
+            scale = np.linalg.norm(a[:, j]) * np.linalg.norm(h[:, j])
+            pairing = np.vdot(forward[:, j], h[:, j]) - np.vdot(a[:, j], back[:, j])
+            assert abs(pairing) <= 1e-14 * scale
+            oracle = apply_omega_adjoint(StateVector(grid, Space.HARDY_PLUS, h[:, j]))
+            gap = np.abs(back[:, j] - oracle.amplitudes).max()
+            assert gap <= 1e-14 * np.linalg.norm(h[:, j])
 
     def test_contractive_both_ways(self, small_grid, rng):
         psi = _rand_half(small_grid, rng)
@@ -172,9 +196,9 @@ class TestExpectationCurve:
         for k, e in zip(ks, curve.expectations):
             assert e == pytest.approx(tail[k], rel=1e-10, abs=1e-15)
 
-    def test_curve_is_two_half_length_ffts(self, dense_grid, rng, monkeypatch):
-        # the forward image is the only transform, two FFTs on the half
-        # line: the leakage is read off it
+    def test_curve_is_four_quarter_length_ffts(self, dense_grid, rng, monkeypatch):
+        # the forward image is the only transform, four FFTs of a quarter of
+        # the grid: the leakage is read off it
         psi = random_guarded_state(dense_grid, rng)
         calls = {"fft": [], "ifft": []}
         for name in calls:
@@ -184,8 +208,7 @@ class TestExpectationCurve:
 
             monkeypatch.setattr(np.fft, name, counted)
         lyapunov_curve(psi, np.arange(0, 64, 8) * dense_grid.delta_tau)
-        nh = dense_grid.n_half()
-        assert calls == {"fft": [nh, nh], "ifft": []}
+        assert calls == {"fft": [dense_grid.n_sigma // 4] * 4, "ifft": []}
 
     def test_monotone_for_guarded_states(self, dense_grid, rng):
         psi = random_guarded_state(dense_grid, rng)
