@@ -41,7 +41,6 @@ from .hardy import hardy_part, rational_hardy
 from .lambda_transform import _assemble, _z_block, build_model
 from .lyapunov import _omega_adjoint_block, lyapunov_curve
 from .ordering import irreversible_matrix_element, spectral_measure
-from .selftest import refinement_series, run_all
 from .spaces import (
     GridSpec, LinOp, Space, StateVector, _column_norms, identity_op, make_grid, norm
 )
@@ -108,33 +107,36 @@ def _cache_key() -> str:
 
 def _cached_model(grid: GridSpec):
     """``build_model(grid)``, its ``v`` and ``sigma`` loaded from the file of its
-    size if that holds this build's key and finite float64 arrays of their
-    shapes, else built and saved; prints which.  Never changes the exit code."""
+    size if that holds one record of this build's key and finite float64 arrays
+    of their shapes, else built and saved; prints which.  Never changes the
+    exit code."""
     h = grid.n_half() // 2
     try:
-        key = _cache_key()
+        key = _cache_key().encode()
         cache = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(cache):  # unset, empty or relative: not a valid base
             cache = Path.home() / ".cache"
-        path = Path(cache, "timearrow", f"model-{grid.n_sigma}.npz")
+        path = Path(cache, "timearrow", f"model-{grid.n_sigma}.npy")
     except (OSError, RuntimeError) as exc:  # unreadable sources, or no home
         click.echo(f"model: built (not cached: {exc})")
         return build_model(grid)
-    stored = ()
+    # the key last, so that v and sigma start 8-byte aligned
+    record = np.dtype([("v", "<f8", (h, h)), ("sigma", "<f8", (2 * h,)),
+                       ("key", f"S{len(key)}")])
+    stored = None
     with contextlib.suppress(Exception):  # whatever the file holds costs a rebuild
-        with np.load(path, allow_pickle=False) as f:
-            if f["key"].item() == key:
-                stored = f["v"], f["sigma"]
-    if stored and all(a.dtype == np.float64 and a.shape == shape
-                      and np.isfinite(a).all()
-                      for a, shape in zip(stored, ((h, h), (2 * h,)))):
+        f = np.load(path, allow_pickle=False)
+        if (f.dtype == record and f.shape == () and f["key"] == key
+                and np.isfinite(f["v"]).all() and np.isfinite(f["sigma"]).all()):
+            stored = f
+    if stored is not None:
         click.echo(f"model: loaded {path}")
-        return _assemble(grid, *stored)
+        return _assemble(grid, stored["v"], stored["sigma"])
     model = build_model(grid)
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         with _atomic_file(path) as fh:
-            np.savez(fh, key=np.array(key), v=model.v, sigma=model.sigma)
+            np.save(fh, np.array((model.v, model.sigma, key), record))
         click.echo(f"model: built, saved {path}")
     except OSError as exc:
         click.echo(f"model: built (not cached: {exc})")
@@ -283,6 +285,8 @@ def selftest_cmd(cfg, out_dir):
             "narrowest guarded packets; algebraic-tier failures there "
             "measure discretization leakage, not broken algebra"
         )
+    from .selftest import run_all  # loaded only when the battery runs
+
     results = run_all(
         n_dense=n_dense,
         progress=lambda r: click.echo(r.summary()),
@@ -478,6 +482,8 @@ def matrix_element_cmd(cfg, out_dir):
 @_scenario
 def convergence_cmd(cfg, out_dir):
     """Continuum-tier residuals across the standard refinement ladder."""
+    from .selftest import refinement_series
+
     series = refinement_series()
     _write_outputs(
         out_dir,

@@ -151,15 +151,15 @@ def _isometry_defect(r: ProlateOp) -> np.ndarray:
     block diagonal by parity, so both are ``R``'s dense form with parts ``e e``
     and ``o o`` and no phases, minus ``I``; ``Z(0) = R^H R``."""
     e, o = r._parts()
-    e = e @ e  # each part is freed once its square exists
-    o = o @ o
+    e = e @ e.T  # symmetric parts: a BLAS syrk; each freed once squared
+    o = o @ o.T
     d = _persymmetric(e, o)
     d.flat[:: d.shape[0] + 1] -= 1.0
     d.setflags(write=False)
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrreversibleModel:
     """Matched factorization of the forward map ``omega`` on one grid.
 

@@ -115,7 +115,7 @@ def build_m_f(grid: GridSpec) -> LinOp:
     return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, m, hermitian=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryReport:
     """Expectation curve along a unitary trajectory plus diagnostics.
 

@@ -87,7 +87,7 @@ def future_projection(model: IrreversibleModel, t: float) -> LinOp:
     return _row_weighted(model.isometry, _semigroup_index(model.grid, t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionFamily:
     """Increasing family of past projections: the model's ``R`` and its times.
 

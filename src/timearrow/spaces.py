@@ -155,7 +155,7 @@ def _freeze(obj, field: str, dtype=np.complex128) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Immutable amplitude vector tagged with its grid and space.
 
@@ -252,7 +252,7 @@ def restrict(f: StateVector) -> StateVector:
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LinOp:
     """Linear operator between tagged spaces on one grid: dense or diagonal.
 

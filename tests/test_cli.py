@@ -394,9 +394,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
 
 class TestModelCache:
     """The dense commands read the model's ``v`` and ``sigma`` from
-    ``$XDG_CACHE_HOME/timearrow/model-<n_sigma>.npz``; whatever that file
-    holds, or wherever it cannot be written, their outputs and exit codes are
-    those of a fresh build."""
+    ``$XDG_CACHE_HOME/timearrow/model-<n_sigma>.npy``, one record that also
+    holds the build's key; whatever that file holds, or wherever it cannot be
+    written, their outputs and exit codes are those of a fresh build."""
 
     @staticmethod
     def _run_in(cache, cfg, out, command="matrix-element"):
@@ -415,7 +415,7 @@ class TestModelCache:
         cfg["grid"]["k_dim"] = k_dim
         path = _write_cfg(tmp_path, cfg)
         cache = tmp_path / "cache"
-        file = cache / "timearrow" / f"model-{2 * cfg['dense']['n_dense']}.npz"
+        file = cache / "timearrow" / f"model-{2 * cfg['dense']['n_dense']}.npy"
         cold, cold_bytes = self._run_in(cache, path, tmp_path / "cold", command)
         hot, hot_bytes = self._run_in(cache, path, tmp_path / "hot", command)
         assert cold.splitlines()[0] == f"model: built, saved {file}"
@@ -432,10 +432,14 @@ class TestModelCache:
         assert np.array_equal(hot.d, model.d) and hot.gamma == model.gamma
 
     @staticmethod
-    def _rewrite(file, **arrays):
-        with np.load(file) as f:
-            stored = {name: f[name] for name in f.files}
-        np.savez(file, **{**stored, **arrays})
+    def _rewrite(file, **fields):
+        """Save ``file``'s record again, with ``fields`` in place of its own
+        (the record's dtype follows each field's new dtype and shape)."""
+        stored = np.load(file)
+        values = {name: fields.get(name, stored[name]) for name in stored.dtype.names}
+        record = np.dtype([(name, value.dtype, value.shape)
+                           for name, value in values.items()])
+        np.save(file, np.array(tuple(values.values()), record))
 
     @pytest.mark.parametrize("damage", [
         "truncated", "wrong_shape", "float32", "nan", "other_key"])
@@ -444,8 +448,7 @@ class TestModelCache:
         cache = tmp_path / "cache"
         _, want = self._run_in(cache, cfg, tmp_path / "cold")
         (file,) = (cache / "timearrow").iterdir()
-        with np.load(file) as f:
-            v = f["v"]
+        v = np.load(file)["v"]
         if damage == "truncated":
             file.write_bytes(file.read_bytes()[: file.stat().st_size // 2])
         elif damage == "wrong_shape":
@@ -456,7 +459,8 @@ class TestModelCache:
             v[3, 5] = np.nan
             self._rewrite(file, v=v)
         else:
-            self._rewrite(file, key=np.array("another build"))
+            # same length, so the record's dtype still matches
+            self._rewrite(file, key=np.char.upper(np.load(file)["key"]))
         output, got = self._run_in(cache, cfg, tmp_path / "again")
         assert output.startswith(f"model: built, saved {file}\n")
         assert got == want
@@ -481,10 +485,9 @@ class TestModelCache:
         monkeypatch.setattr("timearrow.cli._cache_key", lambda: "edited sources")
         output, _ = self._run_in(cache, cfg, tmp_path / "b")
         assert output.startswith("model: built, saved ")
-        name = f"model-{2 * SMALL['dense']['n_dense']}.npz"
+        name = f"model-{2 * SMALL['dense']['n_dense']}.npy"
         assert [p.name for p in (cache / "timearrow").iterdir()] == [name]
-        with np.load(cache / "timearrow" / name) as f:
-            assert f["key"].item() == "edited sources"
+        assert np.load(cache / "timearrow" / name)["key"] == b"edited sources"
 
     def test_a_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch,
                                                   capsys):
@@ -495,7 +498,7 @@ class TestModelCache:
         monkeypatch.setenv("XDG_CACHE_HOME", "rel")
         monkeypatch.chdir(work)
         _cached_model(make_grid(64, 20.0))
-        file = home / ".cache" / "timearrow" / "model-64.npz"
+        file = home / ".cache" / "timearrow" / "model-64.npy"
         assert capsys.readouterr().out == f"model: built, saved {file}\n"
         assert file.is_file() and not any(work.iterdir())
 
@@ -661,7 +664,7 @@ class TestSelftestCommand:
                 progress(result)
             return battery
 
-        monkeypatch.setattr("timearrow.cli.run_all", shared_run)
+        monkeypatch.setattr("timearrow.selftest.run_all", shared_run)
         res2 = _run(["selftest", "--out", str(b)])
         assert res2.exit_code == 0
         assert (a / "selftest.json").read_bytes() == (b / "selftest.json").read_bytes()

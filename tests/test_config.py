@@ -7,6 +7,8 @@ command that ignores its sizes, so nothing is allocated if the check fails.
 import copy
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -532,6 +534,23 @@ def test_tracer_targets_resolve(monkeypatch):
         assert callable(getattr(module, attr, None)), (module_name, attr)
 
 
+def test_cli_import_loads_the_traced_modules_but_not_the_battery(monkeypatch):
+    # the tracer reads each target's module from sys.modules right after
+    # `import timearrow.cli`, so none of them may load on demand; the
+    # acceptance battery does, in the two commands that run it
+    wanted = {f"timearrow.{module_name}"
+              for module_name, _ in _perfbench("tracer", monkeypatch).TARGETS}
+    wanted |= {"timearrow.spaces", "timearrow.cli"}
+    env = dict(os.environ)
+    src = str(Path(timearrow.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, timearrow.cli; print(*sorted(sys.modules))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env=env).stdout.split())
+    assert wanted <= loaded, wanted - loaded
+    assert "timearrow.selftest" not in loaded
+
+
 def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
     scenarios = _perfbench("scenarios", monkeypatch)
     for name, workload in scenarios.WORKLOADS.items():
@@ -567,7 +586,7 @@ def test_oversized_selftest_exits_2(tmp_path, monkeypatch):
     def must_not_run(**kwargs):
         raise AssertionError("selftest ran past the memory check")
 
-    monkeypatch.setattr(timearrow.cli, "run_all", must_not_run)
+    monkeypatch.setattr("timearrow.selftest.run_all", must_not_run)
     cfg = _with("dense", "n_dense", 2048)
     path = _write(tmp_path, cfg)
     assert load_config(path)["dense"]["n_dense"] == 2048

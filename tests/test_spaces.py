@@ -6,10 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from timearrow import (
+    IrreversibleModel,
     LinOp,
+    ProjectionFamily,
     Space,
     SpaceMismatchError,
     StateVector,
+    TrajectoryReport,
     embed,
     identity_op,
     inner,
@@ -136,6 +139,22 @@ class TestStateAlgebra:
 
     def test_zero_state(self, small_grid):
         assert norm(zero_state(small_grid, Space.HARDY_PLUS)) == 0.0
+
+    def test_states_compare_and_hash_by_identity(self, small_grid, rng):
+        # an array field has no single truth value, so equality is identity;
+        # the grid, all scalars, keeps value equality
+        f = _rand_state(small_grid, Space.FULL_LINE, rng)
+        copy = StateVector(small_grid, f.space, f.amplitudes.copy())
+        assert (f == copy) is False and f == f and f != copy
+        assert len({f, copy, f}) == 2 and f in {f}
+        same = make_grid(small_grid.n_sigma, small_grid.sigma_max, small_grid.k_dim)
+        assert same == small_grid and hash(same) == hash(small_grid)
+        assert make_grid(small_grid.n_sigma, small_grid.sigma_max + 1.0) != small_grid
+
+    @pytest.mark.parametrize("cls", [StateVector, LinOp, IrreversibleModel,
+                                     TrajectoryReport, ProjectionFamily])
+    def test_array_holding_classes_use_identity(self, cls):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 class TestHalfLineProjection:
