@@ -15,8 +15,10 @@ field by field) or an off-lattice time under the reject policy.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -34,6 +36,7 @@ from .evolution import (
     OffLatticeTimeError,
     OffLatticeWarning,
     _column_chunks,
+    _nearest_index,
     kernel_witness,
     lattice_index,
 )
@@ -45,6 +48,11 @@ from .spaces import (
     GridSpec, LinOp, Space, StateVector, _column_norms, identity_op, make_grid, norm
 )
 from .states import random_guarded_state
+
+# At exit, move every object into gc's permanent generation: the shutdown
+# collection then skips the start-up heap of numpy, click and the package,
+# and the OS reclaims it.  Cyclic garbage is therefore not finalized at exit.
+atexit.register(gc.freeze)
 
 
 @contextlib.contextmanager
@@ -191,14 +199,15 @@ def _state_notes(grid: GridSpec, cfg) -> dict:
     return {"t0_requested": float(t0), "t0_used": used}
 
 
-def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
-    """Config time grid as lattice indices, snapped or strictly validated."""
+def _lattice_times(grid: GridSpec, cfg) -> tuple[np.ndarray, dict]:
+    """Config time grid as lattice indices, snapped or strictly validated, and
+    meta diagnostics of the snap: how many times moved and the largest move."""
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OffLatticeWarning)
         try:
-            return lattice_index(grid, requested, snap=t["snap_times"])
+            ks = lattice_index(grid, requested, snap=t["snap_times"])
         except OffLatticeTimeError as exc:
             if t["snap_times"]:
                 raise
@@ -206,6 +215,9 @@ def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
                 f"times[{exc.index}] = {requested[exc.index]} is off the dual "
                 f"lattice (delta_tau = {grid.delta_tau}) and times.snap_times is false"
             ) from None
+    moved = _nearest_index(requested, grid.delta_tau)[1]
+    gap = np.abs(requested - ks * grid.delta_tau)[moved]
+    return ks, {"times_snapped": gap.size, "times_max_snap": float(gap.max(initial=0.0))}
 
 
 def _violation(message: str):
@@ -316,7 +328,8 @@ def lyapunov_curve_cmd(cfg, out_dir):
     """Expectation curve of the configured state along its trajectory."""
     grid = _scenario_grid(cfg)
     psi = _build_state(grid, cfg)
-    report = lyapunov_curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
+    ks, snaps = _lattice_times(grid, cfg)
+    report = lyapunov_curve(psi, ks * grid.delta_tau)
     rows = (
         (t, e, nv, "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
@@ -328,6 +341,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
         cfg,
         diagnostics={
             **_state_notes(grid, cfg),
+            **snaps,
             "guard_band_leakage": float(report.guard_band_leakage),
             "max_monotonicity_violation": float(report.max_monotonicity_violation),
         },
@@ -347,11 +361,12 @@ def semigroup_norms_cmd(cfg, out_dir):
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
     psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
-    t_b = _lattice_times(grid, cfg) * grid.delta_tau
+    ks, snaps = _lattice_times(grid, cfg)  # the snap of both grids: one delta_tau
+    t_b = ks * grid.delta_tau
     tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
     model = _cached_model(dense)
     l_psi = model.lam.apply(psi).amplitudes
-    ks = _lattice_times(dense, cfg)
+    ks = _lattice_times(dense, cfg)[0]
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
         znorms[cols] = _column_norms(dense, _z_block(model, l_psi, ks[cols]))
@@ -364,7 +379,7 @@ def semigroup_norms_cmd(cfg, out_dir):
         ("t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"),
         rows,
         cfg,
-        diagnostics=_state_notes(grid, cfg),  # the lattice of both grids
+        diagnostics={**_state_notes(grid, cfg), **snaps},  # t0 on both grids alike
     )
     tol = cfg["tolerances"]["algebraic"]
     if np.any(np.diff(tnorms) > tol):
@@ -379,7 +394,8 @@ def semigroup_norms_cmd(cfg, out_dir):
 def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
-    ks = np.sort(_lattice_times(dense, cfg))
+    ks, snaps = _lattice_times(dense, cfg)
+    ks = np.sort(ks)
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
     if ks.size < 2:
@@ -410,6 +426,7 @@ def projection_family_cmd(cfg, out_dir):
             "ordering_spectrum_min": lowest,
             "ordering_spectrum_max": highest,
             "truncation_time": float(times[-1]),
+            **snaps,
         },
     )
     tol = cfg["tolerances"]["algebraic"]
@@ -435,7 +452,7 @@ def matrix_element_cmd(cfg, out_dir):
         "identity": identity_op(dense, half),
         "energy": LinOp(dense, half, half, energy, hermitian=True),
     }
-    ks = _lattice_times(dense, cfg)
+    ks, snaps = _lattice_times(dense, cfg)
     past = int(np.count_nonzero(ks >= dense.n_half()))  # Z(t) = 0 from there on
     times = ks * dense.delta_tau
     rev, irr, diffs = irreversible_matrix_element(
@@ -460,7 +477,7 @@ def matrix_element_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        diagnostics={**_state_notes(dense, cfg), "times_past_half_window": past},
+        diagnostics={**_state_notes(dense, cfg), **snaps, "times_past_half_window": past},
     )
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm

@@ -59,6 +59,14 @@ def _first(t: np.ndarray, mask: np.ndarray) -> tuple[int, str]:
     return i, f"{f't[{i}]' if t.ndim else 't'} = {float(t.flat[i])}"
 
 
+def _nearest_index(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest lattice indices of ``t`` (as floats), and where they move it."""
+    with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
+        ratio = t / dt
+        k = np.rint(ratio)
+        return k, np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
+
+
 def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2):
     """Convert times to their dual-lattice indices ``k`` with ``t = k*delta_tau``.
 
@@ -72,10 +80,7 @@ def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2
     :class:`OffLatticeTimeError` whatever ``snap`` says.
     """
     t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
-    with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
-        ratio = t / dt
-        k = np.rint(ratio)
-        moved = np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
+    k, moved = _nearest_index(t, dt)
     for bad, what in (
         (~(np.abs(k) < 2.0**63), f"has no dual-lattice index (delta_tau = {dt})"),
         (moved & (not snap), f"is not on the dual lattice (delta_tau = {dt}); "

@@ -1,11 +1,13 @@
 """End-to-end runs of the command-line scenarios."""
 
 import copy
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 from click.testing import CliRunner
 
 from timearrow import (
-    DEFAULT_CONFIG, build_model, hardy_embed, hardy_part, kernel_witness, make_grid,
-    rational_hardy, restrict,
+    DEFAULT_CONFIG, OffLatticeTimeError, OffLatticeWarning, build_model, hardy_embed,
+    hardy_part, kernel_witness, lattice_index, make_grid, rational_hardy, restrict,
 )
 from timearrow.cli import _atomic_write, _build_state, _cached_model, main
 
@@ -26,6 +28,14 @@ SMALL = {
     "state": {"kind": "random", "parameters": {"n_terms": 4}, "seed": 7},
     "tolerances": {"algebraic": 1.0e-8, "continuum": 0.05},
 }
+
+# the commands that write a CSV and a .meta.json from the config's time grid
+SCENARIOS = ("lyapunov-curve", "semigroup-norms", "projection-family", "matrix-element")
+
+# matrix-element cannot pass its picture gate here: the times reach past the
+# half window t = 64 pi / 50 = 4.02 of n_dense 64, where Z(t) is zero
+PAST_HALF_WINDOW = {**SMALL, "dense": {"n_dense": 64},
+                    "times": {**SMALL["times"], "t_max": 2000.0}}
 
 # the commands that factor the model, and their output stems
 DENSE_STEMS = {"matrix-element": "matrix_element",
@@ -43,6 +53,24 @@ def _write_cfg(tmp_path, cfg, name="config.json"):
 
 def _run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def _child_env(**extra):
+    """This environment, with the package's sources first on PYTHONPATH."""
+    import timearrow
+
+    env = dict(os.environ, **extra)
+    src = str(Path(timearrow.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_process(args, prelude=""):
+    """The command line in a fresh interpreter, stdout and stderr on pipes;
+    ``prelude`` runs before ``timearrow.cli`` is imported."""
+    code = prelude + "from timearrow.cli import main; main(prog_name='timearrow')"
+    return subprocess.run([sys.executable, "-c", code, *args], env=_child_env(),
+                          capture_output=True, text=True)
 
 
 def _stderr(result):
@@ -363,16 +391,12 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
     # projection-family and selftest run at the default config.  Open
     # remainder: criterion 2's eig_min and eig_max come from eigvalsh and
     # move in the last digits with the thread count, so they are masked
-    import timearrow
-
     default = command in ("projection-family", "selftest")
     cfg = _write_cfg(tmp_path, DEFAULT_CONFIG if default else SMALL)
-    src = str(Path(timearrow.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   XDG_CACHE_HOME=str(tmp_path / f"cache{threads}"))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                         XDG_CACHE_HOME=str(tmp_path / f"cache{threads}"))
         out = tmp_path / f"blas{threads}"
         run = subprocess.run([sys.executable, "-c",
                               "from timearrow.cli import main; main()",
@@ -592,20 +616,17 @@ class TestMatrixElementCommand:
         for r in rows:
             assert float(r[6]) <= 1e-8
         meta = json.loads((tmp_path / "matrix_element.meta.json").read_text())
-        assert meta["diagnostics"] == {"times_past_half_window": 0}
+        assert meta["diagnostics"]["times_past_half_window"] == 0
 
     def test_times_past_the_half_window_are_counted_and_named(self, tmp_path):
-        # n_dense 64 at sigma_max 50: the half window is t = 64 pi / 50 = 4.02.
-        # Past it Z(t) is zero while the unitary evolution recurs, so the
-        # pictures cannot agree; the exit names that, not guard-band leakage
-        cfg = copy.deepcopy(SMALL)
-        cfg["dense"] = {"n_dense": 64}
-        cfg["times"]["t_max"] = 2000.0
-        path = _write_cfg(tmp_path, cfg)
+        # past the half window Z(t) is zero while the unitary evolution
+        # recurs, so the pictures cannot agree; the exit names that, not
+        # guard-band leakage
+        path = _write_cfg(tmp_path, PAST_HALF_WINDOW)
         res = _run(["matrix-element", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 1
         meta = json.loads((tmp_path / "matrix_element.meta.json").read_text())
-        assert meta["diagnostics"] == {"times_past_half_window": 4}
+        assert meta["diagnostics"]["times_past_half_window"] == 4
         err = _stderr(res)
         assert "4 of the times reach the half window t = 4.02124" in err
         assert "leakage" not in err
@@ -673,13 +694,107 @@ class TestSelftestCommand:
 def test_cli_import_loads_no_scipy():
     # scipy is not a dependency; importing it would also add ~0.3 s to
     # every command's start-up
-    import timearrow
-
-    src = str(Path(timearrow.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, timearrow.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
+                         text=True, check=True, env=_child_env()).stdout
     assert out.strip() == "[]"
+
+
+class TestSnappedTimes:
+    """The scenario commands write how many config times snapped to the dual
+    lattice and the largest |requested - used| into their meta diagnostics."""
+
+    @staticmethod
+    def _direct(cfg):
+        # one time at a time: lattice_index rejects a time it would move
+        grid = make_grid(cfg["grid"]["n_sigma"], cfg["grid"]["sigma_max"])
+        snapped, largest = 0, 0.0
+        for t in np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_steps"]):
+            try:
+                lattice_index(grid, t)
+            except OffLatticeTimeError:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", OffLatticeWarning)
+                    used = lattice_index(grid, t, snap=True) * grid.delta_tau
+                snapped, largest = snapped + 1, max(largest, abs(t - used))
+        return {"times_snapped": snapped, "times_max_snap": largest}
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_meta_counts_the_snapped_times_and_the_largest_move(self, tmp_path,
+                                                                 lattice):
+        # delta_tau = pi / sigma_max on the scenario and the dense grid alike
+        cfg = copy.deepcopy(SMALL)
+        if lattice:  # six times 5 delta_tau apart, four of them off by rounding
+            dt = make_grid(256, 50.0).delta_tau
+            cfg["times"] = {"t_max": 25 * dt, "n_steps": 6, "snap_times": True}
+            t = np.linspace(0.0, 25 * dt, 6)
+            assert np.count_nonzero(t != np.arange(0, 26, 5) * dt) == 4
+        want = self._direct(cfg)
+        if lattice:
+            assert want == {"times_snapped": 0, "times_max_snap": 0.0}
+        else:
+            assert want["times_snapped"] == 4 and want["times_max_snap"] > 0
+        path = _write_cfg(tmp_path, cfg)
+        for command in SCENARIOS:
+            res = _run([command, "--config", path, "--out", str(tmp_path)])
+            assert res.exit_code == 0
+            meta = tmp_path / f"{command.replace('-', '_')}.meta.json"
+            notes = json.loads(meta.read_text())["diagnostics"]
+            assert {key: notes[key] for key in want} == want, command
+
+
+class TestExitPath:
+    """Every command-line process freezes its heap at exit (``atexit`` runs
+    ``gc.freeze``), so the interpreter's shutdown collection skips it; stdout,
+    stderr and exit codes stay those of a plain exit."""
+
+    @pytest.mark.parametrize("command", SCENARIOS)
+    def test_one_wrote_line_on_a_pipe(self, tmp_path, command):
+        run = _cli_process([command, "--config", _write_cfg(tmp_path, SMALL),
+                            "--out", str(tmp_path)])
+        assert run.returncode == 0, run.stderr
+        wrote = [line for line in run.stdout.splitlines() if line.startswith("wrote: ")]
+        assert wrote == [f"wrote: {tmp_path / command.replace('-', '_')}.csv"]
+
+    @pytest.mark.parametrize("command, cfg, code, message", [
+        ("--version", None, 0, r"^timearrow, version "),
+        ("--help", None, 0, r"^Usage: timearrow "),
+        ("lyapunov-curve", SMALL, 0, r"^wrote: "),
+        ("lyapunov-curve", {"grid": {"n_sigma": 1000}}, 2,
+         r"^config error: grid\.n_sigma"),
+        ("matrix-element", PAST_HALF_WINDOW, 1,
+         r"^tolerance violation: picture mismatch"),
+    ], ids=["version", "help", "command", "config-error", "violation"])
+    def test_every_exit_freezes_the_heap(self, tmp_path, command, cfg, code, message):
+        # registered before timearrow.cli is imported, this handler runs
+        # after the CLI's own: atexit runs handlers last in, first out
+        prelude = ("import atexit, gc, sys\n"
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+                   " file=sys.stderr))\n")
+        args = [command]
+        if cfg is not None:
+            args += ["--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)]
+        run = _cli_process(args, prelude)
+        assert run.returncode == code, run.stderr
+        assert re.search(message, run.stdout if code == 0 else run.stderr, re.M), run
+        frozen = re.search(r"^frozen (\d+)$", run.stderr, re.M)
+        assert frozen and int(frozen.group(1)) > 0, run.stderr
+
+    def test_in_process_runs_freeze_nothing(self, tmp_path):
+        res = _run(["lyapunov-curve", "--config", _write_cfg(tmp_path, SMALL),
+                    "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        assert gc.get_freeze_count() == 0
+
+
+def test_scenario_commands_leave_no_file_open(tmp_path):
+    # a frozen exit no longer reports a file left for the collector to close,
+    # so look for one here
+    cfg = _write_cfg(tmp_path, SMALL)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for command in SCENARIOS:
+            assert _run([command, "--config", cfg, "--out", str(tmp_path)]).exit_code == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
