@@ -36,7 +36,7 @@ from .evolution import (
     OffLatticeTimeError,
     OffLatticeWarning,
     _column_chunks,
-    _nearest_index,
+    _snap_extent,
     kernel_witness,
     lattice_index,
 )
@@ -49,9 +49,8 @@ from .spaces import (
 )
 from .states import random_guarded_state
 
-# At exit, move every object into gc's permanent generation: the shutdown
-# collection then skips the start-up heap of numpy, click and the package,
-# and the OS reclaims it.  Cyclic garbage is therefore not finalized at exit.
+# At exit, move every object to gc's permanent generation: shutdown then skips
+# collecting the start-up heap, and cyclic garbage alive then is not finalized.
 atexit.register(gc.freeze)
 
 
@@ -199,15 +198,14 @@ def _state_notes(grid: GridSpec, cfg) -> dict:
     return {"t0_requested": float(t0), "t0_used": used}
 
 
-def _lattice_times(grid: GridSpec, cfg) -> tuple[np.ndarray, dict]:
-    """Config time grid as lattice indices, snapped or strictly validated, and
-    meta diagnostics of the snap: how many times moved and the largest move."""
+def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
+    """Config time grid as lattice indices, snapped or strictly validated."""
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OffLatticeWarning)
         try:
-            ks = lattice_index(grid, requested, snap=t["snap_times"])
+            return lattice_index(grid, requested, snap=t["snap_times"])
         except OffLatticeTimeError as exc:
             if t["snap_times"]:
                 raise
@@ -215,9 +213,13 @@ def _lattice_times(grid: GridSpec, cfg) -> tuple[np.ndarray, dict]:
                 f"times[{exc.index}] = {requested[exc.index]} is off the dual "
                 f"lattice (delta_tau = {grid.delta_tau}) and times.snap_times is false"
             ) from None
-    moved = _nearest_index(requested, grid.delta_tau)[1]
-    gap = np.abs(requested - ks * grid.delta_tau)[moved]
-    return ks, {"times_snapped": gap.size, "times_max_snap": float(gap.max(initial=0.0))}
+
+
+def _snap_notes(grid: GridSpec, cfg) -> dict:
+    """Meta diagnostics: how many config times snapped, and the largest move."""
+    t = cfg["times"]
+    moved, largest = _snap_extent(grid, np.linspace(0.0, t["t_max"], t["n_steps"]))
+    return {"times_snapped": moved, "times_max_snap": largest}
 
 
 def _violation(message: str):
@@ -328,8 +330,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
     """Expectation curve of the configured state along its trajectory."""
     grid = _scenario_grid(cfg)
     psi = _build_state(grid, cfg)
-    ks, snaps = _lattice_times(grid, cfg)
-    report = lyapunov_curve(psi, ks * grid.delta_tau)
+    report = lyapunov_curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
     rows = (
         (t, e, nv, "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
@@ -341,7 +342,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
         cfg,
         diagnostics={
             **_state_notes(grid, cfg),
-            **snaps,
+            **_snap_notes(grid, cfg),
             "guard_band_leakage": float(report.guard_band_leakage),
             "max_monotonicity_violation": float(report.max_monotonicity_violation),
         },
@@ -361,12 +362,11 @@ def semigroup_norms_cmd(cfg, out_dir):
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
     psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
-    ks, snaps = _lattice_times(grid, cfg)  # the snap of both grids: one delta_tau
+    ks = _lattice_times(grid, cfg)  # both grids share delta_tau, so ks too
     t_b = ks * grid.delta_tau
     tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
     model = _cached_model(dense)
     l_psi = model.lam.apply(psi).amplitudes
-    ks = _lattice_times(dense, cfg)[0]
     znorms = np.empty(ks.size)
     for cols in _column_chunks(ks.size):
         znorms[cols] = _column_norms(dense, _z_block(model, l_psi, ks[cols]))
@@ -379,7 +379,7 @@ def semigroup_norms_cmd(cfg, out_dir):
         ("t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"),
         rows,
         cfg,
-        diagnostics={**_state_notes(grid, cfg), **snaps},  # t0 on both grids alike
+        diagnostics={**_state_notes(grid, cfg), **_snap_notes(grid, cfg)},
     )
     tol = cfg["tolerances"]["algebraic"]
     if np.any(np.diff(tnorms) > tol):
@@ -394,8 +394,7 @@ def semigroup_norms_cmd(cfg, out_dir):
 def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
-    ks, snaps = _lattice_times(dense, cfg)
-    ks = np.sort(ks)
+    ks = np.sort(_lattice_times(dense, cfg))
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
     if ks.size < 2:
@@ -426,7 +425,7 @@ def projection_family_cmd(cfg, out_dir):
             "ordering_spectrum_min": lowest,
             "ordering_spectrum_max": highest,
             "truncation_time": float(times[-1]),
-            **snaps,
+            **_snap_notes(dense, cfg),
         },
     )
     tol = cfg["tolerances"]["algebraic"]
@@ -452,7 +451,7 @@ def matrix_element_cmd(cfg, out_dir):
         "identity": identity_op(dense, half),
         "energy": LinOp(dense, half, half, energy, hermitian=True),
     }
-    ks, snaps = _lattice_times(dense, cfg)
+    ks = _lattice_times(dense, cfg)
     past = int(np.count_nonzero(ks >= dense.n_half()))  # Z(t) = 0 from there on
     times = ks * dense.delta_tau
     rev, irr, diffs = irreversible_matrix_element(
@@ -477,7 +476,8 @@ def matrix_element_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        diagnostics={**_state_notes(dense, cfg), **snaps, "times_past_half_window": past},
+        diagnostics={**_state_notes(dense, cfg), **_snap_notes(dense, cfg),
+                     "times_past_half_window": past},
     )
     tol = cfg["tolerances"]["algebraic"]
     scale = norm(psi) ** 2  # both observables have unit operator norm

@@ -99,6 +99,13 @@ def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2
     return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
+def _snap_extent(grid: GridSpec, t: np.ndarray) -> tuple[int, float]:
+    """How many times ``t`` snapping moves, and the largest move (0.0 if none)."""
+    k, moved = _nearest_index(t, grid.delta_tau)
+    gap = np.abs(t - k * grid.delta_tau)[moved]
+    return gap.size, float(gap.max(initial=0.0))
+
+
 def unitary_evolve(f: StateVector, t: float) -> StateVector:
     """Apply the evolution group: multiply bin ``j`` by ``exp(-i sigma_j t)``.
 

@@ -616,7 +616,8 @@ class TestMatrixElementCommand:
         for r in rows:
             assert float(r[6]) <= 1e-8
         meta = json.loads((tmp_path / "matrix_element.meta.json").read_text())
-        assert meta["diagnostics"]["times_past_half_window"] == 0
+        assert meta["diagnostics"] == {"times_past_half_window": 0,
+                                       **TestSnappedTimes._direct(SMALL)}
 
     def test_times_past_the_half_window_are_counted_and_named(self, tmp_path):
         # past the half window Z(t) is zero while the unitary evolution
@@ -626,7 +627,8 @@ class TestMatrixElementCommand:
         res = _run(["matrix-element", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 1
         meta = json.loads((tmp_path / "matrix_element.meta.json").read_text())
-        assert meta["diagnostics"]["times_past_half_window"] == 4
+        assert meta["diagnostics"] == {"times_past_half_window": 4,
+                                       **TestSnappedTimes._direct(PAST_HALF_WINDOW)}
         err = _stderr(res)
         assert "4 of the times reach the half window t = 4.02124" in err
         assert "leakage" not in err
