@@ -19,8 +19,6 @@ import json
 import math
 import os
 
-from .evolution import _BLOCK_COLUMNS
-
 __all__ = [
     "ConfigError",
     "DEFAULT_CONFIG",
@@ -61,6 +59,7 @@ DEFAULT_CONFIG = {
 # The values bound peak RSS measured with one BLAS thread; the measured peaks
 # and the bounds held to them are in tests/test_config.py.
 _BASE_BYTES = 40 * 2**20
+_BLOCK_COLUMNS = 256  # columns per block of lattice times (evolution._column_chunks)
 _FFT_TABLES = 8  # complex half-line vectors at any k_dim
 _FFT_VECTORS = 3  # complex half-line vectors per fibre
 _SCENARIO_CHARGES = {

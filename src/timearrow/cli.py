@@ -30,24 +30,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
-from ._config import ConfigError, load_config
-from .evolution import (
-    OffLatticeTimeError,
-    OffLatticeWarning,
-    _column_chunks,
-    _snap_extent,
-    kernel_witness,
-    lattice_index,
+from . import (
+    __version__, _config, evolution, hardy, lambda_transform, lyapunov, ordering, spaces,
+    states,
 )
-from .hardy import hardy_part, rational_hardy
-from .lambda_transform import _assemble, _z_block, build_model
-from .lyapunov import _omega_adjoint_block, lyapunov_curve
-from .ordering import irreversible_matrix_element, spectral_measure
-from .spaces import (
-    GridSpec, LinOp, Space, StateVector, _column_norms, identity_op, make_grid, norm
-)
-from .states import random_guarded_state
 
 # At exit, move every object to gc's permanent generation: shutdown then skips
 # collecting the start-up heap, and cyclic garbage alive then is not finalized.
@@ -112,7 +98,7 @@ def _cache_key() -> str:
     return f"timearrow {__version__} numpy {np.__version__} sources {crc:08x}"
 
 
-def _cached_model(grid: GridSpec):
+def _cached_model(grid: spaces.GridSpec):
     """``build_model(grid)``, its ``v`` and ``sigma`` loaded from the file of its
     size if that holds one record of this build's key and finite float64 arrays
     of their shapes, else built and saved; prints which.  Never changes the
@@ -126,7 +112,7 @@ def _cached_model(grid: GridSpec):
         path = Path(cache, "timearrow", f"model-{grid.n_sigma}.npy")
     except (OSError, RuntimeError) as exc:  # unreadable sources, or no home
         click.echo(f"model: built (not cached: {exc})")
-        return build_model(grid)
+        return lambda_transform.build_model(grid)
     # the key last, so that v and sigma start 8-byte aligned
     record = np.dtype([("v", "<f8", (h, h)), ("sigma", "<f8", (2 * h,)),
                        ("key", f"S{len(key)}")])
@@ -138,8 +124,8 @@ def _cached_model(grid: GridSpec):
             stored = f
     if stored is not None:
         click.echo(f"model: loaded {path}")
-        return _assemble(grid, stored["v"], stored["sigma"])
-    model = build_model(grid)
+        return lambda_transform._assemble(grid, stored["v"], stored["sigma"])
+    model = lambda_transform.build_model(grid)
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         with _atomic_file(path) as fh:
@@ -150,75 +136,81 @@ def _cached_model(grid: GridSpec):
     return model
 
 
-def _scenario_grid(cfg) -> GridSpec:
+def _scenario_grid(cfg) -> spaces.GridSpec:
     g = cfg["grid"]
-    return make_grid(g["n_sigma"], g["sigma_max"], g["k_dim"])
+    return spaces.make_grid(g["n_sigma"], g["sigma_max"], g["k_dim"])
 
 
-def _dense_grid(cfg) -> GridSpec:
+def _dense_grid(cfg) -> spaces.GridSpec:
     g = cfg["grid"]
-    return make_grid(2 * cfg["dense"]["n_dense"], g["sigma_max"], g["k_dim"])
+    return spaces.make_grid(2 * cfg["dense"]["n_dense"], g["sigma_max"], g["k_dim"])
 
 
-def _build_state(grid: GridSpec, cfg):
+def _build_state(grid: spaces.GridSpec, cfg):
     """HALF_LINE_POS initial state from the config's state section; a witness or
-    rational state is its scalar Hardy profile through omega*, on fibre 0."""
+    rational state is its scalar Hardy profile through omega*, on fibre 0.
+    A random state imports numpy.random, so a command reads the layer functions
+    it calls before this, and this reads ``states``' first (the read executes
+    their modules): a layer compiled afterwards raises the peak RSS."""
     kind = cfg["state"]["kind"]
     params = cfg["state"]["parameters"]
     if kind == "random":
+        build = states.random_guarded_state  # executes its layer first
         rng = np.random.default_rng(cfg["state"]["seed"])
         try:
-            return random_guarded_state(grid, rng, n_terms=params["n_terms"])
+            return build(grid, rng, n_terms=params["n_terms"])
         except ValueError as exc:  # sigma_max below 40, or bins wider than packets
-            raise ConfigError([f"grid.sigma_max: {exc}"]) from None
-    scalar = make_grid(grid.n_sigma, grid.sigma_max, 1)
+            raise _config.ConfigError([f"grid.sigma_max: {exc}"]) from None
+    scalar = spaces.make_grid(grid.n_sigma, grid.sigma_max, 1)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OffLatticeWarning)
+        warnings.simplefilter("ignore", evolution.OffLatticeWarning)
         if kind == "witness":
             mu = complex(params["mu"][0], params["mu"][1])
             try:
-                h = kernel_witness(scalar, mu, params["t0"], snap=True)
+                h = evolution.kernel_witness(scalar, mu, params["t0"], snap=True)
             except ValueError as exc:  # t0 rounds to index 0 or has none
-                raise ConfigError([f"state.parameters.t0: {exc}"]) from None
+                raise _config.ConfigError([f"state.parameters.t0: {exc}"]) from None
         else:
             poles = [(complex(p[0], p[1]), int(p[2])) for p in params["poles"]]
-            h = hardy_part(rational_hardy(scalar, poles))
-    a = np.pad(_omega_adjoint_block(grid, h.fibered()), [(0, 0), (0, grid.k_dim - 1)])
-    return StateVector(grid, Space.HALF_LINE_POS, a.reshape(-1))
+            h = hardy.hardy_part(hardy.rational_hardy(scalar, poles))
+    a = lyapunov._omega_adjoint_block(grid, h.fibered())
+    a = np.pad(a, [(0, 0), (0, grid.k_dim - 1)])
+    return spaces.StateVector(grid, spaces.Space.HALF_LINE_POS, a.reshape(-1))
 
 
-def _state_notes(grid: GridSpec, cfg) -> dict:
+def _state_notes(grid: spaces.GridSpec, cfg) -> dict:
     """Meta diagnostics of a witness: its requested and its lattice ``t0``."""
     if cfg["state"]["kind"] != "witness":
         return {}
     t0 = cfg["state"]["parameters"]["t0"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OffLatticeWarning)
-        used = lattice_index(grid, t0, snap=True) * grid.delta_tau
+        warnings.simplefilter("ignore", evolution.OffLatticeWarning)
+        used = evolution.lattice_index(grid, t0, snap=True) * grid.delta_tau
     return {"t0_requested": float(t0), "t0_used": used}
 
 
-def _lattice_times(grid: GridSpec, cfg) -> np.ndarray:
+def _lattice_times(grid: spaces.GridSpec, cfg) -> np.ndarray:
     """Config time grid as lattice indices, snapped or strictly validated."""
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OffLatticeWarning)
+        warnings.simplefilter("ignore", evolution.OffLatticeWarning)
         try:
-            return lattice_index(grid, requested, snap=t["snap_times"])
-        except OffLatticeTimeError as exc:
+            return evolution.lattice_index(grid, requested, snap=t["snap_times"])
+        except evolution.OffLatticeTimeError as exc:
             if t["snap_times"]:
                 raise
-            raise OffLatticeTimeError(
+            raise evolution.OffLatticeTimeError(
                 f"times[{exc.index}] = {requested[exc.index]} is off the dual "
                 f"lattice (delta_tau = {grid.delta_tau}) and times.snap_times is false"
             ) from None
 
 
-def _snap_notes(grid: GridSpec, cfg) -> dict:
+def _snap_notes(grid: spaces.GridSpec, cfg) -> dict:
     """Meta diagnostics: how many config times snapped, and the largest move."""
     t = cfg["times"]
-    moved, largest = _snap_extent(grid, np.linspace(0.0, t["t_max"], t["n_steps"]))
+    requested = np.linspace(0.0, t["t_max"], t["n_steps"])
+    moved, largest = evolution._snap_extent(grid, requested)
     return {"times_snapped": moved, "times_max_snap": largest}
 
 
@@ -264,15 +256,16 @@ def _scenario(fn):
 
     def wrapper(config_path, out_dir, threads, seed, **kwargs):
         try:
-            cfg = load_config(config_path, click.get_current_context().command.name)
+            command = click.get_current_context().command.name
+            cfg = _config.load_config(config_path, command)
             if seed is not None:
                 cfg["state"]["seed"] = seed
             fn(cfg, out_dir, **kwargs)
-        except ConfigError as exc:
+        except _config.ConfigError as exc:
             for problem in exc.problems:
                 click.echo(f"config error: {problem}", err=True)
             sys.exit(2)
-        except OffLatticeTimeError as exc:
+        except evolution.OffLatticeTimeError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
 
@@ -329,8 +322,9 @@ def selftest_cmd(cfg, out_dir):
 def lyapunov_curve_cmd(cfg, out_dir):
     """Expectation curve of the configured state along its trajectory."""
     grid = _scenario_grid(cfg)
+    curve = lyapunov.lyapunov_curve  # executes its layers; see _build_state
     psi = _build_state(grid, cfg)
-    report = lyapunov_curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
+    report = curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
     rows = (
         (t, e, nv, "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
@@ -361,15 +355,17 @@ def semigroup_norms_cmd(cfg, out_dir):
     """Norm decay under the compressed semigroup and its transported form."""
     grid = _scenario_grid(cfg)
     dense = _dense_grid(cfg)
+    # executes their layers; see _build_state
+    curve, z_block = lyapunov.lyapunov_curve, lambda_transform._z_block
     psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
     ks = _lattice_times(grid, cfg)  # both grids share delta_tau, so ks too
     t_b = ks * grid.delta_tau
-    tnorms = np.sqrt(lyapunov_curve(_build_state(grid, cfg), t_b).expectations)
+    tnorms = np.sqrt(curve(_build_state(grid, cfg), t_b).expectations)
     model = _cached_model(dense)
     l_psi = model.lam.apply(psi).amplitudes
     znorms = np.empty(ks.size)
-    for cols in _column_chunks(ks.size):
-        znorms[cols] = _column_norms(dense, _z_block(model, l_psi, ks[cols]))
+    for cols in evolution._column_chunks(ks.size):
+        znorms[cols] = spaces._column_norms(dense, z_block(model, l_psi, ks[cols]))
     rows = (
         (*columns, "algebraic")
         for columns in zip(t_b, tnorms, ks * dense.delta_tau, znorms)
@@ -398,14 +394,14 @@ def projection_family_cmd(cfg, out_dir):
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
     if ks.size < 2:
-        raise ConfigError([
+        raise _config.ConfigError([
             f"times.t_max: {cfg['times']['t_max']} snaps every time to 0 "
             f"(delta_tau = {dense.delta_tau}); a projection family needs two "
             "distinct lattice times"
         ])
     model = _cached_model(dense)
     times = ks * dense.delta_tau
-    family = spectral_measure(model, times)
+    family = ordering.spectral_measure(model, times)
     lowest, highest = family.ordering_extremes()
     data = family.residuals()
     rows = ((t, *residuals, "algebraic") for t, residuals in zip(times, data))
@@ -443,20 +439,19 @@ def projection_family_cmd(cfg, out_dir):
 def matrix_element_cmd(cfg, out_dir):
     """Observable matrix elements in the reversible and irreversible pictures."""
     dense = _dense_grid(cfg)
+    element = ordering.irreversible_matrix_element  # executes its layers; see _build_state
     psi = _build_state(dense, cfg)
     model = _cached_model(dense)
-    half = Space.HALF_LINE_POS
+    half = spaces.Space.HALF_LINE_POS
     energy = dense.sigma_pos() / dense.sigma_max  # per bin: every fibre alike
     observables = {
-        "identity": identity_op(dense, half),
-        "energy": LinOp(dense, half, half, energy, hermitian=True),
+        "identity": spaces.identity_op(dense, half),
+        "energy": spaces.LinOp(dense, half, half, energy, hermitian=True),
     }
     ks = _lattice_times(dense, cfg)
     past = int(np.count_nonzero(ks >= dense.n_half()))  # Z(t) = 0 from there on
     times = ks * dense.delta_tau
-    rev, irr, diffs = irreversible_matrix_element(
-        model, psi, psi, list(observables.values()), times
-    )
+    rev, irr, diffs = element(model, psi, psi, list(observables.values()), times)
     rows = (
         (name, t, r.real, r.imag, z.real, z.imag, d, "algebraic")
         for name, *columns in zip(observables, rev, irr, diffs)
@@ -480,7 +475,7 @@ def matrix_element_cmd(cfg, out_dir):
                      "times_past_half_window": past},
     )
     tol = cfg["tolerances"]["algebraic"]
-    scale = norm(psi) ** 2  # both observables have unit operator norm
+    scale = spaces.norm(psi) ** 2  # both observables have unit operator norm
     worst = float(diffs.max())
     if worst > tol * scale:
         cause = (

@@ -24,7 +24,8 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hardy import hardy_embed, hardy_part
+from . import hardy
+from ._config import _BLOCK_COLUMNS
 from .spaces import GridSpec, Space, SpaceMismatchError, StateVector, make_grid
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
 
 # Relative slack when deciding whether a time sits on the dual lattice.
 _LATTICE_RTOL = 1e-9
-# Columns per block of lattice times (see _column_chunks).
-_BLOCK_COLUMNS = 256
 
 
 class OffLatticeTimeError(ValueError):
@@ -117,7 +116,7 @@ def unitary_evolve(f: StateVector, t: float) -> StateVector:
     inside the subspace.
     """
     if f.space is Space.HARDY_PLUS:
-        f = hardy_embed(f)
+        f = hardy.hardy_embed(f)
     return StateVector(f.grid, f.space, _unitary_block(f, t))
 
 
@@ -215,5 +214,5 @@ def kernel_witness(
     scalar /= np.sqrt(2.0 * np.pi)
     # one transform of the scalar profile, lifted onto the fibres last
     line = make_grid(grid.n_sigma, grid.sigma_max, 1)
-    h = hardy_part(StateVector(line, Space.FULL_LINE, scalar)).fibered() * v
+    h = hardy.hardy_part(StateVector(line, Space.FULL_LINE, scalar)).fibered() * v
     return StateVector(grid, Space.HARDY_PLUS, h.reshape(-1))

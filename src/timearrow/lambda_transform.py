@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lyapunov
 from .evolution import _column_chunks, _semigroup_index, _toeplitz_block, _unitary_block
-from .lyapunov import _dft_lookup
 from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, norm
 
 __all__ = [
@@ -236,7 +236,7 @@ def _factors(n_sigma: int) -> tuple[np.ndarray, np.ndarray]:
     v = _prolate_vectors(n_sigma)
     # sigma_k = |E q_k|: Re and -Im of E's leading quarter act on the even /
     # odd halves (v reversed, S v), each gathered from the lookup table
-    index, table = _dft_lookup(n_sigma, 2 * np.arange(nh // 2) + 1 - nh)
+    index, table = lyapunov._dft_lookup(n_sigma, 2 * np.arange(nh // 2) + 1 - nh)
     even = np.linalg.norm(table.real[index] @ v, axis=0)[::-1]
     odd = table.imag[index]
     odd *= _parity_signs(nh // 2)

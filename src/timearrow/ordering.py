@@ -39,9 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import _BLOCK_COLUMNS, _column_chunks, _semigroup_index, _unitary_block
+from . import lyapunov
+from ._config import _BLOCK_COLUMNS
+from .evolution import _column_chunks, _semigroup_index, _unitary_block
 from .lambda_transform import IrreversibleModel, ProlateOp, _isometry_defect, _z_block
-from .lyapunov import _omega_block
 from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, _frobenius, norm
 
 __all__ = [
@@ -292,7 +293,8 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     lhs, rhs = np.empty((2, ks.size))
     for cols in _column_chunks(ks.size):
         k = ks[cols]
-        evolved = _omega_block(psi.grid, _unitary_block(psi, k * model.grid.delta_tau))
+        evolved = _unitary_block(psi, k * model.grid.delta_tau)
+        evolved = lyapunov._omega_block(psi.grid, evolved)
         lhs[cols] = _column_norms(psi.grid, evolved) ** 2
         moved = _z_block(model, transported.amplitudes, k)
         rhs[cols] = _column_norms(psi.grid, moved) ** 2

@@ -86,8 +86,10 @@ def test_oversized_config_exits_2(tmp_path, monkeypatch, section, field, value,
     def must_not_run(*args):
         raise AssertionError("the command ran past the memory check")
 
-    for name in ("build_model", "_build_state", "lyapunov_curve"):
-        monkeypatch.setattr(timearrow.cli, name, must_not_run)
+    # each stubbed where it is defined, which is where the command calls it
+    for module, name in (("lambda_transform", "build_model"), ("cli", "_build_state"),
+                         ("lyapunov", "lyapunov_curve")):
+        monkeypatch.setattr(f"timearrow.{module}.{name}", must_not_run)
     path = _write(tmp_path, _with(section, field, value))
     for command in EXITS_2_ON[f"{section}.{field}"]:
         res = CliRunner().invoke(main, [command, "--config", path,
@@ -536,8 +538,10 @@ def test_tracer_targets_resolve(monkeypatch):
 
 def test_cli_import_loads_the_traced_modules_but_not_the_battery(monkeypatch):
     # the tracer reads each target's module from sys.modules right after
-    # `import timearrow.cli`, so none of them may load on demand; the
-    # acceptance battery does, in the two commands that run it
+    # `import timearrow.cli`, so each must be registered by then; a layer
+    # module is registered unexecuted and runs on first attribute access (the
+    # tracer's getattr), while the acceptance battery loads on demand, in the
+    # two commands that run it
     wanted = {f"timearrow.{module_name}"
               for module_name, _ in _perfbench("tracer", monkeypatch).TARGETS}
     wanted |= {"timearrow.spaces", "timearrow.cli"}
@@ -549,6 +553,43 @@ def test_cli_import_loads_the_traced_modules_but_not_the_battery(monkeypatch):
                                 text=True, check=True, env=env).stdout.split())
     assert wanted <= loaded, wanted - loaded
     assert "timearrow.selftest" not in loaded
+
+
+LAYERS = {"_config", "spaces", "hardy", "evolution", "lyapunov", "lambda_transform",
+          "ordering", "states"}
+
+
+def test_a_command_executes_only_the_layers_it_calls(tmp_path):
+    # a registered layer module that has not run is still LazyLoader's module
+    # class; the model cache is filled first, so projection-family and
+    # matrix-element run hot
+    report = ("import atexit, sys, types\n"
+              "atexit.register(lambda: print(*sorted(n.split('.')[1] for n, m in "
+              "sys.modules.items() if n.startswith('timearrow.') and type(m) is "
+              "types.ModuleType)))\n"
+              "from timearrow.cli import main\n"
+              "main(prog_name='timearrow')")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    src = str(Path(timearrow.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    null = copy.deepcopy(DEFAULT_CONFIG)
+    null["state"]["seed"] = None
+    null_path = _write(tmp_path, null)
+
+    def executed(*args, code=0):
+        res = subprocess.run([sys.executable, "-c", report, *args], capture_output=True,
+                             text=True, env=env)
+        assert res.returncode == code, res.stderr
+        return set(res.stdout.splitlines()[-1].split()) & LAYERS
+
+    out = ["--out", str(tmp_path / "out")]
+    assert executed("--version") == set()
+    assert executed("--help") == set()
+    assert executed("lyapunov-curve", "--config", null_path, *out, code=2) == {"_config"}
+    assert not executed("lyapunov-curve", *out) & {"lambda_transform", "ordering"}
+    executed("projection-family", *out)
+    assert not executed("projection-family", *out) & {"hardy", "lyapunov", "states"}
+    assert not executed("matrix-element", *out) & {"hardy", "lyapunov"}
 
 
 def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
