@@ -6,8 +6,8 @@ Expectation values ``(psi_t, M psi_t)`` along a unitary trajectory equal
 ``|T_u(t) omega psi|^2``.  ``T_u(t)`` is a truncated slice of the time
 samples, so at lattice time ``k * delta_tau`` this is the power of
 ``omega psi`` in the time bins ``j >= k``: a whole curve is one forward map
-and one reverse cumulative sum.  The dense matrices built here are only
-needed for spectra and for the polar decomposition downstream.
+and one reverse cumulative sum.  The dense matrices built here, ``M`` from
+its closed form without ``omega``, are only needed for spectra and checks.
 """
 
 from __future__ import annotations
@@ -103,16 +103,25 @@ def build_omega(grid: GridSpec) -> LinOp:
 
 
 def build_m_f(grid: GridSpec) -> LinOp:
-    """Dense Lyapunov operator ``omega* omega``, hermitized.
+    """Dense Lyapunov operator ``omega* omega``, from its closed form.
 
-    Hermitian, nonnegative, contractive, and injective on the discrete
-    half-line space; its eigenvalues fill (0, 1) increasingly densely as the
-    grid refines.  Stored per bin, as the forward map is.
+    Summing the offset DFT block's geometric series gives ``M = I/2 + i H``
+    with ``H_jm = 1 / (n sin(pi (j - m) / n))`` for odd ``j - m`` and 0
+    otherwise (``n = n_sigma``): a discrete Hilbert transform compressed to
+    the half line, Toeplitz and antisymmetric entry for entry, so ``M`` is
+    Hermitian exactly.  With ``S = diag((-1)^j)`` it obeys the complement law
+    ``S M S = I - M``, so its eigenvalues pair as ``lambda_k + lambda_(N-1-k)
+    = 1``; they fill (0, 1) increasingly densely as the grid refines.
+    Stored per bin, as the forward map is.
     """
-    om = build_omega(grid)._entries
-    m = om.conj().T @ om
-    m = 0.5 * (m + m.conj().T)
-    return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS, m, hermitian=True)
+    nh, n = grid.n_half(), grid.n_sigma
+    h = 1.0 / (n * np.sin(np.pi / n * np.arange(1, nh, 2)))
+    t = np.zeros(2 * nh - 1, dtype=complex)  # entry (j, m) is t[nh - 1 + j - m]
+    t[nh - 1] = 0.5
+    t.imag[nh::2] = h
+    t.imag[nh - 2 :: -2] = -h
+    m = np.lib.stride_tricks.sliding_window_view(t[::-1], nh)[::-1]
+    return LinOp._hermitian_by_construction(grid, Space.HALF_LINE_POS, m)
 
 
 @dataclass(frozen=True, eq=False)

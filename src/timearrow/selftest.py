@@ -139,7 +139,8 @@ def check_projection_algebra(model: IrreversibleModel) -> tuple[bool, dict]:
 
 def check_lyapunov_operator(model: IrreversibleModel) -> tuple[bool, dict]:
     """Criterion 2: the Lyapunov operator is a Hermitian contraction with
-    trivial kernel, equal to the forward map's normal product."""
+    trivial kernel, and its closed form equals the forward map's normal
+    product ``omega* omega``, formed here as the check."""
     m = build_m_f(model.grid).matrix
     om = build_omega(model.grid).matrix
     vals = np.linalg.eigvalsh(m)
@@ -166,8 +167,9 @@ def check_lyapunov_operator(model: IrreversibleModel) -> tuple[bool, dict]:
 
 
 def check_polar_factorization(model: IrreversibleModel) -> tuple[bool, dict]:
-    """Criterion 3: square root squares back, the polar factor is unitary (the
-    real defect), and the factorization reassembles the forward map."""
+    """Criterion 3: square root squares back to the closed-form Lyapunov
+    operator, the polar factor is unitary (the real defect), and the
+    factorization reassembles the forward map."""
     lam = model.lam.matrix
     defect, _ = _defect_norms(model)
     details = {

@@ -33,8 +33,6 @@ __all__ = [
     "LinOp",
     "SpaceMismatchError",
     "make_grid",
-    "zero_state",
-    "inner",
     "norm",
     "embed",
     "restrict",
@@ -206,16 +204,6 @@ class StateVector:
     __rmul__ = __mul__
 
 
-def zero_state(grid: GridSpec, space: Space) -> StateVector:
-    return StateVector(grid, space, np.zeros(grid.dim(space), dtype=np.complex128))
-
-
-def inner(f: StateVector, g: StateVector) -> complex:
-    """Quadrature inner product, conjugate-linear in the first argument."""
-    f._check_compatible(g)
-    return complex(np.vdot(f.amplitudes, g.amplitudes) * f.grid.delta_sigma)
-
-
 def norm(f: StateVector) -> float:
     return f.norm()
 
@@ -335,7 +323,8 @@ class LinOp:
     @classmethod
     def _hermitian_by_construction(cls, grid: GridSpec, space: Space, matrix):
         """Declared hermitian without the check: only for functions whose
-        output is exactly Hermitian, such as ``0.5 * (m + m^H)``."""
+        output is exactly Hermitian, such as ``0.5 * (m + m^H)`` or the
+        closed-form Lyapunov operator."""
         op = cls(grid, space, space, matrix)
         object.__setattr__(op, "hermitian", True)
         return op

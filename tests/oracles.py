@@ -62,6 +62,13 @@ production route against them.  Each is the literal form of its fact:
   i^(i - j)`` set exactly, where the library applies both as factored
   operators and builds their dense forms from floating-point phase vectors.
 
+* :func:`gram_m_f` is the Lyapunov operator as the normal product
+  ``omega^H omega`` of the dense forward map, hermitized, where the library
+  builds it from its closed form ``I/2 + i H``.
+* :func:`inner` is the quadrature inner product of two states, and
+  :func:`zero_state` the zero state of a space, which only the tests use;
+  :func:`rounding_gamma` is the rounding bound the tests derive gates from.
+
 :func:`perturbed_model` is not an oracle but a test input: a model whose
 eigenvector matrix ``v`` is moved off orthogonality, so that the residuals
 that vanish to rounding on the built model have digits to compare.  Both
@@ -76,6 +83,7 @@ from timearrow import (
     SpaceMismatchError,
     StateVector,
     apply_omega,
+    build_omega,
     guard_band_leakage,
     hardy_embed,
     norm,
@@ -103,6 +111,31 @@ def perturbed_model(model: IrreversibleModel, eps: float) -> IrreversibleModel:
     rng = np.random.default_rng(31)
     v = model.v + eps * rng.normal(size=model.v.shape)
     return IrreversibleModel(model.grid, v, model.sigma, model.d, model.gamma)
+
+
+def gram_m_f(grid) -> LinOp:
+    """``omega^H omega`` from the dense forward map, hermitized, per bin."""
+    om = build_omega(grid)._entries
+    m = om.conj().T @ om
+    return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
+                 0.5 * (m + m.conj().T), hermitian=True)
+
+
+def inner(f: StateVector, g: StateVector) -> complex:
+    """Quadrature inner product, conjugate-linear in the first argument."""
+    f._check_compatible(g)
+    return complex(np.vdot(f.amplitudes, g.amplitudes) * f.grid.delta_sigma)
+
+
+def zero_state(grid, space: Space) -> StateVector:
+    return StateVector(grid, space, np.zeros(grid.dim(space), dtype=np.complex128))
+
+
+def rounding_gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u`` the unit roundoff: the
+    relative bound of ``k`` chained roundings."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
 
 
 def toeplitz_adjoint(f: StateVector, t: float) -> StateVector:
@@ -292,7 +325,7 @@ def gram_panel_residuals(family: ProjectionFamily) -> list[tuple]:
     ``|Q P - Q|^2 = tr(F^H G_q F G_e)`` is the inner product of ``C_{j-1}[:q,
     :e] = G_q F`` and ``C_j[:q, :e] = F G_e``; ``P + P_future = R^H R``, so
     the complement residual is ``|D|``.  Ranks as the library's."""
-    def inner(a, b):  # <a, b> of two real views, copying neither
+    def dot(a, b):  # <a, b> of two real views, copying neither
         return np.einsum("ij,ij->", a, b)
 
     d, fibres = family.defect, family.isometry.grid.k_dim
@@ -305,7 +338,7 @@ def gram_panel_residuals(family: ProjectionFamily) -> list[tuple]:
     for e in family.row_ends:
         before = c[:q, :e]  # C_{j-1}
         panel = d[:big_e, q:e] @ d[q:e, :big_e]
-        nest_sq = inner(before, before) + inner(before, panel[:q, :e])
+        nest_sq = dot(before, before) + dot(before, panel[:q, :e])
         c += panel
         del panel
         nest = float(np.sqrt(max(nest_sq, 0.0)) * lift)
@@ -313,7 +346,7 @@ def gram_panel_residuals(family: ProjectionFamily) -> list[tuple]:
             rank = int(e)
         else:
             rank = _cluster_rank(np.linalg.eigvalsh(d[:e, :e]) + 1.0)
-        idem = float(np.sqrt(inner(c[:e, :e], c[:e, :e])) * lift)
+        idem = float(np.sqrt(dot(c[:e, :e], c[:e, :e])) * lift)
         out.append((rank * fibres, idem, nest, complement))
         q = e
     return out

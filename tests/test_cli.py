@@ -390,7 +390,10 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, stem, command):
     # each count has its own empty model cache, so both runs build the model.
     # projection-family and selftest run at the default config.  Open
     # remainder: criterion 2's eig_min and eig_max come from eigvalsh and
-    # move in the last digits with the thread count, so they are masked
+    # move in the last digits with the thread count, so they are masked.
+    # Their input, the closed-form M_F, has the same bits on both counts, so
+    # the moves are eigvalsh's own (eig_min -2.70e-15 vs -2.81e-15 at n_dense
+    # 512, OpenBLAS)
     default = command in ("projection-family", "selftest")
     cfg = _write_cfg(tmp_path, DEFAULT_CONFIG if default else SMALL)
     outputs = []

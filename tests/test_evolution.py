@@ -15,7 +15,6 @@ from timearrow import (
     StateVector,
     hardy_embed,
     hardy_part,
-    inner,
     kernel_witness,
     lattice_index,
     make_grid,
@@ -24,7 +23,7 @@ from timearrow import (
     unitary_evolve,
 )
 from timearrow.evolution import _semigroup_index, _toeplitz_block, _unitary_block
-from oracles import toeplitz_adjoint
+from oracles import inner, toeplitz_adjoint
 
 
 def _spectral_step(f, t):

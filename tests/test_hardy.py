@@ -12,7 +12,6 @@ from timearrow import (
     hardy_part,
     hardy_project,
     hardy_project_oracle,
-    inner,
     make_grid,
     norm,
     random_guarded_state,
@@ -21,7 +20,7 @@ from timearrow import (
 )
 from timearrow.hardy import _sigma_to_tau, _tau_to_sigma
 from oracles import (
-    exact_dft_rows, from_time, offset_dft, round_trip_leakage, time_samples,
+    exact_dft_rows, from_time, inner, offset_dft, round_trip_leakage, time_samples,
 )
 
 

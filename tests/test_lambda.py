@@ -14,7 +14,6 @@ from timearrow import (
     build_model,
     build_omega,
     compact_profile_state,
-    inner,
     intertwining_residual,
     make_grid,
     norm,
@@ -26,7 +25,9 @@ from timearrow import (
 )
 from timearrow.lambda_transform import _prolate_vectors, _z_block
 from timearrow.lyapunov import _dft_lookup
-from oracles import composition_law, dense_polar_factors, fiberize, perturbed_model
+from oracles import (
+    composition_law, dense_polar_factors, fiberize, inner, perturbed_model, rounding_gamma,
+)
 
 
 # Oracles of build_model: the square root from the eigendecomposition of the
@@ -161,6 +162,24 @@ def _commuting_tridiagonal(grid):
     return np.diag(off, 1) + np.diag(off, -1)
 
 
+def _complement_gate(n_dense):
+    """Bound on ``|sigma_k^2 + sigma_(N-1-k)^2 - 1|``, derived, not fitted
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1).
+    The pair is read off one column ``x`` of ``v`` (``h = N/2`` long, unit to
+    within ``gamma_h``), as ``4 |A x|^2`` with ``A`` the real part of ``E``'s
+    leading quarter or its sign-flipped imaginary part, and sums to ``|x|^2``
+    exactly.  ``A``'s entries lie below ``1 / sqrt(4 h)``, each off by at most
+    ``e = 2 pi gamma_3 + 4 u`` of that (the table root's rounding), so each
+    entry of ``A x`` is off by at most ``(gamma_h + e) |x|_1 / sqrt(4 h) <=
+    (gamma_h + e) / 2`` and ``|A x| <= 1/2`` by ``sqrt(h)`` times that: each
+    ``sigma^2`` by ``2 sqrt(h) (gamma_h + e)``, plus ``gamma_(2h+4)`` for its
+    norm and square."""
+    h, u = n_dense // 2, rounding_gamma(1)
+    e = 2 * np.pi * rounding_gamma(3) + 4 * u
+    each = 2 * np.sqrt(h) * (rounding_gamma(h) + e) + rounding_gamma(2 * h + 4)
+    return 2 * each + rounding_gamma(h) + 2 * u
+
+
 class TestStructuredFactorization:
     """``build_model`` against a dense SVD of the same forward map."""
 
@@ -234,6 +253,15 @@ class TestStructuredFactorization:
             mu = np.einsum("jk,jk->k", y, a @ y)
             assert np.all(np.diff(mu) < 0)
             assert np.abs(a @ y - y * mu).max() <= 1e-13
+
+    @pytest.mark.parametrize("n_dense", [128, 256, 512, 1024, 2048, 4096])
+    def test_singular_values_obey_the_complement_law(self, n_dense):
+        # S M S = I - M, S = diag((-1)^j), pairs sigma_k^2 with 1 - sigma_(N-1-k)^2;
+        # read without the reversal, the pairs miss by order one
+        s = build_model(make_grid(2 * n_dense, 100.0, 1)).singular_values
+        gate = _complement_gate(n_dense)
+        assert np.abs(s**2 + s[::-1] ** 2 - 1.0).max() <= gate
+        assert np.abs(s**2 + s**2 - 1.0).max() > gate
 
     def test_build_solves_one_eigenproblem(self, monkeypatch):
         shapes = []

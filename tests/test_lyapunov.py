@@ -15,7 +15,6 @@ from timearrow import (
     hardy_embed,
     hardy_part,
     hardy_project,
-    inner,
     kernel_witness,
     lattice_index,
     lyapunov_curve,
@@ -26,12 +25,12 @@ from timearrow import (
     toeplitz_step,
     embed,
     unitary_evolve,
-    zero_state,
 )
+from timearrow import lyapunov
 from timearrow.lyapunov import _omega_adjoint_block, _omega_block
 from oracles import (
-    adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, lyapunov_expectation,
-    two_pass_curve,
+    adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, gram_m_f,
+    inner, lyapunov_expectation, rounding_gamma, two_pass_curve, zero_state,
 )
 
 
@@ -151,7 +150,57 @@ class TestForwardMap:
         assert s.min() > 0.0
 
 
+def _gram_rounding_bound(n_dense):
+    """Entrywise bound on ``|gram_m_f - M|`` at ``n = 2 n_dense``, derived, not
+    fitted (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.1 and 3.6).  Each entry of omega is a table root ``exp(-i theta) /
+    sqrt(n)``, ``theta < 2 pi`` rounded three times: relative error at most
+    ``2 pi gamma_3 + 4 u`` (angle, exp, root, divide).  Entry ``(a, b)`` of the
+    product is a complex dot product of ``n_dense`` terms, so at most
+    ``sqrt(2) gamma_(N+2) sum_j |omega_ja| |omega_jb|`` off, the sum being
+    ``n_dense / n = 1/2``; the inputs add twice their relative error times
+    that sum, and hermitizing one rounding of an entry below ``1/2``.  The
+    closed form's ``1 / (n sin(pi d / n))`` carries ``gamma_2 + 2 u`` on a
+    value below ``1/2``."""
+    u = rounding_gamma(1)
+    entry = 2 * np.pi * rounding_gamma(3) + 4 * u
+    product = 0.5 * (np.sqrt(2) * rounding_gamma(n_dense + 2) + 2 * entry)
+    return product + 0.5 * u + 0.5 * (rounding_gamma(2) + 2 * u)
+
+
 class TestLyapunovOperator:
+    @pytest.mark.parametrize("n_dense, k_dim", [
+        (64, 1), (512, 1), (1024, 1), (2048, 1), (64, 4), (512, 4)])
+    def test_closed_form_matches_the_gram_oracle(self, n_dense, k_dim):
+        # M = I/2 + i H against omega^H omega, per bin at every k_dim; a
+        # flipped H or a missing I/2 lies far outside the rounding bound
+        grid = make_grid(2 * n_dense, 100.0, k_dim)
+        m, gram = build_m_f(grid), gram_m_f(grid)
+        assert m.hermitian and m._entries.shape == (n_dense, n_dense)
+        bound = _gram_rounding_bound(n_dense)
+        assert np.abs(m._entries - gram._entries).max() <= bound
+        if n_dense == 64:
+            assert np.abs(m.matrix - gram.matrix).max() <= bound
+        for mutant in (m._entries.conj(), m._entries - 0.5 * np.eye(n_dense)):
+            assert np.abs(mutant - gram._entries).max() > bound
+
+    def test_closed_form_forms_no_omega(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build_m_f reached the forward map")
+
+        monkeypatch.setattr(lyapunov, "build_omega", refuse)
+        monkeypatch.setattr(lyapunov, "_dft_lookup", refuse)
+        assert build_m_f(make_grid(128, 20.0, 1)).hermitian
+
+    @pytest.mark.parametrize("n_dense", [64, 512, 2048])
+    def test_complement_law_is_exact(self, n_dense):
+        # S M S = I - M bit for bit, S = diag((-1)^j): H couples only bins of
+        # opposite parity, and 1 - 1/2 is 1/2
+        m = build_m_f(make_grid(2 * n_dense, 100.0, 1))._entries
+        s = (-1.0) ** np.arange(n_dense)
+        assert np.array_equal(s[:, None] * m * s, np.eye(n_dense) - m)
+        assert np.array_equal(m, m.conj().T)
+
     def test_normal_product_identity(self, small_grid):
         om = build_omega(small_grid)
         m = build_m_f(small_grid)

@@ -20,7 +20,6 @@ from timearrow import (
     correspondence_check,
     future_projection,
     identity_op,
-    inner,
     intertwining_residual,
     irreversible_matrix_element,
     kernel_witness,
@@ -45,6 +44,7 @@ from oracles import (
     fibre_ordering_spectrum,
     gram_panel_residuals,
     increment,
+    inner,
     lyapunov_expectation,
     past_projection,
     perturbed_model,

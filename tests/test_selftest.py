@@ -1,5 +1,7 @@
 """Selftest checks against the dense and per-state routes they replaced.
 
+Criterion 2 compares the closed-form Lyapunov operator with the product
+``omega^H omega``, so its ``factorization`` is rounding between two routes.
 Criteria 3 and 5 read the unitarity of ``R`` as the norm of the real defect
 ``D* R R^H D - I``; the complex ``R^H R``, ``R R^H`` and ``Z(0)`` they formed
 are oracles (``oracles.complex_isometry_defects``).  Criterion 5 reads its
@@ -43,6 +45,7 @@ from timearrow.lambda_transform import ProlateOp, _isometry_defect
 from timearrow.spaces import _frobenius
 from timearrow.selftest import (
     check_decay_surrogates,
+    check_lyapunov_operator,
     check_polar_factorization,
     check_projection_algebra,
     check_projection_family,
@@ -220,6 +223,19 @@ def test_projection_algebra_halfline_residuals_are_exact(small_grid):
     assert passed
     for key in ("idempotency", "hermiticity", "complementarity"):
         assert details[f"halfline_{key}"] == 0.0
+
+
+@pytest.mark.parametrize("n_dense", [512, 1024])
+def test_lyapunov_factorization_compares_two_routes(model, n_dense):
+    # criterion 2 checks the closed-form M_F against omega^H omega: two
+    # routes, so the residual is rounding, not the exact zero of a product
+    # compared with itself; the closed form is Hermitian bit for bit
+    if model.grid.n_half() != n_dense:
+        model = build_model(make_grid(2 * n_dense, 100.0, 1))
+    passed, details = check_lyapunov_operator(model)
+    assert passed
+    assert 0.0 < details["factorization"] <= 1e-12
+    assert details["hermiticity"] == 0.0
 
 
 def _per_state_coisometries(model):

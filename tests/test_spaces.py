@@ -15,13 +15,11 @@ from timearrow import (
     TrajectoryReport,
     embed,
     identity_op,
-    inner,
     make_grid,
     norm,
     restrict,
-    zero_state,
 )
-from oracles import adjoint, fiberize, project_halfline
+from oracles import adjoint, fiberize, inner, project_halfline, zero_state
 
 
 def _rand_state(grid, space, rng):
