@@ -124,7 +124,7 @@ def _cached_model(grid: spaces.GridSpec):
             stored = f
     if stored is not None:
         click.echo(f"model: loaded {path}")
-        return lambda_transform._assemble(grid, stored["v"], stored["sigma"])
+        return lambda_transform.IrreversibleModel(grid, stored["v"], stored["sigma"])
     model = lambda_transform.build_model(grid)
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -189,14 +189,15 @@ def _state_notes(grid: spaces.GridSpec, cfg) -> dict:
     return {"t0_requested": float(t0), "t0_used": used}
 
 
-def _lattice_times(grid: spaces.GridSpec, cfg) -> np.ndarray:
-    """Config time grid as lattice indices, snapped or strictly validated."""
+def _lattice_times(grid: spaces.GridSpec, cfg) -> tuple[np.ndarray, dict]:
+    """Config time grid as lattice indices, snapped or strictly validated, and
+    the meta diagnostics of the snap: how many times moved, and the largest move."""
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OffLatticeWarning)
         try:
-            return evolution.lattice_index(grid, requested, snap=t["snap_times"])
+            ks = evolution.lattice_index(grid, requested, snap=t["snap_times"])
         except evolution.OffLatticeTimeError as exc:
             if t["snap_times"]:
                 raise
@@ -204,14 +205,8 @@ def _lattice_times(grid: spaces.GridSpec, cfg) -> np.ndarray:
                 f"times[{exc.index}] = {requested[exc.index]} is off the dual "
                 f"lattice (delta_tau = {grid.delta_tau}) and times.snap_times is false"
             ) from None
-
-
-def _snap_notes(grid: spaces.GridSpec, cfg) -> dict:
-    """Meta diagnostics: how many config times snapped, and the largest move."""
-    t = cfg["times"]
-    requested = np.linspace(0.0, t["t_max"], t["n_steps"])
-    moved, largest = evolution._snap_extent(grid, requested)
-    return {"times_snapped": moved, "times_max_snap": largest}
+    moved, largest = evolution._snap_extent(grid, requested, ks)
+    return ks, {"times_snapped": moved, "times_max_snap": largest}
 
 
 def _violation(message: str):
@@ -324,7 +319,8 @@ def lyapunov_curve_cmd(cfg, out_dir):
     grid = _scenario_grid(cfg)
     curve = lyapunov.lyapunov_curve  # executes its layers; see _build_state
     psi = _build_state(grid, cfg)
-    report = curve(psi, _lattice_times(grid, cfg) * grid.delta_tau)
+    ks, snap_notes = _lattice_times(grid, cfg)
+    report = curve(psi, ks * grid.delta_tau)
     rows = (
         (t, e, nv, "algebraic")
         for t, e, nv in zip(report.times, report.expectations, report.norms)
@@ -336,7 +332,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
         cfg,
         diagnostics={
             **_state_notes(grid, cfg),
-            **_snap_notes(grid, cfg),
+            **snap_notes,
             "guard_band_leakage": float(report.guard_band_leakage),
             "max_monotonicity_violation": float(report.max_monotonicity_violation),
         },
@@ -358,7 +354,7 @@ def semigroup_norms_cmd(cfg, out_dir):
     # executes their layers; see _build_state
     curve, z_block = lyapunov.lyapunov_curve, lambda_transform._z_block
     psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
-    ks = _lattice_times(grid, cfg)  # both grids share delta_tau, so ks too
+    ks, snap_notes = _lattice_times(grid, cfg)  # both grids share delta_tau, so ks too
     t_b = ks * grid.delta_tau
     tnorms = np.sqrt(curve(_build_state(grid, cfg), t_b).expectations)
     model = _cached_model(dense)
@@ -375,7 +371,7 @@ def semigroup_norms_cmd(cfg, out_dir):
         ("t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"),
         rows,
         cfg,
-        diagnostics={**_state_notes(grid, cfg), **_snap_notes(grid, cfg)},
+        diagnostics={**_state_notes(grid, cfg), **snap_notes},
     )
     tol = cfg["tolerances"]["algebraic"]
     if np.any(np.diff(tnorms) > tol):
@@ -390,7 +386,8 @@ def semigroup_norms_cmd(cfg, out_dir):
 def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
-    ks = np.sort(_lattice_times(dense, cfg))
+    ks, snap_notes = _lattice_times(dense, cfg)
+    ks = np.sort(ks)
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
     if ks.size < 2:
@@ -421,7 +418,7 @@ def projection_family_cmd(cfg, out_dir):
             "ordering_spectrum_min": lowest,
             "ordering_spectrum_max": highest,
             "truncation_time": float(times[-1]),
-            **_snap_notes(dense, cfg),
+            **snap_notes,
         },
     )
     tol = cfg["tolerances"]["algebraic"]
@@ -448,7 +445,7 @@ def matrix_element_cmd(cfg, out_dir):
         "identity": spaces.identity_op(dense, half),
         "energy": spaces.LinOp(dense, half, half, energy, hermitian=True),
     }
-    ks = _lattice_times(dense, cfg)
+    ks, snap_notes = _lattice_times(dense, cfg)
     past = int(np.count_nonzero(ks >= dense.n_half()))  # Z(t) = 0 from there on
     times = ks * dense.delta_tau
     rev, irr, diffs = element(model, psi, psi, list(observables.values()), times)
@@ -471,7 +468,7 @@ def matrix_element_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        diagnostics={**_state_notes(dense, cfg), **_snap_notes(dense, cfg),
+        diagnostics={**_state_notes(dense, cfg), **snap_notes,
                      "times_past_half_window": past},
     )
     tol = cfg["tolerances"]["algebraic"]

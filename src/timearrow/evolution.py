@@ -63,7 +63,12 @@ def _nearest_index(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
         ratio = t / dt
         k = np.rint(ratio)
-        return k, np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
+        return k, _moved(ratio, k)
+
+
+def _moved(ratio: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Where the lattice indices ``k`` move times ``t = ratio * delta_tau``."""
+    return np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
 
 
 def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2):
@@ -98,10 +103,10 @@ def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2
     return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
-def _snap_extent(grid: GridSpec, t: np.ndarray) -> tuple[int, float]:
-    """How many times ``t`` snapping moves, and the largest move (0.0 if none)."""
-    k, moved = _nearest_index(t, grid.delta_tau)
-    gap = np.abs(t - k * grid.delta_tau)[moved]
+def _snap_extent(grid: GridSpec, t: np.ndarray, k: np.ndarray) -> tuple[int, float]:
+    """How many of the times ``t`` their lattice indices ``k`` move, and the
+    largest move (0.0 if none)."""
+    gap = np.abs(t - k * grid.delta_tau)[_moved(t / grid.delta_tau, k)]
     return gap.size, float(gap.max(initial=0.0))
 
 

@@ -35,6 +35,7 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     StateVector,
+    _half_bin,
     embed,
 )
 
@@ -46,14 +47,6 @@ __all__ = [
     "rational_hardy",
     "guard_band_leakage",
 ]
-
-
-def _half_bin(n: int, j) -> np.ndarray:
-    """The half-bin phase ``exp(-i pi j / n)``, its angle within pi for ``|j|
-    <= n``; a complex array ``j`` is overwritten with it."""
-    phase = np.asarray(j, dtype=np.complex128)
-    phase *= -1j * np.pi / n
-    return np.exp(phase, out=phase)
 
 
 def _phase_factors(grid: GridSpec):

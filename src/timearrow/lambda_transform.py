@@ -21,10 +21,12 @@ Conditioning note: the forward map's smallest singular values sink below
 machine epsilon (its continuum limit has no bounded inverse), so nothing
 here inverts ``lam``, forms ``M^(-1/2)`` or takes an SVD.  The scalar map is
 ``gamma D E D``, with ``D`` a diagonal of unit phases and ``E`` a centred
-DFT block; ``E`` commutes with a real tridiagonal ``T`` (the discrete
-prolate structure of Slepian and Grünbaum) whose eigenvectors ``q_k``, in
-descending order, alternate in parity and satisfy ``E q_k = (-i)^k sigma_k
-q_k``, all from one half-size eigenproblem (:func:`_prolate_vectors`).  Its
+DFT block; ``gamma`` and ``D``'s phases are eighth roots of unity, taken
+from the grid size alone (:func:`_phases`).  ``E`` commutes with a real
+tridiagonal ``T`` (the discrete prolate structure of Slepian and Grünbaum)
+whose eigenvectors ``q_k``, in descending order, alternate in parity and
+satisfy ``E q_k = (-i)^k sigma_k q_k``, all from one half-size eigenproblem
+(:func:`_prolate_vectors`).  Its
 eigenvectors ``v``, in ascending order, are the model's one stored matrix:
 ``Q = [[v J, S v], [J v J, -J S v]] / sqrt(2)``, with ``J`` the reversal and
 ``S = diag((-1)^j)`` the parity signs, both exact.  So
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import lyapunov
 from .evolution import _column_chunks, _semigroup_index, _toeplitz_block, _unitary_block
-from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, norm
+from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, _half_bin, norm
 
 __all__ = [
     "IrreversibleModel",
@@ -164,9 +166,10 @@ class IrreversibleModel:
     """Matched factorization of the forward map ``omega`` on one grid.
 
     Stored: the one real matrix ``v`` of the eigenbasis ``Q = [[v J, S v],
-    [J v J, -J S v]] / sqrt(2)`` (module note), the singular values ``sigma``
-    in ``Q``'s order, the phases ``d`` and ``gamma``; ``omega`` and the
-    Lyapunov operator are not.  ``lam`` and ``isometry`` are
+    [J v J, -J S v]] / sqrt(2)`` (module note) and the singular values
+    ``sigma`` in ``Q``'s order, both of the grid size alone; neither the
+    phases ``d`` and ``gamma`` (closed form, :func:`_phases`), ``omega`` nor
+    the Lyapunov operator is.  ``lam`` and ``isometry`` are
     :class:`ProlateOp` views built on each access, so ``isometry @ lam =
     omega`` and the intertwining relations hold at machine precision.
     ``singular_values``: sorted descending, repeated on every fibre; the
@@ -176,29 +179,36 @@ class IrreversibleModel:
     grid: GridSpec
     v: np.ndarray
     sigma: np.ndarray
-    d: np.ndarray
-    gamma: complex
 
     def __post_init__(self):
-        for a in (self.v, self.sigma, self.d):
+        for a in (self.v, self.sigma):
             a.setflags(write=False)
 
     @property
     def lam(self) -> ProlateOp:
-        half = Space.HALF_LINE_POS
+        half, d = Space.HALF_LINE_POS, _phases(self.grid.n_half())[0]
         return ProlateOp(self.grid, half, half, self.v, self.sigma, 1.0,
-                         self.d.conj(), self.d, hermitian=True)
+                         d.conj(), d, hermitian=True)
 
     @property
     def isometry(self) -> ProlateOp:
         # (-i)^k on q_k: +-1 alternating on the even and -i times that on the odd
         alt = np.tile((-1.0) ** np.arange(self.sigma.size // 2), 2)
+        d, gamma = _phases(self.grid.n_half())
         return ProlateOp(self.grid, Space.HALF_LINE_POS, Space.HARDY_PLUS,
-                         self.v, alt, -1j, self.gamma * self.d, self.d)
+                         self.v, alt, -1j, gamma * d, d)
 
     @property
     def singular_values(self) -> np.ndarray:
         return np.repeat(np.sort(self.sigma)[::-1], self.grid.k_dim)
+
+
+def _phases(nh: int) -> tuple[np.ndarray, complex]:
+    """The phases ``d_j = exp(-i pi (2j + 1 - N) / 4)`` and ``gamma = exp(-i pi
+    N / 4)`` at ``N = nh`` half-line bins: eighth roots of unity, each exponent
+    first reduced exactly in integers into (-4, 4], so no angle exceeds pi."""
+    m = 2 * np.arange(nh) + 1 - nh
+    return _half_bin(4, (m + 3) % 8 - 3), complex(_half_bin(4, (nh + 3) % 8 - 3))
 
 
 def _parity_signs(h: int) -> np.ndarray:
@@ -243,16 +253,9 @@ def _factors(n_sigma: int) -> tuple[np.ndarray, np.ndarray]:
     return v, 2.0 * np.concatenate([even, np.linalg.norm(odd @ v, axis=0)])
 
 
-def _assemble(grid: GridSpec, v: np.ndarray, sigma: np.ndarray) -> IrreversibleModel:
-    """The model of ``grid``: :func:`_factors` of its size, phases in closed form."""
-    nh = grid.n_half()
-    d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
-    return IrreversibleModel(grid, v, sigma, d, np.exp(-0.25j * np.pi * nh))
-
-
 def build_model(grid: GridSpec) -> IrreversibleModel:
     """Factor the forward map once; no SVD, no dense matrix, no file."""
-    return _assemble(grid, *_factors(grid.n_sigma))
+    return IrreversibleModel(grid, *_factors(grid.n_sigma))
 
 
 def z_matrix(model: IrreversibleModel, t: float) -> np.ndarray:

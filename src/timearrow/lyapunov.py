@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import _half_bin, _power_leakage
-from .spaces import GridSpec, LinOp, Space, SpaceMismatchError, StateVector, norm
+from .hardy import _power_leakage
+from .spaces import (
+    GridSpec, LinOp, Space, SpaceMismatchError, StateVector, _half_bin, norm,
+)
 from .evolution import _semigroup_index
 
 __all__ = [

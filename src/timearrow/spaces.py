@@ -35,7 +35,6 @@ __all__ = [
     "make_grid",
     "norm",
     "embed",
-    "restrict",
     "identity_op",
 ]
 
@@ -220,6 +219,14 @@ def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(sum(np.einsum("ij,ij->", p, p) for p in parts)))
 
 
+def _half_bin(n: int, j) -> np.ndarray:
+    """The half-bin phase ``exp(-i pi j / n)``, its angle within pi for ``|j|
+    <= n``; a complex array ``j`` is overwritten with it."""
+    phase = np.asarray(j, dtype=np.complex128)
+    phase *= -1j * np.pi / n
+    return np.exp(phase, out=phase)
+
+
 def embed(psi: StateVector) -> StateVector:
     """Isometric inclusion of the positive half-line into the full line."""
     if psi.space is not Space.HALF_LINE_POS:
@@ -228,16 +235,6 @@ def embed(psi: StateVector) -> StateVector:
     a = np.zeros((g.n_sigma, g.k_dim), dtype=np.complex128)
     a[g.n_sigma // 2 :, :] = psi.fibered()
     return StateVector(g, Space.FULL_LINE, a.reshape(-1))
-
-
-def restrict(f: StateVector) -> StateVector:
-    """Adjoint of :func:`embed`: drop the negative-energy bins."""
-    if f.space is not Space.FULL_LINE:
-        raise SpaceMismatchError("restrict acts on FULL_LINE states")
-    g = f.grid
-    return StateVector(
-        g, Space.HALF_LINE_POS, f.fibered()[g.n_sigma // 2 :, :].reshape(-1)
-    )
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -59,14 +59,15 @@ production route against them.  Each is the literal form of its fact:
   from the two eigenvector halves, which it reads off the model's one matrix
   ``v`` by the parity rule itself (the even half ``v`` with its columns
   reversed, the odd half ``S v``), with ``lam``'s phases ``conj(d_i) d_j =
-  i^(i - j)`` set exactly, where the library applies both as factored
-  operators and builds their dense forms from floating-point phase vectors.
+  i^(i - j)`` set exactly and ``R``'s eighth roots from exponents it reduces
+  in integers itself, where the library applies both as factored operators.
 
 * :func:`gram_m_f` is the Lyapunov operator as the normal product
   ``omega^H omega`` of the dense forward map, hermitized, where the library
   builds it from its closed form ``I/2 + i H``.
-* :func:`inner` is the quadrature inner product of two states, and
-  :func:`zero_state` the zero state of a space, which only the tests use;
+* :func:`inner` is the quadrature inner product of two states,
+  :func:`zero_state` the zero state of a space and :func:`restrict` the
+  adjoint of ``embed``, which only the tests use;
   :func:`rounding_gamma` is the rounding bound the tests derive gates from.
 
 :func:`perturbed_model` is not an oracle but a test input: a model whose
@@ -87,7 +88,6 @@ from timearrow import (
     guard_band_leakage,
     hardy_embed,
     norm,
-    restrict,
     toeplitz_step,
     z_matrix,
 )
@@ -110,7 +110,7 @@ def perturbed_model(model: IrreversibleModel, eps: float) -> IrreversibleModel:
     I`` is of order ``eps``."""
     rng = np.random.default_rng(31)
     v = model.v + eps * rng.normal(size=model.v.shape)
-    return IrreversibleModel(model.grid, v, model.sigma, model.d, model.gamma)
+    return IrreversibleModel(model.grid, v, model.sigma)
 
 
 def gram_m_f(grid) -> LinOp:
@@ -119,6 +119,16 @@ def gram_m_f(grid) -> LinOp:
     m = om.conj().T @ om
     return LinOp(grid, Space.HALF_LINE_POS, Space.HALF_LINE_POS,
                  0.5 * (m + m.conj().T), hermitian=True)
+
+
+def restrict(f: StateVector) -> StateVector:
+    """Adjoint of ``embed``: drop the negative-energy bins."""
+    if f.space is not Space.FULL_LINE:
+        raise SpaceMismatchError("restrict acts on FULL_LINE states")
+    g = f.grid
+    return StateVector(
+        g, Space.HALF_LINE_POS, f.fibered()[g.n_sigma // 2 :, :].reshape(-1)
+    )
 
 
 def inner(f: StateVector, g: StateVector) -> complex:
@@ -189,8 +199,10 @@ def dense_polar_factors(model: IrreversibleModel) -> tuple[np.ndarray, np.ndarra
 
     r = persymmetric(w, w.conj())
     lam = persymmetric(0.5 * (l_even + l_odd), 0.5 * (l_even - l_odd))
-    d = np.exp(-0.5j * np.pi * (np.arange(nh) + 0.5 - nh / 2))
-    r *= (np.exp(-0.25j * np.pi * nh) * d)[:, None]
+    # d_j and gamma: exp(-i pi m / 4), m = 2j + 1 - nh or nh reduced into (-4, 4]
+    d = np.exp(-0.25j * np.pi * ((2 * np.arange(nh) + 1 - nh + 3) % 8 - 3))
+    gamma = np.exp(-0.25j * np.pi * ((nh + 3) % 8 - 3))
+    r *= (gamma * d)[:, None]
     r *= d
     for a in range(4):
         for b in range(4):

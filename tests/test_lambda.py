@@ -23,7 +23,7 @@ from timearrow import (
     z_evolve,
     z_matrix,
 )
-from timearrow.lambda_transform import _prolate_vectors, _z_block
+from timearrow.lambda_transform import _phases, _prolate_vectors, _z_block
 from timearrow.lyapunov import _dft_lookup
 from oracles import (
     composition_law, dense_polar_factors, fiberize, inner, perturbed_model, rounding_gamma,
@@ -282,6 +282,28 @@ class TestStructuredFactorization:
         gamma = np.exp(-0.25j * np.pi * nh)
         rebuilt = gamma * d[:, None] * _centred_dft(small_grid) * d
         assert np.abs(build_omega(small_grid).matrix - rebuilt).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_sigma", [2**p for p in range(3, 21)])
+    def test_phases_are_exact_eighth_roots(self, n_sigma):
+        # d_j = exp(-i pi (2j + 1 - N) / 4) and gamma = exp(-i pi N / 4), of the
+        # grid size alone.  Each is one exp of an angle within pi, which carries
+        # two roundings (pi and the product), plus cos and sin each within one
+        # unit of their last place: so within pi gamma_2 + 2 u of the root,
+        # whatever N; the table's sqrt(1/2) adds u.  Then d_j^2 = c_0 (-1)^j,
+        # c_0 = -i, exact, within its square's error and one complex product's
+        nh, u = n_sigma // 2, rounding_gamma(1)
+        each = np.pi * rounding_gamma(2) + 2 * u
+        d, gamma = _phases(nh)
+        s = np.sqrt(0.5)
+        roots = np.array([1, s - s * 1j, -1j, -s - s * 1j, -1, -s + s * 1j, 1j, s + s * 1j])
+        m = 2 * np.arange(nh) + 1 - nh
+        assert np.abs(d - roots[m % 8]).max() <= each + u
+        c0 = [1, 1j, -1, -1j][(nh - 1) % 4]
+        square = each * (2 + each) + np.sqrt(5) * u * (1 + each) ** 2
+        assert np.abs(d * d - c0 * (-1.0) ** np.arange(nh)).max() <= square
+        assert abs(gamma - (-1) ** (nh // 4)) <= each
+        if nh >= 8:
+            assert gamma == (-1) ** (nh // 4)
 
 
 class TestFibres:

@@ -21,7 +21,6 @@ from timearrow import (
     make_grid,
     norm,
     random_guarded_state,
-    restrict,
     toeplitz_step,
     embed,
     unitary_evolve,
@@ -30,7 +29,7 @@ from timearrow import lyapunov
 from timearrow.lyapunov import _omega_adjoint_block, _omega_block
 from oracles import (
     adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, gram_m_f,
-    inner, lyapunov_expectation, rounding_gamma, two_pass_curve, zero_state,
+    inner, lyapunov_expectation, restrict, rounding_gamma, two_pass_curve, zero_state,
 )
 
 

@@ -17,9 +17,8 @@ from timearrow import (
     identity_op,
     make_grid,
     norm,
-    restrict,
 )
-from oracles import adjoint, fiberize, inner, project_halfline, zero_state
+from oracles import adjoint, fiberize, inner, project_halfline, restrict, zero_state
 
 
 def _rand_state(grid, space, rng):
