@@ -290,7 +290,7 @@ class TestStructuredFactorization:
         # two roundings (pi and the product), plus cos and sin each within one
         # unit of their last place: so within pi gamma_2 + 2 u of the root,
         # whatever N; the table's sqrt(1/2) adds u.  Then d_j^2 = c_0 (-1)^j,
-        # c_0 = -i, exact, within its square's error and one complex product's
+        # exact, within its square's error and one complex product's
         nh, u = n_sigma // 2, rounding_gamma(1)
         each = np.pi * rounding_gamma(2) + 2 * u
         d, gamma = _phases(nh)
@@ -298,7 +298,7 @@ class TestStructuredFactorization:
         roots = np.array([1, s - s * 1j, -1j, -s - s * 1j, -1, -s + s * 1j, 1j, s + s * 1j])
         m = 2 * np.arange(nh) + 1 - nh
         assert np.abs(d - roots[m % 8]).max() <= each + u
-        c0 = [1, 1j, -1, -1j][(nh - 1) % 4]
+        c0 = -1j  # d_0^2 = i^(N - 1), N a multiple of 4
         square = each * (2 + each) + np.sqrt(5) * u * (1 + each) ** 2
         assert np.abs(d * d - c0 * (-1.0) ** np.arange(nh)).max() <= square
         assert abs(gamma - (-1) ** (nh // 4)) <= each
