@@ -10,7 +10,9 @@ single JSON report.  Outputs carry no timestamps or machine identifiers, so
 reruns with the same config are byte-identical.
 
 Exit codes: 0 success, 1 tolerance violation, 2 config error (reported
-field by field) or an off-lattice time under the reject policy.
+field by field), an off-lattice time under the reject policy among them.
+Every command reads its state and its times before it builds or loads the
+model, so a config error costs no factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 import zlib
 from pathlib import Path
 
@@ -147,66 +148,62 @@ def _dense_grid(cfg) -> spaces.GridSpec:
 
 
 def _build_state(grid: spaces.GridSpec, cfg):
-    """HALF_LINE_POS initial state from the config's state section; a witness or
-    rational state is its scalar Hardy profile through omega*, on fibre 0.
-    A random state imports numpy.random, so a command reads the layer functions
-    it calls before this, and this reads ``states``' first (the read executes
-    their modules): a layer compiled afterwards raises the peak RSS."""
+    """HALF_LINE_POS initial state from the config's state section, and its meta
+    diagnostics; a witness or rational state is its scalar Hardy profile
+    through omega*, on fibre 0, and a witness notes its requested and its
+    lattice ``t0``.  A random state imports numpy.random, so a command reads
+    the layer functions it calls before this, and this reads ``states``' first
+    (the read executes their modules): a layer compiled afterwards raises the
+    peak RSS."""
     kind = cfg["state"]["kind"]
     params = cfg["state"]["parameters"]
     if kind == "random":
         build = states.random_guarded_state  # executes its layer first
         rng = np.random.default_rng(cfg["state"]["seed"])
         try:
-            return build(grid, rng, n_terms=params["n_terms"])
+            return build(grid, rng, n_terms=params["n_terms"]), {}
         except ValueError as exc:  # sigma_max below 40, or bins wider than packets
             raise _config.ConfigError([f"grid.sigma_max: {exc}"]) from None
     scalar = spaces.make_grid(grid.n_sigma, grid.sigma_max, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", evolution.OffLatticeWarning)
-        if kind == "witness":
-            mu = complex(params["mu"][0], params["mu"][1])
-            try:
-                h = evolution.kernel_witness(scalar, mu, params["t0"], snap=True)
-            except ValueError as exc:  # t0 rounds to index 0 or has none
-                raise _config.ConfigError([f"state.parameters.t0: {exc}"]) from None
-        else:
-            poles = [(complex(p[0], p[1]), int(p[2])) for p in params["poles"]]
-            h = hardy.hardy_part(hardy.rational_hardy(scalar, poles))
-    a = lyapunov._omega_adjoint_block(grid, h.fibered())
+    notes = {}
+    if kind == "witness":
+        t0 = params["t0"]
+        try:  # an OffLatticeTimeError, if t0 has no index, is a ValueError
+            k0 = evolution._snap(grid, t0)[0]
+            if k0 < 1:
+                raise ValueError(f"t0 = {t0} rounds to lattice index 0 (delta_tau = "
+                                 f"{grid.delta_tau}); a witness needs index 1 or more")
+        except ValueError as exc:
+            raise _config.ConfigError([f"state.parameters.t0: {exc}"]) from None
+        notes = {"t0_requested": float(t0), "t0_used": k0 * grid.delta_tau}
+        mu = complex(params["mu"][0], params["mu"][1])
+        h = evolution.kernel_witness(scalar, mu, notes["t0_used"])
+    else:
+        poles = [(complex(p[0], p[1]), int(p[2])) for p in params["poles"]]
+        h = hardy.hardy_part(hardy.rational_hardy(scalar, poles))
+    a = lyapunov._omega_block(grid, h.fibered(), adjoint=True)
     a = np.pad(a, [(0, 0), (0, grid.k_dim - 1)])
-    return spaces.StateVector(grid, spaces.Space.HALF_LINE_POS, a.reshape(-1))
-
-
-def _state_notes(grid: spaces.GridSpec, cfg) -> dict:
-    """Meta diagnostics of a witness: its requested and its lattice ``t0``."""
-    if cfg["state"]["kind"] != "witness":
-        return {}
-    t0 = cfg["state"]["parameters"]["t0"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", evolution.OffLatticeWarning)
-        used = evolution.lattice_index(grid, t0, snap=True) * grid.delta_tau
-    return {"t0_requested": float(t0), "t0_used": used}
+    return spaces.StateVector(grid, spaces.Space.HALF_LINE_POS, a.reshape(-1)), notes
 
 
 def _lattice_times(grid: spaces.GridSpec, cfg) -> tuple[np.ndarray, dict]:
-    """Config time grid as lattice indices, snapped or strictly validated, and
-    the meta diagnostics of the snap: how many times moved, and the largest move."""
+    """Config time grid as lattice indices, and the meta diagnostics of the snap:
+    how many times moved, and the largest move.  A time without an index, or
+    one off the lattice while ``times.snap_times`` is false, is a config error."""
     t = cfg["times"]
     requested = np.linspace(0.0, t["t_max"], t["n_steps"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", evolution.OffLatticeWarning)
-        try:
-            ks = evolution.lattice_index(grid, requested, snap=t["snap_times"])
-        except evolution.OffLatticeTimeError as exc:
-            if t["snap_times"]:
-                raise
-            raise evolution.OffLatticeTimeError(
-                f"times[{exc.index}] = {requested[exc.index]} is off the dual "
-                f"lattice (delta_tau = {grid.delta_tau}) and times.snap_times is false"
-            ) from None
-    moved, largest = evolution._snap_extent(grid, requested, ks)
-    return ks, {"times_snapped": moved, "times_max_snap": largest}
+    try:
+        ks, moved = evolution._snap(grid, requested)
+    except evolution.OffLatticeTimeError as exc:
+        raise _config.ConfigError([f"times.t_max: {exc}"]) from None
+    if moved.any() and not t["snap_times"]:
+        i = int(np.flatnonzero(moved)[0])
+        raise _config.ConfigError([
+            f"times.snap_times: times[{i}] = {requested[i]} is off the dual lattice "
+            f"(delta_tau = {grid.delta_tau}) and times.snap_times is false"
+        ])
+    gap = np.abs(requested - ks * grid.delta_tau)[moved]
+    return ks, {"times_snapped": gap.size, "times_max_snap": gap.max(initial=0.0)}
 
 
 def _violation(message: str):
@@ -259,9 +256,6 @@ def _scenario(fn):
         except _config.ConfigError as exc:
             for problem in exc.problems:
                 click.echo(f"config error: {problem}", err=True)
-            sys.exit(2)
-        except evolution.OffLatticeTimeError as exc:
-            click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
 
     wrapper.__name__ = fn.__name__
@@ -318,7 +312,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
     """Expectation curve of the configured state along its trajectory."""
     grid = _scenario_grid(cfg)
     curve = lyapunov.lyapunov_curve  # executes its layers; see _build_state
-    psi = _build_state(grid, cfg)
+    psi, state_notes = _build_state(grid, cfg)
     ks, snap_notes = _lattice_times(grid, cfg)
     report = curve(psi, ks * grid.delta_tau)
     rows = (
@@ -331,7 +325,7 @@ def lyapunov_curve_cmd(cfg, out_dir):
         rows,
         cfg,
         diagnostics={
-            **_state_notes(grid, cfg),
+            **state_notes,
             **snap_notes,
             "guard_band_leakage": float(report.guard_band_leakage),
             "max_monotonicity_violation": float(report.max_monotonicity_violation),
@@ -353,10 +347,10 @@ def semigroup_norms_cmd(cfg, out_dir):
     dense = _dense_grid(cfg)
     # executes their layers; see _build_state
     curve, z_block = lyapunov.lyapunov_curve, lambda_transform._z_block
-    psi = _build_state(dense, cfg)  # before the model: a bad state exits 2 first
+    psi, state_notes = _build_state(dense, cfg)
     ks, snap_notes = _lattice_times(grid, cfg)  # both grids share delta_tau, so ks too
     t_b = ks * grid.delta_tau
-    tnorms = np.sqrt(curve(_build_state(grid, cfg), t_b).expectations)
+    tnorms = np.sqrt(curve(_build_state(grid, cfg)[0], t_b).expectations)
     model = _cached_model(dense)
     l_psi = model.lam.apply(psi).amplitudes
     znorms = np.empty(ks.size)
@@ -371,7 +365,7 @@ def semigroup_norms_cmd(cfg, out_dir):
         ("t_toeplitz", "toeplitz_norm", "t_z", "z_norm", "tolerance_class"),
         rows,
         cfg,
-        diagnostics={**_state_notes(grid, cfg), **snap_notes},
+        diagnostics={**state_notes, **snap_notes},
     )
     tol = cfg["tolerances"]["algebraic"]
     if np.any(np.diff(tnorms) > tol):
@@ -386,8 +380,7 @@ def semigroup_norms_cmd(cfg, out_dir):
 def projection_family_cmd(cfg, out_dir):
     """Past-projection family residuals, ranks, and the ordering operator."""
     dense = _dense_grid(cfg)
-    ks, snap_notes = _lattice_times(dense, cfg)
-    ks = np.sort(ks)
+    ks, snap_notes = _lattice_times(dense, cfg)  # nondecreasing, as the times
     # distinct indices; np.unique would import numpy.ma on its first call
     ks = ks[np.append(True, ks[1:] != ks[:-1])]
     if ks.size < 2:
@@ -437,7 +430,8 @@ def matrix_element_cmd(cfg, out_dir):
     """Observable matrix elements in the reversible and irreversible pictures."""
     dense = _dense_grid(cfg)
     element = ordering.irreversible_matrix_element  # executes its layers; see _build_state
-    psi = _build_state(dense, cfg)
+    psi, state_notes = _build_state(dense, cfg)
+    ks, snap_notes = _lattice_times(dense, cfg)
     model = _cached_model(dense)
     half = spaces.Space.HALF_LINE_POS
     energy = dense.sigma_pos() / dense.sigma_max  # per bin: every fibre alike
@@ -445,7 +439,6 @@ def matrix_element_cmd(cfg, out_dir):
         "identity": spaces.identity_op(dense, half),
         "energy": spaces.LinOp(dense, half, half, energy, hermitian=True),
     }
-    ks, snap_notes = _lattice_times(dense, cfg)
     past = int(np.count_nonzero(ks >= dense.n_half()))  # Z(t) = 0 from there on
     times = ks * dense.delta_tau
     rev, irr, diffs = element(model, psi, psi, list(observables.values()), times)
@@ -468,7 +461,7 @@ def matrix_element_cmd(cfg, out_dir):
         ),
         rows,
         cfg,
-        diagnostics={**_state_notes(dense, cfg), **snap_notes,
+        diagnostics={**state_notes, **snap_notes,
                      "times_past_half_window": past},
     )
     tol = cfg["tolerances"]["algebraic"]

@@ -11,9 +11,9 @@ consumers take in chunks of ``_BLOCK_COLUMNS`` columns to bound memory.
 
 Shift identities are exact only at lattice times ``t = k * delta_tau``, so
 every function of a time raises :class:`OffLatticeTimeError` off the
-lattice.  Rounding is :func:`lattice_index`'s alone: with ``snap=True`` it
-moves times to the nearest lattice point with one :class:`OffLatticeWarning`
-per call.  A caller that wants rounded times multiplies those indices by
+lattice.  Rounding is ``_snap``'s alone, and silent; :func:`lattice_index`
+adds the off-lattice error, or with ``snap=True`` one :class:`OffLatticeWarning`
+per call.  A caller that wants rounded times multiplies the indices by
 ``delta_tau`` first, as :func:`kernel_witness` does with its ``t0``.
 """
 
@@ -58,17 +58,28 @@ def _first(t: np.ndarray, mask: np.ndarray) -> tuple[int, str]:
     return i, f"{f't[{i}]' if t.ndim else 't'} = {float(t.flat[i])}"
 
 
-def _nearest_index(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nearest lattice indices of ``t`` (as floats), and where they move it."""
+def _off_lattice(t: np.ndarray, mask: np.ndarray, what: str) -> OffLatticeTimeError:
+    """The error naming the first entry of ``t`` where ``mask`` holds."""
+    i, label = _first(t, mask)
+    exc = OffLatticeTimeError(f"{label} {what}")
+    exc.index = i if t.ndim else None
+    return exc
+
+
+def _snap(grid: GridSpec, t):
+    """The nearest dual-lattice indices of times ``t``, half to even (an ``int``
+    for a scalar, else an int64 array of its shape), and the mask of the times
+    they move.  Never warns; a time whose index is not finite or does not fit
+    in int64 raises :class:`OffLatticeTimeError`."""
+    t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
     with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
         ratio = t / dt
-        k = np.rint(ratio)
-        return k, _moved(ratio, k)
-
-
-def _moved(ratio: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Where the lattice indices ``k`` move times ``t = ratio * delta_tau``."""
-    return np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
+    k = np.rint(ratio)
+    bad = ~(np.abs(k) < 2.0**63)
+    if bad.any():
+        raise _off_lattice(t, bad, f"has no dual-lattice index (delta_tau = {dt})")
+    moved = np.abs(ratio - k) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))
+    return (int(k) if k.ndim == 0 else k.astype(np.int64)), moved
 
 
 def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2):
@@ -83,31 +94,18 @@ def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2
     whose index is not finite or does not fit in int64 raises
     :class:`OffLatticeTimeError` whatever ``snap`` says.
     """
-    t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
-    k, moved = _nearest_index(t, dt)
-    for bad, what in (
-        (~(np.abs(k) < 2.0**63), f"has no dual-lattice index (delta_tau = {dt})"),
-        (moved & (not snap), f"is not on the dual lattice (delta_tau = {dt}); "
-         "lattice_index(grid, t, snap=True) rounds it"),
-    ):
-        if bad.any():
-            i, label = _first(t, bad)
-            exc = OffLatticeTimeError(f"{label} {what}")
-            exc.index = i if t.ndim else None
-            raise exc
+    k, moved = _snap(grid, t)
     if moved.any():
+        t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
+        if not snap:
+            raise _off_lattice(t, moved, f"is not on the dual lattice (delta_tau = "
+                               f"{dt}); lattice_index(grid, t, snap=True) rounds it")
         i, label = _first(t, moved)
+        used = float(np.asarray(k).flat[i]) * dt
         count = f" ({np.count_nonzero(moved)} of {t.size} moved)" if t.ndim else ""
-        message = f"{label} snapped to lattice point {float(k.flat[i]) * dt}{count}"
+        message = f"{label} snapped to lattice point {used}{count}"
         warnings.warn(message, OffLatticeWarning, stacklevel=_stacklevel)
-    return int(k) if k.ndim == 0 else k.astype(np.int64)
-
-
-def _snap_extent(grid: GridSpec, t: np.ndarray, k: np.ndarray) -> tuple[int, float]:
-    """How many of the times ``t`` their lattice indices ``k`` move, and the
-    largest move (0.0 if none)."""
-    gap = np.abs(t - k * grid.delta_tau)[_moved(t / grid.delta_tau, k)]
-    return gap.size, float(gap.max(initial=0.0))
+    return k
 
 
 def unitary_evolve(f: StateVector, t: float) -> StateVector:

@@ -73,11 +73,6 @@ def _omega_block(grid: GridSpec, a: np.ndarray, adjoint: bool = False) -> np.nda
     return (np.conjugate(out, out=out) if adjoint else out).reshape(-1, m)
 
 
-def _omega_adjoint_block(grid: GridSpec, h: np.ndarray) -> np.ndarray:
-    """``omega*`` on each column of a block of Hardy amplitudes."""
-    return _omega_block(grid, h, adjoint=True)
-
-
 def _dft_lookup(n_sigma: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # exp(-2 pi i a_j a_m / (4 n_sigma)) / sqrt(n_sigma) for odd integers a
     # is table[index]: the phase is reduced exactly in integers before one

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import (
-    OffLatticeWarning, _toeplitz_block, _unitary_block, kernel_witness, lattice_index,
-    toeplitz_step,
+    _snap, _toeplitz_block, _unitary_block, kernel_witness, toeplitz_step,
 )
 from .hardy import (
     _sigma_to_tau,
@@ -86,10 +84,8 @@ def _sweep_shifts() -> np.ndarray:
 
 
 def _lattice_time(grid, t: float) -> float:
-    """The lattice time that ``snap=True`` rounds ``t`` to, without its warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OffLatticeWarning)
-        return lattice_index(grid, t, snap=True) * grid.delta_tau
+    """The lattice time nearest ``t``."""
+    return _snap(grid, t)[0] * grid.delta_tau
 
 
 def _guarded_set(grid, seed: int, count: int):

@@ -133,7 +133,8 @@ class TestConfigHandling:
         res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 2
         # t_max = 2.0 over 5 steps: times[1] = 0.5 is the first off-lattice time
-        assert "times[1] = 0.5 is off the dual lattice" in _stderr(res)
+        assert _stderr(res).startswith(
+            "config error: times.snap_times: times[1] = 0.5 is off the dual lattice")
         assert "times.snap_times is false" in _stderr(res)
 
     def test_time_past_the_index_range_exits_2(self, tmp_path):
@@ -143,12 +144,38 @@ class TestConfigHandling:
         path = _write_cfg(tmp_path, cfg)
         res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 2
-        assert "t[1] = 2.5e+299 has no dual-lattice index" in _stderr(res)
+        assert _stderr(res).startswith(
+            "config error: times.t_max: t[1] = 2.5e+299 has no dual-lattice index")
         assert not (tmp_path / "lyapunov_curve.csv").exists()
 
-    @pytest.mark.parametrize("t0", [1e-6, 1e300], ids=["index-0", "no-index"])
+    @pytest.mark.parametrize("command", SCENARIOS)
+    @pytest.mark.parametrize("times, problem", [
+        ({"t_max": 1e300}, "times.t_max: t[1] = 2.5e+299 has no dual-lattice index"),
+        ({"snap_times": False}, "times.snap_times: times[1] = 0.5 is off the dual"),
+    ], ids=["no-index", "no-snap"])
+    def test_times_errors_name_their_field_before_the_model(self, tmp_path, monkeypatch,
+                                                           command, times, problem):
+        # every command reads its times before it builds or loads the model:
+        # exit 2 with the field named, no output and the model cache untouched
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        cfg = copy.deepcopy(SMALL)
+        cfg["times"].update(times)
+        out = tmp_path / "out"
+        res = _run([command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert res.exit_code == 2
+        assert _stderr(res).startswith("config error: " + problem)
+        assert "model:" not in res.output
+        assert not out.exists()
+        assert not any(cache.iterdir())
+
+    @pytest.mark.parametrize("t0, problem", [
+        (1e-6, "t0 = 1e-06 rounds to lattice index 0"),
+        (1e300, "t = 1e+300 has no dual-lattice index"),
+    ], ids=["index-0", "no-index"])
     def test_witness_t0_off_the_index_range_exits_2_and_names_it(self, tmp_path,
-                                                                 t0):
+                                                                 t0, problem):
         # valid positive t0, but it rounds to lattice index 0 or has none
         cfg = copy.deepcopy(SMALL)
         cfg["state"] = {"kind": "witness",
@@ -156,7 +183,7 @@ class TestConfigHandling:
         path = _write_cfg(tmp_path, cfg)
         res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 2
-        assert "config error: state.parameters.t0:" in _stderr(res)
+        assert _stderr(res).startswith("config error: state.parameters.t0: " + problem)
         assert not (tmp_path / "lyapunov_curve.csv").exists()
 
     @pytest.mark.parametrize("section, field, value", [
@@ -320,7 +347,7 @@ class TestWitnessAndRationalStates:
             cfg["state"] = {"kind": kind, "parameters": {"poles": poles}}
             f = hardy_part(rational_hardy(grid, [(50.0 - 1j, 1), (30.0 - 2j, 2)]))
         want = restrict(hardy_embed(f)).amplitudes
-        got = _build_state(grid, cfg).amplitudes
+        got = _build_state(grid, cfg)[0].amplitudes
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -374,7 +401,7 @@ class TestSemigroupNormsCommand:
                     "--out", str(tmp_path)])
         assert res.exit_code == 0
         _, rows = _read_csv(tmp_path / "semigroup_norms.csv")
-        h = apply_omega(_build_state(_scenario_grid(SMALL), SMALL))
+        h = apply_omega(_build_state(_scenario_grid(SMALL), SMALL)[0])
         for row in rows:
             want = norm(toeplitz_step(h, float(row[0])))
             assert abs(float(row[1]) - want) <= 1e-14 * want

@@ -22,7 +22,7 @@ from timearrow import (
     toeplitz_step,
     unitary_evolve,
 )
-from timearrow.evolution import _semigroup_index, _toeplitz_block, _unitary_block
+from timearrow.evolution import _semigroup_index, _snap, _toeplitz_block, _unitary_block
 from oracles import inner, toeplitz_adjoint
 
 
@@ -195,6 +195,25 @@ class TestLatticeIndex:
         assert _semigroup_index(small_grid, np.array([0.0, dt])).tolist() == [0, 1]
         with pytest.raises(ValueError, match=r"got t\[2\] = -"):
             _semigroup_index(small_grid, np.array([0.0, dt, -dt, -2 * dt]))
+
+    def test_snap_rounds_as_lattice_index_and_never_warns(self, small_grid):
+        # ties, negative times, a scalar and a 2-D array: the indices of
+        # lattice_index(snap=True), the mask of its ten moved times, no warning
+        t = self._mixed_times(small_grid)
+        for times in (t, t[4], t[:14].reshape(2, 7)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OffLatticeWarning)
+                want = lattice_index(small_grid, times, snap=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                k, moved = _snap(small_grid, times)
+            assert type(k) is type(want) and np.array_equal(k, want)
+            assert moved.shape == np.shape(times)
+        assert np.count_nonzero(_snap(small_grid, t)[1]) == 10
+        assert not _snap(small_grid, t[:4])[1].any()
+        with pytest.raises(OffLatticeTimeError, match=r"t\[1\] = .* no dual") as err:
+            _snap(small_grid, np.array([0.0, 1e308]))
+        assert err.value.index == 1
 
 
 class TestToeplitzSemigroup:

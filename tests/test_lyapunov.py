@@ -26,7 +26,7 @@ from timearrow import (
     unitary_evolve,
 )
 from timearrow import lyapunov
-from timearrow.lyapunov import _omega_adjoint_block, _omega_block
+from timearrow.lyapunov import _omega_block
 from oracles import (
     adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, gram_m_f,
     inner, lyapunov_expectation, restrict, rounding_gamma, two_pass_curve, zero_state,
@@ -119,7 +119,7 @@ class TestForwardMap:
         size = (grid.n_half() * k_dim, 3)
         a = rng.normal(size=size) + 1j * rng.normal(size=size)
         h = rng.normal(size=size) + 1j * rng.normal(size=size)
-        forward, back = _omega_block(grid, a), _omega_adjoint_block(grid, h)
+        forward, back = _omega_block(grid, a), _omega_block(grid, h, adjoint=True)
         for j in range(3):
             scale = np.linalg.norm(a[:, j]) * np.linalg.norm(h[:, j])
             pairing = np.vdot(forward[:, j], h[:, j]) - np.vdot(a[:, j], back[:, j])
