@@ -195,7 +195,10 @@ def _lattice_times(grid: spaces.GridSpec, cfg) -> tuple[np.ndarray, dict]:
     try:
         ks, moved = evolution._snap(grid, requested)
     except evolution.OffLatticeTimeError as exc:
-        raise _config.ConfigError([f"times.t_max: {exc}"]) from None
+        raise _config.ConfigError([
+            f"times.t_max: times[{exc.index}] = {requested[exc.index]} has no "
+            f"dual-lattice index (delta_tau = {grid.delta_tau})"
+        ]) from None
     if moved.any() and not t["snap_times"]:
         i = int(np.flatnonzero(moved)[0])
         raise _config.ConfigError([

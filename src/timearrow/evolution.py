@@ -12,14 +12,11 @@ consumers take in chunks of ``_BLOCK_COLUMNS`` columns to bound memory.
 Shift identities are exact only at lattice times ``t = k * delta_tau``, so
 every function of a time raises :class:`OffLatticeTimeError` off the
 lattice.  Rounding is ``_snap``'s alone, and silent; :func:`lattice_index`
-adds the off-lattice error, or with ``snap=True`` one :class:`OffLatticeWarning`
-per call.  A caller that wants rounded times multiplies the indices by
-``delta_tau`` first, as :func:`kernel_witness` does with its ``t0``.
+is ``_snap`` plus the off-lattice error.  A caller that wants rounded times
+passes ``_snap(grid, t)[0] * delta_tau``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +27,6 @@ from .spaces import GridSpec, Space, SpaceMismatchError, StateVector, make_grid
 
 __all__ = [
     "OffLatticeTimeError",
-    "OffLatticeWarning",
     "lattice_index",
     "unitary_evolve",
     "toeplitz_step",
@@ -42,14 +38,10 @@ _LATTICE_RTOL = 1e-9
 
 
 class OffLatticeTimeError(ValueError):
-    """A time was not a multiple of delta_tau and snapping was not allowed;
+    """A time was not a multiple of delta_tau, or had no int64 index;
     ``index`` is the offending entry's flat position in an array of times."""
 
     index: int | None = None
-
-
-class OffLatticeWarning(UserWarning):
-    """A time was silently rounded to the nearest dual-lattice point."""
 
 
 def _first(t: np.ndarray, mask: np.ndarray) -> tuple[int, str]:
@@ -69,8 +61,8 @@ def _off_lattice(t: np.ndarray, mask: np.ndarray, what: str) -> OffLatticeTimeEr
 def _snap(grid: GridSpec, t):
     """The nearest dual-lattice indices of times ``t``, half to even (an ``int``
     for a scalar, else an int64 array of its shape), and the mask of the times
-    they move.  Never warns; a time whose index is not finite or does not fit
-    in int64 raises :class:`OffLatticeTimeError`."""
+    they move.  A time whose index is not finite or does not fit in int64
+    raises :class:`OffLatticeTimeError`."""
     t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
     with np.errstate(all="ignore"):  # a huge t overflows to inf: no index
         ratio = t / dt
@@ -82,29 +74,18 @@ def _snap(grid: GridSpec, t):
     return (int(k) if k.ndim == 0 else k.astype(np.int64)), moved
 
 
-def lattice_index(grid: GridSpec, t, snap: bool = False, *, _stacklevel: int = 2):
+def lattice_index(grid: GridSpec, t):
     """Convert times to their dual-lattice indices ``k`` with ``t = k*delta_tau``.
 
     A scalar ``t`` gives an ``int``; an array gives an int64 array of the
-    same shape.  Rounding is half to even, as Python's ``round``.  Raises
-    :class:`OffLatticeTimeError` naming the first off-lattice time unless
-    ``snap=True``, in which case the nearest indices are used and one
-    :class:`OffLatticeWarning` per call names how many times moved and the
-    first one's requested and used value, at the caller's line.  A time
-    whose index is not finite or does not fit in int64 raises
-    :class:`OffLatticeTimeError` whatever ``snap`` says.
+    same shape.  Raises :class:`OffLatticeTimeError` naming the first time
+    that is off the lattice or whose index is not finite or does not fit in
+    int64.
     """
     k, moved = _snap(grid, t)
     if moved.any():
-        t, dt = np.asarray(t, dtype=np.float64), grid.delta_tau
-        if not snap:
-            raise _off_lattice(t, moved, f"is not on the dual lattice (delta_tau = "
-                               f"{dt}); lattice_index(grid, t, snap=True) rounds it")
-        i, label = _first(t, moved)
-        used = float(np.asarray(k).flat[i]) * dt
-        count = f" ({np.count_nonzero(moved)} of {t.size} moved)" if t.ndim else ""
-        message = f"{label} snapped to lattice point {used}{count}"
-        warnings.warn(message, OffLatticeWarning, stacklevel=_stacklevel)
+        raise _off_lattice(np.asarray(t, dtype=np.float64), moved,
+                           f"is not on the dual lattice (delta_tau = {grid.delta_tau})")
     return k
 
 
@@ -173,49 +154,37 @@ def toeplitz_step(f: StateVector, t: float) -> StateVector:
     return StateVector(f.grid, Space.HARDY_PLUS, h)
 
 
-def kernel_witness(
-    grid: GridSpec,
-    mu: complex,
-    t0: float,
-    v: np.ndarray | None = None,
-    snap: bool = True,
-) -> StateVector:
+def kernel_witness(grid: GridSpec, mu: complex, t0: float) -> StateVector:
     """State annihilated by the compressed semigroup once ``t >= t0``.
 
     Samples
 
     .. math:: f(\\sigma) = \\frac{1}{\\sqrt{2\\pi}}\\,
-              \\frac{1 - e^{i\\sigma t_0} e^{-i\\mu t_0}}{\\sigma - \\mu}\\, v,
+              \\frac{1 - e^{i\\sigma t_0} e^{-i\\mu t_0}}{\\sigma - \\mu}
 
-    whose time profile is ``-i e^{-i mu tau}`` on ``[0, t0)`` and zero
-    elsewhere, then returns its positive-Hardy component.  The ``1/sqrt(2
+    on fibre 0, whose time profile is ``-i e^{-i mu tau}`` on ``[0, t0)`` and
+    zero elsewhere, then returns its positive-Hardy component.  The ``1/sqrt(2
     pi)`` factor makes the profile's prefactor a unit modulus constant, so
     for ``mu = -i, t0 = 1`` the squared norm is the time-domain integral
     ``(1 - e^{-2})/2`` up to truncation error.
 
-    ``t0`` must sit on the dual lattice for the decay statements to converge
-    under grid refinement; by default it is snapped there (with a warning
-    when it moves).
+    ``t0`` must sit on the dual lattice, at index 1 or more, for the decay
+    statements to converge under grid refinement; off the lattice it raises
+    :class:`OffLatticeTimeError`.
     """
     mu = complex(mu)
     if not (mu.imag < 0):
         raise ValueError(f"witness pole {mu} must lie in the open lower half-plane")
-    if not (t0 > 0):
-        raise ValueError(f"witness support length t0 must be positive, got {t0}")
-    k0 = lattice_index(grid, t0, snap=snap, _stacklevel=3)
+    k0 = lattice_index(grid, t0)
     if k0 < 1:
-        raise ValueError(f"t0 = {t0} is below the lattice resolution")
+        raise ValueError(f"witness support length t0 = {t0} must be at least one "
+                         f"lattice step (delta_tau = {grid.delta_tau})")
     t0 = k0 * grid.delta_tau
-    if v is None:
-        v = np.zeros(grid.k_dim, dtype=np.complex128)
-        v[0] = 1.0
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (grid.k_dim,):
-        raise ValueError(f"fiber vector must have shape ({grid.k_dim},), got {v.shape}")
     sigma = grid.sigma()
     scalar = (1.0 - np.exp(1j * sigma * t0) * np.exp(-1j * mu * t0)) / (sigma - mu)
     scalar /= np.sqrt(2.0 * np.pi)
-    # one transform of the scalar profile, lifted onto the fibres last
+    # one transform of the scalar profile, padded onto the other fibres last
     line = make_grid(grid.n_sigma, grid.sigma_max, 1)
-    h = hardy.hardy_part(StateVector(line, Space.FULL_LINE, scalar)).fibered() * v
+    h = hardy.hardy_part(StateVector(line, Space.FULL_LINE, scalar)).fibered()
+    h = np.pad(h, [(0, 0), (0, grid.k_dim - 1)])
     return StateVector(grid, Space.HARDY_PLUS, h.reshape(-1))

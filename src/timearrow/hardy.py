@@ -81,30 +81,18 @@ def _tau_to_sigma(grid: GridSpec, g: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(1.0 / (c * s), out, out=out)
 
 
-def hardy_project(f: StateVector, half: str = "plus") -> StateVector:
-    """Orthogonal projection onto the positive or negative Hardy subspace.
+def hardy_project(f: StateVector) -> StateVector:
+    """Orthogonal projection of a FULL_LINE state onto the positive Hardy subspace.
 
-    Zeroes the opposite half of the time profile and transforms back.  In the
-    discrete model this is an exact orthogonal projection: idempotent,
-    Hermitian, and ``plus + minus = identity`` to machine precision.
-
-    Parameters
-    ----------
-    f : StateVector
-        FULL_LINE state.
-    half : {"plus", "minus"}
-        Which subspace to project onto; "plus" keeps time support ``tau >= 0``.
+    Zeroes the ``tau < 0`` half of the time profile and transforms back.  In
+    the discrete model this is an exact orthogonal projection: idempotent and
+    Hermitian to machine precision, with ``f - hardy_project(f)`` the
+    projection onto the negative Hardy subspace.
     """
     if f.space is not Space.FULL_LINE:
         raise SpaceMismatchError("hardy_project acts on FULL_LINE states")
-    if half not in ("plus", "minus"):
-        raise ValueError(f"half must be 'plus' or 'minus', got {half!r}")
     g = _sigma_to_tau(f.grid, f.fibered())
-    half_n = f.grid.n_sigma // 2
-    if half == "plus":
-        g[:half_n, :] = 0.0
-    else:
-        g[half_n:, :] = 0.0
+    g[: f.grid.n_sigma // 2, :] = 0.0
     out = _tau_to_sigma(f.grid, g, out=g)
     return StateVector(f.grid, Space.FULL_LINE, out.reshape(-1))
 
@@ -117,7 +105,7 @@ def hardy_part(f: StateVector) -> StateVector:
     """Coordinates of the positive-Hardy component of a full-line state.
 
     Returns the HARDY_PLUS state whose embedding back into the full line is
-    ``hardy_project(f, "plus")``.  Composition the other way,
+    ``hardy_project(f)``.  Composition the other way,
     ``hardy_part(hardy_embed(h))``, is the identity.
     """
     if f.space is not Space.FULL_LINE:
@@ -171,34 +159,21 @@ def hardy_project_oracle(f: StateVector) -> StateVector:
     return StateVector(grid, Space.FULL_LINE, out.reshape(-1))
 
 
-def rational_hardy(
-    grid: GridSpec,
-    poles: list[tuple[complex, int]],
-    v: np.ndarray | None = None,
-) -> StateVector:
+def rational_hardy(grid: GridSpec, poles: list[tuple[complex, int]]) -> StateVector:
     """Sample a rational function with all poles in the lower half-plane.
 
-    Returns the FULL_LINE state with amplitudes ``sum_p v / (sigma - mu_p)^
-    order_p``.  Such functions lie in the positive Hardy subspace up to
-    truncation error that shrinks as the energy cutoff grows.
+    Returns the FULL_LINE state with amplitudes ``sum_p 1 / (sigma - mu_p)^
+    order_p`` on fibre 0.  Such functions lie in the positive Hardy subspace
+    up to truncation error that shrinks as the energy cutoff grows.
 
     Parameters
     ----------
     grid : GridSpec
     poles : list of (mu, order)
         Pole positions (``Im mu < 0`` required) and orders (1 or 2).
-    v : array of shape (k_dim,), optional
-        Fiber vector multiplying every pole term; defaults to the first
-        fiber basis vector.
     """
     if not poles:
         raise ValueError("poles must be a non-empty list of (mu, order)")
-    if v is None:
-        v = np.zeros(grid.k_dim, dtype=np.complex128)
-        v[0] = 1.0
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (grid.k_dim,):
-        raise ValueError(f"fiber vector must have shape ({grid.k_dim},), got {v.shape}")
     sigma = grid.sigma()
     scalar = np.zeros(grid.n_sigma, dtype=np.complex128)
     for mu, order in poles:
@@ -208,7 +183,7 @@ def rational_hardy(
         if order not in (1, 2):
             raise ValueError(f"pole order must be 1 or 2, got {order}")
         scalar += 1.0 / (sigma - mu) ** order
-    amps = scalar[:, None] * v[None, :]
+    amps = np.pad(scalar[:, None], [(0, 0), (0, grid.k_dim - 1)])
     return StateVector(grid, Space.FULL_LINE, amps.reshape(-1))
 
 

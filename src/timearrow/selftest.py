@@ -115,7 +115,7 @@ def check_projection_algebra(model: IrreversibleModel) -> tuple[bool, dict]:
     n = grid.n_sigma
     eye = np.eye(n, dtype=np.complex128)
     mask = (grid.tau() >= 0.0)[:, None]
-    # Matrices of hardy_project(.., "plus"/"minus") applied to basis columns.
+    # Matrices of hardy_project and its complement applied to basis columns.
     stack = _sigma_to_tau(grid, eye)
     p_plus = _tau_to_sigma(grid, np.where(mask, stack, 0.0))
     p_minus = _tau_to_sigma(grid, np.where(mask, 0.0, stack))
@@ -331,7 +331,7 @@ def refinement_series() -> list[tuple[int, float, float, float, float]]:
     per rung: the relative Hardy defects ``|P_+ f - f| / |f|`` of
     ``rational_hardy`` with a simple and a double pole at ``-i``, and
     ``|T(1) w| / |w|`` for the kernel witness designed to die at ``t = 1``
-    (snapped to the lattice without a warning).
+    (its ``t0`` rounded to the lattice).
     """
     rows = []
     for n, ell in _REFINEMENT:
@@ -339,7 +339,7 @@ def refinement_series() -> list[tuple[int, float, float, float, float]]:
         defects = []
         for order in (1, 2):
             f = rational_hardy(grid, [(-1j, order)])
-            defects.append(norm(hardy_project(f, "plus") - f) / norm(f))
+            defects.append(norm(hardy_project(f) - f) / norm(f))
         t0 = _lattice_time(grid, 1.0)
         w = kernel_witness(grid, -1j, t0)
         ratio = norm(toeplitz_step(w, t0)) / norm(w)
@@ -406,7 +406,7 @@ def check_oracle_agreement(_model: IrreversibleModel) -> tuple[bool, dict]:
     worst = 0.0
     for _ in range(30):
         f = smooth_oracle_state(grid, rng)
-        fft_route = hardy_project(f, "plus")
+        fft_route = hardy_project(f)
         pv_route = hardy_project_oracle(f)
         worst = max(worst, norm(fft_route - pv_route) / norm(f))
     return worst <= 1e-3, {"worst_relative_difference": worst}

@@ -1,10 +1,10 @@
 """Acceptance battery: every shipped check at its stated tolerance.
 
 The battery runs once per session (the ``battery`` fixture); each criterion
-then gets its own test so a failure pinpoints the broken guarantee.  An
-``OffLatticeWarning`` fails the battery, as every warning of that class
-fails the suite (see ``filterwarnings`` in ``pyproject.toml``): every check
-snaps its own times.
+then gets its own test so a failure pinpoints the broken guarantee.  Every
+check rounds its own times to the lattice, since an off-lattice time raises,
+and any ``UserWarning`` fails the suite (see ``filterwarnings`` in
+``pyproject.toml``).
 """
 
 import pytest

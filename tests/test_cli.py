@@ -15,10 +15,11 @@ import pytest
 from click.testing import CliRunner
 
 from timearrow import (
-    DEFAULT_CONFIG, OffLatticeTimeError, OffLatticeWarning, build_model, hardy_embed,
+    DEFAULT_CONFIG, OffLatticeTimeError, build_model, hardy_embed,
     hardy_part, kernel_witness, lattice_index, make_grid, rational_hardy,
 )
 from timearrow.cli import _atomic_write, _build_state, _cached_model, main
+from timearrow.evolution import _snap
 from oracles import restrict
 
 SMALL = {
@@ -145,12 +146,12 @@ class TestConfigHandling:
         res = _run(["lyapunov-curve", "--config", path, "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert _stderr(res).startswith(
-            "config error: times.t_max: t[1] = 2.5e+299 has no dual-lattice index")
+            "config error: times.t_max: times[1] = 2.5e+299 has no dual-lattice index")
         assert not (tmp_path / "lyapunov_curve.csv").exists()
 
     @pytest.mark.parametrize("command", SCENARIOS)
     @pytest.mark.parametrize("times, problem", [
-        ({"t_max": 1e300}, "times.t_max: t[1] = 2.5e+299 has no dual-lattice index"),
+        ({"t_max": 1e300}, "times.t_max: times[1] = 2.5e+299 has no dual-lattice index"),
         ({"snap_times": False}, "times.snap_times: times[1] = 0.5 is off the dual"),
     ], ids=["no-index", "no-snap"])
     def test_times_errors_name_their_field_before_the_model(self, tmp_path, monkeypatch,
@@ -746,9 +747,7 @@ class TestSnappedTimes:
             try:
                 lattice_index(grid, t)
             except OffLatticeTimeError:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", OffLatticeWarning)
-                    used = lattice_index(grid, t, snap=True) * grid.delta_tau
+                used = _snap(grid, t)[0] * grid.delta_tau
                 snapped, largest = snapped + 1, max(largest, abs(t - used))
         return {"times_snapped": snapped, "times_max_snap": largest}
 

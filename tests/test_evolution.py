@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 
 from timearrow import (
     OffLatticeTimeError,
-    OffLatticeWarning,
     Space,
     StateVector,
     hardy_embed,
@@ -35,20 +34,17 @@ def _spectral_adjoint(f, t):
     return hardy_part(unitary_evolve(f, -t))
 
 
-def _scalar_lattice_index(grid, t, snap):
-    # the one-time-at-a-time rounding rule, kept as the oracle of the array one
+def _scalar_nearest_index(grid, t):
+    # the one-time-at-a-time rounding rule, kept as the oracle of _snap
     ratio = t / grid.delta_tau
     if not math.isfinite(ratio):
         raise OffLatticeTimeError("no dual-lattice index")
-    k = int(round(ratio))
-    if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)) and not snap:
-        raise OffLatticeTimeError("not on the dual lattice")
-    return k
+    return int(round(ratio))
 
 
 def _rounded(grid, t):
-    # the one rounding route: lattice_index, then back to a lattice time
-    return lattice_index(grid, t, snap=True) * grid.delta_tau
+    # the one rounding route: _snap, then back to a lattice time
+    return _snap(grid, t)[0] * grid.delta_tau
 
 
 def _slice_loop_block(h, ks):
@@ -98,34 +94,20 @@ class TestLatticeIndex:
     def test_exact_multiples(self, small_grid):
         for k in (0, 1, 5, 31):
             assert lattice_index(small_grid, k * small_grid.delta_tau) == k
+        on_lattice = np.arange(-3, 40) * small_grid.delta_tau
+        assert lattice_index(small_grid, on_lattice).tolist() == list(range(-3, 40))
 
     def test_off_lattice_rejected(self, small_grid):
         with pytest.raises(OffLatticeTimeError):
             lattice_index(small_grid, 0.5 * small_grid.delta_tau)
 
-    def test_snapping_warns(self, small_grid):
-        with pytest.warns(OffLatticeWarning):
-            k = lattice_index(small_grid, 3.49 * small_grid.delta_tau, snap=True)
-        assert k == 3
-
-    def test_warning_names_the_caller(self, small_grid):
-        # a direct call and kernel_witness's own rounding both warn at the
-        # line of this file that called them
-        with pytest.warns(OffLatticeWarning) as direct:
-            lattice_index(small_grid, 3.49 * small_grid.delta_tau, snap=True)
-        with pytest.warns(OffLatticeWarning) as witness:
-            kernel_witness(small_grid, -1j, 8.5 * small_grid.delta_tau)
-        for record in (direct, witness):
-            assert [w.filename for w in record] == [__file__]
-
     def test_negative_times_are_lattice_points_too(self, small_grid):
         assert lattice_index(small_grid, -2 * small_grid.delta_tau) == -2
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308])
-    @pytest.mark.parametrize("snap", [False, True])
-    def test_non_finite_index_rejected(self, small_grid, t, snap):
+    def test_non_finite_index_rejected(self, small_grid, t):
         with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
-            lattice_index(small_grid, t, snap=snap)
+            lattice_index(small_grid, t)
 
     @staticmethod
     def _mixed_times(grid):
@@ -140,32 +122,14 @@ class TestLatticeIndex:
 
     def test_array_matches_scalar_oracle(self, small_grid):
         t = self._mixed_times(small_grid)
-        expected = [_scalar_lattice_index(small_grid, ti, True) for ti in t]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OffLatticeWarning)
-            ks = lattice_index(small_grid, t, snap=True)
-            scalars = [lattice_index(small_grid, ti, snap=True) for ti in t]
+        expected = [_scalar_nearest_index(small_grid, ti) for ti in t]
+        ks = _snap(small_grid, t)[0]
+        scalars = [_snap(small_grid, ti)[0] for ti in t]
         assert ks.dtype == np.int64 and ks.shape == t.shape
         assert ks.tolist() == expected
         assert all(type(k) is int for k in scalars) and scalars == expected
         # ties round to even, as Python's round
         assert ks[7:13].tolist() == [0, 2, 2, 0, -2, -2]
-
-    def test_one_warning_per_snapping_call(self, small_grid):
-        t = self._mixed_times(small_grid)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            lattice_index(small_grid, t, snap=True)
-        assert [w.category for w in caught] == [OffLatticeWarning]
-        message = str(caught[0].message)
-        assert f"t[4] = {t[4]} snapped to lattice point {3 * small_grid.delta_tau}" \
-            in message
-        assert f"(10 of {t.size} moved)" in message
-        on_lattice = np.arange(-3, 40) * small_grid.delta_tau
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ks = lattice_index(small_grid, on_lattice, snap=True)
-        assert ks.tolist() == list(range(-3, 40))
 
     def test_array_without_snap_names_first_bad_entry(self, small_grid):
         t = self._mixed_times(small_grid)
@@ -176,18 +140,17 @@ class TestLatticeIndex:
             lattice_index(small_grid, t[4])
         assert err.value.index is None
 
-    @pytest.mark.parametrize("snap", [False, True])
-    def test_index_past_int64_rejected(self, small_grid, snap):
+    def test_index_past_int64_rejected(self, small_grid):
         # finite time, but no int64 index; the division must not warn either
         big = 1e300 * small_grid.delta_tau
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
-                lattice_index(small_grid, big, snap=snap)
+                lattice_index(small_grid, big)
             t = np.array([0.0, small_grid.delta_tau, big, 1e308])
             with pytest.raises(OffLatticeTimeError,
                                match=r"t\[2\] = .* no dual-lattice index") as err:
-                lattice_index(small_grid, t, snap=snap)
+                lattice_index(small_grid, t)
         assert err.value.index == 2
 
     def test_negative_semigroup_time_named(self, small_grid):
@@ -196,14 +159,14 @@ class TestLatticeIndex:
         with pytest.raises(ValueError, match=r"got t\[2\] = -"):
             _semigroup_index(small_grid, np.array([0.0, dt, -dt, -2 * dt]))
 
-    def test_snap_rounds_as_lattice_index_and_never_warns(self, small_grid):
-        # ties, negative times, a scalar and a 2-D array: the indices of
-        # lattice_index(snap=True), the mask of its ten moved times, no warning
+    def test_snap_rounds_as_the_scalar_oracle_and_never_warns(self, small_grid):
+        # ties, negative times, a scalar and a 2-D array: the indices of the
+        # scalar oracle, the mask of the ten moved times, no warning
         t = self._mixed_times(small_grid)
         for times in (t, t[4], t[:14].reshape(2, 7)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OffLatticeWarning)
-                want = lattice_index(small_grid, times, snap=True)
+            want = np.vectorize(lambda ti: _scalar_nearest_index(small_grid, ti),
+                                otypes=[np.int64])(times)
+            want = int(want) if want.ndim == 0 else want
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 k, moved = _snap(small_grid, times)
@@ -303,8 +266,7 @@ class TestToeplitzSemigroup:
         t_bad = 0.5 * small_grid.delta_tau
         with pytest.raises(OffLatticeTimeError):
             toeplitz_step(h, t_bad)
-        with pytest.warns(OffLatticeWarning):
-            snapped = toeplitz_step(h, _rounded(small_grid, t_bad))
+        snapped = toeplitz_step(h, _rounded(small_grid, t_bad))
         assert norm(snapped - h) <= 1e-13 * norm(h)  # rounds down to k = 0
 
     def test_negative_time_rejected(self, small_grid, rng):
@@ -322,38 +284,30 @@ class TestKernelWitness:
     def test_norm_matches_time_integral(self, big_grid):
         # profile is a unit-modulus exponential on [0, t0): squared norm
         # equals int_0^1 exp(-2 tau) dtau up to truncation
-        with pytest.warns(OffLatticeWarning):
-            w = kernel_witness(big_grid, -1j, 1.0)
+        w = kernel_witness(big_grid, -1j, _rounded(big_grid, 1.0))
         n2 = norm(w) ** 2
         assert n2 == pytest.approx((1 - np.exp(-2)) / 2, rel=0.02)
         assert n2 == pytest.approx(0.429301, abs=1e-5)
 
     def test_half_time_ratio(self, big_grid):
-        with pytest.warns(OffLatticeWarning):
-            w = kernel_witness(big_grid, -1j, 1.0)
-        with pytest.warns(OffLatticeWarning):
-            r = norm(toeplitz_step(w, _rounded(big_grid, 0.5))) / norm(w)
+        w = kernel_witness(big_grid, -1j, _rounded(big_grid, 1.0))
+        r = norm(toeplitz_step(w, _rounded(big_grid, 0.5))) / norm(w)
         expected = np.sqrt((np.exp(-1) - np.exp(-2)) / (1 - np.exp(-2)))
         assert r == pytest.approx(expected, abs=0.01)
         assert r == pytest.approx(0.518820, abs=1e-4)
 
     def test_dies_at_its_deadline(self, big_grid):
-        with pytest.warns(OffLatticeWarning):
-            w = kernel_witness(big_grid, -1j, 1.0)
-        with pytest.warns(OffLatticeWarning):
-            r1 = norm(toeplitz_step(w, _rounded(big_grid, 1.0))) / norm(w)
-        with pytest.warns(OffLatticeWarning):
-            r2 = norm(toeplitz_step(w, _rounded(big_grid, 2.0))) / norm(w)
+        w = kernel_witness(big_grid, -1j, _rounded(big_grid, 1.0))
+        r1 = norm(toeplitz_step(w, _rounded(big_grid, 1.0))) / norm(w)
+        r2 = norm(toeplitz_step(w, _rounded(big_grid, 2.0))) / norm(w)
         assert r1 <= 5e-2
         assert r1 == pytest.approx(6.327e-3, abs=2e-4)
         assert r2 <= r1  # kernels nest as t grows
 
     def test_lattice_t0_does_not_warn(self, small_grid):
         t0 = 8 * small_grid.delta_tau
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             kernel_witness(small_grid, -1j, t0)
 
     def test_preconditions(self, small_grid):
@@ -366,8 +320,10 @@ class TestKernelWitness:
             kernel_witness(small_grid, -1j, 0.0)
         with pytest.raises(ValueError):
             kernel_witness(small_grid, -1j, -1.0)
-        with pytest.raises(OffLatticeTimeError):
-            kernel_witness(small_grid, -1j, 8.5 * dt, snap=False)
+        with pytest.raises(ValueError, match="at least one lattice step"):
+            kernel_witness(small_grid, -1j, 1e-12 * dt)  # on the lattice, at index 0
+        with pytest.raises(OffLatticeTimeError, match=r"^t = .* not on the dual"):
+            kernel_witness(small_grid, -1j, 8.5 * dt)
 
     def test_space_and_fiber(self, small_grid):
         w = kernel_witness(small_grid, -1j, 8 * small_grid.delta_tau)
@@ -375,19 +331,21 @@ class TestKernelWitness:
         assert norm(w) > 0
 
     def test_lift_after_the_transform_is_the_per_fibre_route(self):
-        # the scalar profile is transformed once and lifted onto the fibres
-        # last; the per-fibre route transforms the lifted full-line samples
+        # the scalar profile is transformed once and padded onto the other
+        # fibres last; the per-fibre route transforms the full-line samples
+        # on fibre 0
         grid = make_grid(4096, 100.0, 8)
-        rng = np.random.default_rng(8)
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
         mu, t0 = 50.0 - 1j, 64 * grid.delta_tau
         sigma = grid.sigma()
         scalar = (1.0 - np.exp(1j * sigma * t0) * np.exp(-1j * mu * t0)) / (sigma - mu)
+        e0 = np.eye(grid.k_dim)[0]
         full = StateVector(grid, Space.FULL_LINE,
-                           np.outer(scalar / np.sqrt(2 * np.pi), v).reshape(-1))
+                           np.outer(scalar / np.sqrt(2 * np.pi), e0).reshape(-1))
         want = hardy_part(full).amplitudes
-        got = kernel_witness(grid, mu, t0, v).amplitudes
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        got = kernel_witness(grid, mu, t0)
+        assert np.abs(got.amplitudes - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.any(got.fibered()[:, 0] != 0)
+        assert not got.fibered()[:, 1:].any()
 
 
 class TestBlocks:

@@ -99,17 +99,12 @@ class TestProjections:
     def test_idempotent_hermitian_complementary(self, small_grid, rng):
         f = _rand_full(small_grid, rng)
         g = _rand_full(small_grid, rng)
-        pf = hardy_project(f, "plus")
-        mf = hardy_project(f, "minus")
-        assert norm(hardy_project(pf, "plus") - pf) <= 1e-12 * norm(f)
-        assert norm(pf + mf - f) <= 1e-12 * norm(f)
-        assert inner(g, pf) == pytest.approx(inner(hardy_project(g, "plus"), f),
-                                             abs=1e-12)
+        pf = hardy_project(f)
+        mf = f - pf  # the negative Hardy projection
+        assert norm(hardy_project(pf) - pf) <= 1e-12 * norm(f)
+        assert norm(hardy_project(mf)) <= 1e-12 * norm(f)
+        assert inner(g, pf) == pytest.approx(inner(hardy_project(g), f), abs=1e-12)
         assert inner(pf, mf) == pytest.approx(0.0, abs=1e-12)
-
-    def test_half_argument_validated(self, small_grid, rng):
-        with pytest.raises(ValueError):
-            hardy_project(_rand_full(small_grid, rng), "both")
 
     def test_negative_support_annihilated(self, small_grid, rng):
         # profile living entirely at tau < 0 is exactly in the minus half
@@ -117,11 +112,11 @@ class TestProjections:
         samples = np.zeros(n, dtype=np.complex128)
         samples[: n // 2] = rng.normal(size=n // 2)
         f = from_time(small_grid, samples)
-        assert norm(hardy_project(f, "plus")) <= 1e-14 * norm(f)
+        assert norm(hardy_project(f)) <= 1e-14 * norm(f)
 
     def test_plus_projection_support(self, small_grid, rng):
         f = _rand_full(small_grid, rng)
-        p = time_samples(hardy_project(f, "plus"))
+        p = time_samples(hardy_project(f))
         assert np.all(np.abs(p[: small_grid.n_sigma // 2]) <= 1e-13 * np.abs(p).max())
 
     def test_part_embed_round_trip(self, small_grid, rng):
@@ -129,7 +124,7 @@ class TestProjections:
         h = hardy_part(f)
         assert h.space is Space.HARDY_PLUS
         back = hardy_embed(h)
-        assert norm(back - hardy_project(f, "plus")) <= 1e-12 * norm(f)
+        assert norm(back - hardy_project(f)) <= 1e-12 * norm(f)
         assert norm(hardy_part(back) - h) <= 1e-13 * norm(f)
         assert norm(back) == pytest.approx(h.norm(), rel=1e-13)
 
@@ -148,11 +143,11 @@ class TestRationalFamilies:
 
     def test_membership_residuals(self, big_grid):
         f1 = rational_hardy(big_grid, [(-1j, 1)])
-        r1 = norm(hardy_project(f1, "plus") - f1) / norm(f1)
+        r1 = norm(hardy_project(f1) - f1) / norm(f1)
         assert r1 <= 0.05
         assert r1 == pytest.approx(0.016642, abs=2e-4)
         f2 = rational_hardy(big_grid, [(-1j, 2)])
-        r2 = norm(hardy_project(f2, "plus") - f2) / norm(f2)
+        r2 = norm(hardy_project(f2) - f2) / norm(f2)
         assert r2 <= 0.012
         assert r2 == pytest.approx(4.679e-4, abs=2e-5)
 
@@ -164,11 +159,12 @@ class TestRationalFamilies:
         assert np.count_nonzero(a < 1e-14 * a.max()) == 0
 
     def test_fiber_vector(self):
-        g = make_grid(32, 10.0, 2)
-        f = rational_hardy(g, [(-1j, 1)], v=np.array([0.0, 1.0]))
-        fib = f.fibered()
-        assert np.all(fib[:, 0] == 0)
-        assert np.any(fib[:, 1] != 0)
+        # the profile lies on fibre 0, the same samples as at k_dim 1
+        g = make_grid(32, 10.0, 3)
+        fib = rational_hardy(g, [(-1j, 1)]).fibered()
+        scalar = rational_hardy(make_grid(32, 10.0, 1), [(-1j, 1)]).amplitudes
+        assert np.array_equal(fib[:, 0], scalar)
+        assert np.all(fib[:, 1:] == 0)
 
     def test_preconditions(self, small_grid):
         with pytest.raises(ValueError):
@@ -186,13 +182,13 @@ class TestQuadratureOracle:
         rng = np.random.default_rng(202)
         for _ in range(3):
             f = smooth_oracle_state(oracle_grid, rng)
-            gap = norm(hardy_project_oracle(f) - hardy_project(f, "plus"))
+            gap = norm(hardy_project_oracle(f) - hardy_project(f))
             assert gap <= 1e-3 * norm(f)
 
     def test_near_identity_on_rational(self, oracle_grid):
         f = rational_hardy(oracle_grid, [(-1j, 1)])
         r_oracle = norm(hardy_project_oracle(f) - f) / norm(f)
-        r_fft = norm(hardy_project(f, "plus") - f) / norm(f)
+        r_fft = norm(hardy_project(f) - f) / norm(f)
         assert r_oracle <= 0.08
         assert r_oracle == pytest.approx(0.046297, abs=5e-4)
         assert r_fft == pytest.approx(0.024011, abs=5e-4)

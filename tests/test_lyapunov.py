@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from timearrow import (
-    OffLatticeWarning,
     Space,
     StateVector,
     TrajectoryReport,
@@ -16,7 +15,6 @@ from timearrow import (
     hardy_part,
     hardy_project,
     kernel_witness,
-    lattice_index,
     lyapunov_curve,
     make_grid,
     norm,
@@ -26,6 +24,7 @@ from timearrow import (
     unitary_evolve,
 )
 from timearrow import lyapunov
+from timearrow.evolution import _snap
 from timearrow.lyapunov import _omega_block
 from oracles import (
     adjoint, apply_omega_adjoint, exact_dft_rows, f_m_membership, gram_m_f,
@@ -216,7 +215,7 @@ class TestLyapunovOperator:
         m = build_m_f(small_grid)
         psi = _rand_half(small_grid, rng)
         lhs = inner(psi, m.apply(psi)).real
-        rhs = norm(hardy_project(embed(psi), "plus")) ** 2
+        rhs = norm(hardy_project(embed(psi))) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -277,13 +276,11 @@ class TestExpectationCurve:
     def test_witness_restriction_decays_fast(self, dense_grid):
         # pole centred on the positive half-line keeps the restriction loss
         # small; its curve collapses three decades within t0
-        with pytest.warns(OffLatticeWarning):
-            w = kernel_witness(dense_grid, 50.0 - 1j, 1.0)
+        dt = dense_grid.delta_tau
+        w = kernel_witness(dense_grid, 50.0 - 1j, _snap(dense_grid, 1.0)[0] * dt)
         psi = restrict(hardy_embed(w))
         e0 = lyapunov_expectation(psi, 0.0)
-        with pytest.warns(OffLatticeWarning):
-            k = lattice_index(dense_grid, 2.0, snap=True)
-        e2 = lyapunov_expectation(psi, k * dense_grid.delta_tau)
+        e2 = lyapunov_expectation(psi, _snap(dense_grid, 2.0)[0] * dt)
         assert e2 <= 1e-3 * e0
         assert e2 / e0 == pytest.approx(1.32e-5, rel=0.05)
 

@@ -9,7 +9,6 @@ import pytest
 from timearrow import (
     LinOp,
     OffLatticeTimeError,
-    OffLatticeWarning,
     Space,
     StateVector,
     apply_omega,
@@ -50,6 +49,11 @@ from oracles import (
     perturbed_model,
     projection,
 )
+
+
+def _rounded(grid, t):
+    # the nearest lattice time
+    return evolution._snap(grid, t)[0] * grid.delta_tau
 
 
 def _rand_half(grid, rng):
@@ -158,8 +162,7 @@ class TestProjectionPair:
         assert norm(z_evolve(model, past_part, t)) <= 1e-10 * norm(chi)
 
     def test_witness_leaves_future_by_its_deadline(self, model):
-        with pytest.warns(OffLatticeWarning):
-            w = kernel_witness(model.grid, -1j, 1.0)
+        w = kernel_witness(model.grid, -1j, _rounded(model.grid, 1.0))
         psi = adjoint(model.isometry).apply(w)
         dt = model.grid.delta_tau
         for k in (32, 48, 64):  # t0 snaps to 32 lattice steps on this grid
@@ -588,8 +591,7 @@ class TestOrderingOperator:
     def test_transported_witness_mean_time(self, model):
         # spectral-support oracle: the witness profile weights time by
         # exp(-2 tau) on [0, 1], whose mean is (1/4 - 3/(4 e^2)) / norm
-        with pytest.warns(OffLatticeWarning):
-            w = kernel_witness(model.grid, -1j, 1.0)
+        w = kernel_witness(model.grid, -1j, _rounded(model.grid, 1.0))
         psi = adjoint(model.isometry).apply(w)
         dt = model.grid.delta_tau
         fam = spectral_measure(model, np.arange(0, 65) * dt)
@@ -888,7 +890,7 @@ class TestCorrespondence:
 
 class TestSnappedTime:
     """Every function of a semigroup time rejects off-lattice and non-finite
-    times; only ``lattice_index`` rounds."""
+    times; only ``evolution._snap`` rounds."""
 
     @pytest.fixture(scope="class")
     def calls(self, model):
