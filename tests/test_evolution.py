@@ -104,10 +104,31 @@ class TestLatticeIndex:
     def test_negative_times_are_lattice_points_too(self, small_grid):
         assert lattice_index(small_grid, -2 * small_grid.delta_tau) == -2
 
+    def test_off_lattice_raises_and_never_warns(self, small_grid):
+        # the strict rule has no second outcome: an off-lattice scalar or
+        # array raises, on-lattice times pass, and neither warns
+        dt = small_grid.delta_tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (3.49 * dt, np.array([0.0, dt, 3.49 * dt])):
+                with pytest.raises(OffLatticeTimeError):
+                    lattice_index(small_grid, t)
+            assert lattice_index(small_grid, np.array([0.0, dt])).tolist() == [0, 1]
+
+    def test_off_lattice_error_names_delta_tau_and_no_rounding_option(self, small_grid):
+        dt = small_grid.delta_tau
+        with pytest.raises(OffLatticeTimeError) as err:
+            lattice_index(small_grid, 3.49 * dt)
+        message = str(err.value)
+        assert message == f"t = {3.49 * dt} is not on the dual lattice (delta_tau = {dt})"
+        assert "snap" not in message
+
+    @pytest.mark.parametrize("index_of", [lattice_index, lambda g, t: _snap(g, t)[0]],
+                             ids=["lattice_index", "_snap"])
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308])
-    def test_non_finite_index_rejected(self, small_grid, t):
+    def test_non_finite_index_rejected(self, small_grid, t, index_of):
         with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
-            lattice_index(small_grid, t)
+            index_of(small_grid, t)
 
     @staticmethod
     def _mixed_times(grid):
@@ -140,17 +161,19 @@ class TestLatticeIndex:
             lattice_index(small_grid, t[4])
         assert err.value.index is None
 
-    def test_index_past_int64_rejected(self, small_grid):
+    @pytest.mark.parametrize("index_of", [lattice_index, lambda g, t: _snap(g, t)[0]],
+                             ids=["lattice_index", "_snap"])
+    def test_index_past_int64_rejected(self, small_grid, index_of):
         # finite time, but no int64 index; the division must not warn either
         big = 1e300 * small_grid.delta_tau
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OffLatticeTimeError, match="no dual-lattice index"):
-                lattice_index(small_grid, big)
+                index_of(small_grid, big)
             t = np.array([0.0, small_grid.delta_tau, big, 1e308])
             with pytest.raises(OffLatticeTimeError,
                                match=r"t\[2\] = .* no dual-lattice index") as err:
-                lattice_index(small_grid, t)
+                index_of(small_grid, t)
         assert err.value.index == 2
 
     def test_negative_semigroup_time_named(self, small_grid):
@@ -324,6 +347,13 @@ class TestKernelWitness:
             kernel_witness(small_grid, -1j, 1e-12 * dt)  # on the lattice, at index 0
         with pytest.raises(OffLatticeTimeError, match=r"^t = .* not on the dual"):
             kernel_witness(small_grid, -1j, 8.5 * dt)
+
+    def test_t0_within_the_lattice_tolerance_is_its_lattice_point(self, small_grid):
+        # a t0 a rounding error off k*delta_tau is accepted and used as k*delta_tau
+        t0 = 8 * small_grid.delta_tau
+        exact = kernel_witness(small_grid, -1j, t0)
+        near = kernel_witness(small_grid, -1j, t0 * (1 + 1e-12))
+        assert np.array_equal(near.amplitudes, exact.amplitudes)
 
     def test_space_and_fiber(self, small_grid):
         w = kernel_witness(small_grid, -1j, 8 * small_grid.delta_tau)

@@ -119,6 +119,12 @@ class TestProjections:
         p = time_samples(hardy_project(f))
         assert np.all(np.abs(p[: small_grid.n_sigma // 2]) <= 1e-13 * np.abs(p).max())
 
+    def test_minus_complement_support(self, small_grid, rng):
+        # f - hardy_project(f), the negative Hardy projection, lives at tau < 0
+        f = _rand_full(small_grid, rng)
+        m = time_samples(f - hardy_project(f))
+        assert np.all(np.abs(m[small_grid.n_sigma // 2:]) <= 1e-13 * np.abs(m).max())
+
     def test_part_embed_round_trip(self, small_grid, rng):
         f = _rand_full(small_grid, rng)
         h = hardy_part(f)
