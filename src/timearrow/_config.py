@@ -62,19 +62,14 @@ _BASE_BYTES = 40 * 2**20
 _BLOCK_COLUMNS = 256  # columns per block of lattice times (evolution._column_chunks)
 _FFT_TABLES = 8  # complex half-line vectors at any k_dim
 _FFT_VECTORS = 3  # complex half-line vectors per fibre
-_SCENARIO_CHARGES = {
+_CHARGES = {
     #                    fft dense blocks steps floor
     "lyapunov-curve":    (16, 0, 0, 64, 0),
     "semigroup-norms":   (16, 16, 128, 80, 0),
     "projection-family": (0, 24, 0, 64, 0),
     "matrix-element":    (0, 16, 128, 160, 0),
     "convergence":       (0, 0, 0, 0, 0),
-}
-_CHARGES = {
-    **_SCENARIO_CHARGES,
-    "selftest": (0, 480, 0, 0, 48 * 2**20),
-    # no command named: the largest of each term over the scenario commands
-    None: tuple(map(max, *_SCENARIO_CHARGES.values())),
+    "selftest":          (0, 480, 0, 0, 48 * 2**20),
 }
 
 
@@ -199,15 +194,14 @@ def validate_config(cfg) -> list[str]:
     return _check(cfg, _FIELDS)
 
 
-def peak_memory_estimate(cfg: dict, command: str | None = None) -> tuple[int, str]:
+def peak_memory_estimate(cfg: dict, command: str) -> tuple[int, str]:
     """Estimated peak bytes of ``command`` on a valid config.
 
     Returns the bytes and the field whose term dominates them: the FFT tier
     (``grid.n_sigma``), the dense tier (``dense.n_dense``: the command's
     matrices and blocks of states) or the per-time rows (``times.n_steps``).
-    Each command is charged only for the fields it reads; ``None`` is
-    charged the largest term of any scenario command.  A command whose terms
-    are all zero names ``config``; a name that is no command is a ValueError.
+    Each command is charged only for the fields it reads; one whose terms
+    are all zero names ``config``, and a name that is no command is a ValueError.
     """
     if command not in _CHARGES:
         raise ValueError(f"unknown command {command!r}")
@@ -228,12 +222,12 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def load_config(path: str | None, command: str | None = None) -> dict:
+def load_config(path: str | None, command: str) -> dict:
     """Load and validate a config file; ``None`` loads the default config.
 
     Raises :class:`ConfigError` with the full problem list on any failure,
     including a valid config whose :func:`peak_memory_estimate` for
-    ``command`` (a CLI command name, or ``None``) exceeds physical memory.
+    ``command`` (a CLI command name) exceeds physical memory.
     """
     if path is None:
         cfg = copy.deepcopy(DEFAULT_CONFIG)

@@ -216,12 +216,6 @@ def _violation(message: str):
 
 def _common_options(fn):
     fn = click.option(
-        "--seed",
-        type=click.IntRange(0, 2**64 - 1),
-        default=None,
-        help="Override state.seed from the config.",
-    )(fn)
-    fn = click.option(
         "--threads",
         type=click.IntRange(0),
         default=0,
@@ -249,12 +243,10 @@ def _common_options(fn):
 def _scenario(fn):
     """Wrap a command body with config loading and the exit-code contract."""
 
-    def wrapper(config_path, out_dir, threads, seed, **kwargs):
+    def wrapper(config_path, out_dir, threads, **kwargs):
         try:
             command = click.get_current_context().command.name
             cfg = _config.load_config(config_path, command)
-            if seed is not None:
-                cfg["state"]["seed"] = seed
             fn(cfg, out_dir, **kwargs)
         except _config.ConfigError as exc:
             for problem in exc.problems:

@@ -307,39 +307,40 @@ def intertwining_residual(
 ) -> tuple[float, float]:
     """Residuals of the forward and adjoint intertwining relations.
 
-    Returns the pair of maxima over the given states and over the lattice
-    time ``t``, or every time of an array ``t``, of
+    Returns the pair of maxima, over the given states ``psi`` and over the
+    lattice time ``t`` or every time of a nonempty 1-d array ``t``, of
 
-    * ``|lam u(t) psi - Z(t) lam psi| / |psi|``  (forward relation),
-    * ``|u(-t) lam psi - lam Z*(t) psi| / |psi|``  (adjoint relation).
+    * ``|lam u(t) psi - Z(t) chi| / |psi|``  (forward relation),
+    * ``|u(-t) lam chi - lam Z*(t) chi| / |chi|``  (adjoint relation),
 
-    Both vanish identically in the continuum model.  Discretely the forward
-    residual is rounding-level on states whose own time profile is
-    guard-banded, while the adjoint relation routes mass backward through
-    the transported representation, so its residual is rounding-level on
-    states guard-banded *after* transport — e.g. ``lam``-images of
-    guard-banded states, for which the transported profile is the forward
-    image itself.  Outside those domains the finite window's edge defect
-    enters at order one.  Both relations are evaluated at the same lattice
-    times, one block of times per state.
+    each on its own domain, ``chi = lam psi``.  Both vanish identically in
+    the continuum model.  Discretely the forward residual is rounding-level
+    on guard-banded states; the adjoint relation routes mass backward
+    through the transported representation, so it needs states guard-banded
+    *after* transport, as ``lam``-images of guard-banded states are.
+    Outside those domains the finite window's edge defect enters at order
+    one.  Both are evaluated at the same lattice times, a block per state.
     """
     if not psi_set:
         raise ValueError("psi_set must contain at least one state")
-    ks = np.atleast_1d(_semigroup_index(model.grid, t))
-    lam = model.lam
+    if np.ndim(t) > 1 or np.size(t) == 0:
+        raise ValueError("time grid must be a nonempty 1-d array")
+    grid, lam = model.grid, model.lam
+    ks = np.atleast_1d(_semigroup_index(grid, t))
     forward = adjoint = 0.0
     for psi in psi_set:
         scale = norm(psi)
         if scale == 0.0:
             continue
-        moved = lam.apply(psi)
+        chi = lam.apply(psi)
+        moved, chi_scale = lam.apply(chi), norm(chi)
         for cols in _column_chunks(ks.size):
             k = ks[cols]
-            t_k = k * model.grid.delta_tau
+            t_k = k * grid.delta_tau
             lhs = lam._act(_unitary_block(psi, t_k))
-            rhs = _z_block(model, moved.amplitudes, k)
+            rhs = _z_block(model, chi.amplitudes, k)
             lhs_a = _unitary_block(moved, -t_k)
-            rhs_a = lam._act(_z_block(model, psi.amplitudes, -k))
-            forward = max(forward, _column_norms(psi.grid, lhs - rhs).max() / scale)
-            adjoint = max(adjoint, _column_norms(psi.grid, lhs_a - rhs_a).max() / scale)
+            rhs_a = lam._act(_z_block(model, chi.amplitudes, -k))
+            forward = max(forward, _column_norms(grid, lhs - rhs).max() / scale)
+            adjoint = max(adjoint, _column_norms(grid, lhs_a - rhs_a).max() / chi_scale)
     return float(forward), float(adjoint)

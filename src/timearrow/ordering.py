@@ -278,8 +278,8 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     matrix-free as ``|omega psi_t|^2``, the irreversible-picture value
     ``(psi_lam, P_future(t) psi_lam) = |Z(t) psi_lam|^2``, and their
     difference relative to the trajectory's initial expectation
-    ``|lam psi|^2``: three floats for a scalar ``t``, three arrays for an
-    array of times.  Both pictures are evaluated at the lattice times of
+    ``|lam psi|^2``: three floats for a scalar ``t``, three arrays for a
+    nonempty 1-d array of times.  Both pictures are evaluated at the lattice times of
     ``t``, one block per chunk of times.  Both sides decay monotonically from
     that common initial value, and the comparison's rounding error scales
     with it, so it stays meaningful at late times, where a pointwise
@@ -287,6 +287,8 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("correspondence_check expects a HALF_LINE_POS state")
+    if np.ndim(t) > 1 or np.size(t) == 0:
+        raise ValueError("time grid must be a nonempty 1-d array")
     k_t = _semigroup_index(model.grid, t)
     ks = np.atleast_1d(k_t)
     transported = model.lam.apply(psi)

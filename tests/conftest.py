@@ -15,7 +15,7 @@ before any test runs, so the suite never reads or writes the user's cache.
 import numpy as np
 import pytest
 
-from timearrow import build_model, make_grid
+from timearrow import DEFAULT_CONFIG, build_model, make_grid
 from timearrow.selftest import run_all
 
 
@@ -47,7 +47,8 @@ def battery(pytestconfig):
     capture = pytestconfig.pluginmanager.getplugin("capturemanager")
     with capture.global_and_fixture_disabled():
         print()
-        return run_all(progress=lambda r: print(r.summary()))
+        return run_all(DEFAULT_CONFIG["dense"]["n_dense"],
+                       progress=lambda r: print(r.summary()))
 
 
 @pytest.fixture(scope="session")

@@ -285,14 +285,25 @@ class TestLyapunovCurveCommand:
             == (b / "lyapunov_curve.meta.json").read_bytes()
 
     def test_seed_flag_changes_random_state(self, tmp_path):
-        cfg = _write_cfg(tmp_path, SMALL)
-        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        _run(["lyapunov-curve", "--config", cfg, "--out", str(a), "--seed", "11"])
-        _run(["lyapunov-curve", "--config", cfg, "--out", str(b), "--seed", "12"])
-        _run(["lyapunov-curve", "--config", cfg, "--out", str(c), "--seed", "11"])
-        bytes_a = (a / "lyapunov_curve.csv").read_bytes()
-        assert bytes_a != (b / "lyapunov_curve.csv").read_bytes()
-        assert bytes_a == (c / "lyapunov_curve.csv").read_bytes()
+        # state.seed is the one source of the seed
+        outs = []
+        for seed in (11, 12, 11):
+            cfg = copy.deepcopy(SMALL)
+            cfg["state"]["seed"] = seed
+            out = tmp_path / str(len(outs))
+            res = _run(["lyapunov-curve", "--config", _write_cfg(tmp_path, cfg),
+                        "--out", str(out)])
+            assert res.exit_code == 0
+            outs.append((out / "lyapunov_curve.csv").read_bytes())
+        assert outs[0] != outs[1]
+        assert outs[0] == outs[2]
+
+    def test_seed_option_is_gone(self, tmp_path):
+        res = _run(["lyapunov-curve", "--out", str(tmp_path), "--seed", "11"])
+        assert res.exit_code == 2
+        # click words it "No such option: --seed" or "No such option '--seed'"
+        assert re.search(r"No such option:? '?--seed", _stderr(res))
+        assert not any(tmp_path.iterdir())
 
     def test_witness_state_decays_three_decades(self, tmp_path):
         cfg = copy.deepcopy(SMALL)

@@ -70,11 +70,13 @@ def _with(section, field, value):
 @pytest.mark.parametrize("section, field, value, named", OVERSIZED)
 def test_oversized_config_rejected_with_dotted_path(tmp_path, section, field,
                                                     value, named):
-    with pytest.raises(ConfigError) as info:
-        load_config(_write(tmp_path, _with(section, field, value)))
-    [problem] = info.value.problems
-    assert problem.startswith(f"{named}: the run needs about ")
-    assert "physical memory" in problem
+    path = _write(tmp_path, _with(section, field, value))
+    for command in EXITS_2_ON[f"{section}.{field}"]:
+        with pytest.raises(ConfigError) as info:
+            load_config(path, command)
+        [problem] = info.value.problems
+        assert problem.startswith(f"{named}: the run needs about "), command
+        assert "physical memory" in problem
 
 
 @pytest.mark.parametrize("section, field, value, named", OVERSIZED)
@@ -167,7 +169,7 @@ def test_row_end_past_the_float_range_is_estimated(tmp_path):
     cfg = _with("times", "t_max", 1e300)
     cfg["grid"]["sigma_max"] = 1e300
     path = _write(tmp_path, cfg)
-    for command in [*READS, None]:
+    for command in READS:
         assert load_config(path, command) == cfg
     res = CliRunner().invoke(main, ["projection-family", "--config", path,
                                     "--out", str(tmp_path)])
@@ -243,8 +245,7 @@ def test_estimate_bounds_measured_curve_peaks(k_dim, n_sigma, measured_mb):
 def test_estimate_is_per_command(tmp_path, monkeypatch):
     # with 400 MiB of memory, n_dense 4096 fits the one complex n x n of
     # matrix-element and semigroup-norms (313 MiB estimated), not the real
-    # defect of projection-family and its build (424 MiB), whose 24 bytes an
-    # entry a command not named is charged too (441 MiB); lyapunov-curve and
+    # defect of projection-family and its build (424 MiB); lyapunov-curve and
     # convergence build no dense model, so they are charged nothing for it at
     # any n_dense
     monkeypatch.setattr(_config, "_physical_memory", lambda: 400 * 2**20)
@@ -252,9 +253,8 @@ def test_estimate_is_per_command(tmp_path, monkeypatch):
     for command in ("matrix-element", "semigroup-norms", "lyapunov-curve",
                     "convergence"):
         assert load_config(path, command)["dense"]["n_dense"] == 4096
-    for command in ("projection-family", None):
-        with pytest.raises(ConfigError, match="dense.n_dense: the run needs"):
-            load_config(path, command)
+    with pytest.raises(ConfigError, match="dense.n_dense: the run needs"):
+        load_config(path, "projection-family")
     path = _write(tmp_path, _with("dense", "n_dense", 2**20))
     for command in ("lyapunov-curve", "convergence"):
         assert load_config(path, command)["dense"]["n_dense"] == 2**20
@@ -265,7 +265,7 @@ def _stub_estimate(monkeypatch):
     list of commands it was asked about."""
     seen = []
 
-    def estimate(cfg, command=None):
+    def estimate(cfg, command):
         seen.append(command)
         return 2**62, "dense.n_dense"
 
@@ -294,16 +294,6 @@ def test_default_config_is_checked_too(tmp_path, monkeypatch, command):
     assert "config error: dense.n_dense: the run needs about " in res.output
     assert seen == [command]
     assert not any(tmp_path.iterdir())
-
-
-def test_no_command_bounds_every_scenario_command():
-    # a call with no command is charged the largest of each term
-    for cfg in (DEFAULT_CONFIG, _with("grid", "n_sigma", 2**20),
-                _with("grid", "k_dim", 8), _with("times", "n_steps", 10**6)):
-        need = peak_memory_estimate(cfg)[0]
-        for command in READS:
-            if command != "selftest":
-                assert need >= peak_memory_estimate(cfg, command)[0], command
 
 
 # projection-family, matrix-element and semigroup-norms at n_dense 512 and
@@ -495,25 +485,27 @@ def test_validate_config_reports_every_problem():
 
 
 def test_default_config_is_valid(tmp_path):
-    assert load_config(_write(tmp_path, DEFAULT_CONFIG)) == DEFAULT_CONFIG
+    path = _write(tmp_path, DEFAULT_CONFIG)
+    for command in READS:
+        assert load_config(path, command) == DEFAULT_CONFIG, command
 
 
 def test_unreadable_paths_raise_config_errors(tmp_path, monkeypatch):
     # a directory, an unreadable file (faked: root reads any mode) and
     # undecodable bytes: each a ConfigError naming the path, not an OSError
     with pytest.raises(ConfigError, match=r"config: cannot read .*: Is a directory"):
-        load_config(str(tmp_path))
+        load_config(str(tmp_path), "lyapunov-curve")
     undecodable = tmp_path / "utf16.json"
     undecodable.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ConfigError, match=r"config: cannot read .*utf16\.json: 'utf-8'"):
-        load_config(str(undecodable))
+        load_config(str(undecodable), "lyapunov-curve")
 
     def denied(path, *args, **kwargs):
         raise PermissionError(13, "Permission denied", path)
 
     monkeypatch.setattr(_config, "open", denied, raising=False)
     with pytest.raises(ConfigError) as info:
-        load_config(_write(tmp_path, DEFAULT_CONFIG))
+        load_config(_write(tmp_path, DEFAULT_CONFIG), "lyapunov-curve")
     assert info.value.problems == [
         f"config: cannot read {tmp_path / 'config.json'}: Permission denied"]
 
@@ -597,7 +589,8 @@ def test_benchmark_pool_configs_are_valid(tmp_path, monkeypatch):
     for name, workload in scenarios.WORKLOADS.items():
         for j in range(scenarios.POOL_SIZE):
             cfg = workload.config(j)
-            assert load_config(_write(tmp_path, cfg)) == cfg, (name, j)
+            path = _write(tmp_path, cfg)
+            assert load_config(path, workload.command) == cfg, (name, j)
 
 
 # selftest at k_dim 1 whatever the config: criterion 11's fixed 1024-bin
@@ -630,7 +623,8 @@ def test_oversized_selftest_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr("timearrow.selftest.run_all", must_not_run)
     cfg = _with("dense", "n_dense", 2048)
     path = _write(tmp_path, cfg)
-    assert load_config(path)["dense"]["n_dense"] == 2048
+    for command in READS.keys() - {"selftest"}:
+        assert load_config(path, command)["dense"]["n_dense"] == 2048, command
     assert peak_memory_estimate(cfg, "selftest")[0] > 2**30
     res = CliRunner().invoke(main, ["selftest", "--config", path,
                                     "--out", str(tmp_path)])

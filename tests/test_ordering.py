@@ -924,3 +924,24 @@ class TestSnappedTime:
         for t in (10.3 * model.grid.delta_tau, float("nan"), float("inf")):
             with pytest.raises(OffLatticeTimeError):
                 calls[name](t)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 2)], ids=["empty", "2-d"])
+@pytest.mark.parametrize("name", ["correspondence_check", "intertwining_residual",
+                                  "irreversible_matrix_element", "lyapunov_curve"])
+def test_time_grid_must_be_nonempty_and_1d(model, name, shape):
+    # every function of a time grid rejects an empty or a 2-d grid alike (the
+    # two relation checks take a scalar time too)
+    rng = np.random.default_rng(410)
+    psi = random_guarded_state(model.grid, rng)
+    x = _hermitian_op(model.grid, rng)
+    times = np.arange(np.prod(shape)).reshape(shape) * model.grid.delta_tau
+    call = {
+        "correspondence_check": lambda: correspondence_check(model, psi, times),
+        "intertwining_residual": lambda: intertwining_residual(model, times, [psi]),
+        "irreversible_matrix_element": lambda: irreversible_matrix_element(
+            model, psi, psi, [x], times),
+        "lyapunov_curve": lambda: lyapunov_curve(psi, times),
+    }[name]
+    with pytest.raises(ValueError, match="^time grid must be a nonempty 1-d array$"):
+        call()
