@@ -138,6 +138,14 @@ def _semigroup_index(grid: GridSpec, t):
     return k
 
 
+def _grid_index(grid: GridSpec, t):
+    """:func:`_semigroup_index` of a scalar time or a nonempty 1-d time grid:
+    the one grid rule of every function of a time grid."""
+    if np.ndim(t) > 1 or np.size(t) == 0:
+        raise ValueError("time grid must be a nonempty 1-d array")
+    return _semigroup_index(grid, t)
+
+
 def toeplitz_step(f: StateVector, t: float) -> StateVector:
     """Compression of forward evolution to the positive Hardy subspace.
 

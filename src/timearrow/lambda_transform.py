@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .evolution import _column_chunks, _semigroup_index, _toeplitz_block, _unitary_block
+from .evolution import _column_chunks, _grid_index, _semigroup_index, _toeplitz_block, _unitary_block
 from .spaces import GridSpec, LinOp, Space, StateVector, _column_norms, _half_bin, norm
 
 __all__ = [
@@ -323,10 +323,8 @@ def intertwining_residual(
     """
     if not psi_set:
         raise ValueError("psi_set must contain at least one state")
-    if np.ndim(t) > 1 or np.size(t) == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
     grid, lam = model.grid, model.lam
-    ks = np.atleast_1d(_semigroup_index(grid, t))
+    ks = np.atleast_1d(_grid_index(grid, t))
     forward = adjoint = 0.0
     for psi in psi_set:
         scale = norm(psi)

@@ -20,7 +20,7 @@ from .hardy import _power_leakage
 from .spaces import (
     GridSpec, LinOp, Space, SpaceMismatchError, StateVector, _half_bin, norm,
 )
-from .evolution import _semigroup_index
+from .evolution import _grid_index
 
 __all__ = [
     "TrajectoryReport",
@@ -145,7 +145,8 @@ class TrajectoryReport:
 
 
 def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
-    """Evaluate the expectation curve on a lattice time grid.
+    """Evaluate the expectation curve on a lattice time grid (a scalar time is
+    a grid of one).
 
     The forward image ``b = omega psi`` is the curve's one transform; the
     expectation at lattice index ``k`` is its tail power ``sum_{j >= k}
@@ -153,10 +154,8 @@ def lyapunov_curve(psi: StateVector, time_grid: np.ndarray) -> TrajectoryReport:
     one reverse cumulative sum; the guard-band leakage reads the same squared
     image.  ``norms`` is ``|psi|`` at every time: the evolution is unitary.
     """
-    times = np.asarray(time_grid, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
-    ks = _semigroup_index(psi.grid, times)
+    times = np.atleast_1d(np.asarray(time_grid, dtype=np.float64))
+    ks = _grid_index(psi.grid, times)
     sq = np.abs(apply_omega(psi).fibered()) ** 2  # one squared image for both
     leakage = _power_leakage(psi.grid, np.sum(sq, axis=1))
     power = (sq * psi.grid.delta_sigma).sum(axis=1)

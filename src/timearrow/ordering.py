@@ -41,7 +41,7 @@ import numpy as np
 
 from . import lyapunov
 from ._config import _BLOCK_COLUMNS
-from .evolution import _column_chunks, _semigroup_index, _unitary_block
+from .evolution import _column_chunks, _grid_index, _semigroup_index, _unitary_block
 from .lambda_transform import IrreversibleModel, ProlateOp, _isometry_defect, _z_block
 from .spaces import LinOp, Space, StateVector, _column_norms, _freeze, _frobenius, norm
 
@@ -225,8 +225,9 @@ def irreversible_matrix_element(
     :class:`LinOp` declared ``hermitian=True`` (checked when it was built; an
     undeclared one raises ``ValueError``), dense or diagonal; the reversible
     form is ``X = lam x_lambda lam``, never an inverse of ``lam``.  Both
-    pictures are evaluated at the grid's lattice times.  Returns one array
-    per quantity, a row per observable and a column per time:
+    pictures are evaluated at the grid's lattice times (a scalar time is a
+    grid of one).  Returns one array per quantity, a row per observable and a
+    column per time:
 
     * reversible ``(u(t)phi, X u(t)psi)``, taken as ``(lam u(t)phi,
       x_lambda lam u(t)psi)`` since ``lam`` is Hermitian;
@@ -246,15 +247,12 @@ def irreversible_matrix_element(
             raise ValueError("every observable must act on the half-line space")
         if not x.hermitian:
             raise ValueError("every observable must be a LinOp declared hermitian")
-    times = np.asarray(time_grid, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
-    ks = _semigroup_index(model.grid, times)
+    ks = _grid_index(model.grid, np.atleast_1d(np.asarray(time_grid, dtype=np.float64)))
     lam = model.lam
     same = phi is psi
     l_psi = lam._act(psi.amplitudes)
     l_phi = l_psi if same else lam._act(phi.amplitudes)
-    rev = np.empty((len(observables), times.size), dtype=np.complex128)
+    rev = np.empty((len(observables), ks.size), dtype=np.complex128)
     irr = np.empty_like(rev)
     for cols in _column_chunks(ks.size):
         k = ks[cols]
@@ -287,9 +285,7 @@ def correspondence_check(model: IrreversibleModel, psi: StateVector, t):
     """
     if psi.space is not Space.HALF_LINE_POS:
         raise ValueError("correspondence_check expects a HALF_LINE_POS state")
-    if np.ndim(t) > 1 or np.size(t) == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
-    k_t = _semigroup_index(model.grid, t)
+    k_t = _grid_index(model.grid, t)
     ks = np.atleast_1d(k_t)
     transported = model.lam.apply(psi)
     lhs, rhs = np.empty((2, ks.size))

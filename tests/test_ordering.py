@@ -1,6 +1,7 @@
 """Past/future projections, the spectral measure, and the ordering operator."""
 
 import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -945,3 +946,20 @@ def test_time_grid_must_be_nonempty_and_1d(model, name, shape):
     }[name]
     with pytest.raises(ValueError, match="^time grid must be a nonempty 1-d array$"):
         call()
+
+
+@pytest.mark.parametrize("name", ["irreversible_matrix_element", "lyapunov_curve"])
+def test_scalar_time_is_a_grid_of_one(model, name):
+    # the shared grid rule takes a scalar time; the two grid functions read it
+    # as the one-time grid
+    rng = np.random.default_rng(411)
+    psi = random_guarded_state(model.grid, rng)
+    x = _hermitian_op(model.grid, rng)
+    t = 16 * model.grid.delta_tau
+    call = {
+        "irreversible_matrix_element": lambda times: irreversible_matrix_element(
+            model, psi, psi, [x], times),
+        "lyapunov_curve": lambda times: dataclasses.astuple(lyapunov_curve(psi, times)),
+    }[name]
+    for got, expected in zip(call(t), call(np.array([t]))):
+        assert np.array_equal(got, expected)
